@@ -363,11 +363,6 @@ def _command(name):
                        % (name, exc.message), err=True)
             sys.exit(2)
         meta = {"command": name, "order": order, "z_order": z_order}
-        # thread count is the only environment knob; computations are
-        # pure and deterministic, so it never changes any output
-        threads = os.environ.get("FROBKIT_THREADS")
-        if threads is not None:
-            meta["threads"] = threads
         try:
             report, lines, ok = RUNNERS[name](payload, order, z_order,
                                               trace, both)

@@ -10,6 +10,7 @@ the carriers for connection and Higgs data everywhere else in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -21,6 +22,9 @@ __all__ = [
 ]
 
 Frac = Fraction
+_ZERO = Fraction(0)
+_new = object.__new__
+_set = object.__setattr__
 
 
 def frac_from_str(s) -> Fraction:
@@ -76,9 +80,27 @@ class TruncSeries:
                 c = _as_frac(c)
                 if c != 0:
                     clean[e] = c
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+        _set(self, "vars", vars)
+        _set(self, "order", order)
+        _set(self, "terms", clean)
+
+    @staticmethod
+    def _make(vars: tuple, order: int, terms: dict) -> "TruncSeries":
+        """Trusted constructor: wrap ``terms`` as is, with no checks or copy.
+
+        The caller guarantees everything ``__init__`` would otherwise
+        enforce: ``vars`` is a tuple of distinct names, ``order >= 0``, and
+        ``terms`` is a dict of exponent tuples (``len(vars)`` nonnegative
+        ints, total degree <= order) to nonzero Fractions.  The dict becomes
+        the new series' own, so the caller must not touch it afterwards.
+        Use it only for output that is clean by construction, such as the
+        result of an operation on series that already hold the invariant.
+        """
+        out = _new(TruncSeries)
+        _set(out, "vars", vars)
+        _set(out, "order", order)
+        _set(out, "terms", terms)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
@@ -114,7 +136,9 @@ class TruncSeries:
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        if not self.terms:
+            return _ZERO
+        return self.terms.get((0,) * len(self.vars), _ZERO)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -154,25 +178,30 @@ class TruncSeries:
             return NotImplemented
         self._like(other)
         order = min(self.order, other.order)
-        terms = dict()
-        for e, c in self.terms.items():
-            if sum(e) <= order:
+        if self.order == order:
+            terms = dict(self.terms)
+        else:
+            terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
+        right = other.terms.items()
+        if other.order != order:
+            right = [(e, c) for e, c in right if sum(e) <= order]
+        for e, c in right:
+            s = terms.get(e)
+            if s is None:
                 terms[e] = c
-        for e, c in other.terms.items():
-            if sum(e) > order:
-                continue
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
             else:
-                terms.pop(e, None)
-        return TruncSeries(self.vars, order, terms)
+                s += c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return TruncSeries._make(self.vars, order, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.vars, self.order,
-                           {e: -c for e, c in self.terms.items()})
+        return TruncSeries._make(self.vars, self.order,
+                                 {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -188,28 +217,33 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             c = _as_frac(other)
             if c == 0:
-                return TruncSeries(self.vars, self.order)
-            return TruncSeries(self.vars, self.order,
-                               {e: c * v for e, v in self.terms.items()})
+                return TruncSeries._make(self.vars, self.order, {})
+            return TruncSeries._make(self.vars, self.order,
+                                     {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._like(other)
         order = min(self.order, other.order)
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         terms: dict = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > order:
+            room = order - sum(e1)
+            if room < 0:
                 continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > order:
+            for e2, d2, c2 in right:
+                if d2 > room:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = c1 * c2
                 else:
-                    del terms[e]
-        return TruncSeries(self.vars, order, terms)
+                    s += c1 * c2
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        return TruncSeries._make(self.vars, order, terms)
 
     __rmul__ = __mul__
 
@@ -328,12 +362,7 @@ class TruncSeries:
             wt[i] = 1 if not weights else weights.get(self.vars[i], 1)
         terms = {e: c for e, c in self.terms.items()
                  if sum(e[i] * wt[i] for i in wt) == degree}
-        return TruncSeries(self.vars, self.order, terms)
-
-    def weighted_degrees(self, weights: Mapping[str, int]) -> set:
-        """Set of weighted degrees of the stored monomials."""
-        wt = [weights.get(v, 0) for v in self.vars]
-        return {sum(k * w for k, w in zip(e, wt)) for e in self.terms}
+        return TruncSeries._make(self.vars, self.order, terms)
 
     def compose(self, mapping: Mapping[str, "TruncSeries"]) -> "TruncSeries":
         """Substitute a series (with zero constant term) for every variable.
@@ -418,33 +447,67 @@ def euler_integrate(partials: Mapping[str, TruncSeries],
     return TruncSeries(ctx, order + 1, terms)
 
 
-class SeriesMatrix:
-    """Rectangular matrix of TruncSeries sharing one context and bound."""
+def _check_shape(rows, cols):
+    if rows < 1 or cols < 1:
+        raise SeriesError("matrix must be nonempty")
 
-    __slots__ = ("rows", "cols", "vars", "order", "entries")
+
+class SeriesMatrix:
+    """Rectangular matrix of TruncSeries sharing one context and bound.
+
+    Storage is sparse by rows: row i is a dict {column: entry} that holds
+    only the nonzero entries, keyed in increasing column order, and is never
+    mutated once the matrix exists (so matrices may share rows).  ``M[i, j]``
+    returns a zero of the matrix's vars and order for an absent entry.
+    Products run row by row over the nonzeros (Gustavson, ACM TOMS 1978),
+    accumulating each entry in increasing inner index as a dense sweep
+    would.
+    """
+
+    __slots__ = ("rows", "cols", "vars", "order", "_data", "_zero")
 
     def __init__(self, entries: Sequence[Sequence[TruncSeries]]):
         entries = [list(row) for row in entries]
         if not entries or not entries[0]:
             raise SeriesError("matrix must be nonempty")
         rows, cols = len(entries), len(entries[0])
-        first = entries[0][0]
+        vars = entries[0][0].vars
         order = min(min(x.order for x in row) for row in entries)
-        norm = []
+        data = []
         for row in entries:
             if len(row) != cols:
                 raise SeriesError("ragged matrix")
-            out_row = []
-            for x in row:
-                if x.vars != first.vars:
+            out = {}
+            for j, x in enumerate(row):
+                if x.vars != vars:
                     raise SeriesError("matrix entries disagree on variables")
-                out_row.append(x if x.order == order else x.truncate(order))
-            norm.append(out_row)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vars", first.vars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "entries", norm)
+                if x.terms and x.order != order:
+                    x = x.truncate(order)
+                if x.terms:
+                    out[j] = x
+            data.append(out)
+        SeriesMatrix._fill(self, rows, cols, vars, order, data)
+
+    @staticmethod
+    def _fill(m, rows, cols, vars, order, data):
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "vars", vars)
+        _set(m, "order", order)
+        _set(m, "_data", data)
+        _set(m, "_zero", TruncSeries._make(vars, order, {}))
+
+    @staticmethod
+    def _make(rows, cols, vars, order, data) -> "SeriesMatrix":
+        """Trusted constructor over sparse rows, with no checks or copy.
+
+        ``data`` is a list of ``rows`` dicts as described in the class
+        docstring; every stored entry is a nonzero TruncSeries over exactly
+        ``vars`` with order exactly ``order``.
+        """
+        out = _new(SeriesMatrix)
+        SeriesMatrix._fill(out, rows, cols, vars, order, data)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("SeriesMatrix is immutable")
@@ -453,14 +516,15 @@ class SeriesMatrix:
 
     @classmethod
     def zeros(cls, n, m, vars, order):
+        _check_shape(n, m)
         z = TruncSeries.zero(vars, order)
-        return cls([[z] * m for _ in range(n)])
+        return cls._make(n, m, z.vars, order, [{} for _ in range(n)])
 
     @classmethod
     def identity(cls, n, vars, order):
-        z = TruncSeries.zero(vars, order)
+        _check_shape(n, n)
         o = TruncSeries.one(vars, order)
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._make(n, n, o.vars, order, [{i: o} for i in range(n)])
 
     @classmethod
     def from_consts(cls, mat, vars, order):
@@ -468,35 +532,77 @@ class SeriesMatrix:
         return cls([[TruncSeries.const(vars, order, c) for c in row]
                     for row in mat])
 
+    @classmethod
+    def from_sparse(cls, rows, cols, vars, order,
+                    entries: Mapping[tuple, TruncSeries]) -> "SeriesMatrix":
+        """Matrix from its entries {(i, j): series}; absent entries are zero.
+
+        The result is the dense constructor's on the filled-in matrix: every
+        entry must be a series in ``vars``, and the matrix order is the least
+        of ``order`` and the entries' orders.
+        """
+        _check_shape(rows, cols)
+        vars = TruncSeries.zero(vars, order).vars
+        for (i, j), x in entries.items():
+            if not (isinstance(i, int) and isinstance(j, int)
+                    and 0 <= i < rows and 0 <= j < cols):
+                raise SeriesError("entry (%r, %r) lies outside a %dx%d matrix"
+                                  % (i, j, rows, cols))
+            if not isinstance(x, TruncSeries) or x.vars != vars:
+                raise SeriesError("entry (%d, %d) is not a series in %r"
+                                  % (i, j, vars))
+            order = min(order, x.order)
+        data = [{} for _ in range(rows)]
+        for i, j in sorted(entries):
+            x = entries[i, j]
+            if x.order != order:
+                x = x.truncate(order)
+            if x.terms:
+                data[i][j] = x
+        return cls._make(rows, cols, vars, order, data)
+
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        row = self._data[i]
+        if not -self.cols <= j < self.cols:
+            raise IndexError("column index %r out of range" % (j,))
+        return row.get(j % self.cols, self._zero)
+
+    def nonzero(self) -> dict:
+        """The stored entries as {(i, j): series}, in row-major order."""
+        return {(i, j): x for i, row in enumerate(self._data)
+                for j, x in row.items()}
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
                 and self.vars == other.vars and self.order == other.order
-                and self.entries == other.entries)
+                and self._data == other._data)
 
     def __repr__(self):
         return "SeriesMatrix(%dx%d over %r, order %d)" % (
             self.rows, self.cols, self.vars, self.order)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(self._data)
 
     def is_constant(self) -> bool:
-        return all(x.is_constant() for row in self.entries for x in row)
+        return all(x.is_constant() for row in self._data
+                   for x in row.values())
 
     def at_origin(self) -> list:
         """Constant-term matrix as a list of lists of Fractions."""
-        return [[x.constant_term for x in row] for row in self.entries]
+        out = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for row, data in zip(out, self._data):
+            for j, x in data.items():
+                row[j] = x.constant_term
+        return out
 
     def column(self, j) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
+        return [self[i, j] for i in range(self.rows)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -505,93 +611,115 @@ class SeriesMatrix:
             raise SeriesError("shape mismatch %dx%d vs %dx%d"
                               % (self.rows, self.cols, other.rows, other.cols))
 
-    def __add__(self, other):
+    def _map(self, f):
+        """Apply f to every entry.  f(0) runs first: it raises whatever f
+        raises on this context and gives the result's vars and order."""
+        zero = f(self._zero)
+        data = []
+        for row in self._data:
+            out = {}
+            for j, x in row.items():
+                y = f(x)
+                if y.terms:
+                    out[j] = y
+            data.append(out)
+        return SeriesMatrix._make(self.rows, self.cols, zero.vars, zero.order,
+                                  data)
+
+    def _combine(self, other, both, right):
+        """Entrywise both(a, b) over the union of the nonzeros, with a
+        stored entry of self kept as is and right(b) for one of other."""
         self._shape_like(other)
-        return SeriesMatrix([[a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.entries, other.entries)])
+        zero = both(self._zero, other._zero)
+        order = zero.order
+        data = []
+        for ra, rb in zip(self._data, other._data):
+            out = {}
+            for j in sorted(ra.keys() | rb.keys()):
+                a = ra.get(j)
+                b = rb.get(j)
+                if b is None:
+                    x = a
+                elif a is None:
+                    x = right(b)
+                else:
+                    x = both(a, b)
+                if x.order != order:
+                    x = x.truncate(order)
+                if x.terms:
+                    out[j] = x
+            data.append(out)
+        return SeriesMatrix._make(self.rows, self.cols, zero.vars, order,
+                                  data)
+
+    def __add__(self, other):
+        return self._combine(other, TruncSeries.__add__, lambda b: b)
 
     def __sub__(self, other):
-        self._shape_like(other)
-        return SeriesMatrix([[a - b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.entries, other.entries)])
+        return self._combine(other, TruncSeries.__sub__, TruncSeries.__neg__)
 
     def __neg__(self):
-        return SeriesMatrix([[-a for a in row] for row in self.entries])
+        return self._map(TruncSeries.__neg__)
 
     def scale(self, c):
-        return SeriesMatrix([[a * c for a in row] for row in self.entries])
+        return self._map(lambda a: a * c)
 
     def scale_series(self, s: TruncSeries):
-        return SeriesMatrix([[a * s for a in row] for row in self.entries])
+        return self._map(lambda a: a * s)
 
     def __matmul__(self, other):
-        if isinstance(other, SeriesMatrix):
-            if self.cols != other.rows:
-                raise SeriesError("shape mismatch for product")
-            z = TruncSeries.zero(self.vars, min(self.order, other.order))
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = z
-                    for k in range(self.cols):
-                        a = self.entries[i][k]
-                        b = other.entries[k][j]
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return SeriesMatrix(out)
-        return NotImplemented
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise SeriesError("shape mismatch for product")
+        right = other._data
+        data = []
+        for ra in self._data:
+            acc: dict = {}
+            for k, a in ra.items():
+                for j, b in right[k].items():
+                    p = a * b
+                    s = acc.get(j)
+                    acc[j] = p if s is None else s + p
+            data.append({j: acc[j] for j in sorted(acc) if acc[j].terms})
+        return SeriesMatrix._make(self.rows, other.cols, self.vars,
+                                  min(self.order, other.order), data)
 
     def commutator(self, other):
         return (self @ other) - (other @ self)
 
     def transpose(self):
-        return SeriesMatrix([[self.entries[i][j] for i in range(self.rows)]
-                             for j in range(self.cols)])
+        data = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, x in row.items():
+                data[j][i] = x
+        return SeriesMatrix._make(self.cols, self.rows, self.vars, self.order,
+                                  data)
 
     def partial(self, name: str):
-        return SeriesMatrix([[a.partial(name) for a in row]
-                             for row in self.entries])
+        return self._map(lambda a: a.partial(name))
 
     def mul_var(self, name: str):
-        return SeriesMatrix([[a.mul_var(name) for a in row]
-                             for row in self.entries])
+        return self._map(lambda a: a.mul_var(name))
 
     def restrict_zero(self, names):
-        return SeriesMatrix([[a.restrict_zero(names) for a in row]
-                             for row in self.entries])
+        names = list(names)
+        return self._map(lambda a: a.restrict_zero(names))
 
     def extend(self, new_vars):
-        return SeriesMatrix([[a.extend(new_vars) for a in row]
-                             for row in self.entries])
+        new_vars = tuple(new_vars)
+        return self._map(lambda a: a.extend(new_vars))
 
     def truncate(self, order):
-        return SeriesMatrix([[a.truncate(order) for a in row]
-                             for row in self.entries])
+        return self._map(lambda a: a.truncate(order))
 
     def graded_part(self, degree, names=None, weights=None):
-        return SeriesMatrix([[a.graded_part(degree, names, weights)
-                              for a in row] for row in self.entries])
+        if names is not None:
+            names = list(names)
+        return self._map(lambda a: a.graded_part(degree, names, weights))
 
     def compose(self, mapping):
-        return SeriesMatrix([[a.compose(mapping) for a in row]
-                             for row in self.entries])
-
-    def apply_const(self, vec):
-        """Matrix times a constant column vector of Fractions."""
-        if len(vec) != self.cols:
-            raise SeriesError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = TruncSeries.zero(self.vars, self.order)
-            for k, c in enumerate(vec):
-                if c:
-                    acc = acc + self.entries[i][k] * c
-            out.append(acc)
-        return out
+        return self._map(lambda a: a.compose(mapping))
 
     def conjugate_const(self, basis, basis_inv):
         """basis_inv @ self @ basis with constant Fraction matrices."""
@@ -608,30 +736,52 @@ class SeriesMatrix:
         if self.rows != self.cols:
             raise SeriesError("solve needs a square matrix")
         n = self.rows
-        work = [[self.entries[i][j] for j in range(n)]
-                + [rhs.entries[i][j] for j in range(rhs.cols)]
-                for i in range(n)]
-        m = n + rhs.cols
+        if rhs.rows != n:
+            raise SeriesError("right-hand side needs %d rows" % n)
+        zero = self._zero * rhs._zero
+        order = zero.order
+        A = self if self.order == order else self.truncate(order)
+        B = rhs if rhs.order == order else rhs.truncate(order)
+        # Sparse Gauss-Jordan on rows [A | B]; B's columns sit at n + j.
+        work = []
+        for ra, rb in zip(A._data, B._data):
+            row = dict(ra)
+            for j, x in rb.items():
+                row[n + j] = x
+            work.append(row)
         for col in range(n):
             piv = None
             for r in range(col, n):
-                if work[r][col].constant_term != 0:
+                x = work[r].get(col)
+                if x is not None and x.constant_term != 0:
                     piv = r
                     break
             if piv is None:
                 raise SeriesError("matrix constant term is singular")
             work[col], work[piv] = work[piv], work[col]
             inv = work[col][col].inverse()
-            work[col] = [x * inv for x in work[col]]
+            prow = {}
+            for j, x in work[col].items():
+                y = x * inv
+                if y.terms:
+                    prow[j] = y
+            work[col] = prow
             for r in range(n):
-                if r == col:
+                row = work[r]
+                f = row.get(col) if r != col else None
+                if f is None:
                     continue
-                f = work[r][col]
-                if f.is_zero():
-                    continue
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return SeriesMatrix([[work[i][n + j] for j in range(rhs.cols)]
-                             for i in range(n)])
+                for j, b in prow.items():
+                    fb = f * b
+                    a = row.get(j)
+                    x = -fb if a is None else a - fb
+                    if x.terms:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
+        data = [{j - n: x for j, x in sorted(row.items()) if j >= n}
+                for row in work]
+        return SeriesMatrix._make(n, B.cols, zero.vars, order, data)
 
     def inverse_series(self) -> "SeriesMatrix":
         return self.solve_series(
@@ -645,8 +795,8 @@ class SeriesMatrix:
             "cols": self.cols,
             "vars": list(self.vars),
             "order": self.order,
-            "entries": [[x.to_json()["terms"] for x in row]
-                        for row in self.entries],
+            "entries": [[row[j].to_json()["terms"] if j in row else []
+                         for j in range(self.cols)] for row in self._data],
         }
 
     @classmethod

@@ -598,18 +598,17 @@ def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,
     m0 = blocks[1] if Q >= 1 else 0
     t_vars = tuple("%s%d" % (t_prefix, a + 1) for a in range(m0))
     fam = JacobiFamily(algebra, t_vars, order)
-    zero = TruncSeries.zero(t_vars, order)
     Gamma = []
     for a in range(m0):
-        Gm = [[zero] * n for _ in range(n)]
+        entries = {}
         for q in range(Q):
             block = fam.mult_matrix(a, q * L)
             for i in range(blocks[q + 1]):
                 for j in range(blocks[q]):
                     x = block[i][j]
                     if not x.is_zero():
-                        Gm[offs[q + 1] + i][offs[q] + j] = -x
-        Gamma.append(SeriesMatrix(Gm))
+                        entries[offs[q + 1] + i, offs[q] + j] = -x
+        Gamma.append(SeriesMatrix.from_sparse(n, n, t_vars, order, entries))
     info = {"weight": w, "rank": n, "base_dim": m0,
             "block_dims": blocks}
     if S is None and with_pairing:

@@ -65,9 +65,12 @@ def gc_check(P: ConnectionPencil, with_u: bool = True,
         zeta = _unit_vector(n)
 
     def sparse_cols(M):
-        const = M.at_origin()
-        return [{i: const[i][j] for i in range(n) if const[i][j]}
-                for j in range(n)]
+        cols = [{} for _ in range(n)]
+        for (i, j), x in M.nonzero().items():
+            c = x.constant_term
+            if c:
+                cols[j][i] = c
+        return cols
 
     gens = [("C%d" % i, sparse_cols(C)) for i, C in enumerate(P.C)]
     gens += [("F%d" % a, sparse_cols(F)) for a, F in enumerate(P.F)]

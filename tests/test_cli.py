@@ -148,3 +148,21 @@ def test_outputs_byte_identical_across_runs(tmp_path):
     code2, _, out2 = _run(tmp_path, "jacobi", QUINTIC)
     assert (out1 / "first.json").read_bytes() == \
         (out2 / "report.json").read_bytes()
+
+
+def test_reconstruct_report_ignores_thread_variable(tmp_path, monkeypatch):
+    payload = {"initial": {"kind": "shift-example", "weight": 5,
+                           "b": [{"vars": ["t"], "order": 4,
+                                  "terms": [[[0], "1/1"], [[1], "1/1"]]}]}}
+    blobs = []
+    for threads in (None, "4"):
+        if threads is None:
+            monkeypatch.delenv("FROBKIT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FROBKIT_THREADS", threads)
+        run_dir = tmp_path / ("threads-%s" % threads)
+        run_dir.mkdir()
+        code, _, out = _run(run_dir, "reconstruct", payload)
+        assert code == 0
+        blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]

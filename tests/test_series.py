@@ -181,3 +181,252 @@ def test_solve_series_matrix():
     M = SeriesMatrix([[one, t], [TruncSeries.zero(vars, 3), one - t]])
     X = M.inverse_series()
     assert (M @ X - SeriesMatrix.identity(2, vars, 3)).is_zero()
+
+
+# -- sparse SeriesMatrix against an entrywise dense reference ---------------
+
+class Dense:
+    """Dense reference matrix: a list of lists of TruncSeries, with every
+    entry truncated to the least order among them, combined only through
+    TruncSeries operations."""
+
+    def __init__(self, rows):
+        self.order = min(x.order for row in rows for x in row)
+        self.vars = rows[0][0].vars
+        self.rows = [[x.truncate(self.order) if x.order > self.order else x
+                      for x in row] for row in rows]
+
+    def map(self, f):
+        return Dense([[f(x) for x in row] for row in self.rows])
+
+    def zip(self, other, f):
+        return Dense([[f(a, b) for a, b in zip(ra, rb)]
+                      for ra, rb in zip(self.rows, other.rows)])
+
+    def matmul(self, other):
+        zero = TruncSeries.zero(self.vars, min(self.order, other.order))
+        out = []
+        for ra in self.rows:
+            row = []
+            for j in range(len(other.rows[0])):
+                acc = zero
+                for k, a in enumerate(ra):
+                    acc = acc + a * other.rows[k][j]
+                row.append(acc)
+            out.append(row)
+        return Dense(out)
+
+    def transpose(self):
+        return Dense([list(col) for col in zip(*self.rows)])
+
+    def solve(self, rhs):
+        """Gauss-Jordan on [self | rhs], pivoting on unit entries."""
+        n = len(self.rows)
+        work = [list(a) + list(b) for a, b in zip(self.rows, rhs.rows)]
+        for col in range(n):
+            piv = next(r for r in range(col, n)
+                       if work[r][col].constant_term != 0)
+            work[col], work[piv] = work[piv], work[col]
+            inv = work[col][col].inverse()
+            work[col] = [x * inv for x in work[col]]
+            for r in range(n):
+                f = work[r][col]
+                if r != col and not f.is_zero():
+                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+        return Dense([row[n:] for row in work])
+
+    def to_json(self):
+        return {"rows": len(self.rows), "cols": len(self.rows[0]),
+                "vars": list(self.vars), "order": self.order,
+                "entries": [[x.to_json()["terms"] for x in row]
+                            for row in self.rows]}
+
+
+def assert_same(M, D):
+    assert (M.rows, M.cols) == (len(D.rows), len(D.rows[0]))
+    assert (M.vars, M.order) == (D.vars, D.order)
+    for i, row in enumerate(D.rows):
+        for j, x in enumerate(row):
+            assert M[i, j] == x
+    assert M.to_json() == D.to_json()
+    assert M.at_origin() == [[x.constant_term for x in row]
+                             for row in D.rows]
+    assert M.nonzero() == {(i, j): x for i, row in enumerate(D.rows)
+                           for j, x in enumerate(row) if not x.is_zero()}
+    assert M.is_zero() == all(x.is_zero() for row in D.rows for x in row)
+    assert M.is_constant() == all(x.is_constant()
+                                  for row in D.rows for x in row)
+
+
+def positive_terms(order):
+    """Terms of degree 1..order in V2."""
+    exps = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
+        lambda e: 1 <= sum(e) <= order)
+    return st.dictionaries(exps, coeffs, max_size=3)
+
+
+@st.composite
+def dense_entries(draw, rows=None, cols=None, order=2, unit_at=None):
+    """Zero-heavy rows x cols entries: all-zero matrices, blank rows and
+    entries of order `order` or `order + 1`.  With unit_at (a permutation)
+    entry (i, unit_at[i]) gets a nonzero constant term and every other
+    entry none, so the constant-term matrix is invertible."""
+    rows = rows or draw(st.integers(1, 3))
+    cols = cols or draw(st.integers(1, 3))
+    all_zero = unit_at is None and draw(st.integers(0, 4)) == 0
+    blank = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1))
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            o = draw(st.sampled_from([order, order, order + 1]))
+            terms = {}
+            if not all_zero and i not in blank and draw(st.integers(0, 2)) == 0:
+                terms = draw(positive_terms(o))
+            if unit_at is not None and unit_at[i] == j:
+                terms[(0, 0)] = draw(coeffs.filter(bool))
+            row.append(TruncSeries(V2, o, terms))
+        out.append(row)
+    return out
+
+
+matrix_settings = settings(max_examples=50, deadline=None)
+
+
+@matrix_settings
+@given(dense_entries())
+def test_sparse_matrix_unary_ops_match_dense(rows):
+    D = Dense(rows)
+    M = SeriesMatrix(rows)
+    assert_same(M, D)
+    assert M == SeriesMatrix.from_sparse(
+        M.rows, M.cols, V2, D.order,
+        {(i, j): x for i, row in enumerate(rows)
+         for j, x in enumerate(row) if not x.is_zero()})
+    assert M == SeriesMatrix.from_sparse(M.rows, M.cols, M.vars, M.order,
+                                         M.nonzero())
+    assert SeriesMatrix.from_json(M.to_json()) == M
+    for j in range(M.cols):
+        assert M.column(j) == [row[j] for row in D.rows]
+    s = TruncSeries(V2, 2, {(0, 0): 2, (0, 1): -1})
+    img = {"t": TruncSeries(("u",), 2, {(1,): 1}),
+           "y": TruncSeries(("u",), 2, {(1,): 3, (2,): 1})}
+    cases = [
+        (lambda X: -X, lambda x: -x),
+        (lambda X: X.scale(F(2, 3)), lambda x: x * F(2, 3)),
+        (lambda X: X.scale(0), lambda x: x * 0),
+        (lambda X: X.scale_series(s), lambda x: x * s),
+        (lambda X: X.partial("t"), lambda x: x.partial("t")),
+        (lambda X: X.mul_var("y"), lambda x: x.mul_var("y")),
+        (lambda X: X.restrict_zero(["y"]), lambda x: x.restrict_zero(["y"])),
+        (lambda X: X.extend(("y", "s", "t")),
+         lambda x: x.extend(("y", "s", "t"))),
+        (lambda X: X.truncate(1), lambda x: x.truncate(1)),
+        (lambda X: X.graded_part(1), lambda x: x.graded_part(1)),
+        (lambda X: X.graded_part(2, names=["y"], weights={"y": 2}),
+         lambda x: x.graded_part(2, names=["y"], weights={"y": 2})),
+        (lambda X: X.compose(img), lambda x: x.compose(img)),
+    ]
+    for op, entrywise in cases:
+        assert_same(op(M), D.map(entrywise))
+    assert_same(M.transpose(), D.transpose())
+    assert M.transpose().transpose() == M
+
+
+@matrix_settings
+@given(st.data())
+def test_sparse_matrix_binary_ops_match_dense(data):
+    r, c, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = data.draw(dense_entries(r, c))
+    b = data.draw(dense_entries(r, c, order=data.draw(st.integers(1, 3))))
+    m = data.draw(dense_entries(c, k))
+    sq = data.draw(dense_entries(r, r))
+    A, B, C, S = (SeriesMatrix(x) for x in (a, b, m, sq))
+    DA, DB, DC, DS = (Dense(x) for x in (a, b, m, sq))
+    assert_same(A + B, DA.zip(DB, lambda x, y: x + y))
+    assert_same(A - B, DA.zip(DB, lambda x, y: x - y))
+    assert_same(A @ C, DA.matmul(DC))
+    assert_same(S @ A, DS.matmul(DA))
+    comm = DS.matmul(DS.transpose()).zip(DS.transpose().matmul(DS),
+                                         lambda x, y: x - y)
+    assert_same(S.commutator(S.transpose()), comm)
+    assert (A + B == B + A) and (A - A).is_zero()
+
+
+@matrix_settings
+@given(st.data())
+def test_sparse_matrix_solve_matches_dense(data):
+    n = data.draw(st.integers(1, 3))
+    perm = data.draw(st.permutations(range(n)))
+    a = data.draw(dense_entries(n, n, unit_at=perm))
+    rhs = data.draw(dense_entries(n, data.draw(st.integers(1, 3))))
+    A, B = SeriesMatrix(a), SeriesMatrix(rhs)
+    X = A.solve_series(B)
+    assert_same(X, Dense(a).solve(Dense(rhs)))
+    assert (A @ X - B).is_zero()
+    eye = [[TruncSeries.const(V2, A.order, int(i == j)) for j in range(n)]
+           for i in range(n)]
+    assert_same(A.inverse_series(), Dense(a).solve(Dense(eye)))
+    basis = [[F(int(perm[i] == j)) for j in range(n)] for i in range(n)]
+    basis_inv = [list(col) for col in zip(*basis)]
+    P = Dense([[TruncSeries.const(V2, A.order, c) for c in row]
+               for row in basis])
+    Pinv = P.transpose()
+    assert_same(A.conjugate_const(basis, basis_inv),
+                Pinv.matmul(Dense(a)).matmul(P))
+
+
+def test_sparse_matrix_order_and_errors():
+    z1 = TruncSeries.zero(V2, 1)
+    x3 = TruncSeries(V2, 3, {(0, 0): 1, (2, 1): 5})
+    M = SeriesMatrix([[x3, z1], [x3, x3]])
+    assert M.order == 1 and M[0, 0] == TruncSeries(V2, 1, {(0, 0): 1})
+    assert M[0, 1] == z1 and M[-1, -1] == M[1, 1]
+    with pytest.raises(IndexError):
+        M[0, 2]
+    Z0 = SeriesMatrix.zeros(2, 2, V2, 0)
+    with pytest.raises(SeriesError):
+        Z0.partial("t")
+    for A in (Z0, M):
+        with pytest.raises(SeriesError):
+            A.truncate(A.order + 1)
+        with pytest.raises(SeriesError):
+            A.restrict_zero(["zz"])
+        with pytest.raises(SeriesError):
+            A.extend(("t",))
+    for bad in ((2, 0), (0, -3), (-1, 0)):
+        with pytest.raises(SeriesError):
+            SeriesMatrix.from_sparse(2, 2, V2, 1, {bad: x3})
+    with pytest.raises(SeriesError):
+        SeriesMatrix.from_sparse(2, 2, V2, 1,
+                                 {(0, 0): TruncSeries.one(("t",), 1)})
+    with pytest.raises(SeriesError):
+        SeriesMatrix.from_sparse(0, 2, V2, 1, {})
+    # an explicit lower-order zero lowers the order, as in the constructor
+    low = SeriesMatrix.from_sparse(2, 2, V2, 3, {(0, 0): x3, (1, 1): z1})
+    assert low.order == 1
+    assert low == SeriesMatrix.from_sparse(2, 2, V2, 1, {(0, 0): x3})
+
+
+# -- the trusted constructor keeps the TruncSeries invariant ----------------
+
+def assert_clean(x):
+    assert TruncSeries(x.vars, x.order, x.terms) == x
+    assert isinstance(x.vars, tuple) and x.order >= 0
+    for e, c in x.terms.items():
+        assert isinstance(e, tuple) and len(e) == len(x.vars)
+        assert min(e) >= 0 and sum(e) <= x.order
+        assert isinstance(c, Fraction) and c != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_series(order=2), small_series(order=3), coeffs,
+       st.integers(0, 4))
+def test_trusted_results_are_clean(a, b, c, d):
+    for x in (a + b, b + a, a - b, b - a, a - a, -a, -b, a * b, b * a,
+              a * a, a * c, c * b, a + 1, 2 - b, a * 0,
+              a.graded_part(d), b.graded_part(d, names=["y"]),
+              b.graded_part(d, names=["t"], weights={"t": 2})):
+        assert_clean(x)
+    assert_clean(SeriesMatrix.zeros(1, 1, V2, 2)[0, 0])
+    assert TruncSeries.zero(V2, 2).constant_term == 0
