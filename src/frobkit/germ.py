@@ -237,8 +237,10 @@ def invert_map(images: Sequence[TruncSeries], new_vars) -> list:
     n = len(images)
     old_vars = images[0].vars
     order = min(im.order for im in images)
-    jac = [[im.partial(v).constant_term if order >= 1 else Fraction(0)
-            for v in old_vars] for im in images]
+    if order == 0:
+        # tau(0) = 0 leaves nothing to invert below degree 1
+        return [TruncSeries.zero(new_vars, 0) for _ in range(n)]
+    jac = [[im.partial(v).constant_term for v in old_vars] for im in images]
     jac_inv = linalg.mat_inverse(jac)
     taus = [TruncSeries.var(new_vars, order, v) for v in new_vars]
 

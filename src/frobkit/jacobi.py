@@ -9,6 +9,15 @@ product has at most two terms (Fermat-type and Sebastiani-Thom-type
 polynomials, where pieces with 10^5 monomials stay cheap), and a sparse
 echelon otherwise.
 
+The union-find engine runs in two phases.  An integer union-find (union by
+size, path halving; Tarjan 1975) joins the monomials of every binomial
+product and flags each component that holds a monomial killed by a
+one-term product; killed components lie in the ideal and need no rational
+arithmetic.  Only the kill-free components then get rational
+multipliers, by a search from their lex-first monomial, which also finds
+the components an inconsistent cycle puts in the ideal.  The result is a
+normal-form table with one entry per monomial.
+
 Milnor number and graded dimensions come from the Koszul Hilbert series
 once the singularity has been certified isolated; materialized pieces are
 checked against it.
@@ -19,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .linalg import Echelon
@@ -209,56 +219,17 @@ def _nonzero(c):
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    """Quotient structure when every ideal vector has <= 2 terms.
-
-    Maintains e_i = mult[i] * e_root modulo the ideal span; dead roots mean
-    the whole component is contained in the span.
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.mult = [Fraction(1)] * n
-        self.dead = [False] * n
-
-    def find(self, i):
-        path = []
-        while self.parent[i] != i:
-            path.append(i)
-            i = self.parent[i]
-        m = Fraction(1)
-        for j in reversed(path):
-            m = m * self.mult[j]
-            self.parent[j] = i
-            self.mult[j] = m
-        # after compression mult[j] is relative to the root i
-        return i, self.mult[path[0]] if path else Fraction(1)
-
-    def kill(self, i):
-        r, _ = self.find(i)
-        self.dead[r] = True
-
-    def relate(self, i, j, ratio):
-        """Impose e_i = ratio * e_j modulo the span."""
-        ri, mi = self.find(i)
-        rj, mj = self.find(j)
-        if ri == rj:
-            if mi != ratio * mj:
-                self.dead[ri] = True
-            return
-        # e_ri = e_i / mi = (ratio * mj / mi) e_rj
-        self.parent[ri] = rj
-        self.mult[ri] = ratio * mj / mi
-        if self.dead[ri]:
-            self.dead[rj] = True
-
-
 class GradedPiece:
     """One graded piece of the quotient: basis plus normal-form map.
 
     Monomials are packed into single integer keys (via strides) so that the
     inner loops over generator products run on int arithmetic; the key of a
     product of monomials is the sum of their keys.
+
+    A union-find piece keeps its normal forms in ``_uf``, a table indexed by
+    monomial: None for a monomial in the ideal, else (basis position,
+    coefficient).  ``_uf`` is None exactly for pieces built with the sparse
+    echelon, whose normal forms are reductions against ``_echelon``.
     """
 
     def __init__(self, ws: WeightSystem, partials, sdeg: int, strides=None):
@@ -297,32 +268,83 @@ class GradedPiece:
 
     def _build_uf(self, packed, gkeys_cache):
         n = len(self.monomials)
-        uf = _UnionFind(n)
         index = self.index
-        kill, relate = uf.kill, uf.relate
+        # phase 1: integer union-find over all generator products (union by
+        # size, path halving) with a kill flag per root
+        parent = list(range(n))
+        size = [1] * n
+        killed = [False] * n
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        binomials = []
         for gdeg, terms in packed:
             gkeys = gkeys_cache[gdeg]
             if len(terms) == 1:
-                k1, _ = terms[0]
+                k1 = terms[0][0]
                 for g in gkeys:
-                    kill(index[g + k1])
-            else:
-                (k1, c1), (k2, c2) = terms
-                ratio = -c2 / c1
-                for g in gkeys:
-                    relate(index[g + k1], index[g + k2], ratio)
-        # lex-first alive monomial of each component is the basis rep
-        basis = []
-        rep_of_root: dict[int, int] = {}
-        find, dead = uf.find, uf.dead
-        for i in range(n):
-            r, _ = find(i)
-            if dead[r] or r in rep_of_root:
+                    killed[find(index[g + k1])] = True
                 continue
-            rep_of_root[r] = i
-            basis.append(i)
-        self._uf = uf
-        self._rep_of_root = rep_of_root
+            (k1, c1), (k2, c2) = terms
+            binomials.append((gkeys, k1, k2, -c2 / c1))
+            for g in gkeys:
+                a = find(index[g + k1])
+                b = find(index[g + k2])
+                if a == b:
+                    continue
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                if killed[b]:
+                    killed[a] = True
+        # phase 2: rational multipliers on kill-free components only; a
+        # binomial product imposes e_i = ratio * e_j modulo the ideal
+        adj: dict[int, list] = {}
+        for gkeys, k1, k2, ratio in binomials:
+            inv = 1 / ratio
+            for g in gkeys:
+                i = index[g + k1]
+                if killed[find(i)]:
+                    continue
+                j = index[g + k2]
+                adj.setdefault(i, []).append((j, inv))
+                adj.setdefault(j, []).append((i, ratio))
+        # each surviving component is spanned by its lex-first monomial b;
+        # a search from b gives e_m = c_m * e_b, and an inconsistent cycle
+        # puts e_b (so the whole component) in the span
+        table: list = [None] * n
+        basis = []
+        one = Fraction(1)
+        for b in range(n):
+            r = find(b)
+            if killed[r]:
+                continue
+            killed[r] = True    # component visited
+            coef = {b: one}
+            stack = [b]
+            consistent = True
+            while stack and consistent:
+                u = stack.pop()
+                cu = coef[u]
+                for v, ratio in adj.get(u, ()):
+                    cv = cu * ratio
+                    known = coef.get(v)
+                    if known is None:
+                        coef[v] = cv
+                        stack.append(v)
+                    elif known != cv:
+                        consistent = False
+                        break
+            if consistent:
+                pos = len(basis)
+                basis.append(b)
+                for m, c in coef.items():
+                    table[m] = (pos, c)
+        self._uf = table
         self._echelon = None
         self.basis = basis
         self.dim = len(basis)
@@ -364,12 +386,8 @@ class GradedPiece:
     def nf_index(self, i: int) -> dict:
         """Normal form of the i-th monomial: {basis position: Fraction}."""
         if self._uf is not None:
-            r, m = self._uf.find(i)
-            if self._uf.dead[r]:
-                return {}
-            b = self._rep_of_root[r]
-            _, mb = self._uf.find(b)
-            return {self._basis_pos[b]: m / mb}
+            entry = self._uf[i]
+            return {} if entry is None else {entry[0]: entry[1]}
         red = self._echelon.reduce({i: Fraction(1)})
         return {self._basis_pos[c]: x for c, x in red.items()}
 
@@ -378,6 +396,9 @@ class GradedPiece:
         if i is None:
             raise ValueError("monomial key %d not of scaled degree %d"
                              % (key, self.sdeg))
+        if self._uf is not None:
+            entry = self._uf[i]
+            return {} if entry is None else {entry[0]: entry[1] * coeff}
         return {k: v * coeff for k, v in self.nf_index(i).items()}
 
     def nf_exps(self, exps, coeff=Fraction(1)) -> dict:
@@ -608,7 +629,8 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
 
     The span at degree q is grown incrementally: span_q = span_{q-1} *
     R^(1), with spanning vectors kept in reduced echelon form so product
-    counts stay at rank * dim R^(1).
+    counts stay at rank * dim R^(1).  Multiplying stops once the span is
+    the whole piece, and that full span is handed to the next degree.
     """
     L = algebra.ws.scale
     top_int = algebra.top_scaled() // L
@@ -622,8 +644,8 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
     deg1 = algebra.piece(L)
     deg1_keys = deg1.basis_keys
     prev_keys = list(deg1_keys)
-    prev_rows: list[dict] = [{k: Fraction(1)} for k in range(deg1.dim)]
     one = Fraction(1)
+    prev_rows: list[list] = [[(k, one)] for k in range(deg1.dim)]
     for q in range(2, top_int + 1):
         s = q * L
         dim = algebra.dim_scaled(s)
@@ -639,31 +661,32 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
         seen: set = set()
         ech = Echelon(pivot="min")
         nf_key = target.nf_key
-        for row in prev_rows:
-            items = list(row.items())
-            for kj in deg1_keys:
-                if len(items) == 1 and items[0][1] == 1:
-                    vec = nf_key(prev_keys[items[0][0]] + kj)
-                else:
-                    vec = {}
-                    for i, c in items:
-                        for k, v in nf_key(prev_keys[i] + kj, c).items():
-                            w = vec.get(k, Fraction(0)) + v
-                            if w:
-                                vec[k] = w
-                            else:
-                                del vec[k]
-                vec = {k: c for k, c in vec.items() if k not in seen}
-                if not vec:
-                    continue
-                if len(vec) == 1 and ech.rank == 0:
-                    seen.add(next(iter(vec)))
-                else:
-                    ech.insert(vec)
+        for items, kj in product(prev_rows, deg1_keys):
+            if len(items) == 1 and items[0][1] == 1:
+                vec = nf_key(prev_keys[items[0][0]] + kj)
+            else:
+                vec = {}
+                for i, c in items:
+                    for k, v in nf_key(prev_keys[i] + kj, c).items():
+                        w = vec.get(k, Fraction(0)) + v
+                        if w:
+                            vec[k] = w
+                        else:
+                            del vec[k]
+            vec = {k: c for k, c in vec.items() if k not in seen}
+            if not vec:
+                continue
+            if len(vec) == 1 and ech.rank == 0:
+                seen.add(next(iter(vec)))
+            else:
+                ech.insert(vec)
+            if len(seen) + ech.rank == dim:
+                # the products span the whole piece; later ones add nothing
+                break
         rank = len(seen) + ech.rank
         report[q] = dim - rank
-        prev_rows = ([{k: one} for k in sorted(seen)]
-                     + [dict(r) for r in ech.rows.values()])
+        prev_rows = ([[(k, one)] for k in sorted(seen)]
+                     + [list(r.items()) for r in ech.rows.values()])
         prev_keys = target.basis_keys
     return {"codimensions": report,
             "passes": all(v == 0 for v in report.values())}

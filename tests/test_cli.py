@@ -1,6 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from frobkit.cli import main
@@ -139,6 +143,42 @@ def test_reconstruct_jacobi_kind(tmp_path):
     assert code == 0
     assert report["two_path_comparison"]["equal"]
     assert report["weight"] == 3
+
+
+def _fermat_payload(nvars, d):
+    return {"initial": {"kind": "jacobi", "polynomial": {
+        "num_vars": nvars,
+        "weights": ["1/%d" % d] * nvars,
+        "terms": [[[d if i == j else 0 for i in range(nvars)], "1/1"]
+                  for j in range(nvars)],
+    }}}
+
+
+@pytest.mark.parametrize("nvars, d", [(3, 3), (4, 4)],
+                         ids=["cubic", "quartic-k3"])
+def test_reconstruct_jacobi_kind_order_zero(tmp_path, nvars, d):
+    code, report, _ = _run(tmp_path, "reconstruct", _fermat_payload(nvars, d),
+                           "--order", "0", "--both-paths")
+    assert code == 0
+    assert report["order"] == 0 and report["weight"] == d
+    assert report["two_path_comparison"]["equal"]
+
+
+def test_python_m_frobkit_matches_cli_main(tmp_path):
+    _, _, out = _run(tmp_path, "h2check", QUINTIC)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    sub_out = tmp_path / "module_out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobkit", "h2check",
+         "--input", str(tmp_path / "h2check_in.json"),
+         "--output", str(sub_out)],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert ((sub_out / "report.json").read_bytes()
+            == (out / "report.json").read_bytes())
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from frobkit.jacobi import (JacobiFamily, NotIsolatedError, RfClass,
-                            WeightSystem, XPoly, build_jacobi,
+from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
+                            RfClass, WeightSystem, XPoly, build_jacobi,
                             h2_generation_check, jacobian_piece,
                             multiply_rf, normal_form)
+from frobkit.linalg import Echelon
 from helpers import fermat, fermat_cubic_algebra, codim_one_polynomial
 
 F = Fraction
@@ -185,3 +189,120 @@ def test_family_matches_blowup_of_unit():
     for pos, c in ma.coords.items():
         want[pos] = c
     assert col == want
+
+
+# ---------------------------------------------------------------------------
+# the union-find engine against a full echelon over all generator products
+# ---------------------------------------------------------------------------
+
+def _echelon_reference(ws, gens, sdeg):
+    """(dim, basis, normal forms) of the piece at sdeg from one echelon.
+
+    Pivoting on the largest column leaves the lex-first independent
+    complement as the non-pivot columns.
+    """
+    monos = ws.monomials(sdeg)
+    index = {m: i for i, m in enumerate(monos)}
+    ech = Echelon(pivot="max")
+    for gen in gens:
+        gdeg = sdeg - ws.scaled_degree(next(iter(gen.terms)))
+        for g in ws.monomials(gdeg):
+            ech.insert({index[tuple(a + b for a, b in zip(g, e))]: c
+                        for e, c in gen.terms.items()})
+    basis = [i for i in range(len(monos)) if i not in ech.pivots]
+    pos = {b: k for k, b in enumerate(basis)}
+    nfs = [{pos[c]: x for c, x in ech.reduce({i: F(1)}).items()}
+           for i in range(len(monos))]
+    return len(basis), basis, nfs
+
+
+def _assert_matches_echelon(ws, gens, sdeg):
+    piece = GradedPiece(ws, gens, sdeg)
+    assert piece._uf is not None        # the union-find engine ran
+    dim, basis, nfs = _echelon_reference(ws, gens, sdeg)
+    assert (piece.dim, piece.basis) == (dim, basis)
+    for i, key in enumerate(piece.keys):
+        assert piece.nf_index(i) == nfs[i]
+        assert piece.nf_key(key, F(-3, 2)) == {
+            k: v * F(-3, 2) for k, v in nfs[i].items()}
+    return piece
+
+
+W3 = WeightSystem.straight(3, 3)
+
+
+def _gen(*terms):
+    return XPoly(3, {e: F(c) for e, c in terms})
+
+
+X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def test_union_find_kill_free_dead_component():
+    # x = 2y and x = 3y: every degree-2 relation chain closes inconsistently
+    gens = [_gen((X, 1), (Y, -2)), _gen((X, 1), (Y, -3))]
+    piece = _assert_matches_echelon(W3, gens, 2)
+    # only z^2 survives; the x,y monomials die with no one-term generator
+    assert piece.basis_monomials == [(0, 0, 2)]
+
+
+def test_union_find_kill_and_cycle_in_one_component():
+    # the consistent cycle x = y = 2z, joined to a kill of y^2
+    gens = [_gen((X, 1), (Y, -1)), _gen((Y, 1), (Z, -2)),
+            _gen((X, 1), (Z, -2)), _gen(((0, 2, 0), 1))]
+    piece = _assert_matches_echelon(W3, gens, 2)
+    assert piece.dim == 0
+    # without the kill the cycle is consistent and spans one class
+    piece = _assert_matches_echelon(W3, gens[:3], 2)
+    assert piece.basis_monomials == [(0, 0, 2)]
+    assert piece.nf_exps((2, 0, 0)) == {0: F(4)}
+
+
+@st.composite
+def binomial_generators(draw):
+    weights = draw(st.sampled_from([
+        [F(1, 3)] * 3, [F(1, 4)] * 2, [F(1, 5), F(1, 5), F(2, 5)],
+        [F(1, 6), F(1, 3), F(1, 2)]]))
+    ws = WeightSystem(weights)
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        gdeg = draw(st.integers(1, max(ws.scaled) + 1))
+        monos = ws.monomials(gdeg)
+        if not monos:
+            continue
+        size = min(draw(st.sampled_from([1, 2, 2, 2])), len(monos))
+        picked = draw(st.lists(st.sampled_from(monos), min_size=size,
+                               max_size=size, unique=True))
+        coeffs = draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]),
+                               min_size=len(picked), max_size=len(picked)))
+        gens.append(XPoly(ws.nvars, dict(zip(picked, map(F, coeffs)))))
+    sdeg = draw(st.integers(0, 3 * max(ws.scaled) + 2))
+    return ws, gens, sdeg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(binomial_generators())
+@example((W3, [_gen((X, 1), (Y, -2)), _gen((X, 1), (Y, -3)),
+               _gen(((0, 0, 1), 1))], 3))
+@example((W3, [_gen((X, 1), (Y, 1)), _gen((Y, 1), (Z, 1)),
+               _gen((X, 1), (Z, 1)), _gen(((0, 0, 2), 4)),
+               _gen((X, 2), (Z, -1))], 3))
+def test_union_find_matches_echelon(case):
+    _assert_matches_echelon(*case)
+
+
+def test_h2_generation_matches_brute_force_products():
+    """Codimensions against the span of every q-fold product of degree-1
+    basis monomials.  On the quintic, degree 2 reaches full rank before
+    its last product and degree 3 still has to be spanned from it."""
+    A = build_jacobi(*fermat(5, 5))
+    L = A.ws.scale
+    deg1 = A.piece(L).basis_monomials
+    want = {}
+    for q in range(2, A.top_scaled() // L + 1):
+        piece = A.piece(q * L)
+        ech = Echelon()
+        for ms in combinations_with_replacement(deg1, q):
+            ech.insert(piece.nf_exps(tuple(map(sum, zip(*ms)))))
+        want[q] = A.dim_scaled(q * L) - ech.rank
+    assert h2_generation_check(A)["codimensions"] == want == {2: 0, 3: 0}
