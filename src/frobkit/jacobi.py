@@ -80,10 +80,6 @@ class WeightSystem:
     def nvars(self) -> int:
         return len(self.weights)
 
-    def degree_of(self, exps) -> Fraction:
-        return Fraction(sum(e * d for e, d in zip(exps, self.scaled)),
-                        self.scale)
-
     def scaled_degree(self, exps) -> int:
         return sum(e * d for e, d in zip(exps, self.scaled))
 
@@ -698,10 +694,16 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
 
 
 class _SeriesEchelon:
-    """Row echelon with TruncSeries entries; pivots must be units."""
+    """Row echelon with TruncSeries entries; pivots must be units.
+
+    A row that reduces to one with no unit entry (a row in m*I, m the
+    maximal ideal of the parameters) gets no pivot: it is kept aside, and
+    ``close`` requires it to reduce to zero once every row is in.
+    """
 
     def __init__(self):
         self.rows: dict[int, dict[int, TruncSeries]] = {}
+        self.deferred: list[dict] = []
 
     def reduce(self, vec: dict) -> dict:
         v = {c: x for c, x in vec.items() if not x.is_zero()}
@@ -730,7 +732,8 @@ class _SeriesEchelon:
             return False
         unit_cols = [c for c, x in v.items() if x.constant_term != 0]
         if not unit_cols:
-            raise AssertionError("family is not flat: row with no unit entry")
+            self.deferred.append(v)
+            return False
         p = max(unit_cols)
         inv = v[p].inverse()
         row = {c: x * inv for c, x in v.items()}
@@ -745,6 +748,13 @@ class _SeriesEchelon:
                         other[c] = s
         self.rows[p] = row
         return True
+
+    def close(self):
+        """Require every deferred row to lie in the span of the pivot rows."""
+        for v in self.deferred:
+            if self.reduce(v):
+                raise AssertionError("family is not flat: row with no unit "
+                                     "entry")
 
 
 class JacobiFamily:
@@ -802,6 +812,7 @@ class JacobiFamily:
                 vec = {i: v for i, v in vec.items() if not v.is_zero()}
                 if vec:
                     ech.insert(vec)
+        ech.close()
         pivots = set(ech.rows)
         basis = [i for i in range(len(base.monomials)) if i not in pivots]
         if basis != base.basis:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 __all__ = [
     "mat_mul", "mat_vec", "identity", "mat_inverse", "mat_rank",
-    "nullspace", "solve_square", "Echelon", "transpose",
+    "nullspace", "Echelon", "transpose",
 ]
 
 
@@ -91,16 +91,6 @@ def mat_inverse(a):
     if len(piv) != n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def solve_square(a, b):
-    """Solve a @ x = b for square invertible a; b is a vector."""
-    n = len(a)
-    rows = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(n)]
-    piv = _elim(rows, n, augment=1)
-    if len(piv) != n:
-        raise ValueError("matrix is singular")
-    return [rows[i][n] for i in range(n)]
 
 
 def nullspace(a):

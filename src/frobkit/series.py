@@ -287,13 +287,11 @@ class TruncSeries:
         i = self.vars.index(name)
         if self.order == 0:
             raise SeriesError("cannot differentiate a series of order 0")
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            terms[e2] = terms.get(e2, Fraction(0)) + c * e[i]
-        return TruncSeries(self.vars, self.order - 1, terms)
+        # lowering e[i] is injective on the terms with e[i] > 0, and
+        # c * e[i] stays nonzero, so the result is clean as built
+        terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                 for e, c in self.terms.items() if e[i]}
+        return TruncSeries._make(self.vars, self.order - 1, terms)
 
     def mul_var(self, name: str) -> "TruncSeries":
         """Multiply by a variable, raising the order bound by 1.
@@ -305,7 +303,7 @@ class TruncSeries:
             raise SeriesError("unknown variable %r" % name)
         i = self.vars.index(name)
         terms = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in self.terms.items()}
-        return TruncSeries(self.vars, self.order + 1, terms)
+        return TruncSeries._make(self.vars, self.order + 1, terms)
 
     def restrict_zero(self, names: Iterable[str]) -> "TruncSeries":
         """Set the listed variables to 0 and remove them from the context."""

@@ -542,8 +542,11 @@ def _solve_pairing(levels, w, Gammas, n):
         chosen = S
         break
     if chosen is None:
-        raise RejectionError("no nondegenerate flat pairing exists",
-                             {"solution_space_dim": len(sols)})
+        order = Gammas[0].order if Gammas else 0
+        raise RejectionError(
+            "no nondegenerate flat pairing exists: no constant pairing is "
+            "flat against the family's multiplication matrices at order %d"
+            % order, {"solution_space_dim": len(sols), "order": order})
     # scalar normalization: first nonzero entry in row-major order becomes
     # (-1)^(level of its row)
     for k in range(n):

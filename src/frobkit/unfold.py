@@ -5,8 +5,10 @@ f_1..f_n vanishing at y=0, the unique unfolding is built degree by degree
 in y: at each total y-degree the new F-blocks are assembled inside the
 commutative algebra generated by the current C-blocks and U (solving for
 matrices with prescribed first columns), and the remaining blocks are
-obtained by radial integration of their transport equations.  Every
-equation the construction does not solve directly is re-evaluated and a
+obtained by radial integration of their transport equations.  Every block
+is held as its list of y-degree slices, and stage s computes only slice s,
+from products of lower slices (see ``solve``).  Every equation the
+construction does not solve directly is re-evaluated on its slice and a
 nonzero residual is a hard failure.
 
 The generation certificate (span of the fiber by iterated applications of
@@ -127,20 +129,32 @@ class UnfoldProblem:
             raise ValueError("need one first-column function per frame row")
 
 
-def _ydeg_le(M: SeriesMatrix, s: int, y_vars) -> SeriesMatrix:
-    """Drop every term of y-degree above s."""
-    out = None
-    for d in range(s + 1):
-        part = M.graded_part(d, names=y_vars)
-        out = part if out is None else out + part
+def _slice_mul(A, B, s):
+    """Slice s of A @ B from the y-degree slices A[0..s] and B[0..s].
+
+    Total-degree truncation keeps or drops each monomial on its own, so
+    it commutes with the y-grading and slice s of the product is exactly
+    the sum of the products of complementary slices.
+    """
+    acc = A[0] @ B[s]
+    for d in range(1, s + 1):
+        acc = acc + A[d] @ B[s - d]
+    return acc
+
+
+def _slice_commutator(A, B, s):
+    return _slice_mul(A, B, s) - _slice_mul(B, A, s)
+
+
+def _nterms(M: SeriesMatrix) -> int:
+    return sum(len(x.terms) for x in M.nonzero().values())
+
+
+def _sum(slices):
+    out = slices[0]
+    for M in slices[1:]:
+        out = out + M
     return out
-
-
-def _word_matrix(word, label_to_matrix, identity):
-    M = identity
-    for label in word:
-        M = label_to_matrix[label] @ M
-    return M
 
 
 def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil:
@@ -149,6 +163,24 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
     Output agrees with the base at y=0, satisfies the full flatness system
     modulo the truncation order, and carries the first-column contract on
     its F-blocks exactly.
+
+    Every block is kept as its list of y-degree slices (slice d is the
+    part of y-degree exactly d, at the full total order N), and stage s
+    computes slice s only; the slices below it are final.  With A^(d) for
+    slice d and W_w for the matrix of the generation word w:
+
+    - W_w^(s) = sum_d L^(d) @ W_w'^(s-d) for w = w'.L (the words are
+      prefix-closed, so w' comes first);
+    - M^(s) holds the first columns of the W_w^(s);
+    - X = M^-1: X^(0) = (M^(0))^-1 and, for s > 0,
+      X^(s) = -X^(0) @ sum_{k=1..s} M^(k) @ X^(s-k);
+    - E_k^(s) = sum_j sum_d W_j^(d) * X[j,k]^(s-d);
+    - F_a^(s) = sum_i sum_d E_i^(d) * (df_i/dy_a)^(s-d).
+
+    Radial integration then gives slice s+1 of C, U, V and W from slice s
+    of their transport equations.  Each equation the induction re-proves is
+    checked on its slice, built from slice products; the output blocks are
+    the sums of their slices.
     """
     base = problem.base
     if base.y_vars:
@@ -191,65 +223,83 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         raise RejectionError("base pencil carries too little t-precision "
                              "(order %d < %d)" % (M.order, N))
 
-    C = [prep(M) for M in base.C]
-    U, V, W = prep(base.U), prep(base.V), prep(base.W)
-    F: list = []
+    zero = SeriesMatrix.zeros(n, n, vars, N)
+    C = [[prep(M)] for M in base.C]
+    U, V, W = [prep(base.U)], [prep(base.V)], [prep(base.W)]
+    F: list = [[] for _ in y_vars]
+    E: list = [[] for _ in range(n)]
+    X: list = []
+    Ms: list = []
+    label_to = {"C%d" % i: C[i] for i in range(len(C))}
+    label_to["U"] = U
+    wpos = {w: j for j, w in enumerate(words)}
+    wmats: list = [[] for _ in words]
+    # (df_i/dy_a)^(d) for every d <= N
+    dfs = [[[d_ia.graded_part(d, names=y_vars) for d in range(N + 1)]
+            for d_ia in (fi.partial(yv) for yv in y_vars)] for fi in fs]
 
-    def e_system(s):
-        """E-matrices with unit first columns inside the commutant, and the
-        F-blocks they produce, valid to y-degree s."""
-        label_to = {"C%d" % i: C[i] for i in range(len(C))}
-        label_to["U"] = U
-        ident = SeriesMatrix.identity(n, vars, U.order)
-        wmats = [_word_matrix(w, label_to, ident) for w in words]
-        M = SeriesMatrix([[wmats[j][i, 0] for j in range(n)]
-                          for i in range(n)])
-        X = M.inverse_series()
-        Es = []
-        for k in range(n):
-            acc = None
-            for j in range(n):
-                piece = wmats[j].scale_series(X[j, k])
-                acc = piece if acc is None else acc + piece
-            Es.append(_ydeg_le(acc, s, y_vars))
-        Fs = []
-        for a, yv in enumerate(y_vars):
-            acc = None
-            for i in range(n):
-                dfi = fs[i].partial(yv)
-                piece = Es[i].scale_series(dfi)
-                acc = piece if acc is None else acc + piece
-            Fs.append(_ydeg_le(acc, s, y_vars))
-        return Es, Fs
-
-    def assert_zero(M, name, s):
-        part = M.graded_part(s, names=y_vars)
+    def assert_zero(part, name, s):
         if not part.is_zero():
             raise AssertionError(
                 "unfolding induction failed: %s has a nonzero residual at "
                 "y-degree %d" % (name, s))
 
     for s in range(N + 1):
-        Es, F = e_system(s)
+        for wm, word in zip(wmats, words):
+            if not word:
+                wm.append(SeriesMatrix.identity(n, vars, N) if s == 0
+                         else zero)
+            else:
+                wm.append(_slice_mul(label_to[word[-1]],
+                                    wmats[wpos[word[:-1]]], s))
+        Ms.append(SeriesMatrix([[wmats[j][s][i, 0] for j in range(n)]
+                                for i in range(n)]))
+        if s == 0:
+            X.append(Ms[0].inverse_series())
+        else:
+            acc = Ms[1] @ X[s - 1]
+            for k in range(2, s + 1):
+                acc = acc + Ms[k] @ X[s - k]
+            X.append(-(X[0] @ acc))
+        for k in range(n):
+            acc = zero
+            for j in range(n):
+                for d in range(s + 1):
+                    x = X[s - d][j, k]
+                    if x.terms:
+                        acc = acc + wmats[j][d].scale_series(x)
+            E[k].append(acc)
+        for a in range(len(y_vars)):
+            acc = zero
+            for i in range(n):
+                for d in range(s + 1):
+                    x = dfs[i][a][s - d]
+                    if x.terms:
+                        acc = acc + E[i][d].scale_series(x)
+            F[a].append(acc)
         # the solved equations and the ones the construction must re-prove
         for a in range(len(y_vars)):
             for i in range(n):
-                d = (F[a][i, 0] - fs[i].partial(y_vars[a]))
-                assert_zero(SeriesMatrix([[d]]), "first-column contract", s)
+                assert_zero(F[a][s][i, 0] - dfs[i][a][s],
+                            "first-column contract", s)
             for i in range(len(t_vars)):
-                assert_zero(C[i].commutator(F[a]), "higgs-commute-ty", s)
-            assert_zero(F[a].commutator(U), "u-commute-y", s)
+                assert_zero(_slice_commutator(C[i], F[a], s),
+                            "higgs-commute-ty", s)
+            assert_zero(_slice_commutator(F[a], U, s), "u-commute-y", s)
             for b in range(a + 1, len(y_vars)):
-                assert_zero(F[a].commutator(F[b]), "higgs-commute-yy", s)
+                assert_zero(_slice_commutator(F[a], F[b], s),
+                            "higgs-commute-yy", s)
                 if s >= 1:
-                    assert_zero(F[a].partial(y_vars[b])
-                                - F[b].partial(y_vars[a]),
+                    assert_zero(F[a][s].partial(y_vars[b])
+                                - F[b][s].partial(y_vars[a]),
                                 "potential-yy", s - 1)
         if trace is not None:
             trace.append({
                 "y_degree": s,
-                "E": [E.to_json() for E in Es],
-                "F": [Fa.to_json() for Fa in F],
+                "E": [_sum(Ek).to_json() for Ek in E],
+                "F": [_sum(Fa).to_json() for Fa in F],
+                "nterms": {"E": [_nterms(Ek[s]) for Ek in E],
+                           "F": [_nterms(Fa[s]) for Fa in F]},
             })
         if s == N:
             break
@@ -259,38 +309,39 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         def bump(parts):
             acc = None
             for a, yv in enumerate(y_vars):
-                piece = parts[a].graded_part(s, names=y_vars).mul_var(yv)
+                piece = parts[a].mul_var(yv)
                 acc = piece if acc is None else acc + piece
             if acc is None:
-                return None
-            return acc.scale(frac)
+                return zero
+            return acc.scale(frac).truncate(N)
 
-        newC = []
         for i, tv in enumerate(t_vars):
-            upd = bump([F[a].partial(tv) for a in range(len(y_vars))])
-            newC.append(C[i] if upd is None else C[i] + upd.truncate(C[i].order))
-        updU = bump([V.commutator(F[a]) - F[a] for a in range(len(y_vars))])
-        updW = bump([W.commutator(F[a]) for a in range(len(y_vars))])
-        C = newC
-        if updU is not None:
-            U = U + updU.truncate(U.order)
-            W = W + updW.truncate(W.order)
-            V = V - updW.truncate(V.order)
+            C[i].append(bump([Fa[s].partial(tv) for Fa in F]))
+        updU = bump([_slice_commutator(V, Fa, s) - Fa[s] for Fa in F])
+        updW = bump([_slice_commutator(W, Fa, s) for Fa in F])
+        U.append(updU)
+        W.append(updW)
+        V.append(-updW)
         # step (iii): the equations proved, not solved, by the induction
         for i in range(len(t_vars)):
             for j in range(i + 1, len(t_vars)):
-                assert_zero(C[i].commutator(C[j]), "higgs-commute-tt", s + 1)
-                assert_zero(C[i].partial(t_vars[j]) - C[j].partial(t_vars[i]),
-                            "potential-tt", s)
-            assert_zero(C[i].commutator(U), "u-commute-t", s + 1)
-            assert_zero(U.partial(t_vars[i]) - V.commutator(C[i]) + C[i],
+                assert_zero(_slice_commutator(C[i], C[j], s + 1),
+                            "higgs-commute-tt", s + 1)
+                assert_zero(C[i][s].partial(t_vars[j])
+                            - C[j][s].partial(t_vars[i]), "potential-tt", s)
+            assert_zero(_slice_commutator(C[i], U, s + 1), "u-commute-t",
+                        s + 1)
+            assert_zero(U[s].partial(t_vars[i])
+                        - _slice_commutator(V, C[i], s) + C[i][s],
                         "u-transport-t", s)
-            assert_zero(W.partial(t_vars[i]) - W.commutator(C[i]),
-                        "w-transport-t", s)
-            assert_zero(V.partial(t_vars[i]) + W.commutator(C[i]),
-                        "v-transport-t", s)
+            assert_zero(W[s].partial(t_vars[i])
+                        - _slice_commutator(W, C[i], s), "w-transport-t", s)
+            assert_zero(V[s].partial(t_vars[i])
+                        + _slice_commutator(W, C[i], s), "v-transport-t", s)
 
-    out = ConnectionPencil(t_vars, y_vars, n, C, F, U, V, W, N)
+    out = ConnectionPencil(t_vars, y_vars, n, [_sum(Ci) for Ci in C],
+                           [_sum(Fa) for Fa in F], _sum(U), _sum(V), _sum(W),
+                           N)
     leftover = flatness_residual(out)
     if leftover:
         raise AssertionError("unfolding left nonzero flatness residuals: %r"

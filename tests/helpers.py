@@ -1,14 +1,17 @@
-"""Shared fixtures: the pencil corpus and the brute-force unfolding oracle."""
+"""Shared fixtures: the pencil corpus and the unfolding oracles (brute
+force, and the whole-series construction)."""
 
 from fractions import Fraction
 
 from frobkit.germ import InitialData, initial_from_filtration
 from frobkit.jacobi import WeightSystem, XPoly, build_jacobi
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
-                            flatness_residual, structure_connection)
+                            flatness_residual, residual_report,
+                            structure_connection)
 from frobkit.series import SeriesMatrix, TruncSeries
-from frobkit.structures import (FrobeniusTypeStructure, shift_example,
-                                filtration_to_ftype, jacobi_to_filtration)
+from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
+                                shift_example, filtration_to_ftype,
+                                jacobi_to_filtration)
 from frobkit.unfold import gc_check
 
 
@@ -334,4 +337,193 @@ def brute_force_unfold(base, y_vars, f, order):
                     state[b][i][j].pop(e, None)
     out = build()
     assert not flatness_residual(out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# whole-series oracle for the unfolding
+# ---------------------------------------------------------------------------
+
+
+def _nterms(M):
+    return sum(len(M[i, j].terms) for i in range(M.rows)
+               for j in range(M.cols))
+
+
+def _ydeg_le(M, s, y_vars):
+    """Drop every term of y-degree above s."""
+    out = None
+    for d in range(s + 1):
+        part = M.graded_part(d, names=y_vars)
+        out = part if out is None else out + part
+    return out
+
+
+def _word_matrix(word, label_to_matrix, identity):
+    M = identity
+    for label in word:
+        M = label_to_matrix[label] @ M
+    return M
+
+
+def reference_solve(problem, trace=None):
+    """Whole-series unfolding: at each y-degree s every word matrix, the
+    first-column matrix and its inverse are rebuilt at the full order and
+    cut back to y-degree <= s.
+
+    This is the construction ``unfold.solve`` computed before it kept
+    y-degree slices; it stays here only as a test oracle.  Its trace
+    entries carry the same ``nterms`` record, counted from the graded parts
+    of the accumulated blocks.
+    """
+    base = problem.base
+    if base.y_vars:
+        raise RejectionError("base pencil must not already carry unfolding "
+                             "directions")
+    res = flatness_residual(base)
+    if res:
+        raise RejectionError("base pencil is not flat",
+                             {"residuals": residual_report(res)})
+    n = base.n
+    N = problem.order
+    t_vars = base.t_vars
+    y_vars = problem.y_vars
+    vars = t_vars + y_vars
+    fs = []
+    for i, fi in enumerate(problem.f):
+        fi = fi.extend(vars) if fi.vars != vars else fi
+        # only the y-derivatives of the first-column functions enter, so
+        # they must carry one more order than the target
+        if fi.order < N + 1:
+            raise RejectionError("f_%d carries too little precision "
+                                 "(order %d < %d)" % (i + 1, fi.order, N + 1))
+        if fi.order > N + 1:
+            fi = fi.truncate(N + 1)
+        if not fi.restrict_zero(y_vars).is_zero():
+            raise RejectionError("f_%d does not vanish at y=0" % (i + 1))
+        fs.append(fi)
+    gc = gc_check(base, with_u=True)
+    if not gc.ok:
+        raise RejectionError("generation condition fails at the origin",
+                             {"certificate": gc.to_json()})
+    words = gc.words
+
+    def prep(M: SeriesMatrix) -> SeriesMatrix:
+        M = M.extend(vars)
+        if M.order >= N:
+            return M.truncate(N) if M.order > N else M
+        if M.is_constant():
+            return SeriesMatrix.from_consts(M.at_origin(), vars, N)
+        raise RejectionError("base pencil carries too little t-precision "
+                             "(order %d < %d)" % (M.order, N))
+
+    C = [prep(M) for M in base.C]
+    U, V, W = prep(base.U), prep(base.V), prep(base.W)
+    F: list = []
+
+    def e_system(s):
+        """E-matrices with unit first columns inside the commutant, and the
+        F-blocks they produce, valid to y-degree s."""
+        label_to = {"C%d" % i: C[i] for i in range(len(C))}
+        label_to["U"] = U
+        ident = SeriesMatrix.identity(n, vars, U.order)
+        wmats = [_word_matrix(w, label_to, ident) for w in words]
+        M = SeriesMatrix([[wmats[j][i, 0] for j in range(n)]
+                          for i in range(n)])
+        X = M.inverse_series()
+        Es = []
+        for k in range(n):
+            acc = None
+            for j in range(n):
+                piece = wmats[j].scale_series(X[j, k])
+                acc = piece if acc is None else acc + piece
+            Es.append(_ydeg_le(acc, s, y_vars))
+        Fs = []
+        for a, yv in enumerate(y_vars):
+            acc = None
+            for i in range(n):
+                dfi = fs[i].partial(yv)
+                piece = Es[i].scale_series(dfi)
+                acc = piece if acc is None else acc + piece
+            Fs.append(_ydeg_le(acc, s, y_vars))
+        return Es, Fs
+
+    def assert_zero(M, name, s):
+        part = M.graded_part(s, names=y_vars)
+        if not part.is_zero():
+            raise AssertionError(
+                "unfolding induction failed: %s has a nonzero residual at "
+                "y-degree %d" % (name, s))
+
+    for s in range(N + 1):
+        Es, F = e_system(s)
+        # the solved equations and the ones the construction must re-prove
+        for a in range(len(y_vars)):
+            for i in range(n):
+                d = (F[a][i, 0] - fs[i].partial(y_vars[a]))
+                assert_zero(SeriesMatrix([[d]]), "first-column contract", s)
+            for i in range(len(t_vars)):
+                assert_zero(C[i].commutator(F[a]), "higgs-commute-ty", s)
+            assert_zero(F[a].commutator(U), "u-commute-y", s)
+            for b in range(a + 1, len(y_vars)):
+                assert_zero(F[a].commutator(F[b]), "higgs-commute-yy", s)
+                if s >= 1:
+                    assert_zero(F[a].partial(y_vars[b])
+                                - F[b].partial(y_vars[a]),
+                                "potential-yy", s - 1)
+        if trace is not None:
+            trace.append({
+                "y_degree": s,
+                "E": [E.to_json() for E in Es],
+                "F": [Fa.to_json() for Fa in F],
+                "nterms": {
+                    "E": [_nterms(E.graded_part(s, names=y_vars))
+                          for E in Es],
+                    "F": [_nterms(Fa.graded_part(s, names=y_vars))
+                          for Fa in F]},
+            })
+        if s == N:
+            break
+        # radial integration of the transport equations for degree s+1
+        frac = Fraction(1, s + 1)
+
+        def bump(parts):
+            acc = None
+            for a, yv in enumerate(y_vars):
+                piece = parts[a].graded_part(s, names=y_vars).mul_var(yv)
+                acc = piece if acc is None else acc + piece
+            if acc is None:
+                return None
+            return acc.scale(frac)
+
+        newC = []
+        for i, tv in enumerate(t_vars):
+            upd = bump([F[a].partial(tv) for a in range(len(y_vars))])
+            newC.append(C[i] if upd is None else C[i] + upd.truncate(C[i].order))
+        updU = bump([V.commutator(F[a]) - F[a] for a in range(len(y_vars))])
+        updW = bump([W.commutator(F[a]) for a in range(len(y_vars))])
+        C = newC
+        if updU is not None:
+            U = U + updU.truncate(U.order)
+            W = W + updW.truncate(W.order)
+            V = V - updW.truncate(V.order)
+        # step (iii): the equations proved, not solved, by the induction
+        for i in range(len(t_vars)):
+            for j in range(i + 1, len(t_vars)):
+                assert_zero(C[i].commutator(C[j]), "higgs-commute-tt", s + 1)
+                assert_zero(C[i].partial(t_vars[j]) - C[j].partial(t_vars[i]),
+                            "potential-tt", s)
+            assert_zero(C[i].commutator(U), "u-commute-t", s + 1)
+            assert_zero(U.partial(t_vars[i]) - V.commutator(C[i]) + C[i],
+                        "u-transport-t", s)
+            assert_zero(W.partial(t_vars[i]) - W.commutator(C[i]),
+                        "w-transport-t", s)
+            assert_zero(V.partial(t_vars[i]) + W.commutator(C[i]),
+                        "v-transport-t", s)
+
+    out = ConnectionPencil(t_vars, y_vars, n, C, F, U, V, W, N)
+    leftover = flatness_residual(out)
+    if leftover:
+        raise AssertionError("unfolding left nonzero flatness residuals: %r"
+                             % sorted(leftover))
     return out

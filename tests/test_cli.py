@@ -164,6 +164,18 @@ def test_reconstruct_jacobi_kind_order_zero(tmp_path, nvars, d):
     assert report["two_path_comparison"]["equal"]
 
 
+def test_reconstruct_k3_order_one_is_a_structured_rejection(tmp_path):
+    # the family's normal forms exist at order 1; what fails is the flat
+    # constant pairing, and the report says so
+    code, report, _ = _run(tmp_path, "reconstruct", _fermat_payload(4, 4),
+                           "--order", "1", "--both-paths")
+    assert code == 1
+    assert report["ok"] is False and report["order"] == 1
+    assert report["error"].startswith("no nondegenerate flat pairing exists")
+    assert "no constant pairing is flat" in report["error"]
+    assert report["detail"] == {"solution_space_dim": 0, "order": 1}
+
+
 def test_python_m_frobkit_matches_cli_main(tmp_path):
     _, _, out = _run(tmp_path, "h2check", QUINTIC)
     src = str(Path(__file__).resolve().parents[1] / "src")

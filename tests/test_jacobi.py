@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
-                            RfClass, WeightSystem, XPoly, build_jacobi,
-                            h2_generation_check, jacobian_piece,
-                            multiply_rf, normal_form)
+                            RfClass, WeightSystem, XPoly, _SeriesEchelon,
+                            build_jacobi, h2_generation_check,
+                            jacobian_piece, multiply_rf, normal_form)
 from frobkit.linalg import Echelon
+from frobkit.series import TruncSeries
 from helpers import fermat, fermat_cubic_algebra, codim_one_polynomial
 
 F = Fraction
@@ -306,3 +307,20 @@ def test_h2_generation_matches_brute_force_products():
             ech.insert(piece.nf_exps(tuple(map(sum, zip(*ms)))))
         want[q] = A.dim_scaled(q * L) - ech.rank
     assert h2_generation_check(A)["codimensions"] == want == {2: 0, 3: 0}
+
+
+def test_series_echelon_defers_rows_without_unit_entry():
+    t = TruncSeries.var(("t",), 2, "t")
+    one = TruncSeries.one(("t",), 2)
+    # t*(e0 + e1) has no unit entry, but e0 and e1 come in later
+    ech = _SeriesEchelon()
+    assert not ech.insert({0: t, 1: t})
+    assert ech.insert({0: one}) and ech.insert({1: one})
+    ech.close()
+    assert sorted(ech.rows) == [0, 1]
+    # t*e0 is not in the span of e1: the family is not flat
+    ech = _SeriesEchelon()
+    assert not ech.insert({0: t})
+    assert ech.insert({1: one})
+    with pytest.raises(AssertionError, match="family is not flat"):
+        ech.close()

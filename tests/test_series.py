@@ -430,3 +430,15 @@ def test_trusted_results_are_clean(a, b, c, d):
         assert_clean(x)
     assert_clean(SeriesMatrix.zeros(1, 1, V2, 2)[0, 0])
     assert TruncSeries.zero(V2, 2).constant_term == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_series(order=2), small_series(order=3))
+def test_trusted_partial_and_mul_var_are_clean(a, b):
+    for x in (a, b):
+        for name in V2:
+            assert_clean(x.partial(name))
+            assert_clean(x.mul_var(name))
+            # Leibniz: d/dv (v x) = x + v dx/dv
+            assert (x.mul_var(name).partial(name)
+                    == x + x.partial(name).mul_var(name))

@@ -259,3 +259,97 @@ def test_trace_reports_per_degree_blocks():
     solve(UnfoldProblem(P, yv, f, 2), trace=tr)
     assert [st["y_degree"] for st in tr] == [0, 1, 2]
     assert all("E" in st and "F" in st for st in tr)
+
+
+# -- the slice-wise solve against the whole-series construction -------------
+
+
+def _rotated_problem(P):
+    """The problem universal_unfold hands to solve for the pencil P."""
+    from frobkit import linalg
+    res = universal_unfold(P)
+    B, Binv = res.frame, linalg.mat_inverse(res.frame)
+    rot = ConnectionPencil(
+        P.t_vars, (), P.n, [C.conjugate_const(B, Binv) for C in P.C], [],
+        P.U.conjugate_const(B, Binv), P.V.conjugate_const(B, Binv),
+        P.W.conjugate_const(B, Binv), P.order)
+    return UnfoldProblem(rot, res.y_vars, res.f, P.order)
+
+
+def _point_two_y_problem(order):
+    P, _ = point_base_pencil(order)
+    yv = ("y1", "y2")
+    f = [TruncSeries.var(yv, order + 1, "y1"),
+         TruncSeries.var(yv, order + 1, "y2")]
+    return UnfoldProblem(P, yv, f, order)
+
+
+def _two_t_problem(order):
+    """A new direction z over the full two-dimensional unfolding of the
+    point base, whose (y1, y2) serve as t-directions, so that the t-t
+    equations are re-proved at every stage."""
+    full = solve(_point_two_y_problem(order))
+    base = ConnectionPencil(full.vars, (), full.n, list(full.F), [],
+                            full.U, full.V, full.W, order)
+    vars = base.t_vars + ("z",)
+    z = TruncSeries.var(vars, order + 1, "z")
+    t1 = TruncSeries.var(vars, order + 1, "y1")
+    return UnfoldProblem(base, ("z",), [z * (1 + t1), z * z - z], order)
+
+
+def _shift_w5_problem(order):
+    from helpers import shift_inits
+    init = shift_inits(order)[(5, "1+t")]
+    P, _ = structure_connection(init.ftype, 5)
+    return _rotated_problem(P)
+
+
+CORPUS_NAMES = [name for name, _, _ in corpus(order=1)]
+
+
+def _differential_problem(name):
+    if name == "point-two-y-order5":
+        return _point_two_y_problem(5)
+    if name == "two-t-directions":
+        return _two_t_problem(4)
+    (P,) = [P for nm, P, _ in corpus(order=4) if nm == name]
+    return _rotated_problem(P)
+
+
+@pytest.mark.parametrize(
+    "name", CORPUS_NAMES + ["point-two-y-order5", "two-t-directions"])
+def test_solve_matches_whole_series_reference(name):
+    from helpers import reference_solve
+    problem = _differential_problem(name)
+    got_trace, want_trace = [], []
+    got = solve(problem, trace=got_trace)
+    want = reference_solve(problem, trace=want_trace)
+    assert (json.dumps([got.to_json(), got_trace], sort_keys=True)
+            == json.dumps([want.to_json(), want_trace], sort_keys=True))
+
+
+@pytest.mark.parametrize("make", [_point_two_y_problem, _shift_w5_problem,
+                                  _two_t_problem])
+def test_solve_truncation_is_solve_at_lower_order(make):
+    N = 4
+    high = solve(make(N))
+    low = dict(solve(make(N - 1)).all_blocks())
+    for name, M in high.all_blocks():
+        assert M.truncate(N - 1) == low[name], name
+
+
+def test_trace_stage_is_final_f_cut_at_its_degree():
+    problem = _point_two_y_problem(3)
+    tr = []
+    out = solve(problem, trace=tr)
+    yv = problem.y_vars
+    for st in tr:
+        s = st["y_degree"]
+        for a, Fa in enumerate(out.F):
+            cut = Fa.graded_part(0, names=yv)
+            for d in range(1, s + 1):
+                cut = cut + Fa.graded_part(d, names=yv)
+            assert SeriesMatrix.from_json(st["F"][a]) == cut
+            part = Fa.graded_part(s, names=yv)
+            assert st["nterms"]["F"][a] == sum(
+                len(x.terms) for x in part.nonzero().values())
