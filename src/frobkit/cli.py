@@ -5,7 +5,9 @@ computes, and writes a machine-readable ``report.json`` plus a short
 ``summary.txt`` into the output directory (atomically).  Exit status 0
 means every requested certification passed, 1 means a certification
 failed (the report names the violated identities), 2 means the payload
-did not validate.
+did not validate, 3 means an internal invariant broke (an
+``AssertionError`` or ``SeriesError`` inside the computation; the report
+names the exception under ``error`` and ``error_type``).
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from .jacobi import (JacobiAlgebra, NotIsolatedError, WeightSystem, XPoly,
 from .pencil import (ConnectionPencil, PairingMatrix, flatness_residual,
                      pairing_extension_check, residual_report, reduced_flatness_check,
                      structure_connection)
-from .series import frac_from_str
+from .series import SeriesError, TruncSeries, frac_from_str
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
                          jacobi_to_filtration)
 from .unfold import UnfoldProblem, gc_check, ic_check, solve, universal_unfold
-from .series import TruncSeries
 
 MATRIX = {"type": "array", "items": {"type": "array",
                                      "items": {"type": "string"}}}
@@ -374,6 +375,13 @@ def _command(name):
             report["ok"] = False
             _emit(output_dir, report, ["rejected: %s" % exc])
             sys.exit(1)
+        except (AssertionError, SeriesError) as exc:
+            report = {"error": str(exc), "error_type": type(exc).__name__}
+            report.update(meta)
+            report["ok"] = False
+            _emit(output_dir, report, ["internal error: %s: %s"
+                                       % (type(exc).__name__, exc)])
+            sys.exit(3)
         report.update(meta)
         report["ok"] = ok
         _emit(output_dir, _plain(report), lines + ["ok: %s" % ok])

@@ -696,6 +696,14 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
 class _SeriesEchelon:
     """Row echelon with TruncSeries entries; pivots must be units.
 
+    Rows are kept fully reduced: a pivot column occurs only in its own row.
+    ``_occ`` maps every other column to the pivots whose rows hold it, so an
+    insert back-substitutes into exactly the rows that hold the new pivot
+    column, and ``reduce`` is one pass over the pivot columns of a vector
+    (subtracting a reduced row brings in no pivot column).  All entries
+    share one order bound, so a normalized pivot entry is exactly 1 and
+    back-substitution clears the pivot column of a row by removing it.
+
     A row that reduces to one with no unit entry (a row in m*I, m the
     maximal ideal of the parameters) gets no pivot: it is kept aside, and
     ``close`` requires it to reduce to zero once every row is in.
@@ -704,26 +712,22 @@ class _SeriesEchelon:
     def __init__(self):
         self.rows: dict[int, dict[int, TruncSeries]] = {}
         self.deferred: list[dict] = []
+        self._occ: dict[int, set[int]] = {}
 
     def reduce(self, vec: dict) -> dict:
         v = {c: x for c, x in vec.items() if not x.is_zero()}
-        changed = True
-        while changed:
-            changed = False
-            for p in list(v):
-                row = self.rows.get(p)
-                if row is None:
+        for p in [c for c in v if c in self.rows]:
+            f = v.pop(p)
+            for c, x in self.rows[p].items():
+                if c == p:
                     continue
-                f = v.pop(p)
-                changed = True
-                for c, x in row.items():
-                    if c == p:
-                        continue
-                    s = (v.get(c) - f * x) if c in v else -(f * x)
-                    if s.is_zero():
-                        v.pop(c, None)
-                    else:
-                        v[c] = s
+                # f * x can vanish by truncation, so s is tested even for
+                # a column v does not hold
+                s = (v[c] - f * x) if c in v else -(f * x)
+                if s.is_zero():
+                    v.pop(c, None)
+                else:
+                    v[c] = s
         return v
 
     def insert(self, vec: dict) -> bool:
@@ -737,15 +741,28 @@ class _SeriesEchelon:
         p = max(unit_cols)
         inv = v[p].inverse()
         row = {c: x * inv for c, x in v.items()}
-        for other in self.rows.values():
-            f = other.get(p)
-            if f is not None and not f.is_zero():
-                for c, x in row.items():
-                    s = (other.get(c) - f * x) if c in other else -(f * x)
+        occ = self._occ
+        for q in occ.pop(p, ()):
+            other = self.rows[q]
+            f = other.pop(p)
+            for c, x in row.items():
+                if c == p:
+                    continue
+                if c in other:
+                    s = other[c] - f * x
                     if s.is_zero():
-                        other.pop(c, None)
+                        del other[c]
+                        occ[c].remove(q)
                     else:
                         other[c] = s
+                else:
+                    s = -(f * x)
+                    if not s.is_zero():
+                        other[c] = s
+                        occ.setdefault(c, set()).add(q)
+        for c in row:
+            if c != p:
+                occ.setdefault(c, set()).add(p)
         self.rows[p] = row
         return True
 
@@ -786,6 +803,7 @@ class JacobiFamily:
         self.F = famf
         self.partials = [famf.partial(i) for i in range(ws.nvars)]
         self._pieces: dict[int, _SeriesEchelon] = {}
+        self._one = TruncSeries.one(self.t_vars, order)
 
     def _family_piece(self, sdeg: int):
         if sdeg in self._pieces:
@@ -828,31 +846,35 @@ class JacobiFamily:
         base = self.algebra.piece(sdeg)
         ech = self._family_piece(sdeg)
         i = base.index[sum(e * s for e, s in zip(exps, base.strides))]
-        red = ech.reduce({i: TruncSeries.one(self.t_vars, self.order)})
+        red = ech.reduce({i: self._one})
         return {base._basis_pos[c]: x for c, x in red.items()}
 
-    def mult_matrix(self, a: int, from_sdeg: int):
-        """Matrix of multiplication by the degree-1 class m_a from the
-        graded piece at from_sdeg to the one at from_sdeg + L.
+    def mult_entries(self, a: int, from_sdeg: int) -> dict:
+        """Nonzero entries {(row, col): TruncSeries} of the matrix of
+        multiplication by the degree-1 class m_a from the graded piece at
+        from_sdeg to the one at from_sdeg + L.
 
         Entries are TruncSeries in the family parameters; rows are indexed
-        by the target basis, columns by the source basis.
+        by the target basis, columns by the source basis.  Normal forms
+        hold no zero entries, so neither does the result.
         """
-        ws = self.algebra.ws
-        L = ws.scale
-        src = self.algebra.piece(from_sdeg)
-        tdeg = from_sdeg + L
-        ncols = src.dim
-        nrows = self.algebra.dim_scaled(tdeg)
-        zero = TruncSeries.zero(self.t_vars, self.order)
-        cols = []
+        tdeg = from_sdeg + self.algebra.ws.scale
+        if not self.algebra.dim_scaled(tdeg):
+            return {}
         ma = self.deg1_monomials[a]
-        for j in range(ncols):
-            mj = src.basis_monomials[j]
+        entries = {}
+        for j, mj in enumerate(self.algebra.piece(from_sdeg).basis_monomials):
             prod = tuple(x + y for x, y in zip(ma, mj))
-            col = [zero] * nrows
-            if nrows:
-                for k, v in self.nf_monomial(prod, tdeg).items():
-                    col[k] = v
-            cols.append(col)
-        return [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
+            for k, v in self.nf_monomial(prod, tdeg).items():
+                entries[k, j] = v
+        return entries
+
+    def mult_matrix(self, a: int, from_sdeg: int):
+        """Dense view of ``mult_entries``: a list of rows, absent entries
+        zero."""
+        nrows = self.algebra.dim_scaled(from_sdeg + self.algebra.ws.scale)
+        ncols = self.algebra.piece(from_sdeg).dim
+        entries = self.mult_entries(a, from_sdeg)
+        zero = TruncSeries.zero(self.t_vars, self.order)
+        return [[entries.get((i, j), zero) for j in range(ncols)]
+                for i in range(nrows)]

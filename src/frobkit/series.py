@@ -113,8 +113,14 @@ class TruncSeries:
 
     @classmethod
     def const(cls, vars, order, c):
+        # the checks of __init__, without its walk over the exponent tuple
         vars = tuple(vars)
-        return cls(vars, order, {(0,) * len(vars): _as_frac(c)})
+        c = _as_frac(c)
+        if order < 0:
+            raise SeriesError("order bound must be >= 0")
+        if len(set(vars)) != len(vars):
+            raise SeriesError("duplicate variable names: %r" % (vars,))
+        return cls._make(vars, order, {(0,) * len(vars): c} if c else {})
 
     @classmethod
     def one(cls, vars, order):

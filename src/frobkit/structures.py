@@ -608,12 +608,8 @@ def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,
     for a in range(m0):
         entries = {}
         for q in range(Q):
-            block = fam.mult_matrix(a, q * L)
-            for i in range(blocks[q + 1]):
-                for j in range(blocks[q]):
-                    x = block[i][j]
-                    if not x.is_zero():
-                        entries[offs[q + 1] + i, offs[q] + j] = -x
+            for (i, j), x in fam.mult_entries(a, q * L).items():
+                entries[offs[q + 1] + i, offs[q] + j] = -x
         Gamma.append(SeriesMatrix.from_sparse(n, n, t_vars, order, entries))
     info = {"weight": w, "rank": n, "base_dim": m0,
             "block_dims": blocks}

@@ -527,3 +527,70 @@ def reference_solve(problem, trace=None):
         raise AssertionError("unfolding left nonzero flatness residuals: %r"
                              % sorted(leftover))
     return out
+
+
+# ---------------------------------------------------------------------------
+# row-scan oracle for the family echelon
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSeriesEchelon:
+    """The family echelon before it kept a column-occurrence index: every
+    insert scans all pivot rows for the new pivot column, and ``reduce``
+    repeats passes until no pivot column is left.  It stays here only as a
+    test oracle for ``jacobi._SeriesEchelon``.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.deferred = []
+
+    def reduce(self, vec):
+        v = {c: x for c, x in vec.items() if not x.is_zero()}
+        changed = True
+        while changed:
+            changed = False
+            for p in list(v):
+                row = self.rows.get(p)
+                if row is None:
+                    continue
+                f = v.pop(p)
+                changed = True
+                for c, x in row.items():
+                    if c == p:
+                        continue
+                    s = (v.get(c) - f * x) if c in v else -(f * x)
+                    if s.is_zero():
+                        v.pop(c, None)
+                    else:
+                        v[c] = s
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        unit_cols = [c for c, x in v.items() if x.constant_term != 0]
+        if not unit_cols:
+            self.deferred.append(v)
+            return False
+        p = max(unit_cols)
+        inv = v[p].inverse()
+        row = {c: x * inv for c, x in v.items()}
+        for other in self.rows.values():
+            f = other.get(p)
+            if f is not None and not f.is_zero():
+                for c, x in row.items():
+                    s = (other.get(c) - f * x) if c in other else -(f * x)
+                    if s.is_zero():
+                        other.pop(c, None)
+                    else:
+                        other[c] = s
+        self.rows[p] = row
+        return True
+
+    def close(self):
+        for v in self.deferred:
+            if self.reduce(v):
+                raise AssertionError("family is not flat: row with no unit "
+                                     "entry")

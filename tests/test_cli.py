@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from frobkit import cli
 from frobkit.cli import main
 from frobkit.pencil import PairingMatrix
+from frobkit.series import SeriesError
 from helpers import point_base_pencil, rank2_higgs_ftype
 
 QUINTIC = {
@@ -218,3 +220,18 @@ def test_reconstruct_report_ignores_thread_variable(tmp_path, monkeypatch):
         assert code == 0
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("exc", [AssertionError("family is not flat"),
+                                 SeriesError("variable lists differ")])
+def test_internal_invariant_failure_exits_three(tmp_path, monkeypatch, exc):
+    def broken(payload, order, z_order, trace, both):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "jacobi", broken)
+    code, report, out = _run(tmp_path, "jacobi", QUINTIC, "--order", "2")
+    assert code == 3
+    assert report == {"error": str(exc), "error_type": type(exc).__name__,
+                      "command": "jacobi", "order": 2, "z_order": 4,
+                      "ok": False}
+    assert (out / "summary.txt").read_text().startswith("internal error: ")

@@ -442,3 +442,30 @@ def test_trusted_partial_and_mul_var_are_clean(a, b):
             # Leibniz: d/dv (v x) = x + v dx/dv
             assert (x.mul_var(name).partial(name)
                     == x + x.partial(name).mul_var(name))
+
+
+def test_const_rejects_what_the_constructor_rejects():
+    with pytest.raises(SeriesError, match="order bound"):
+        TruncSeries.const(V2, -1, 1)
+    with pytest.raises(SeriesError, match="duplicate"):
+        TruncSeries.const(("t", "t"), 2, 1)
+    with pytest.raises(SeriesError, match="coefficient"):
+        TruncSeries.const(V2, 2, 0.5)
+    with pytest.raises(SeriesError, match="order bound"):
+        TruncSeries.one(("t",), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs, st.integers(0, 4),
+       st.sampled_from([("t",), V2, ["y", "t", "u"]]))
+def test_const_is_clean(c, order, vars):
+    for x in (TruncSeries.const(vars, order, c),
+              TruncSeries.const(iter(vars), order, int(c)),
+              TruncSeries.one(vars, order)):
+        assert_clean(x)
+    zero = TruncSeries.const(vars, order, 0)
+    assert_clean(zero)
+    assert zero.is_zero() and zero == TruncSeries.zero(vars, order)
+    assert TruncSeries.const(vars, order, c).constant_term == c
+    assert TruncSeries.const(vars, order, c) == TruncSeries(
+        vars, order, {(0,) * len(vars): c})

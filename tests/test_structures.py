@@ -1,8 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from frobkit.jacobi import WeightSystem, XPoly, build_jacobi
+from frobkit.jacobi import JacobiFamily, WeightSystem, XPoly, build_jacobi
 from frobkit.series import SeriesMatrix, TruncSeries
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 RejectionError, check_ftype_axioms,
@@ -170,6 +172,44 @@ def test_jacobi_filtration_quintic_bookkeeping():
     assert info["base_dim"] == 101
     assert info["block_dims"] == [1, 101, 101, 1]
     assert sorted(set(D.levels), reverse=True) == [4, 3, 2, 1]
+
+
+# sha256 of the JSON of [G.to_json() for G in D.Gamma], taken before the
+# family echelon kept a column-occurrence index; at order > 0 the family
+# rows have several entries, which the order-0 benchmark job never builds
+HESSE = XPoly(3, {(3, 0, 0): F(1), (0, 3, 0): F(1), (0, 0, 3): F(1),
+                  (1, 1, 1): F(-6)})
+FAMILY_FIXTURES = [
+    ((HESSE, WeightSystem.straight(3, 3)), 4,
+     "1195a22de2af740a117aa7d2e86c64fdba4a7bfe1678550c838ad66752ee711b"),
+    (fermat(4, 4), 2,
+     "e662e7304345e2ac602b54fe202e43e8e9923dfe80d07108c2310ddb4f5a07d6"),
+]
+
+
+@pytest.mark.parametrize("poly, order, digest", FAMILY_FIXTURES,
+                         ids=["hesse-cubic-4", "fermat-k3-2"])
+def test_jacobi_filtration_family_regression(poly, order, digest):
+    A = build_jacobi(*poly)
+    D, info = jacobi_to_filtration(A, order=order, with_pairing=False)
+    blob = json.dumps([G.to_json() for G in D.Gamma], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    fam = JacobiFamily(A, D.vars, order)
+    blocks, L = info["block_dims"], A.ws.scale
+    offs = [sum(blocks[:q]) for q in range(len(blocks))]
+    zero = TruncSeries.zero(D.vars, order)
+    for a, G in enumerate(D.Gamma):
+        for q in range(len(blocks)):
+            entries = fam.mult_entries(a, q * L)
+            nrows = A.dim_scaled((q + 1) * L)
+            assert all(not x.is_zero() and 0 <= i < nrows
+                       and 0 <= j < blocks[q] for (i, j), x in entries.items())
+            assert fam.mult_matrix(a, q * L) == [
+                [entries.get((i, j), zero) for j in range(blocks[q])]
+                for i in range(nrows)]
+            if q + 1 < len(blocks):
+                assert all(G[offs[q + 1] + i, offs[q] + j] == -x
+                           for (i, j), x in entries.items())
 
 
 def test_jacobi_filtration_rejects_nondividing_degree():
