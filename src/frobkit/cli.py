@@ -5,9 +5,10 @@ computes, and writes a machine-readable ``report.json`` plus a short
 ``summary.txt`` into the output directory (atomically).  Exit status 0
 means every requested certification passed, 1 means a certification
 failed (the report names the violated identities), 2 means the payload
-did not validate, 3 means an internal invariant broke (an
-``AssertionError`` or ``SeriesError`` inside the computation; the report
-names the exception under ``error`` and ``error_type``).
+did not validate (against its schema, or a series in it is malformed), 3
+means an internal invariant broke (an ``AssertionError`` or
+``SeriesError`` inside the computation; the report names the exception
+under ``error`` and ``error_type``).
 """
 
 from __future__ import annotations
@@ -154,6 +155,21 @@ def _emit(outdir, report, summary_lines):
                   "\n".join(summary_lines) + "\n")
 
 
+class PayloadError(ValueError):
+    """A payload that passed its schema holds a malformed value."""
+
+
+def _series(obj, vars=None) -> TruncSeries:
+    """Parse one series of a payload, extended to ``vars`` if given; a
+    malformed one is a payload error, not a broken invariant of the
+    computation."""
+    try:
+        s = TruncSeries.from_json(obj)
+        return s if vars is None else s.extend(vars)
+    except SeriesError as exc:
+        raise PayloadError("series: %s" % exc) from exc
+
+
 def _load_algebra(payload):
     ws = WeightSystem([frac_from_str(w) for w in payload["weights"]])
     f = XPoly.from_json(payload["num_vars"], payload["terms"])
@@ -174,7 +190,7 @@ def _parse_filtration_payload(initial, order):
     if kind == "shift-example":
         from .structures import shift_example
         w = initial["weight"]
-        bs = [TruncSeries.from_json(b) for b in initial.get("b", [])]
+        bs = [_series(b) for b in initial.get("b", [])]
         return initial_from_filtration(shift_example(w, bs, order=order))
     if kind == "jacobi":
         algebra = _load_algebra(initial["polynomial"])
@@ -229,7 +245,7 @@ def _run_structure_connection(payload, order, z_order, trace, both):
 def _run_unfold(payload, order, z_order, trace, both):
     base = ConnectionPencil.from_json(payload["pencil"])
     vars = base.t_vars + tuple(payload["y_vars"])
-    f = [TruncSeries.from_json(s).extend(vars) for s in payload["f"]]
+    f = [_series(s, vars) for s in payload["f"]]
     problem = UnfoldProblem(base, tuple(payload["y_vars"]), f,
                             payload.get("order", order))
     tr = [] if trace else None
@@ -367,6 +383,9 @@ def _command(name):
         try:
             report, lines, ok = RUNNERS[name](payload, order, z_order,
                                               trace, both)
+        except PayloadError as exc:
+            click.echo("payload is malformed: %s" % exc, err=True)
+            sys.exit(2)
         except (RejectionError, NotIsolatedError) as exc:
             report = {"error": str(exc)}
             if isinstance(exc, RejectionError):

@@ -9,11 +9,16 @@ product has at most two terms (Fermat-type and Sebastiani-Thom-type
 polynomials, where pieces with 10^5 monomials stay cheap), and a sparse
 echelon otherwise.
 
+Monomials are packed integer keys throughout (one int per exponent
+vector, the key of a product the sum of the keys; Monagan-Pearce 2007):
+they are enumerated as keys, and exponent tuples are only decoded for
+callers that ask for them.
+
 The union-find engine runs in two phases.  An integer union-find (union by
 size, path halving; Tarjan 1975) joins the monomials of every binomial
-product and flags each component that holds a monomial killed by a
-one-term product; killed components lie in the ideal and need no rational
-arithmetic.  Only the kill-free components then get rational
+product, and each component that holds a monomial killed by a one-term
+product is flagged; killed components lie in the ideal and need no
+rational arithmetic.  Only the kill-free components then get rational
 multipliers, by a search from their lex-first monomial, which also finds
 the components an inconsistent cycle puts in the ideal.  The result is a
 normal-form table with one entry per monomial.
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Sequence
 
 from .linalg import Echelon
@@ -70,7 +75,6 @@ class WeightSystem:
             L = L * w.denominator // math.gcd(L, w.denominator)
         self.scale = L
         self.scaled = tuple(int(w * L) for w in weights)
-        self._mono_cache: dict[int, list] = {}
 
     @classmethod
     def straight(cls, nvars: int, d: int) -> "WeightSystem":
@@ -90,29 +94,55 @@ class WeightSystem:
         return int(s)
 
     def monomials(self, sdeg: int) -> list:
-        """All exponent tuples of scaled degree sdeg, in lex order."""
-        if sdeg in self._mono_cache:
-            return self._mono_cache[sdeg]
-        n = self.nvars
+        """All exponent tuples of scaled degree sdeg, in lex order (a
+        decoding view of ``monomial_keys``)."""
+        st = self.key_strides(max(sdeg, 0))
+        return [unpack_key(k, st) for k in self.monomial_keys(sdeg, st)]
+
+    def monomial_keys(self, sdeg: int, strides) -> list:
+        """Packed keys of all monomials of scaled degree sdeg, in the lex
+        order of their exponent tuples; ``strides`` must separate them
+        (``key_strides(b)`` for any b >= sdeg does).
+
+        The lex recursion carries the partial key, not an exponent tuple,
+        and stops three variables short of the end: the keys of the last
+        three variables are tabulated per remaining degree (each entry
+        built once from the next variable's entries) and shifted by each
+        prefix's key.  Every entry is emitted, so the table never outgrows
+        the output.
+        """
         D = self.scaled
-        out = []
-        exps = [0] * n
+        n = len(D)
+        if sdeg < 0:
+            return []
+        table: dict = {}
 
-        def rec(i, rem):
-            if i == n - 1:
-                if rem % D[i] == 0:
-                    exps[i] = rem // D[i]
-                    out.append(tuple(exps))
-                    exps[i] = 0
+        def tail(i, rem):
+            keys = table.get((i, rem))
+            if keys is None:
+                d, s = D[i], strides[i]
+                if i == n - 1:
+                    keys = [rem // d * s] if rem % d == 0 else []
+                else:
+                    keys = []
+                    for k in range(rem // d + 1):
+                        keys.extend(map((k * s).__add__,
+                                        tail(i + 1, rem - k * d)))
+                table[i, rem] = keys
+            return keys
+
+        out: list = []
+        first = max(n - 3, 0)
+
+        def rec(i, rem, acc):
+            if i == first:
+                out.extend(map(acc.__add__, tail(i, rem)))
                 return
-            for k in range(rem // D[i] + 1):
-                exps[i] = k
-                rec(i + 1, rem - k * D[i])
-            exps[i] = 0
+            d, s = D[i], strides[i]
+            for k in range(rem // d + 1):
+                rec(i + 1, rem - k * d, acc + k * s)
 
-        if sdeg >= 0:
-            rec(0, sdeg)
-        self._mono_cache[sdeg] = out
+        rec(0, sdeg, 0)
         return out
 
     def key_strides(self, max_sdeg: int):
@@ -210,6 +240,20 @@ def _nonzero(c):
     return c != 0
 
 
+def pack_key(exps, strides) -> int:
+    """The packed key sum(e_i * strides[i]) of an exponent tuple."""
+    return sum(e * s for e, s in zip(exps, strides))
+
+
+def unpack_key(key: int, strides) -> tuple:
+    """The exponent tuple of a packed key (strides as from key_strides)."""
+    exps = []
+    for s in reversed(strides):
+        e, key = divmod(key, s)
+        exps.append(e)
+    return tuple(reversed(exps))
+
+
 # ---------------------------------------------------------------------------
 # reduction engines for one graded piece
 # ---------------------------------------------------------------------------
@@ -218,9 +262,12 @@ def _nonzero(c):
 class GradedPiece:
     """One graded piece of the quotient: basis plus normal-form map.
 
-    Monomials are packed into single integer keys (via strides) so that the
-    inner loops over generator products run on int arithmetic; the key of a
-    product of monomials is the sum of their keys.
+    Monomials exist here only as packed integer keys (via strides): ``keys``
+    lists them in lex order, straight from ``WeightSystem.monomial_keys``,
+    and the key of a product of monomials is the sum of their keys, so the
+    inner loops over generator products run on int arithmetic alone.
+    Exponent tuples are decoded on demand (``basis_monomials``, and the
+    ``monomials`` view for callers outside the hot path).
 
     A union-find piece keeps its normal forms in ``_uf``, a table indexed by
     monomial: None for a monomial in the ideal, else (basis position,
@@ -231,10 +278,8 @@ class GradedPiece:
     def __init__(self, ws: WeightSystem, partials, sdeg: int, strides=None):
         self.sdeg = sdeg
         self.strides = strides if strides is not None else ws.key_strides(sdeg)
-        self.monomials = ws.monomials(sdeg)
-        st = self.strides
-        self.keys = [sum(e * s for e, s in zip(m, st)) for m in self.monomials]
-        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.keys = ws.monomial_keys(sdeg, self.strides)
+        self.index = dict(zip(self.keys, range(len(self.keys))))
         self._build(ws, partials, sdeg)
 
     def _build(self, ws, partials, sdeg):
@@ -247,29 +292,25 @@ class GradedPiece:
             gdeg = sdeg - ws.scaled_degree(next(iter(dfi.terms)))
             if gdeg < 0:
                 continue
-            terms = [(sum(e * s for e, s in zip(exp, st)), c)
+            terms = [(pack_key(exp, st), c)
                      for exp, c in sorted(dfi.terms.items())]
             if len(terms) > 2:
                 simple = False
             packed.append((gdeg, terms))
-        gkeys_cache: dict[int, list] = {}
-        for gdeg, _ in packed:
-            if gdeg not in gkeys_cache:
-                gkeys_cache[gdeg] = [sum(e * s for e, s in zip(m, st))
-                                     for m in ws.monomials(gdeg)]
+        gkeys_cache = {gdeg: ws.monomial_keys(gdeg, st) for gdeg, _ in packed}
         if simple:
             self._build_uf(packed, gkeys_cache)
         else:
             self._build_echelon(packed, gkeys_cache)
 
     def _build_uf(self, packed, gkeys_cache):
-        n = len(self.monomials)
-        index = self.index
+        n = len(self.keys)
+        at = self.index.__getitem__
         # phase 1: integer union-find over all generator products (union by
-        # size, path halving) with a kill flag per root
+        # size, path halving); a monomial hit by a one-term product is dead
         parent = list(range(n))
         size = [1] * n
-        killed = [False] * n
+        dead = bytearray(n)
 
         def find(i):
             while parent[i] != i:
@@ -278,35 +319,41 @@ class GradedPiece:
 
         binomials = []
         for gdeg, terms in packed:
-            gkeys = gkeys_cache[gdeg]
+            shifts = gkeys_cache[gdeg]
             if len(terms) == 1:
-                k1 = terms[0][0]
-                for g in gkeys:
-                    killed[find(index[g + k1])] = True
+                for i in map(at, map(terms[0][0].__add__, shifts)):
+                    dead[i] = 1
                 continue
             (k1, c1), (k2, c2) = terms
-            binomials.append((gkeys, k1, k2, -c2 / c1))
-            for g in gkeys:
-                a = find(index[g + k1])
-                b = find(index[g + k2])
+            left = list(map(at, map(k1.__add__, shifts)))
+            right = list(map(at, map(k2.__add__, shifts)))
+            binomials.append((left, right, -c2 / c1))
+            for a, b in zip(left, right):
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
                 if a == b:
                     continue
                 if size[a] < size[b]:
                     a, b = b, a
                 parent[b] = a
                 size[a] += size[b]
-                if killed[b]:
-                    killed[a] = True
+        # a component is killed (lies in the ideal) if it holds a dead
+        # monomial
+        root = list(map(find, range(n)))
+        del parent, size
+        killed = bytearray(n)
+        for i in compress(range(n), dead):
+            killed[root[i]] = 1
         # phase 2: rational multipliers on kill-free components only; a
         # binomial product imposes e_i = ratio * e_j modulo the ideal
         adj: dict[int, list] = {}
-        for gkeys, k1, k2, ratio in binomials:
+        for left, right, ratio in binomials:
             inv = 1 / ratio
-            for g in gkeys:
-                i = index[g + k1]
-                if killed[find(i)]:
+            for i, j in zip(left, right):
+                if killed[root[i]]:
                     continue
-                j = index[g + k2]
                 adj.setdefault(i, []).append((j, inv))
                 adj.setdefault(j, []).append((i, ratio))
         # each surviving component is spanned by its lex-first monomial b;
@@ -316,10 +363,10 @@ class GradedPiece:
         basis = []
         one = Fraction(1)
         for b in range(n):
-            r = find(b)
+            r = root[b]
             if killed[r]:
                 continue
-            killed[r] = True    # component visited
+            killed[r] = 1       # component visited
             coef = {b: one}
             stack = [b]
             consistent = True
@@ -362,22 +409,28 @@ class GradedPiece:
                 if vec:
                     ech.insert(vec)
         pivots = ech.pivots
-        self.basis = [i for i in range(len(self.monomials)) if i not in pivots]
+        self.basis = [i for i in range(len(self.keys)) if i not in pivots]
         self.dim = len(self.basis)
         self._echelon = ech
         self._uf = None
         self._basis_pos = {b: k for k, b in enumerate(self.basis)}
 
     @property
+    def monomials(self):
+        st = self.strides
+        return [unpack_key(k, st) for k in self.keys]
+
+    @property
     def basis_monomials(self):
-        return [self.monomials[i] for i in self.basis]
+        st = self.strides
+        return [unpack_key(self.keys[i], st) for i in self.basis]
 
     @property
     def basis_keys(self):
         return [self.keys[i] for i in self.basis]
 
     def ideal_rank(self) -> int:
-        return len(self.monomials) - self.dim
+        return len(self.keys) - self.dim
 
     def nf_index(self, i: int) -> dict:
         """Normal form of the i-th monomial: {basis position: Fraction}."""
@@ -398,8 +451,7 @@ class GradedPiece:
         return {k: v * coeff for k, v in self.nf_index(i).items()}
 
     def nf_exps(self, exps, coeff=Fraction(1)) -> dict:
-        key = sum(e * s for e, s in zip(exps, self.strides))
-        i = self.index.get(key)
+        i = self.index.get(pack_key(exps, self.strides))
         if i is None:
             raise ValueError("monomial %r not of scaled degree %d"
                              % (exps, self.sdeg))
@@ -455,8 +507,8 @@ class JacobiAlgebra:
         B = self.ws.socle_scaled()
         top_w = max(self.ws.scaled)
         for s in range(B + 1, B + top_w + 1):
-            piece = GradedPiece(self.ws, self.partials, s, self.strides)
-            if piece.dim != 0:
+            # no name keeps a piece alive while the next one is built
+            if GradedPiece(self.ws, self.partials, s, self.strides).dim:
                 raise NotIsolatedError(Fraction(s, self.ws.scale))
 
     def _hilbert_coeffs(self):
@@ -604,7 +656,7 @@ def jacobian_piece(f: XPoly, ws: WeightSystem, q) -> dict:
     partials = [f.partial(i) for i in range(ws.nvars)]
     piece = GradedPiece(ws, partials, s)
     return {
-        "dimension": len(piece.monomials),
+        "dimension": len(piece.keys),
         "rank": piece.ideal_rank(),
         "quotient_dim": piece.dim,
         "basis_monomials": piece.basis_monomials,
@@ -657,8 +709,18 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
         seen: set = set()
         ech = Echelon(pivot="min")
         nf_key = target.nf_key
+        table, index = target._uf, target.index
         for items, kj in product(prev_rows, deg1_keys):
             if len(items) == 1 and items[0][1] == 1:
+                if table is not None and not ech.rank:
+                    # a union-find normal form is one table entry, a
+                    # single line (below a union-find piece every row is)
+                    entry = table[index[prev_keys[items[0][0]] + kj]]
+                    if entry is not None:
+                        seen.add(entry[0])
+                        if len(seen) == dim:
+                            break
+                    continue
                 vec = nf_key(prev_keys[items[0][0]] + kj)
             else:
                 vec = {}
@@ -792,6 +854,7 @@ class JacobiFamily:
         self.t_vars = tuple(t_vars)
         self.order = order
         self.deg1_monomials = deg1.basis_monomials
+        self.deg1_keys = deg1.basis_keys
 
         def lift(c):
             return TruncSeries.const(self.t_vars, order, c)
@@ -819,10 +882,9 @@ class JacobiFamily:
             gdeg = sdeg - ws.scaled_degree(next(iter(dfi.terms)))
             if gdeg < 0:
                 continue
-            terms = [(sum(e * s for e, s in zip(exp, st)), c)
+            terms = [(pack_key(exp, st), c)
                      for exp, c in sorted(dfi.terms.items())]
-            for g in ws.monomials(gdeg):
-                gk = sum(e * s for e, s in zip(g, st))
+            for gk in ws.monomial_keys(gdeg, st):
                 vec: dict = {}
                 for k, c in terms:
                     i = base.index[gk + k]
@@ -832,22 +894,12 @@ class JacobiFamily:
                     ech.insert(vec)
         ech.close()
         pivots = set(ech.rows)
-        basis = [i for i in range(len(base.monomials)) if i not in pivots]
+        basis = [i for i in range(len(base.keys)) if i not in pivots]
         if basis != base.basis:
             raise AssertionError("family basis at scaled degree %d deviates "
                                  "from the t=0 basis" % sdeg)
         self._pieces[sdeg] = ech
         return ech
-
-    def nf_monomial(self, exps, sdeg: int) -> dict:
-        """{basis position: TruncSeries} for a monomial of degree sdeg."""
-        if sdeg > self.algebra.top_scaled():
-            return {}
-        base = self.algebra.piece(sdeg)
-        ech = self._family_piece(sdeg)
-        i = base.index[sum(e * s for e, s in zip(exps, base.strides))]
-        red = ech.reduce({i: self._one})
-        return {base._basis_pos[c]: x for c, x in red.items()}
 
     def mult_entries(self, a: int, from_sdeg: int) -> dict:
         """Nonzero entries {(row, col): TruncSeries} of the matrix of
@@ -861,12 +913,14 @@ class JacobiFamily:
         tdeg = from_sdeg + self.algebra.ws.scale
         if not self.algebra.dim_scaled(tdeg):
             return {}
-        ma = self.deg1_monomials[a]
+        target = self.algebra.piece(tdeg)
+        ech = self._family_piece(tdeg)
+        index, pos, one = target.index, target._basis_pos, self._one
+        ka = self.deg1_keys[a]
         entries = {}
-        for j, mj in enumerate(self.algebra.piece(from_sdeg).basis_monomials):
-            prod = tuple(x + y for x, y in zip(ma, mj))
-            for k, v in self.nf_monomial(prod, tdeg).items():
-                entries[k, j] = v
+        for j, kj in enumerate(self.algebra.piece(from_sdeg).basis_keys):
+            for c, v in ech.reduce({index[ka + kj]: one}).items():
+                entries[pos[c], j] = v
         return entries
 
     def mult_matrix(self, a: int, from_sdeg: int):

@@ -177,7 +177,10 @@ class TruncSeries:
     # Binary operations align to the smaller order bound: the result is
     # only trustworthy where both inputs are.
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """self + other; with negate, self - other, by the same loop with
+        -c for each term of other (the terms and key order of
+        self + (-other), without building -other)."""
         if isinstance(other, (int, Fraction)):
             other = TruncSeries.const(self.vars, self.order, other)
         if not isinstance(other, TruncSeries):
@@ -192,6 +195,8 @@ class TruncSeries:
         if other.order != order:
             right = [(e, c) for e, c in right if sum(e) <= order]
         for e, c in right:
+            if negate:
+                c = -c
             s = terms.get(e)
             if s is None:
                 terms[e] = c
@@ -210,11 +215,7 @@ class TruncSeries:
                                  {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.const(self.vars, self.order, other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -235,3 +235,22 @@ def test_internal_invariant_failure_exits_three(tmp_path, monkeypatch, exc):
                       "command": "jacobi", "order": 2, "z_order": 4,
                       "ok": False}
     assert (out / "summary.txt").read_text().startswith("internal error: ")
+
+
+def test_malformed_payload_series_exits_two(tmp_path):
+    # a one-variable series with a two-entry exponent passes the schema;
+    # parsing it fails, and that is a malformed payload, not exit 3
+    bad = {"vars": ["t"], "order": 4, "terms": [[[0, 0], "1/1"]]}
+    code, report, _ = _run(
+        tmp_path, "reconstruct",
+        {"initial": {"kind": "shift-example", "weight": 5, "b": [bad]}})
+    assert code == 2 and report is None
+    P, _ = point_base_pencil(2)
+    zero = {"vars": ["y1"], "order": 3, "terms": []}
+    for first in ({"vars": ["y1"], "order": 3, "terms": [[[1, 2], "1/1"]]},
+                  # well formed, but in a variable outside the context
+                  {"vars": ["q"], "order": 3, "terms": [[[1], "1/1"]]}):
+        code, report, _ = _run(tmp_path, "unfold",
+                               {"pencil": P.to_json(), "y_vars": ["y1"],
+                                "f": [first, zero]})
+        assert code == 2 and report is None

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
                             RfClass, WeightSystem, XPoly, _SeriesEchelon,
                             build_jacobi, h2_generation_check,
-                            jacobian_piece, multiply_rf, normal_form)
+                            jacobian_piece, multiply_rf, normal_form,
+                            pack_key, unpack_key)
 from frobkit.linalg import Echelon
 from frobkit.series import TruncSeries
 from helpers import (ReferenceSeriesEchelon, codim_one_polynomial, fermat,
@@ -399,3 +400,154 @@ def test_series_echelon_matches_row_scan(case):
         except AssertionError:
             raised.append(True)
     assert raised[0] == raised[1]
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys against a brute-force enumeration
+# ---------------------------------------------------------------------------
+
+KEY_WEIGHTS = [[F(1, 2)], [F(2, 5)], [F(2, 5), F(1, 5)], [F(1, 3)] * 3,
+               [F(1, 6), F(1, 3), F(1, 2)], [F(2, 7), F(3, 7), F(1, 7)],
+               [F(1, 4), F(1, 6), F(1, 2), F(1, 3)],
+               [F(1, 9), F(1, 9), F(2, 9), F(2, 9)]]
+
+
+def _brute_monomials(ws, sdeg):
+    """Exponent tuples of scaled degree sdeg in lex order: every tuple of
+    the first n-1 exponents, the last one solved for."""
+    *head, last = ws.scaled
+    out = []
+    for e in product(*(range(max(sdeg, -1) // d + 1) for d in head)):
+        rest = sdeg - sum(a * d for a, d in zip(e, head))
+        if rest >= 0 and rest % last == 0:
+            out.append(e + (rest // last,))
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_monomial_keys_match_brute_force(data):
+    ws = WeightSystem(data.draw(st.sampled_from(KEY_WEIGHTS)))
+    top = ws.socle_scaled() + max(ws.scaled)
+    # below zero, zero, inside the graded range and above the socle
+    sdeg = data.draw(st.sampled_from([-2, -1, 0, top + 1, top + 3])
+                     | st.integers(0, top + 3))
+    want = _brute_monomials(ws, sdeg)
+    assert ws.monomials(sdeg) == want
+    st_ = ws.key_strides(max(sdeg, 0) + data.draw(st.integers(0, 3)))
+    keys = ws.monomial_keys(sdeg, st_)
+    assert keys == [pack_key(e, st_) for e in want]
+    assert [unpack_key(k, st_) for k in keys] == want
+
+
+def test_monomial_keys_codim_one_weights():
+    # six variables, the last two of weight 2/9: the unrolled pair needs
+    # an even remainder
+    f, ws = codim_one_polynomial()
+    for sdeg in (0, 1, 7, 8, 13):
+        assert ws.monomials(sdeg) == _brute_monomials(ws, sdeg)
+
+
+def _assert_basis_round_trips(piece):
+    st_ = piece.strides
+    assert piece.monomials == [unpack_key(k, st_) for k in piece.keys]
+    assert piece.monomials == sorted(piece.monomials)
+    for pos, mono in enumerate(piece.basis_monomials):
+        assert pack_key(mono, st_) == piece.basis_keys[pos]
+        assert piece.nf_exps(mono) == {pos: F(1)}
+
+
+def test_basis_monomials_round_trip_through_nf_exps():
+    # x^2 + y^3 + z^6: unequal weights 1/2, 1/3, 1/6
+    brieskorn = (XPoly(3, {(2, 0, 0): F(1), (0, 3, 0): F(1),
+                           (0, 0, 6): F(1)}),
+                 WeightSystem([F(1, 2), F(1, 3), F(1, 6)]))
+    for f, ws in (fermat(3, 4), brieskorn, THREE_TERM_CUBIC):
+        A = build_jacobi(f, ws)
+        for s in range(A.top_scaled() + 1):
+            _assert_basis_round_trips(A.piece(s))
+
+
+# ---------------------------------------------------------------------------
+# the sparse-echelon engine (some generator has three or more terms)
+# ---------------------------------------------------------------------------
+
+# x^3 + y^3 + z^3 + x^2 y + x z^2: d/dx = 3x^2 + 2xy + z^2
+THREE_TERM_CUBIC = (
+    XPoly(3, {(3, 0, 0): F(1), (0, 3, 0): F(1), (0, 0, 3): F(1),
+              (2, 1, 0): F(1), (1, 0, 2): F(1)}),
+    W3)
+# x^4 + y^4 + z^4 + w^4 + x^3 y + x^2 z^2: d/dx = 4x^3 + 3x^2 y + 2x z^2
+THREE_TERM_QUARTIC = (
+    XPoly(4, {(4, 0, 0, 0): F(1), (0, 4, 0, 0): F(1), (0, 0, 4, 0): F(1),
+              (0, 0, 0, 4): F(1), (3, 1, 0, 0): F(1), (2, 0, 2, 0): F(1)}),
+    WeightSystem.straight(4, 4))
+
+
+def _assert_echelon_engine_matches(ws, gens, sdeg):
+    piece = GradedPiece(ws, gens, sdeg)
+    assert piece._uf is None            # the sparse-echelon engine ran
+    dim, basis, nfs = _echelon_reference(ws, gens, sdeg)
+    assert (piece.dim, piece.basis) == (dim, basis)
+    for i, key in enumerate(piece.keys):
+        assert piece.nf_index(i) == nfs[i]
+        assert piece.nf_key(key, F(-3, 2)) == {
+            k: v * F(-3, 2) for k, v in nfs[i].items()}
+    _assert_basis_round_trips(piece)
+
+
+@st.composite
+def trinomial_generators(draw):
+    ws = WeightSystem(draw(st.sampled_from([
+        [F(1, 3)] * 3, [F(1, 5), F(1, 5), F(2, 5)],
+        [F(1, 6), F(1, 3), F(1, 2)], [F(1, 4)] * 3])))
+    top = max(ws.scaled)
+    wide = [d for d in range(1, 2 * top + 2) if len(ws.monomials(d)) >= 3]
+    gens, first = [], draw(st.sampled_from(wide))
+    for k in range(draw(st.integers(1, 4))):
+        gdeg = first if k == 0 else draw(st.integers(1, top + 1))
+        monos = ws.monomials(gdeg)
+        if not monos:
+            continue
+        size = 3 if k == 0 else draw(st.sampled_from([1, 2, 3, 4]))
+        size = min(size, len(monos))
+        picked = draw(st.lists(st.sampled_from(monos), min_size=size,
+                               max_size=size, unique=True))
+        coeffs = draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]),
+                               min_size=size, max_size=size))
+        gens.append(XPoly(ws.nvars, dict(zip(picked, map(F, coeffs)))))
+    # at or above the three-term generator's degree, so it takes part
+    sdeg = draw(st.integers(first, first + 2 * top + 1))
+    return ws, gens, sdeg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trinomial_generators())
+@example((W3, [_gen((X, 1), (Y, 1), (Z, 1))], 1))
+@example((W3, [_gen((X, 1), (Y, -1), (Z, 2)), _gen((X, 1), (Y, -1)),
+               _gen(((0, 2, 0), 1))], 3))
+def test_echelon_engine_matches_reference(case):
+    _assert_echelon_engine_matches(*case)
+
+
+def test_build_jacobi_with_three_term_partials():
+    """The pieces at and above the partials' degree take the echelon
+    engine; ``piece()`` checks each against the Hilbert series, and the
+    certificate runs on echelon targets."""
+    A = build_jacobi(*THREE_TERM_CUBIC)
+    assert A.milnor == 8
+    assert [A.piece(s).dim for s in range(4)] == [1, 3, 3, 1]
+    assert [A.piece(s)._uf is None for s in range(4)] == [False, False,
+                                                          True, True]
+    A = build_jacobi(*THREE_TERM_QUARTIC)
+    assert A.milnor == 81 == (4 - 1) ** 4
+    L = A.ws.scale
+    assert all(A.piece(s)._uf is None for s in range(3, A.top_scaled() + 1))
+    # h2 on an echelon target against every product of degree-1 monomials
+    deg1 = A.piece(L).basis_monomials
+    piece = A.piece(2 * L)
+    ech = Echelon()
+    for ms in combinations_with_replacement(deg1, 2):
+        ech.insert(piece.nf_exps(tuple(map(sum, zip(*ms)))))
+    assert h2_generation_check(A)["codimensions"] == {
+        2: A.dim_scaled(2 * L) - ech.rank} == {2: 0}

@@ -469,3 +469,17 @@ def test_const_is_clean(c, order, vars):
     assert TruncSeries.const(vars, order, c).constant_term == c
     assert TruncSeries.const(vars, order, c) == TruncSeries(
         vars, order, {(0,) * len(vars): c})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_series(order=2), small_series(order=3), coeffs,
+       st.integers(-3, 3))
+def test_sub_is_add_of_negation(a, b, c, k):
+    """a - b has the terms, the key order and the order of a + (-b), for
+    operands of equal and of different orders and for number operands."""
+    pairs = [(x, y) for x in (a, b) for y in (a, b, c, k)]
+    for x, y in pairs + [(b.truncate(1), a), (a, b.truncate(0))]:
+        got, want = x - y, x + (-y)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert (got.vars, got.order) == (want.vars, want.order)
+        assert_clean(got)
