@@ -5,10 +5,10 @@ computes, and writes a machine-readable ``report.json`` plus a short
 ``summary.txt`` into the output directory (atomically).  Exit status 0
 means every requested certification passed, 1 means a certification
 failed (the report names the violated identities), 2 means the payload
-did not validate (against its schema, or a series in it is malformed), 3
-means an internal invariant broke (an ``AssertionError`` or
-``SeriesError`` inside the computation; the report names the exception
-under ``error`` and ``error_type``).
+did not validate (against its schema, or a series or a matrix shape in
+it is malformed), 3 means an internal invariant broke (an
+``AssertionError`` or ``SeriesError`` inside the computation; the report
+names the exception under ``error`` and ``error_type``).
 """
 
 from __future__ import annotations
@@ -170,6 +170,28 @@ def _series(obj, vars=None) -> TruncSeries:
         raise PayloadError("series: %s" % exc) from exc
 
 
+def _square(rows, n, what):
+    """Return a payload matrix after checking that it is n x n."""
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise PayloadError("%s must be a %d x %d matrix" % (what, n, n))
+    return rows
+
+
+def _zeta(values, n):
+    """Parse a payload's distinguished vector, which must have n entries."""
+    if len(values) != n:
+        raise PayloadError("zeta must have %d entries" % n)
+    return [frac_from_str(c) for c in values]
+
+
+def _ftype(obj) -> FrobeniusTypeStructure:
+    """Parse a Frobenius type structure whose constant matrices must be
+    rank x rank."""
+    for key in ("v_endo", "pairing"):
+        _square(obj[key], obj["rank"], key)
+    return FrobeniusTypeStructure.from_json(obj)
+
+
 def _load_algebra(payload):
     ws = WeightSystem([frac_from_str(w) for w in payload["weights"]])
     f = XPoly.from_json(payload["num_vars"], payload["terms"])
@@ -179,14 +201,15 @@ def _load_algebra(payload):
 def _parse_filtration_payload(initial, order):
     kind = initial["kind"]
     if kind == "ftype":
-        F = FrobeniusTypeStructure.from_json(initial["ftype"])
-        zeta = ([frac_from_str(c) for c in initial["zeta"]]
-                if "zeta" in initial else None)
+        F = _ftype(initial["ftype"])
+        zeta = _zeta(initial["zeta"], F.n) if "zeta" in initial else None
         return InitialData.create(F, zeta=zeta,
                                   weight=initial.get("weight"))
     if kind == "filtration":
-        return initial_from_filtration(
-            FiltrationData.from_json(initial["filtration"]))
+        obj = initial["filtration"]
+        if obj.get("pairing") is not None:
+            _square(obj["pairing"], obj["rank"], "pairing")
+        return initial_from_filtration(FiltrationData.from_json(obj))
     if kind == "shift-example":
         from .structures import shift_example
         w = initial["weight"]
@@ -196,8 +219,8 @@ def _parse_filtration_payload(initial, order):
         algebra = _load_algebra(initial["polynomial"])
         S = None
         if "pairing" in initial:
-            S = [[frac_from_str(c) for c in row]
-                 for row in initial["pairing"]]
+            S = [[frac_from_str(c) for c in row] for row in
+                 _square(initial["pairing"], algebra.milnor, "pairing")]
         D, _ = jacobi_to_filtration(algebra, S=S, order=order)
         return initial_from_filtration(D)
     raise RejectionError("unknown initial data kind %r" % kind)
@@ -225,7 +248,7 @@ def _run_h2check(payload, order, z_order, trace, both):
 
 
 def _run_ftype_check(payload, order, z_order, trace, both):
-    F = FrobeniusTypeStructure.from_json(payload)
+    F = _ftype(payload)
     viol = check_ftype_axioms(F)
     report = {"violations": viol}
     lines = ["axioms hold" if not viol else
@@ -234,7 +257,7 @@ def _run_ftype_check(payload, order, z_order, trace, both):
 
 
 def _run_structure_connection(payload, order, z_order, trace, both):
-    F = FrobeniusTypeStructure.from_json(payload["ftype"])
+    F = _ftype(payload["ftype"])
     P, R = structure_connection(F, payload["weight"], z_order=z_order)
     report = {"pencil": P.to_json(), "pairing": R.to_json()}
     lines = ["structure connection of rank %d built and certified flat"
@@ -268,8 +291,7 @@ def _run_unfold(payload, order, z_order, trace, both):
 
 def _run_universal_unfold(payload, order, z_order, trace, both):
     base = ConnectionPencil.from_json(payload["pencil"])
-    zeta = ([frac_from_str(c) for c in payload["zeta"]]
-            if "zeta" in payload else None)
+    zeta = _zeta(payload["zeta"], base.n) if "zeta" in payload else None
     res = universal_unfold(base, zeta=zeta)
     ok = res.jacobian_invertible()
     report = {

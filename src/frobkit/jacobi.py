@@ -37,7 +37,7 @@ from itertools import compress, product
 from typing import Sequence
 
 from .linalg import Echelon
-from .series import TruncSeries, frac_from_str, frac_to_str
+from .series import TRUNC_SERIES, TruncSeries, frac_from_str, frac_to_str
 
 __all__ = [
     "WeightSystem", "XPoly", "JacobiAlgebra", "RfClass",
@@ -755,87 +755,6 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class _SeriesEchelon:
-    """Row echelon with TruncSeries entries; pivots must be units.
-
-    Rows are kept fully reduced: a pivot column occurs only in its own row.
-    ``_occ`` maps every other column to the pivots whose rows hold it, so an
-    insert back-substitutes into exactly the rows that hold the new pivot
-    column, and ``reduce`` is one pass over the pivot columns of a vector
-    (subtracting a reduced row brings in no pivot column).  All entries
-    share one order bound, so a normalized pivot entry is exactly 1 and
-    back-substitution clears the pivot column of a row by removing it.
-
-    A row that reduces to one with no unit entry (a row in m*I, m the
-    maximal ideal of the parameters) gets no pivot: it is kept aside, and
-    ``close`` requires it to reduce to zero once every row is in.
-    """
-
-    def __init__(self):
-        self.rows: dict[int, dict[int, TruncSeries]] = {}
-        self.deferred: list[dict] = []
-        self._occ: dict[int, set[int]] = {}
-
-    def reduce(self, vec: dict) -> dict:
-        v = {c: x for c, x in vec.items() if not x.is_zero()}
-        for p in [c for c in v if c in self.rows]:
-            f = v.pop(p)
-            for c, x in self.rows[p].items():
-                if c == p:
-                    continue
-                # f * x can vanish by truncation, so s is tested even for
-                # a column v does not hold
-                s = (v[c] - f * x) if c in v else -(f * x)
-                if s.is_zero():
-                    v.pop(c, None)
-                else:
-                    v[c] = s
-        return v
-
-    def insert(self, vec: dict) -> bool:
-        v = self.reduce(vec)
-        if not v:
-            return False
-        unit_cols = [c for c, x in v.items() if x.constant_term != 0]
-        if not unit_cols:
-            self.deferred.append(v)
-            return False
-        p = max(unit_cols)
-        inv = v[p].inverse()
-        row = {c: x * inv for c, x in v.items()}
-        occ = self._occ
-        for q in occ.pop(p, ()):
-            other = self.rows[q]
-            f = other.pop(p)
-            for c, x in row.items():
-                if c == p:
-                    continue
-                if c in other:
-                    s = other[c] - f * x
-                    if s.is_zero():
-                        del other[c]
-                        occ[c].remove(q)
-                    else:
-                        other[c] = s
-                else:
-                    s = -(f * x)
-                    if not s.is_zero():
-                        other[c] = s
-                        occ.setdefault(c, set()).add(q)
-        for c in row:
-            if c != p:
-                occ.setdefault(c, set()).add(p)
-        self.rows[p] = row
-        return True
-
-    def close(self):
-        """Require every deferred row to lie in the span of the pivot rows."""
-        for v in self.deferred:
-            if self.reduce(v):
-                raise AssertionError("family is not flat: row with no unit "
-                                     "entry")
-
-
 class JacobiFamily:
     """F_t = f + sum_a t_a m_a over the degree-1 basis monomials m_a.
 
@@ -865,7 +784,7 @@ class JacobiFamily:
             famf = famf + XPoly(ws.nvars, {m: tm})
         self.F = famf
         self.partials = [famf.partial(i) for i in range(ws.nvars)]
-        self._pieces: dict[int, _SeriesEchelon] = {}
+        self._pieces: dict[int, Echelon] = {}
         self._one = TruncSeries.one(self.t_vars, order)
 
     def _family_piece(self, sdeg: int):
@@ -875,7 +794,7 @@ class JacobiFamily:
         ws = self.algebra.ws
         st = base.strides
         zero = TruncSeries.zero(self.t_vars, self.order)
-        ech = _SeriesEchelon()
+        ech = Echelon(pivot="max", ring=TRUNC_SERIES)
         for dfi in self.partials:
             if dfi.is_zero():
                 continue

@@ -1,18 +1,22 @@
-"""Exact linear algebra over Fractions: dense helpers and sparse echelons.
+"""Exact linear algebra: dense helpers and the package's one elimination.
 
-Everything here operates on plain Python lists/dicts of Fractions, so all
-results are exact.  The sparse Echelon class is the workhorse for span and
-rank bookkeeping in the graded quotient and generation computations.
+``Echelon`` is an incremental reduced row echelon over sparse vectors with
+entries in a coefficient ``Ring``.  Over ``FRACTIONS`` it gives the ranks,
+inverses and kernels below and the spans of the graded quotient and
+generation computations; over ``series.TRUNC_SERIES`` (defined in
+``series``, which imports this module) it gives the normal forms of the
+Jacobi family and solves series linear systems.  All results are exact.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple
 
 __all__ = [
     "mat_mul", "mat_vec", "identity", "mat_inverse", "mat_rank",
-    "nullspace", "Echelon", "transpose",
+    "nullspace", "Echelon", "Ring", "FRACTIONS", "transpose",
 ]
 
 
@@ -45,87 +49,109 @@ def mat_vec(a, v):
             for row in a]
 
 
-def _elim(rows, ncols, augment=0):
-    """In-place row reduction; returns list of pivot column indices.
+class Ring(NamedTuple):
+    """The coefficient ring of an ``Echelon``.
 
-    Pivots are chosen left to right; the first ``ncols`` columns are
-    eliminated, any extra ``augment`` columns just come along for the ride.
+    ``entry`` converts an input entry into the ring; ``is_zero`` and
+    ``is_unit`` test an element and ``inv`` inverts a unit.  Only units
+    become pivots.
     """
-    piv_cols = []
-    r = 0
-    total = ncols + augment
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return piv_cols
+
+    is_zero: Callable
+    is_unit: Callable
+    inv: Callable
+    entry: Callable
+
+
+# every nonzero Fraction is a unit; Fraction(x) keeps ints exact
+FRACTIONS = Ring(is_zero=operator.not_, is_unit=bool,
+                 inv=lambda x: 1 / x, entry=Fraction)
+
+
+def _echelon(a, ncols):
+    """Reduced row echelon of the rows of a dense matrix, pivots leftmost."""
+    ech = Echelon(pivot="min")
+    for row in a:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        ech.insert(dict(enumerate(row)))
+    return ech
 
 
 def mat_rank(a) -> int:
     if not a:
         return 0
-    rows = [list(map(Fraction, row)) for row in a]
-    return len(_elim(rows, len(rows[0])))
+    return _echelon(a, len(a[0])).rank
 
 
 def mat_inverse(a):
+    """Inverse of a square matrix, from the reduced echelon of [a | I];
+    raises ValueError if a is singular, not square or ragged."""
     n = len(a)
-    rows = [list(map(Fraction, a[i])) + [Fraction(int(i == j))
-                                         for j in range(n)] for i in range(n)]
-    piv = _elim(rows, n, augment=n)
-    if len(piv) != n:
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    ech = _echelon([list(row) + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(a)], 2 * n)
+    # [a | I] has rank n; a is invertible iff every pivot lies in a
+    if any(p >= n for p in ech.rows):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    zero = Fraction(0)
+    return [[ech.rows[i].get(n + j, zero) for j in range(n)]
+            for i in range(n)]
 
 
 def nullspace(a):
-    """Basis of the right kernel of a (rows = equations)."""
+    """Basis of the right kernel of a (rows = equations), one vector per
+    non-pivot column, in increasing column order."""
     if not a:
         return []
     ncols = len(a[0])
-    rows = [list(map(Fraction, row)) for row in a]
-    piv = _elim(rows, ncols)
-    piv_set = set(piv)
-    free = [c for c in range(ncols) if c not in piv_set]
+    rows = _echelon(a, ncols).rows
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(piv):
-            v[pc] = -rows[r][fc]
+    for fc in range(ncols):
+        if fc in rows:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for pc, row in rows.items():
+            v[pc] = -row.get(fc, zero)
         basis.append(v)
     return basis
 
 
 class Echelon:
-    """Incremental reduced row echelon over sparse Fraction vectors.
+    """Incremental reduced row echelon over sparse vectors with entries in
+    ``ring`` (Fractions by default).
 
-    Vectors are dicts {column index: Fraction}.  ``insert`` reduces the
-    vector against the current rows; if something survives it is added with
-    its pivot (by default the smallest remaining column index) normalized
-    to 1 and back-substituted into the existing rows.
+    Vectors are dicts {column index: entry}.  ``insert`` reduces a vector
+    against the current rows; if something with a unit entry survives, it
+    becomes a row whose pivot (the smallest or, with ``pivot="max"``, the
+    largest unit column) is normalized to 1 and back-substituted into the
+    existing rows.
+
+    Rows are kept fully reduced: a pivot column occurs only in its own row.
+    ``_occ`` maps every other column to the pivots whose rows hold it, so an
+    insert back-substitutes into exactly the rows that hold the new pivot
+    column, and ``reduce`` is one pass over the pivot columns of a vector
+    (subtracting a reduced row brings in no pivot column).  A normalized
+    pivot entry is exactly 1, so back-substitution clears the pivot column
+    of a row by removing it.
+
+    A row that reduces to one with no unit entry (over truncated series, a
+    row in m*I, m the maximal ideal of the parameters) gets no pivot: it is
+    kept aside in ``deferred``, and ``close`` requires it to reduce to zero
+    once every row is in.  Over a field no row is ever deferred.
     """
 
-    def __init__(self, pivot: str = "min"):
+    def __init__(self, pivot: str = "min", ring: Ring = FRACTIONS):
         if pivot not in ("min", "max"):
             raise ValueError("pivot must be 'min' or 'max'")
         self._max = pivot == "max"
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.ring = ring
+        self.rows: dict[int, dict] = {}
+        self.deferred: list[dict] = []
+        self._occ: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -137,45 +163,67 @@ class Echelon:
 
     def reduce(self, vec) -> dict:
         """Return vec reduced modulo the current row space (a fresh dict)."""
-        v = {c: Fraction(x) for c, x in vec.items() if x}
-        changed = True
-        while changed:
-            changed = False
-            for p in list(v):
-                row = self.rows.get(p)
-                if row is None:
+        is_zero, entry = self.ring.is_zero, self.ring.entry
+        rows = self.rows
+        v = {c: entry(x) for c, x in vec.items() if not is_zero(x)}
+        for p in [c for c in v if c in rows]:
+            f = v.pop(p)
+            for c, x in rows[p].items():
+                if c == p:
                     continue
-                f = v.pop(p)
-                changed = True
-                for c, x in row.items():
-                    if c == p:
-                        continue
-                    s = v.get(c, Fraction(0)) - f * x
-                    if s:
-                        v[c] = s
-                    else:
-                        v.pop(c, None)
+                # over series f * x can vanish by truncation, so s is
+                # tested even for a column v does not hold
+                s = (v[c] - f * x) if c in v else -(f * x)
+                if is_zero(s):
+                    v.pop(c, None)
+                else:
+                    v[c] = s
         return v
 
     def insert(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
+        """Insert a vector; True if it became a new pivot row (False if it
+        reduced to zero or was deferred)."""
         v = self.reduce(vec)
         if not v:
             return False
-        p = max(v) if self._max else min(v)
-        inv = 1 / v[p]
+        ring = self.ring
+        is_unit, is_zero = ring.is_unit, ring.is_zero
+        unit_cols = [c for c, x in v.items() if is_unit(x)]
+        if not unit_cols:
+            self.deferred.append(v)
+            return False
+        p = max(unit_cols) if self._max else min(unit_cols)
+        inv = ring.inv(v[p])
         row = {c: x * inv for c, x in v.items()}
-        for other in self.rows.values():
-            f = other.get(p)
-            if f:
-                for c, x in row.items():
-                    s = other.get(c, Fraction(0)) - f * x
-                    if s:
-                        other[c] = s
+        occ = self._occ
+        for q in occ.pop(p, ()):
+            other = self.rows[q]
+            f = other.pop(p)
+            for c, x in row.items():
+                if c == p:
+                    continue
+                if c in other:
+                    s = other[c] - f * x
+                    if is_zero(s):
+                        del other[c]
+                        occ[c].remove(q)
                     else:
-                        other.pop(c, None)
+                        other[c] = s
+                else:
+                    s = -(f * x)
+                    if not is_zero(s):
+                        other[c] = s
+                        occ.setdefault(c, set()).add(q)
+        for c in row:
+            if c != p:
+                occ.setdefault(c, set()).add(p)
         self.rows[p] = row
         return True
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+    def close(self):
+        """Require every deferred row to lie in the span of the pivot rows
+        (for a family echelon: the family is flat)."""
+        for v in self.deferred:
+            if self.reduce(v):
+                raise AssertionError("family is not flat: row with no unit "
+                                     "entry")

@@ -13,9 +13,12 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import Echelon, Ring
+
 __all__ = [
     "Frac",
     "TruncSeries",
+    "TRUNC_SERIES",
     "SeriesMatrix",
     "frac_from_str",
     "frac_to_str",
@@ -421,6 +424,14 @@ class TruncSeries:
         return cls(obj["vars"], obj["order"], terms)
 
 
+# The coefficient ring of a series Echelon: a series is a unit exactly when
+# its constant term is nonzero.  All entries of one echelon share one order
+# bound, so a normalized pivot entry is exactly 1.
+TRUNC_SERIES = Ring(is_zero=TruncSeries.is_zero,
+                    is_unit=lambda x: x.constant_term != 0,
+                    inv=TruncSeries.inverse, entry=lambda x: x)
+
+
 def euler_integrate(partials: Mapping[str, TruncSeries],
                     names: Sequence[str] | None = None) -> TruncSeries:
     """The unique F with F(0)=0 and dF/d(name) = partials[name].
@@ -737,7 +748,8 @@ class SeriesMatrix:
 
     def solve_series(self, rhs: "SeriesMatrix") -> "SeriesMatrix":
         """Solve self @ X = rhs; self must be square with an invertible
-        constant term (pivots are chosen on unit entries only)."""
+        constant term, else SeriesError("matrix constant term is
+        singular")."""
         if self.rows != self.cols:
             raise SeriesError("solve needs a square matrix")
         n = self.rows
@@ -747,45 +759,19 @@ class SeriesMatrix:
         order = zero.order
         A = self if self.order == order else self.truncate(order)
         B = rhs if rhs.order == order else rhs.truncate(order)
-        # Sparse Gauss-Jordan on rows [A | B]; B's columns sit at n + j.
-        work = []
+        # The rows of [A | B], B's columns at n + j, reduce to [I | X]
+        # exactly when A(0) is invertible: then each reduced row has a unit
+        # entry among the A columns, and the leftmost unit is the pivot.
+        ech = Echelon(pivot="min", ring=TRUNC_SERIES)
         for ra, rb in zip(A._data, B._data):
             row = dict(ra)
             for j, x in rb.items():
                 row[n + j] = x
-            work.append(row)
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                x = work[r].get(col)
-                if x is not None and x.constant_term != 0:
-                    piv = r
-                    break
-            if piv is None:
-                raise SeriesError("matrix constant term is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv = work[col][col].inverse()
-            prow = {}
-            for j, x in work[col].items():
-                y = x * inv
-                if y.terms:
-                    prow[j] = y
-            work[col] = prow
-            for r in range(n):
-                row = work[r]
-                f = row.get(col) if r != col else None
-                if f is None:
-                    continue
-                for j, b in prow.items():
-                    fb = f * b
-                    a = row.get(j)
-                    x = -fb if a is None else a - fb
-                    if x.terms:
-                        row[j] = x
-                    else:
-                        row.pop(j, None)
-        data = [{j - n: x for j, x in sorted(row.items()) if j >= n}
-                for row in work]
+            ech.insert(row)
+        if ech.pivots != set(range(n)):
+            raise SeriesError("matrix constant term is singular")
+        data = [{j - n: x for j, x in sorted(ech.rows[i].items()) if j >= n}
+                for i in range(n)]
         return SeriesMatrix._make(n, B.cols, zero.vars, order, data)
 
     def inverse_series(self) -> "SeriesMatrix":

@@ -9,8 +9,9 @@ from click.testing import CliRunner
 
 from frobkit import cli
 from frobkit.cli import main
-from frobkit.pencil import PairingMatrix
-from frobkit.series import SeriesError
+from frobkit.pencil import PairingMatrix, structure_connection
+from frobkit.series import SeriesError, TruncSeries
+from frobkit.structures import shift_example
 from helpers import point_base_pencil, rank2_higgs_ftype
 
 QUINTIC = {
@@ -254,3 +255,39 @@ def test_malformed_payload_series_exits_two(tmp_path):
                                {"pencil": P.to_json(), "y_vars": ["y1"],
                                 "f": [first, zero]})
         assert code == 2 and report is None
+
+
+def _wrong_shapes():
+    cubic = _fermat_payload(3, 3)
+    cubic["initial"]["pairing"] = [["1/1"]]
+    ft = rank2_higgs_ftype(4).to_json()
+    ragged = dict(ft, pairing=[["1/1", "0/1"], ["0/1"]])
+    P, _ = structure_connection(rank2_higgs_ftype(4), 1)
+    filtration = shift_example(5, [TruncSeries(("t",), 4, {(0,): 1})],
+                               order=4).to_json()
+    filtration["pairing"] = [["1/1"]]
+    return [
+        ("reconstruct", cubic),
+        ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
+                                     "zeta": ["1/1"]}}),
+        ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
+                                     "zeta": ["1/1", "0/1", "0/1"]}}),
+        ("ftype-check", ragged),
+        ("universal-unfold", {"pencil": P.to_json(), "zeta": ["1/1"]}),
+        ("universal-unfold", {"pencil": P.to_json(),
+                              "zeta": ["1/1", "0/1", "0/1"]}),
+        ("reconstruct", {"initial": {"kind": "filtration",
+                                     "filtration": filtration}}),
+    ]
+
+
+@pytest.mark.parametrize("command, payload", _wrong_shapes(),
+                         ids=["jacobi-pairing-1x1", "zeta-short",
+                              "zeta-long", "ftype-pairing-ragged",
+                              "unfold-zeta-short", "unfold-zeta-long",
+                              "filtration-pairing-1x1"])
+def test_wrong_shape_payload_matrices_exit_two(tmp_path, command, payload):
+    # each passes its schema; a pairing, v_endo or zeta of the wrong shape
+    # is a malformed payload, not a failed certification or exit 3
+    code, report, _ = _run(tmp_path, command, payload)
+    assert code == 2 and report is None

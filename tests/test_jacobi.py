@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
-                            RfClass, WeightSystem, XPoly, _SeriesEchelon,
+                            RfClass, WeightSystem, XPoly,
                             build_jacobi, h2_generation_check,
                             jacobian_piece, multiply_rf, normal_form,
                             pack_key, unpack_key)
 from frobkit.linalg import Echelon
-from frobkit.series import TruncSeries
+from frobkit.series import TRUNC_SERIES, TruncSeries
 from helpers import (ReferenceSeriesEchelon, codim_one_polynomial, fermat,
                      fermat_cubic_algebra)
 
@@ -316,13 +316,13 @@ def test_series_echelon_defers_rows_without_unit_entry():
     t = TruncSeries.var(("t",), 2, "t")
     one = TruncSeries.one(("t",), 2)
     # t*(e0 + e1) has no unit entry, but e0 and e1 come in later
-    ech = _SeriesEchelon()
+    ech = Echelon(pivot="max", ring=TRUNC_SERIES)
     assert not ech.insert({0: t, 1: t})
     assert ech.insert({0: one}) and ech.insert({1: one})
     ech.close()
     assert sorted(ech.rows) == [0, 1]
     # t*e0 is not in the span of e1: the family is not flat
-    ech = _SeriesEchelon()
+    ech = Echelon(pivot="max", ring=TRUNC_SERIES)
     assert not ech.insert({0: t})
     assert ech.insert({1: one})
     with pytest.raises(AssertionError, match="family is not flat"):
@@ -379,7 +379,8 @@ ONE2 = TruncSeries.one(("t", "u"), 2)
 @example((("t",), 1, 2, [{0: T1}, {1: ONE1}]))
 def test_series_echelon_matches_row_scan(case):
     vars, order, ncols, rows = case
-    ech, ref = _SeriesEchelon(), ReferenceSeriesEchelon()
+    ech, ref = (Echelon(pivot="max", ring=TRUNC_SERIES),
+                ReferenceSeriesEchelon())
     for r in rows:
         assert ech.insert(r) == ref.insert(r)
     assert _rows_json(ech.rows) == _rows_json(ref.rows)

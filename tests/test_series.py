@@ -183,6 +183,27 @@ def test_solve_series_matrix():
     assert (M @ X - SeriesMatrix.identity(2, vars, 3)).is_zero()
 
 
+def test_solve_series_rejects_singular_constant_term():
+    vars = ("t",)
+    t = TruncSeries.var(vars, 3, "t")
+    one = TruncSeries.one(vars, 3)
+    zero = TruncSeries.zero(vars, 3)
+    # det = t: invertible over the fraction field, not over the series
+    M = SeriesMatrix([[one + t, one], [one, one]])
+    cases = [M.inverse_series,
+             lambda: M.solve_series(SeriesMatrix([[one], [zero]])),
+             # the second row of [A | B] reduces to t * (e1 + e2)
+             lambda: SeriesMatrix([[one, zero], [zero, t]]).solve_series(
+                 SeriesMatrix([[one], [t]])),
+             # the second row of [A | B] reduces to zero
+             lambda: SeriesMatrix([[one, one], [one, one]]).solve_series(
+                 SeriesMatrix([[one], [one]]))]
+    for solve in cases:
+        with pytest.raises(SeriesError,
+                           match="^matrix constant term is singular$"):
+            solve()
+
+
 # -- sparse SeriesMatrix against an entrywise dense reference ---------------
 
 class Dense:
