@@ -22,14 +22,13 @@ from fractions import Fraction
 import click
 import jsonschema
 
-from . import linalg
 from .germ import (FrobeniusGermData, InitialData, compare_germs,
                    euler_check, frobenius_via_unfolding, h2_reconstruct,
                    initial_from_filtration, normalize_germ, wdvv_check)
-from .jacobi import (JacobiAlgebra, NotIsolatedError, WeightSystem, XPoly,
-                     build_jacobi, h2_generation_check)
+from .jacobi import (NotIsolatedError, WeightSystem, XPoly, build_jacobi,
+                     h2_generation_check)
 from .pencil import (ConnectionPencil, PairingMatrix, flatness_residual,
-                     pairing_extension_check, residual_report, reduced_flatness_check,
+                     pairing_extension_check, reduced_flatness_check,
                      structure_connection)
 from .series import SeriesError, TruncSeries, frac_from_str
 from .structures import (FiltrationData, FrobeniusTypeStructure,

@@ -25,8 +25,7 @@ from typing import Sequence
 
 from . import linalg
 from .linalg import Echelon
-from .pencil import (ConnectionPencil, PairingMatrix, flatness_residual,
-                     pairing_extension_check, pencil_to_ftype,
+from .pencil import (ConnectionPencil, pairing_extension_check,
                      potential_matrix, structure_connection)
 from .series import (SeriesMatrix, TruncSeries, euler_integrate,
                      frac_from_str, frac_to_str)
@@ -76,11 +75,8 @@ class FrobeniusGermData:
 
     def c_tensor(self, i, j, k):
         """Third structure function g(s_i o s_j, s_k)."""
-        acc = TruncSeries.zero(self.coords, self.order)
-        for l in range(self.n):
-            if self.metric[l][k]:
-                acc = acc + self.mult[i][l, j] * self.metric[l][k]
-        return acc
+        return _c_tensor(self.mult, self.metric, self.coords, self.order,
+                         i, j, k)
 
     def to_json(self):
         out = {
@@ -399,17 +395,22 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
     return out
 
 
+def _c_tensor(mult, metric, coords, order, i, j, k) -> TruncSeries:
+    """g(s_i o s_j, s_k) = sum_l mult[i][l, j] g[l][k]."""
+    acc = TruncSeries.zero(coords, order)
+    for l in range(len(mult)):
+        if metric[l][k]:
+            acc = acc + mult[i][l, j] * metric[l][k]
+    return acc
+
+
 def potential_integrate(mult, metric, coords, order) -> TruncSeries:
     """The potential with the given third derivatives, vanishing to second
     order at the origin; total symmetry of the tensor is required."""
     n = len(mult)
 
     def c(i, j, k):
-        acc = TruncSeries.zero(coords, order)
-        for l in range(n):
-            if metric[l][k]:
-                acc = acc + mult[i][l, j] * metric[l][k]
-        return acc
+        return _c_tensor(mult, metric, coords, order, i, j, k)
 
     for i in range(n):
         for j in range(n):
@@ -456,23 +457,8 @@ def frobenius_via_unfolding(init: InitialData, order: int | None = None,
             raise AssertionError("extended pairing does not restrict to "
                                  "the initial metric")
     n = big.n
-    uvars = big.vars
-    A = potential_matrix(big)
-    taus = [-A[k, 0] for k in range(n)]
     coords = _coords(n)
-    u_of_tau = invert_map([t.truncate(N) for t in taus], coords)
-    subst = dict(zip(uvars, u_of_tau))
-    blocks = list(big.C) + list(big.F)
-    psi = SeriesMatrix([[-blocks[u][k, 0] for u in range(n)]
-                        for k in range(n)])
-    psi_inv = psi.inverse_series()
-    mult = []
-    for k in range(n):
-        acc = None
-        for u in range(n):
-            piece = blocks[u].scale_series(-psi_inv[u, k])
-            acc = piece if acc is None else acc + piece
-        mult.append(acc.compose(subst))
+    mult, subst = _flat_chart(big, range(n), coords, N)
     metric = [[Fraction(c) for c in row] for row in F.g]
     ucol = [big.U[k, 0].compose(subst) for k in range(n)]
     # transport of the Euler field: its covariant derivative in the flat
@@ -504,6 +490,32 @@ def frobenius_via_unfolding(init: InitialData, order: int | None = None,
                              germ_order)
     _assert_clean(germ, init)
     return germ
+
+
+def _flat_chart(P: ConnectionPencil, rows, names, N):
+    """Multiplication in the flat chart of the potential's first column.
+
+    names[a] = -A[rows[a], 0] are flat coordinates on the base of P, with A
+    the potential matrix (whose construction checks that P's one-form is
+    closed).  Returns the matrices of multiplication by d/d names[a], each
+    minus the combination of P's blocks whose first column restricted to
+    ``rows`` is the a-th unit vector, written in the flat coordinates; and
+    the substitution that writes P's base variables in them.
+    """
+    A = potential_matrix(P)
+    subst = dict(zip(P.vars, invert_map(
+        [(-A[k, 0]).truncate(N) for k in rows], names)))
+    blocks = list(P.C) + list(P.F)
+    psi_inv = SeriesMatrix([[-B[k, 0] for B in blocks]
+                            for k in rows]).inverse_series()
+    mult = []
+    for a in range(len(rows)):
+        acc = None
+        for u, B in enumerate(blocks):
+            piece = B.scale_series(-psi_inv[u, a])
+            acc = piece if acc is None else acc + piece
+        mult.append(acc.compose(subst))
+    return mult, subst
 
 
 def _raise_order(F: FrobeniusTypeStructure, N: int) -> FrobeniusTypeStructure:
@@ -574,29 +586,13 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     g = [[Fraction(c) for c in row] for row in F.g]
 
     # --- flatten the base: degree-zero flat coordinates and matrices -----
-    tvars = F.vars
+    base_mult = {}
     if m0:
-        A0 = potential_matrix(ConnectionPencil(
-            tvars, (), n, list(F.C), [],
-            SeriesMatrix.zeros(n, n, tvars, N),
-            SeriesMatrix.zeros(n, n, tvars, N),
-            SeriesMatrix.zeros(n, n, tvars, N), N))
-        tau0 = [-A0[k, 0] for k in d0_idx]
-        d0_names = tuple(coords[k] for k in d0_idx)
-        t_of_tau = invert_map([t.truncate(N) for t in tau0], d0_names)
-        subst0 = dict(zip(tvars, t_of_tau))
-        psi0S = SeriesMatrix([[-F.C[i][k, 0] for i in range(m0)]
-                              for k in d0_idx])
-        psi0_inv = psi0S.inverse_series()
-        base_mult = {}
-        for a, k in enumerate(d0_idx):
-            acc = None
-            for i in range(m0):
-                piece = F.C[i].scale_series(-psi0_inv[i, a])
-                acc = piece if acc is None else acc + piece
-            base_mult[k] = acc.compose(subst0)
-    else:
-        base_mult = {}
+        Z = SeriesMatrix.zeros(n, n, F.vars, N)
+        base, _ = _flat_chart(
+            ConnectionPencil(F.vars, (), n, list(F.C), [], Z, Z, Z, N),
+            d0_idx, tuple(coords[k] for k in d0_idx), N)
+        base_mult = dict(zip(d0_idx, base))
 
     zero = TruncSeries.zero(coords, N)
     one = TruncSeries.one(coords, N)
@@ -626,9 +622,7 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     top_deg = max([int(d) for d in degrees] + [0])
     top_idx = [k for k in range(n) if degrees[k] == top_deg]
 
-    def wpart(s: TruncSeries, wgt: int) -> TruncSeries:
-        """Weighted graded part in the positive-degree coordinates."""
-        return s.graded_part(wgt, names=pos_names, weights=wts)
+    grading = (pos_names, wts)
 
     def mat(k) -> SeriesMatrix:
         return SeriesMatrix(tab[k])
@@ -656,7 +650,8 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
                 pairs = pairs[::-1]
             gamma = {}
             for (i, k) in pairs:
-                gamma[(i, k)] = [wpart(tab[i][r][k], 0) for r in unknown]
+                gamma[(i, k)] = [tab[i][r][k].graded_part(0, *grading)
+                                 for r in unknown]
             sel_ech = Echelon(pivot="min")
             selected = []
             for pr in pairs:
@@ -668,7 +663,7 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
                     break
             if len(selected) == len(unknown):
                 _solve_generated(tab, gamma, pairs, selected, unknown,
-                                 stage, degrees, coords, wpart, mat, n, D)
+                                 stage, degrees, grading, mat, add_part, n, D)
             else:
                 _fill_ungenerated(tab, unknown, stage, degrees, g, w,
                                   top_idx, D, n, coords,
@@ -676,19 +671,16 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
         # (ii) weight-(stage+1) parts of the degree-zero matrices
         if stage == W_cap or N < 1:
             break
+        # by potentiality d/ds_j of A_i is d/ds_i of A_j
         Wn = stage + 1
+        lower = {coords[j]: mat(j).graded_part(Wn - int(degrees[j]),
+                                               *grading)
+                 for j in pos_idx if degrees[j] <= Wn}
         for i in d0_idx:
-            acc = None
-            for j in pos_idx:
-                dj = int(degrees[j])
-                part = wpart_mat(mat(j), Wn - dj, wpart)
-                if part is None:
-                    continue
-                der = part.partial(coords[i])
-                upd = der.mul_var(coords[j]).scale(Fraction(dj, Wn))
-                acc = upd if acc is None else acc + upd
-            if acc is not None:
-                add_part(i, acc.truncate(N))
+            if lower:
+                add_part(i, euler_integrate(
+                    {v: M.partial(coords[i]) for v, M in lower.items()},
+                    weights=wts).truncate(N))
 
     mult = [mat(k) for k in range(n)]
     pot = potential_integrate(mult, g, coords, N)
@@ -697,15 +689,8 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     return germ
 
 
-def wpart_mat(M: SeriesMatrix, wgt: int, wpart):
-    if wgt < 0:
-        return None
-    return SeriesMatrix([[wpart(M[i, j], wgt) for j in range(M.cols)]
-                         for i in range(M.rows)])
-
-
 def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
-                     coords, wpart, mat, n, D):
+                     grading, mat, add_part, n, D):
     """Solve the weight-`stage` parts of the degree-D matrices from the
     products of lower-degree matrices; verify the unselected relations."""
     q = len(unknown)
@@ -713,7 +698,7 @@ def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
     def rhs_for(pr):
         i, k = pr
         prod = mat(i) @ mat(k)
-        R = wpart_mat(prod, stage, wpart)
+        R = prod.graded_part(stage, *grading)
         # subtract the known contributions gamma_r * A_r for degrees > D
         for r in range(n):
             dr = degrees[r]
@@ -723,10 +708,9 @@ def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
             if gam.is_zero():
                 continue
             shift = stage - (int(dr) - D)
-            part = wpart_mat(mat(r), shift, wpart)
-            if part is None:
+            if shift < 0:
                 continue
-            R = R - part.scale_series(gam)
+            R = R - mat(r).graded_part(shift, *grading).scale_series(gam)
         return R
 
     G = SeriesMatrix([[gamma[pr][a] for a in range(q)] for pr in selected])
@@ -740,19 +724,14 @@ def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
             acc = piece if acc is None else acc + piece
         sols.append(acc)
     for a, r in enumerate(unknown):
-        part = sols[a]
-        for i in range(n):
-            for j in range(n):
-                e = part[i, j]
-                if not e.is_zero():
-                    tab[r][i][j] = tab[r][i][j] + e
+        add_part(r, sols[a])
     # the remaining generation relations must now hold
     for pr in pairs:
         if pr in selected:
             continue
         R = rhs_for(pr)
         for a, r in enumerate(unknown):
-            X = wpart_mat(mat(r), stage, wpart)
+            X = mat(r).graded_part(stage, *grading)
             R = R - X.scale_series(gamma[pr][a])
         if not R.is_zero():
             raise AssertionError("generation relations are inconsistent at "

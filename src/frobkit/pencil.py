@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
-from .series import SeriesMatrix, TruncSeries, euler_integrate, frac_to_str
+from .series import SeriesMatrix, euler_integrate, frac_to_str
 from .structures import FrobeniusTypeStructure, RejectionError, check_ftype_axioms
 
 __all__ = [
@@ -263,20 +262,9 @@ def potential_matrix(P: ConnectionPencil) -> SeriesMatrix:
             raise RejectionError("pencil one-form is not closed",
                                  {"failing": residual_report(
                                      {eq: res[eq]})})
-    vars = P.vars
-    blocks = list(P.C) + list(P.F)
-    n = P.n
-    entries = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            parts = {v: blocks[k][r, c] for k, v in enumerate(vars)}
-            row.append(euler_integrate(parts) if parts else
-                       TruncSeries.zero(vars, P.order))
-        entries.append(row)
-    if not vars:
-        return SeriesMatrix.zeros(n, n, vars, P.order)
-    return SeriesMatrix(entries)
+    if not P.vars:
+        return SeriesMatrix.zeros(P.n, P.n, P.vars, P.order)
+    return euler_integrate(dict(zip(P.vars, list(P.C) + list(P.F))))
 
 
 def reduced_flatness_check(P: ConnectionPencil) -> dict:
@@ -447,10 +435,7 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
                     rhs = (P.F[a].transpose() @ coeffs[k + 1]
                            - coeffs[k + 1] @ P.F[a])
                     grad[v] = rhs.graded_part(s - 1, names=ys)
-                upd = None
-                for v, M in grad.items():
-                    piece = M.mul_var(v).scale(Fraction(1, s))
-                    upd = piece if upd is None else upd + piece
+                upd = euler_integrate(grad)
                 new.append(coeffs[k] + upd.truncate(coeffs[k].order))
             # obstruction: the transport must not create a z^(w-1) term
             for a, v in enumerate(ys):

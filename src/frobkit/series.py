@@ -432,35 +432,67 @@ TRUNC_SERIES = Ring(is_zero=TruncSeries.is_zero,
                     inv=TruncSeries.inverse, entry=lambda x: x)
 
 
-def euler_integrate(partials: Mapping[str, TruncSeries],
-                    names: Sequence[str] | None = None) -> TruncSeries:
+def euler_integrate(partials, weights: Mapping[str, int] | None = None):
     """The unique F with F(0)=0 and dF/d(name) = partials[name].
 
-    Termwise radial integration; callers must guarantee closedness of the
-    given one-form (mixed partials of the result are asserted elsewhere).
-    When ``names`` covers only part of the context, the remaining variables
-    are treated as constants and F is the part vanishing at names=0.
+    Radial integration along the Euler field E = sum_v w_v v d/dv over the
+    variables of ``weights`` (weight 1 on each key of ``partials`` by
+    default): F = sum_v w_v v partials[v] with every term divided by its
+    weighted degree, so E(F) = F termwise.  Callers must guarantee
+    closedness of the given one-form (mixed partials of the result are
+    asserted elsewhere).  Variables outside the Euler field are treated as
+    constants, and F is the part vanishing where the Euler variables do.
+    The result is exact one order beyond the partials.
+
+    ``partials`` maps names to TruncSeries, or to SeriesMatrix; a matrix
+    one-form is integrated entry by entry into a SeriesMatrix.
     """
     if not partials:
         raise SeriesError("nothing to integrate")
-    some = next(iter(partials.values()))
-    ctx = some.vars
-    order = min(p.order for p in partials.values())
-    if names is None:
-        names = list(partials)
-    idx = {nm: ctx.index(nm) for nm in names}
-    terms: dict = {}
-    for nm, p in partials.items():
-        if p.vars != ctx:
-            raise SeriesError("partials disagree on variable context")
-        i = idx[nm]
-        for e, c in p.terms.items():
-            if sum(e) > order:
-                continue
-            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-            d = sum(e2[idx[n]] for n in names)
-            terms[e2] = terms.get(e2, Fraction(0)) + c / d
-    return TruncSeries(ctx, order + 1, terms)
+    forms = list(partials.values())
+    ctx = forms[0].vars
+    if any(p.vars != ctx for p in forms):
+        raise SeriesError("partials disagree on variable context")
+    if weights is None:
+        weights = dict.fromkeys(partials, 1)
+    elif not set(partials) <= set(weights):
+        raise SeriesError("partials outside the Euler field: %r"
+                          % sorted(set(partials) - set(weights)))
+    for nm, w in weights.items():
+        if nm not in ctx:
+            raise SeriesError("unknown variable %r" % nm)
+        if w <= 0:
+            raise SeriesError("Euler weights must be positive")
+    wt = [(ctx.index(nm), w) for nm, w in weights.items()]
+    order = min(p.order for p in forms)
+    slots = [(ctx.index(nm), weights[nm], p) for nm, p in partials.items()]
+
+    def integrate(entries) -> TruncSeries:
+        terms: dict = {}
+        for i, w, p in entries:
+            for e, c in p.terms.items():
+                if sum(e) > order:
+                    continue
+                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                d = sum(e2[k] * wk for k, wk in wt)
+                terms[e2] = terms.get(e2, _ZERO) + c * w / d
+        return TruncSeries(ctx, order + 1, terms)
+
+    if not isinstance(forms[0], SeriesMatrix):
+        return integrate(slots)
+    rows, cols = forms[0].rows, forms[0].cols
+    for M in forms:
+        forms[0]._shape_like(M)
+    data = []
+    for r in range(rows):
+        out = {}
+        for j in sorted(set().union(*(M._data[r] for M in forms))):
+            x = integrate([(i, w, M._data[r][j]) for i, w, M in slots
+                           if j in M._data[r]])
+            if x.terms:
+                out[j] = x
+        data.append(out)
+    return SeriesMatrix._make(rows, cols, ctx, order + 1, data)
 
 
 def _check_shape(rows, cols):

@@ -23,7 +23,8 @@ from typing import Sequence
 
 from . import linalg
 from .jacobi import JacobiAlgebra, JacobiFamily, h2_generation_check
-from .series import (SeriesMatrix, TruncSeries, frac_from_str, frac_to_str)
+from .series import (SeriesMatrix, TruncSeries, euler_integrate,
+                     frac_from_str, frac_to_str)
 
 __all__ = [
     "FrobeniusTypeStructure", "FiltrationData", "RejectionError",
@@ -334,12 +335,8 @@ def _gauge_flat_frame(Bs, vars, order, n):
     if not vars:
         return G
     for s in range(1, order + 1):
-        terms = SeriesMatrix.zeros(n, n, vars, order)
-        for i, v in enumerate(vars):
-            rhs = (-(Bs[i] @ G)).graded_part(s - 1)
-            terms = terms + rhs.mul_var(v).truncate(order).scale(
-                Fraction(1, s))
-        G = G + terms
+        G = G + euler_integrate({v: (-(B @ G)).graded_part(s - 1)
+                                 for v, B in zip(vars, Bs)}).truncate(order)
     return G
 
 

@@ -20,14 +20,13 @@ identity chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .linalg import Echelon
 from .pencil import ConnectionPencil, flatness_residual, residual_report
-from .series import SeriesMatrix, TruncSeries
+from .series import SeriesMatrix, TruncSeries, euler_integrate
 from .structures import RejectionError
 
 __all__ = [
@@ -238,6 +237,12 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
     dfs = [[[d_ia.graded_part(d, names=y_vars) for d in range(N + 1)]
             for d_ia in (fi.partial(yv) for yv in y_vars)] for fi in fs]
 
+    def bump(parts):
+        """Radial integral in y of the slices parts[a] = d/dy_a."""
+        if not y_vars:
+            return zero
+        return euler_integrate(dict(zip(y_vars, parts))).truncate(N)
+
     def assert_zero(part, name, s):
         if not part.is_zero():
             raise AssertionError(
@@ -304,17 +309,6 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         if s == N:
             break
         # radial integration of the transport equations for degree s+1
-        frac = Fraction(1, s + 1)
-
-        def bump(parts):
-            acc = None
-            for a, yv in enumerate(y_vars):
-                piece = parts[a].mul_var(yv)
-                acc = piece if acc is None else acc + piece
-            if acc is None:
-                return zero
-            return acc.scale(frac).truncate(N)
-
         for i, tv in enumerate(t_vars):
             C[i].append(bump([Fa[s].partial(tv) for Fa in F]))
         updU = bump([_slice_commutator(V, Fa, s) - Fa[s] for Fa in F])

@@ -1,13 +1,16 @@
-"""Shared fixtures: the pencil corpus and the unfolding oracles (brute
-force, and the whole-series construction)."""
+"""Shared fixtures: the pencil corpus, the unfolding oracles (brute force,
+and the whole-series construction), frozen elimination engines and the
+stage-by-stage germ recursion oracle."""
 
 from fractions import Fraction
 
-from frobkit.germ import InitialData, initial_from_filtration
+from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
+                          _coords, _raise_order, initial_from_filtration,
+                          invert_map, potential_integrate)
 from frobkit.jacobi import WeightSystem, XPoly, build_jacobi
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
-                            flatness_residual, residual_report,
-                            structure_connection)
+                            flatness_residual, potential_matrix,
+                            residual_report, structure_connection)
 from frobkit.series import SeriesMatrix, TruncSeries
 from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
                                 shift_example, filtration_to_ftype,
@@ -738,3 +741,277 @@ class Echelon:
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
+
+
+# ---------------------------------------------------------------------------
+# stage-by-stage oracle for the degree-by-degree germ constructor: the
+# recursion of ``germ.h2_reconstruct`` exactly as it was while it kept its
+# own radial step, its own flat chart of the base and ``wpart_mat``.  It
+# stays here only as a test oracle; its ``Echelon`` is the frozen Fraction
+# engine above.
+# ---------------------------------------------------------------------------
+
+
+def reference_h2_reconstruct(init: InitialData, order: int | None = None,
+                             reverse_generation: bool = False
+                             ) -> FrobeniusGermData:
+    """Determine the structure constants directly from the restricted data.
+
+    Stage by stage in the Euler weight: matrices of positive-degree fields
+    are solved from generation by degree-zero fields (with the metric
+    fixing the top block where generation does not reach), and the
+    degree-zero matrices pick up their next weight by radial integration
+    of the potentiality relation.  Entirely independent of the unfolding
+    pipeline.
+
+    reverse_generation reverses the order in which the generation
+    relations are scanned; the output must not depend on it (the solver
+    verifies every relation it did not use for pivoting).
+    """
+    F = init.ftype
+    if not F.umat_is_zero():
+        raise RejectionError("recursion requires vanishing first "
+                             "endomorphism")
+    if not init.is_graded():
+        raise RejectionError("recursion requires a diagonal flat "
+                             "endomorphism with integer levels")
+    N = order if order is not None else F.order
+    if N != F.order:
+        F = F.restrict_order(N) if N < F.order else _raise_order(F, N)
+    n = F.n
+    w = init.weight
+    degrees = init.frame_degrees()
+    if degrees[0] != -1:
+        raise RejectionError("first frame vector must have Euler degree -1")
+    d0_idx = [k for k in range(n) if degrees[k] == 0]
+    pos_idx = [k for k in range(n) if degrees[k] > 0]
+    m0 = len(d0_idx)
+    if len(F.vars) != m0:
+        raise RejectionError("base dimension %d does not match the count "
+                             "of degree-zero directions %d"
+                             % (len(F.vars), m0))
+    coords = _coords(n)
+    g = [[Fraction(c) for c in row] for row in F.g]
+
+    # --- flatten the base: degree-zero flat coordinates and matrices -----
+    tvars = F.vars
+    if m0:
+        A0 = potential_matrix(ConnectionPencil(
+            tvars, (), n, list(F.C), [],
+            SeriesMatrix.zeros(n, n, tvars, N),
+            SeriesMatrix.zeros(n, n, tvars, N),
+            SeriesMatrix.zeros(n, n, tvars, N), N))
+        tau0 = [-A0[k, 0] for k in d0_idx]
+        d0_names = tuple(coords[k] for k in d0_idx)
+        t_of_tau = invert_map([t.truncate(N) for t in tau0], d0_names)
+        subst0 = dict(zip(tvars, t_of_tau))
+        psi0S = SeriesMatrix([[-F.C[i][k, 0] for i in range(m0)]
+                              for k in d0_idx])
+        psi0_inv = psi0S.inverse_series()
+        base_mult = {}
+        for a, k in enumerate(d0_idx):
+            acc = None
+            for i in range(m0):
+                piece = F.C[i].scale_series(-psi0_inv[i, a])
+                acc = piece if acc is None else acc + piece
+            base_mult[k] = acc.compose(subst0)
+    else:
+        base_mult = {}
+
+    zero = TruncSeries.zero(coords, N)
+    one = TruncSeries.one(coords, N)
+
+    def zmat():
+        return [[zero] * n for _ in range(n)]
+
+    # mutable entry tables, assembled weight by weight; positive-degree
+    # matrices start at zero and are filled entirely by the stages
+    tab = {k: zmat() for k in range(n)}
+    tab[0] = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k in d0_idx:
+        M = base_mult[k]
+        for i in range(n):
+            for j in range(n):
+                e = M[i, j].extend(coords)
+                if j == 0:
+                    want = one if i == k else zero
+                    if e != want:
+                        raise AssertionError("flattened base does not fix "
+                                             "the unit column")
+                if not e.is_zero():
+                    tab[k][i][j] = e
+
+    wts = {coords[k]: int(degrees[k]) for k in range(n) if degrees[k] > 0}
+    pos_names = tuple(coords[k] for k in pos_idx)
+    top_deg = max([int(d) for d in degrees] + [0])
+    top_idx = [k for k in range(n) if degrees[k] == top_deg]
+
+    def wpart(s: TruncSeries, wgt: int) -> TruncSeries:
+        """Weighted graded part in the positive-degree coordinates."""
+        return s.graded_part(wgt, names=pos_names, weights=wts)
+
+    def mat(k) -> SeriesMatrix:
+        return SeriesMatrix(tab[k])
+
+    def add_part(k, part: SeriesMatrix):
+        for i in range(n):
+            for j in range(n):
+                e = part[i, j]
+                if not e.is_zero():
+                    tab[k][i][j] = tab[k][i][j] + e
+
+    max_d = max([int(d) for d in degrees if d > 0] or [1])
+    W_cap = min(max(w - 2, 0), N * max_d)
+    pos_by_D: dict[int, list] = {}
+    for k in pos_idx:
+        pos_by_D.setdefault(int(degrees[k]), []).append(k)
+
+    for stage in range(W_cap + 1):
+        # (i) weight-`stage` parts of the positive-degree matrices
+        for D in sorted(pos_by_D):
+            unknown = pos_by_D[D]
+            pairs = [(i, k) for i in d0_idx
+                     for k in (d0_idx if D == 1 else pos_by_D.get(D - 1, []))]
+            if reverse_generation:
+                pairs = pairs[::-1]
+            gamma = {}
+            for (i, k) in pairs:
+                gamma[(i, k)] = [wpart(tab[i][r][k], 0) for r in unknown]
+            sel_ech = Echelon(pivot="min")
+            selected = []
+            for pr in pairs:
+                consts = {a: c.constant_term for a, c in
+                          enumerate(gamma[pr]) if c.constant_term}
+                if consts and sel_ech.insert(consts):
+                    selected.append(pr)
+                if len(selected) == len(unknown):
+                    break
+            if len(selected) == len(unknown):
+                _solve_generated(tab, gamma, pairs, selected, unknown,
+                                 stage, degrees, coords, wpart, mat, n, D)
+            else:
+                _fill_ungenerated(tab, unknown, stage, degrees, g, w,
+                                  top_idx, D, n, coords,
+                                  span_rank=len(selected))
+        # (ii) weight-(stage+1) parts of the degree-zero matrices
+        if stage == W_cap or N < 1:
+            break
+        Wn = stage + 1
+        for i in d0_idx:
+            acc = None
+            for j in pos_idx:
+                dj = int(degrees[j])
+                part = wpart_mat(mat(j), Wn - dj, wpart)
+                if part is None:
+                    continue
+                der = part.partial(coords[i])
+                upd = der.mul_var(coords[j]).scale(Fraction(dj, Wn))
+                acc = upd if acc is None else acc + upd
+            if acc is not None:
+                add_part(i, acc.truncate(N))
+
+    mult = [mat(k) for k in range(n)]
+    pot = potential_integrate(mult, g, coords, N)
+    germ = FrobeniusGermData(coords, n, mult, g, degrees, None, pot, N)
+    _assert_clean(germ, init)
+    return germ
+
+
+def wpart_mat(M: SeriesMatrix, wgt: int, wpart):
+    if wgt < 0:
+        return None
+    return SeriesMatrix([[wpart(M[i, j], wgt) for j in range(M.cols)]
+                         for i in range(M.rows)])
+
+
+def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
+                     coords, wpart, mat, n, D):
+    """Solve the weight-`stage` parts of the degree-D matrices from the
+    products of lower-degree matrices; verify the unselected relations."""
+    q = len(unknown)
+
+    def rhs_for(pr):
+        i, k = pr
+        prod = mat(i) @ mat(k)
+        R = wpart_mat(prod, stage, wpart)
+        # subtract the known contributions gamma_r * A_r for degrees > D
+        for r in range(n):
+            dr = degrees[r]
+            if dr <= D or dr <= 0:
+                continue
+            gam = tab[i][r][k]
+            if gam.is_zero():
+                continue
+            shift = stage - (int(dr) - D)
+            part = wpart_mat(mat(r), shift, wpart)
+            if part is None:
+                continue
+            R = R - part.scale_series(gam)
+        return R
+
+    G = SeriesMatrix([[gamma[pr][a] for a in range(q)] for pr in selected])
+    G_inv = G.inverse_series()
+    rhs = [rhs_for(pr) for pr in selected]
+    sols = []
+    for a in range(q):
+        acc = None
+        for b in range(q):
+            piece = rhs[b].scale_series(G_inv[b, a])
+            acc = piece if acc is None else acc + piece
+        sols.append(acc)
+    for a, r in enumerate(unknown):
+        part = sols[a]
+        for i in range(n):
+            for j in range(n):
+                e = part[i, j]
+                if not e.is_zero():
+                    tab[r][i][j] = tab[r][i][j] + e
+    # the remaining generation relations must now hold
+    for pr in pairs:
+        if pr in selected:
+            continue
+        R = rhs_for(pr)
+        for a, r in enumerate(unknown):
+            X = wpart_mat(mat(r), stage, wpart)
+            R = R - X.scale_series(gamma[pr][a])
+        if not R.is_zero():
+            raise AssertionError("generation relations are inconsistent at "
+                                 "weight %d, degree %d" % (stage, D))
+
+
+def _fill_ungenerated(tab, unknown, stage, degrees, g, w, top_idx, D, n,
+                      coords, span_rank):
+    """Entries the generation route cannot reach: symmetry against known
+    matrices, metric pairing for the top block, vanishing elsewhere."""
+    if D < Fraction(w - 4, 2):
+        raise RejectionError(
+            "generation fails below half the top degree: degree %d spans "
+            "only %d of %d directions" % (D, span_rank, len(unknown)),
+            {"degree": D, "rank": span_rank, "needed": len(unknown)})
+    for r in unknown:
+        for l in range(n):
+            dl = degrees[l]
+            if -1 < dl < D:
+                # symmetry against the matrix of the l-th field, refreshed
+                # every stage as that matrix accumulates weight parts
+                for u in range(n):
+                    tab[r][u][l] = tab[l][u][r]
+    if stage > 0:
+        return  # the remaining entries are constants, filled at stage 0
+    if len(top_idx) != 1:
+        raise RejectionError(
+            "metric fallback needs a one-dimensional top degree",
+            {"top_indices": top_idx})
+    t = top_idx[0]
+    gt1 = g[t][0]
+    if gt1 == 0:
+        raise RejectionError("metric does not pair the unit with the top "
+                             "degree")
+    for r in unknown:
+        tab[r][r][0] = TruncSeries.one(coords, tab[r][r][0].order)
+        for l in range(n):
+            dl = degrees[l]
+            if dl >= D and Fraction(degrees[r]) + dl == w - 4:
+                tab[r][t][l] = TruncSeries.const(
+                    coords, tab[r][t][l].order, g[r][l] / gt1)
+            # other entries of such columns vanish by the grading

@@ -104,6 +104,29 @@ def test_h2_reconstruct_independent_of_generator_order():
     assert blob == json.dumps(c.to_json(), sort_keys=True)
 
 
+def _shift_init(w, deformed, order=N):
+    one = TruncSeries.one(("t",), order)
+    t = TruncSeries.var(("t",), order, "t")
+    b = [one + t * (k + 1) if deformed else one
+         for k in range((w - 1) // 2 - 1)]
+    return initial_from_filtration(shift_example(w, b, order=order))
+
+
+@pytest.mark.parametrize("case", ["w3", "w5", "w5-b", "w7", "w7-b", "cubic"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_h2_reconstruct_matches_stage_by_stage_reference(case, reverse):
+    # the frozen recursion with its own radial step and flat chart
+    from helpers import reference_h2_reconstruct
+    if case == "cubic":
+        init = cubic_init(N)
+    else:
+        init = _shift_init(int(case[1]), case.endswith("-b"))
+    got = h2_reconstruct(init, reverse_generation=reverse)
+    want = reference_h2_reconstruct(init, reverse_generation=reverse)
+    assert (json.dumps(normalize_germ(got).to_json(), sort_keys=True)
+            == json.dumps(normalize_germ(want).to_json(), sort_keys=True))
+
+
 def test_wdvv_passes_on_constructed_germs():
     init = shift_inits(N)[(5, "1+t")]
     germ = frobenius_via_unfolding(init)

@@ -158,6 +158,54 @@ def test_euler_integrate_linear_and_quadratic():
     assert A.terms == {(2,): F(1, 2)} and A.order == 4
     c = TruncSeries.const(("t",), 3, 5)
     assert euler_integrate({"t": c}).terms == {(1,): F(5)}
+    # entrywise matrix form: entry (0, 0) is nonzero only in the t-partial,
+    # (0, 1) only in the y-partial, (1, 0) in both and (1, 1) in neither
+    t, y = (TruncSeries.var(V2, 3, v) for v in V2)
+    zero = TruncSeries.zero(V2, 3)
+    Mt = SeriesMatrix([[t, zero], [y, zero]])
+    My = SeriesMatrix([[zero, y * y], [t, zero]])
+    for weights in (None, {"t": 1, "y": 1}, {"t": 2, "y": 3}):
+        got = euler_integrate({"t": Mt, "y": My}, weights)
+        assert got == SeriesMatrix(
+            [[euler_integrate({"t": Mt[i, j], "y": My[i, j]}, weights)
+              for j in range(2)] for i in range(2)])
+    assert euler_integrate({"t": Mt, "y": My})[1, 0].terms == {
+        (1, 1): F(1)}
+    assert euler_integrate({"t": Mt, "y": My}, {"t": 2, "y": 3})[0, 1] \
+        == euler_integrate({"y": My[0, 1]})
+    with pytest.raises(SeriesError):
+        euler_integrate({"t": Mt}, weights={"y": 1})
+    with pytest.raises(SeriesError):
+        euler_integrate({"t": t}, weights={"t": 0})
+
+
+@st.composite
+def weighted_homogeneous(draw):
+    """(F, weights): F in V2 with F(0) = 0, weighted-homogeneous for the
+    drawn weights (all 1 in the unweighted case)."""
+    w = {"t": draw(st.integers(1, 3)), "y": draw(st.integers(1, 3))}
+    if draw(st.booleans()):
+        w = {"t": 1, "y": 1}
+    order = draw(st.integers(1, 4))
+    deg = draw(st.integers(1, order * max(w.values())))
+    exps = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)
+            if a * w["t"] + b * w["y"] == deg]
+    terms = {e: draw(coeffs) for e in exps if draw(st.booleans())}
+    return TruncSeries(V2, order, terms), w
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weighted_homogeneous(), st.data())
+def test_euler_integrate_inverts_the_gradient(Fw, data):
+    f, w = Fw
+    grad = {v: f.partial(v) for v in V2}
+    assert euler_integrate(grad, w) == f
+    if w == {"t": 1, "y": 1}:
+        assert euler_integrate(grad) == f
+    # a one-variable Euler field treats the other variable as a constant
+    v = data.draw(st.sampled_from(V2))
+    rest = f.restrict_zero([v]).extend(V2)
+    assert euler_integrate({v: grad[v]}, {v: w[v]}) == f - rest
 
 
 def test_mul_var_raises_order():
@@ -312,6 +360,22 @@ def dense_entries(draw, rows=None, cols=None, order=2, unit_at=None):
 
 
 matrix_settings = settings(max_examples=50, deadline=None)
+
+
+@matrix_settings
+@given(st.data())
+def test_euler_integrate_matrix_is_entrywise(data):
+    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    Mt = SeriesMatrix(data.draw(dense_entries(r, c)))
+    My = SeriesMatrix(data.draw(dense_entries(r, c)))
+    w = data.draw(st.sampled_from([None, {"t": 1, "y": 1},
+                                   {"t": 2, "y": 1}, {"t": 1, "y": 3}]))
+    parts = data.draw(st.sampled_from([{"t": Mt}, {"y": My},
+                                       {"t": Mt, "y": My}]))
+    got = euler_integrate(parts, w)
+    assert got == SeriesMatrix(
+        [[euler_integrate({v: M[i, j] for v, M in parts.items()}, w)
+          for j in range(c)] for i in range(r)])
 
 
 @matrix_settings

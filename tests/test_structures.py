@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from frobkit.jacobi import JacobiFamily, WeightSystem, XPoly, build_jacobi
 from frobkit.series import SeriesMatrix, TruncSeries
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
-                                RejectionError, check_ftype_axioms,
+                                RejectionError, _gauge_flat_frame,
+                                check_ftype_axioms,
                                 check_filtration, shift_example,
                                 filtration_to_ftype, ftype_to_filtration,
                                 jacobi_to_filtration)
@@ -83,22 +85,45 @@ def test_nonhalfinteger_spectrum_rejected():
 
 
 def test_level_preserving_part_is_gauged_away():
-    # add a level-preserving piece t * (elementary diagonal block move)
+    # the gauge G of filtration_to_ftype solves dG = -(sum B_i dt_i) G with
+    # G(0) = id, which removes the level-preserving part B: G^-1 (B_i G +
+    # d_i G) = 0.  Two base variables and B_i = d_i Phi for
+    # Phi = t1 t2 X + t2^2 X^2, whose values all commute, so the equation is
+    # integrable and G = exp(-Phi).
+    vars = ("t1", "t2")
+    t1, t2 = (TruncSeries.var(vars, N, v) for v in vars)
+    X = consts([[1, 1, 0], [0, 1, 1], [0, 0, 1]], vars, N)
+    X2 = X @ X
+    Bs = [X.scale_series(t2), X.scale_series(t1) + X2.scale_series(t2 * 2)]
+    assert Bs[0].commutator(Bs[1]).is_zero()
+    G = _gauge_flat_frame(Bs, vars, N, 3)
+    assert G.order == N
+    assert G.at_origin() == [[F(int(i == j)) for j in range(3)]
+                             for i in range(3)]
+    ginv = G.inverse_series()
+    for v, B in zip(vars, Bs):
+        assert (G.partial(v) + B @ G).is_zero()
+        assert (ginv @ (B @ G + G.partial(v))).is_zero()
+    mPhi = -(X.scale_series(t1 * t2) + X2.scale_series(t2 * t2))
+    exp, power = SeriesMatrix.identity(3, vars, N), None
+    for k in range(1, N + 1):
+        power = mPhi if power is None else power @ mPhi
+        exp = exp + power.scale(Fraction(1, math.factorial(k)))
+    assert G == exp
+    # through the conversion: a level-preserving t on the middle level is
+    # gauged away (else an AssertionError), and only the pairing, no
+    # longer flat against the new connection, is rejected
     D = shift_example(4, [], order=N)
     t = TruncSeries.var(D.vars, N, "t")
     pert = [[TruncSeries.zero(D.vars, N) for _ in range(3)]
             for _ in range(3)]
-    pert[1][1] = t                      # preserves the middle level
-    G2 = D.Gamma[0] + SeriesMatrix(pert)
-    D2 = FiltrationData(D.vars, 3, 4, D.levels, [G2], D.S, N)
-    # the perturbed connection is still flat (one base variable) but the
-    # pairing is no longer flat against it, so only the connection part of
-    # the conversion is exercised here
-    lower, gauge = None, None
-    try:
+    pert[1][1] = t
+    D2 = FiltrationData(D.vars, 3, 4, D.levels,
+                        [D.Gamma[0] + SeriesMatrix(pert)], D.S, N)
+    with pytest.raises(RejectionError) as err:
         filtration_to_ftype(D2)
-    except RejectionError as err:
-        assert "violations" in err.report
+    assert {v["check"] for v in err.value.report["violations"]} == {
+        "pairing-higgs"}
 
 
 def test_griffiths_violation_reported():
@@ -227,7 +252,8 @@ def test_dictionary_roundtrip_from_filtration_side():
               shift_example(5, [one + t], order=N),
               jacobi_to_filtration(fermat_cubic_algebra(), order=N)[0]]:
         FT, gauge = filtration_to_ftype(D)
-        assert gauge == gauge  # gauge exists; trivial here
+        # no level-preserving part, so no gauge and no lost order
+        assert gauge == SeriesMatrix.identity(D.n, D.vars, D.order)
         back = ftype_to_filtration(FT, D.weight)
         assert back.levels == D.levels
         assert back.S == D.S
