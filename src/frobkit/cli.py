@@ -5,10 +5,13 @@ computes, and writes a machine-readable ``report.json`` plus a short
 ``summary.txt`` into the output directory (atomically).  Exit status 0
 means every requested certification passed, 1 means a certification
 failed (the report names the violated identities), 2 means the payload
-did not validate (against its schema, or a series or a matrix shape in
-it is malformed), 3 means an internal invariant broke (an
-``AssertionError`` or ``SeriesError`` inside the computation; the report
-names the exception under ``error`` and ``error_type``).
+did not validate (against its schema, or a series, a matrix shape or a
+count of matrices or levels in it is malformed), 3 means an internal
+invariant broke (an ``AssertionError`` or ``SeriesError`` inside the
+computation; the report names the exception under ``error`` and
+``error_type``).  A report's failed identities, like the ``violations``
+of a rejection's ``detail``, are lists of ``structures.violation``
+records ``{"check", "indices", "residual"}``.
 """
 
 from __future__ import annotations
@@ -176,18 +179,36 @@ def _square(rows, n, what):
     return rows
 
 
+def _count(items, n, what):
+    """Return a payload list after checking that it has n entries."""
+    if len(items) != n:
+        raise PayloadError("%s must have %d entries" % (what, n))
+    return items
+
+
+def _square_series(mats, n, what):
+    """Check that each series-matrix JSON in mats is n x n, by its rows
+    and cols and by its entries."""
+    for m in mats:
+        if (m.get("rows"), m.get("cols")) != (n, n):
+            raise PayloadError("%s must be %d x %d" % (what, n, n))
+        _square(m.get("entries", []), n, what)
+
+
 def _zeta(values, n):
     """Parse a payload's distinguished vector, which must have n entries."""
-    if len(values) != n:
-        raise PayloadError("zeta must have %d entries" % n)
-    return [frac_from_str(c) for c in values]
+    return [frac_from_str(c) for c in _count(values, n, "zeta")]
 
 
 def _ftype(obj) -> FrobeniusTypeStructure:
-    """Parse a Frobenius type structure whose constant matrices must be
-    rank x rank."""
+    """Parse a Frobenius type structure after checking its shapes: one
+    Higgs matrix per base coordinate, and every matrix rank x rank."""
+    n = obj["rank"]
+    _square_series(_count(obj["higgs"], len(obj["vars"]), "higgs"), n,
+                   "higgs")
+    _square_series([obj["u_endo"]], n, "u_endo")
     for key in ("v_endo", "pairing"):
-        _square(obj[key], obj["rank"], key)
+        _square(obj[key], n, key)
     return FrobeniusTypeStructure.from_json(obj)
 
 
@@ -206,8 +227,12 @@ def _parse_filtration_payload(initial, order):
                                   weight=initial.get("weight"))
     if kind == "filtration":
         obj = initial["filtration"]
+        n = obj["rank"]
+        _count(obj["levels"], n, "levels")
+        _square_series(_count(obj["gamma"], len(obj["vars"]), "gamma"), n,
+                       "gamma")
         if obj.get("pairing") is not None:
-            _square(obj["pairing"], obj["rank"], "pairing")
+            _square(obj["pairing"], n, "pairing")
         return initial_from_filtration(FiltrationData.from_json(obj))
     if kind == "shift-example":
         from .structures import shift_example
@@ -329,7 +354,7 @@ def _run_reconstruct(payload, order, z_order, trace, both):
         report["germ_recursion"] = normalize_germ(other).to_json()
         report["two_path_comparison"] = {
             "equal": cmp["equal"],
-            "diffs": [d.get("field") for d in cmp["diffs"]],
+            "diffs": [d["check"] for d in cmp["diffs"]],
         }
         lines.append("both construction paths agree: %s" % cmp["equal"])
         ok = cmp["equal"]

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import linalg
 from .series import SeriesMatrix, euler_integrate, frac_to_str
-from .structures import FrobeniusTypeStructure, RejectionError, check_ftype_axioms
+from .structures import (FrobeniusTypeStructure, RejectionError,
+                         check_ftype_axioms, violation)
 
 __all__ = [
     "ConnectionPencil", "PairingMatrix", "flatness_residual", "is_flat",
@@ -78,19 +79,14 @@ class ConnectionPencil:
         residuals of those flatness conditions are returned alongside.
         """
         VW = self.V + self.W
-        flat_inf = []
-        if self.order >= 1:
-            for v in self.vars:
-                r = VW.partial(v)
-                if not r.is_zero():
-                    flat_inf.append({"direction": v, "residual": r.to_json()})
-        flat_one = []
+        flat_inf, flat_one = [], []
         blocks = list(self.C) + list(self.F)
         if self.order >= 1:
             for v, B in zip(self.vars, blocks):
-                r = self.W.partial(v) - self.W.commutator(B)
-                if not r.is_zero():
-                    flat_one.append({"direction": v, "residual": r.to_json()})
+                violation(flat_inf, "residue-flat-at-infinity", (v,),
+                          VW.partial(v))
+                violation(flat_one, "residue-flat-at-one", (v,),
+                          self.W.partial(v) - self.W.commutator(B))
         return {
             "at_infinity": {"endomorphism": (-VW), "flat": not flat_inf,
                             "violations": flat_inf},
@@ -144,9 +140,8 @@ class PairingMatrix:
         """R(-z)^T = (-1)^weight R(z) reads R_k^T = (-1)^k R_k here."""
         out = []
         for k, R in enumerate(self.coeffs):
-            r = R.transpose() - (R if k % 2 == 0 else -R)
-            if not r.is_zero():
-                out.append({"z_power": k, "residual": r.to_json()})
+            violation(out, "pairing-symmetry", (k,),
+                      R.transpose() - (R if k % 2 == 0 else -R))
         return out
 
     def gram_invertible(self) -> bool:
@@ -238,11 +233,13 @@ def is_flat(P: ConnectionPencil) -> bool:
     return not flatness_residual(P)
 
 
-def residual_report(res: dict) -> dict:
-    """JSON-ready view of a residual dictionary."""
-    return {eq: [{"indices": list(idx), "residual": r.to_json()}
-                 for idx, r in items]
-            for eq, items in sorted(res.items())}
+def residual_report(res: dict) -> list:
+    """The records of a residual dictionary, one per failed equation."""
+    out = []
+    for eq, items in sorted(res.items()):
+        for idx, r in items:
+            violation(out, eq, idx, r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +254,11 @@ def potential_matrix(P: ConnectionPencil) -> SeriesMatrix:
     exact one order beyond the pencil order.
     """
     res = flatness_residual(P)
-    for eq in ("potential-tt", "potential-ty", "potential-yy"):
-        if eq in res:
-            raise RejectionError("pencil one-form is not closed",
-                                 {"failing": residual_report(
-                                     {eq: res[eq]})})
+    viol = residual_report({eq: r for eq, r in res.items()
+                            if eq.startswith("potential-")})
+    if viol:
+        raise RejectionError("pencil one-form is not closed",
+                             {"violations": viol})
     if not P.vars:
         return SeriesMatrix.zeros(P.n, P.n, P.vars, P.order)
     return euler_integrate(dict(zip(P.vars, list(P.C) + list(P.F))))
@@ -274,17 +271,10 @@ def reduced_flatness_check(P: ConnectionPencil) -> dict:
     Returns a report dict; "passes" is True iff every part vanished.
     """
     report: dict = {"passes": True}
-
-    def fail(key, payload):
-        report["passes"] = False
-        report[key] = payload
-
     VW = P.V + P.W
-    if not VW.is_constant():
-        nonconst = VW - SeriesMatrix.from_consts(
-            VW.at_origin(), P.vars, VW.order)
-        fail("residue-at-infinity-nonconstant", nonconst.to_json())
     res_inf = VW.at_origin()
+    _fail(report, "residue-at-infinity-nonconstant",
+          VW - SeriesMatrix.from_consts(res_inf, P.vars, VW.order))
     report["residue_at_infinity"] = [[frac_to_str(c) for c in row]
                                      for row in res_inf]
 
@@ -297,9 +287,7 @@ def reduced_flatness_check(P: ConnectionPencil) -> dict:
         Ares = unfolded_part(A).truncate(P.order)
         RES = SeriesMatrix.from_consts(res_inf, P.vars, P.order)
         rhs = (RES @ Ares - Ares @ RES) - Ares - unfolded_part(P.W)
-        r = unfolded_part(P.U) - rhs
-        if not r.is_zero():
-            fail("integrated-u-formula", r.to_json())
+        _fail(report, "integrated-u-formula", unfolded_part(P.U) - rhs)
     # reduced sufficient set: the y-direction commutation and W-transport
     # equations in full, the rest restricted to y = 0
     full = flatness_residual(P)
@@ -312,8 +300,7 @@ def reduced_flatness_check(P: ConnectionPencil) -> dict:
                "w-transport-t"):
         if eq in base:
             reduced[eq + "@y=0"] = base[eq]
-    if reduced:
-        fail("reduced-set-residuals", residual_report(reduced))
+    _fail(report, "reduced-set-residuals", residual_report(reduced))
     return report
 
 
@@ -335,9 +322,8 @@ def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     K = R.z_order
     # the z^(w-1) coefficient: nothing on the left, so the commutator with
     # the irregular part must vanish outright
-    r = P.U.transpose() @ R.coeffs[0] - R.coeffs[0] @ P.U
-    if not r.is_zero():
-        out.append({"z_power": -1, "residual": r.to_json()})
+    violation(out, "z-transport", (-1,),
+              P.U.transpose() @ R.coeffs[0] - R.coeffs[0] @ P.U)
     for k in range(K):
         lhs = R.coeffs[k].scale(Fraction(w + k))
         rhs = (P.U.transpose() @ R.coeffs[k + 1]
@@ -348,9 +334,7 @@ def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
             rhs = rhs - P.W.transpose() @ R.coeffs[k - j]
             term = R.coeffs[k - j] @ P.W
             rhs = rhs + (term if j % 2 == 1 else -term)
-        r = lhs - rhs
-        if not r.is_zero():
-            out.append({"z_power": k, "residual": r.to_json()})
+        violation(out, "z-transport", (k,), lhs - rhs)
     return out
 
 
@@ -362,22 +346,25 @@ def _base_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     blocks = list(zip(P.vars, list(P.C) + list(P.F)))
     for k in range(R.z_order):
         for v, B in blocks:
-            r = R.coeffs[k].partial(v) - (B.transpose() @ R.coeffs[k + 1]
-                                          - R.coeffs[k + 1] @ B)
-            if not r.is_zero():
-                out.append({"z_power": k, "direction": v,
-                            "residual": r.to_json()})
+            violation(out, "base-transport", (k, v), R.coeffs[k].partial(v)
+                      - (B.transpose() @ R.coeffs[k + 1]
+                         - R.coeffs[k + 1] @ B))
     return out
 
 
-def pairing_obstruction(P: ConnectionPencil, R0: SeriesMatrix) -> dict:
-    """The lowest-z obstruction B^T R_0 - R_0 B per base direction."""
-    out = {}
-    for v, B in zip(P.vars, list(P.C) + list(P.F)):
-        r = B.transpose() @ R0 - R0 @ B
-        if not r.is_zero():
-            out[v] = r
-    return out
+def _fail(report: dict, key: str, found) -> None:
+    """File failure records under report[key] and clear report["passes"].
+
+    found is a list of records, or one residual that becomes the record
+    of check key; an empty list or a zero residual files nothing.
+    """
+    if not isinstance(found, list):
+        records: list = []
+        violation(records, key, (), found)
+        found = records
+    if found:
+        report["passes"] = False
+        report[key] = found
 
 
 def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
@@ -391,11 +378,6 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     z^(weight-1) obstruction is reported as a certification failure.
     """
     report: dict = {"passes": True, "weight": R0.weight, "z_order": z_order}
-
-    def fail(key, payload):
-        report["passes"] = False
-        report[key] = payload
-
     N = P.order
     need = z_order + N
     if R0.z_order < need:
@@ -406,19 +388,13 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     from .unfold import gc_check
     gc = gc_check(base, with_u=True)
     if not gc.ok:
-        fail("generation-condition", gc.to_json())
+        _fail(report, "generation-condition", gc.to_json())
         return report
-    sym = R0.symmetry_violations()
-    if sym:
-        fail("base-symmetry", sym)
+    _fail(report, "base-symmetry", R0.symmetry_violations())
     if not R0.gram_invertible():
-        fail("base-gram-singular", True)
-    zres = _z_direction_residuals(base, R0)
-    if zres:
-        fail("base-z-transport", zres)
-    tres = _base_direction_residuals(base, R0)
-    if tres:
-        fail("base-t-transport", tres)
+        _fail(report, "base-gram-singular", "singular")
+    _fail(report, "base-z-transport", _z_direction_residuals(base, R0))
+    _fail(report, "base-t-transport", _base_direction_residuals(base, R0))
     if not report["passes"]:
         return report
 
@@ -438,13 +414,12 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
                 upd = euler_integrate(grad)
                 new.append(coeffs[k] + upd.truncate(coeffs[k].order))
             # obstruction: the transport must not create a z^(w-1) term
+            obs: list = []
             for a, v in enumerate(ys):
-                ob = (P.F[a].transpose() @ new[0] - new[0] @ P.F[a])
-                ob = ob.graded_part(s - 1, names=ys)
-                if not ob.is_zero():
-                    fail("holomorphy-obstruction",
-                         {"y_degree": s, "direction": v,
-                          "residual": ob.to_json()})
+                violation(obs, "holomorphy-obstruction", (s, v),
+                          (P.F[a].transpose() @ new[0] - new[0] @ P.F[a])
+                          .graded_part(s - 1, names=ys))
+            _fail(report, "holomorphy-obstruction", obs)
             if not report["passes"]:
                 return report
             coeffs = new + coeffs[top + 1:]
@@ -452,19 +427,15 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     # deeper ones were consumed by the transport, so certification stops
     # at the requested window
     R = PairingMatrix(R0.weight, coeffs[:z_order + 1])
-    sym = R.symmetry_violations()
-    if sym:
-        fail("extended-symmetry", sym)
-    zres = _z_direction_residuals(P, R)
-    if zres:
-        fail("extended-z-transport", zres)
-    tres = _base_direction_residuals(P, R)
-    if tres:
-        fail("extended-base-transport", tres)
-    ob = pairing_obstruction(P, coeffs[0])
-    if ob:
-        fail("holomorphy-obstruction",
-             {v: r.to_json() for v, r in ob.items()})
+    _fail(report, "extended-symmetry", R.symmetry_violations())
+    _fail(report, "extended-z-transport", _z_direction_residuals(P, R))
+    _fail(report, "extended-base-transport", _base_direction_residuals(P, R))
+    # the lowest-z obstruction B^T R_0 - R_0 B per base direction
+    obs = []
+    for v, B in zip(vars, list(P.C) + list(P.F)):
+        violation(obs, "holomorphy-obstruction", (v,),
+                  B.transpose() @ coeffs[0] - coeffs[0] @ B)
+    _fail(report, "holomorphy-obstruction", obs)
     if report["passes"]:
         report["pairing"] = R
     return report

@@ -28,8 +28,8 @@ from .series import (SeriesMatrix, TruncSeries, euler_integrate,
 
 __all__ = [
     "FrobeniusTypeStructure", "FiltrationData", "RejectionError",
-    "check_ftype_axioms", "ftype_to_filtration", "filtration_to_ftype",
-    "shift_example", "jacobi_to_filtration",
+    "violation", "check_ftype_axioms", "ftype_to_filtration",
+    "filtration_to_ftype", "shift_example", "jacobi_to_filtration",
 ]
 
 
@@ -39,6 +39,23 @@ class RejectionError(ValueError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report or {}
+
+
+def violation(out: list, check: str, indices=(), residual=None) -> bool:
+    """Append the record {check, indices, residual} of a failed identity.
+
+    This is the one place such a record is built.  A series or matrix
+    residual is stored as its JSON, and a zero one appends nothing; any
+    other detail (a constant matrix, "singular", expected and observed
+    values) is stored as given.  Returns whether a record was appended.
+    """
+    if isinstance(residual, (TruncSeries, SeriesMatrix)):
+        if residual.is_zero():
+            return False
+        residual = residual.to_json()
+    out.append({"check": check, "indices": list(indices),
+                "residual": residual})
+    return True
 
 
 def _const_to_json(mat):
@@ -161,21 +178,15 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
     """
     out = []
     n = F.n
-
-    def bad(name, idx, residual):
-        out.append({"check": name, "indices": idx,
-                    "residual": residual.to_json()
-                    if isinstance(residual, SeriesMatrix) else residual})
-
     g = F.g
     gt = linalg.transpose(g)
     if gt != g:
-        bad("pairing-symmetric", None, _const_to_json(
+        violation(out, "pairing-symmetric", (), _const_to_json(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(gt, g)]))
     try:
         linalg.mat_inverse(g)
     except ValueError:
-        bad("pairing-invertible", None, "singular")
+        violation(out, "pairing-invertible", (), "singular")
 
     gS = _lift(g, F.vars, F.order)
     VS = _lift(F.V, F.vars, F.order)
@@ -183,43 +194,32 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
 
     for i in range(len(F.vars)):
         for j in range(i + 1, len(F.vars)):
-            r = F.C[i].commutator(F.C[j])
-            if not r.is_zero():
-                bad("higgs-commute", (i, j), r)
+            violation(out, "higgs-commute", (i, j),
+                      F.C[i].commutator(F.C[j]))
             if can_diff:
-                r = F.C[i].partial(F.vars[j]) - F.C[j].partial(F.vars[i])
-                if not r.is_zero():
-                    bad("higgs-potential", (i, j), r)
+                violation(out, "higgs-potential", (i, j),
+                          F.C[i].partial(F.vars[j])
+                          - F.C[j].partial(F.vars[i]))
     for i in range(len(F.vars)):
-        r = F.C[i].commutator(F.U)
-        if not r.is_zero():
-            bad("u-higgs-commute", (i,), r)
+        violation(out, "u-higgs-commute", (i,), F.C[i].commutator(F.U))
         # transport of the first endomorphism along the base
         if can_diff:
-            r = F.U.partial(F.vars[i]) - F.C[i].commutator(VS) + F.C[i]
-            if not r.is_zero():
-                bad("u-transport", (i,), r)
-        r = F.C[i].transpose() @ gS - gS @ F.C[i]
-        if not r.is_zero():
-            bad("pairing-higgs", (i,), r)
-    r = F.U.transpose() @ gS - gS @ F.U
-    if not r.is_zero():
-        bad("pairing-u", None, r)
+            violation(out, "u-transport", (i,), F.U.partial(F.vars[i])
+                      - F.C[i].commutator(VS) + F.C[i])
+        violation(out, "pairing-higgs", (i,),
+                  F.C[i].transpose() @ gS - gS @ F.C[i])
+    violation(out, "pairing-u", (), F.U.transpose() @ gS - gS @ F.U)
     rv = [[sum(F.V[k][i] * g[k][j] for k in range(n)) +
            sum(g[i][k] * F.V[k][j] for k in range(n))
            for j in range(n)] for i in range(n)]
     if any(any(row) for row in rv):
-        bad("pairing-v-skew", None, _const_to_json(rv))
+        violation(out, "pairing-v-skew", (), _const_to_json(rv))
     return out
 
 
 def check_filtration(D: FiltrationData) -> list:
     """Level structure, flatness and pairing conditions, exactly."""
     out = []
-
-    def bad(name, idx, residual):
-        out.append({"check": name, "indices": idx, "residual": residual})
-
     lv = D.levels
     n = D.n
     for a, G in enumerate(D.Gamma):
@@ -228,8 +228,8 @@ def check_filtration(D: FiltrationData) -> list:
                 if G[k, l].is_zero():
                     continue
                 if lv[k] not in (lv[l], lv[l] - 1):
-                    bad("griffiths-transversality", (a, k, l),
-                        {"from_level": lv[l], "to_level": lv[k]})
+                    violation(out, "griffiths-transversality", (a, k, l),
+                              {"from_level": lv[l], "to_level": lv[k]})
     m = len(D.vars)
     for i in range(m):
         for j in range(i + 1, m):
@@ -237,28 +237,25 @@ def check_filtration(D: FiltrationData) -> list:
             if D.order >= 1:
                 r = (D.Gamma[i].partial(D.vars[j])
                      - D.Gamma[j].partial(D.vars[i]) + r)
-            if not r.is_zero():
-                bad("connection-flat", (i, j), r.to_json())
+            violation(out, "connection-flat", (i, j), r)
     if D.S is not None:
         S = D.S
         sign = 1 if D.weight % 2 == 0 else -1
         St = linalg.transpose(S)
         if St != [[sign * c for c in row] for row in S]:
-            bad("pairing-weight-symmetric", None, _const_to_json(S))
+            violation(out, "pairing-weight-symmetric", (), _const_to_json(S))
         try:
             linalg.mat_inverse(S)
         except ValueError:
-            bad("pairing-invertible", None, "singular")
+            violation(out, "pairing-invertible", (), "singular")
         for k in range(n):
             for l in range(n):
                 if S[k][l] != 0 and lv[k] + lv[l] != D.weight:
-                    bad("pairing-level-orthogonal", (k, l),
-                        frac_to_str(S[k][l]))
+                    violation(out, "pairing-level-orthogonal", (k, l),
+                              frac_to_str(S[k][l]))
         SS = _lift(S, D.vars, D.order)
         for a, G in enumerate(D.Gamma):
-            r = G.transpose() @ SS + SS @ G
-            if not r.is_zero():
-                bad("pairing-flat", (a,), r.to_json())
+            violation(out, "pairing-flat", (a,), G.transpose() @ SS + SS @ G)
     return out
 
 
@@ -361,8 +358,8 @@ def filtration_to_ftype(D: FiltrationData):
                 elif lv[k] == lv[l]:
                     Bm[k][l] = e
                 else:
-                    bad.append({"matrix": a, "entry": (k, l),
-                                "from_level": lv[l], "to_level": lv[k]})
+                    violation(bad, "griffiths-transversality", (a, k, l),
+                              {"from_level": lv[l], "to_level": lv[k]})
         lower.append(SeriesMatrix(Lm))
         keep.append(SeriesMatrix(Bm))
     if bad:

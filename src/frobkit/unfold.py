@@ -188,7 +188,7 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
     res = flatness_residual(base)
     if res:
         raise RejectionError("base pencil is not flat",
-                             {"residuals": residual_report(res)})
+                             {"violations": residual_report(res)})
     n = base.n
     N = problem.order
     t_vars = base.t_vars

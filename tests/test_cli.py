@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from frobkit import cli
 from frobkit.cli import main
 from frobkit.pencil import PairingMatrix, structure_connection
-from frobkit.series import SeriesError, TruncSeries
+from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import shift_example
 from helpers import point_base_pencil, rank2_higgs_ftype
 
@@ -266,6 +266,19 @@ def _wrong_shapes():
     filtration = shift_example(5, [TruncSeries(("t",), 4, {(0,): 1})],
                                order=4).to_json()
     filtration["pairing"] = [["1/1"]]
+    # rank-4 shift example (weight 5) with one level too few, and with a
+    # 3 x 3 connection matrix
+    shift = shift_example(5, [TruncSeries(("t",), 4, {(0,): 1})],
+                          order=4).to_json()
+    three = SeriesMatrix.identity(3, ("t",), 4).to_json()
+    short_levels = dict(shift, levels=shift["levels"][:-1])
+    small_gamma = dict(shift, gamma=[three])
+    extra_higgs = dict(ft, higgs=ft["higgs"] + ft["higgs"])
+    three_ft = SeriesMatrix.identity(3, tuple(ft["vars"]), 4).to_json()
+    big_u = dict(ft, u_endo=three_ft)
+    big_higgs = dict(ft, higgs=[three_ft] * len(ft["higgs"]))
+    # 2 x 2 entries under a 3 x 3 header
+    mislabelled_u = dict(ft, u_endo=dict(ft["u_endo"], rows=3, cols=3))
     return [
         ("reconstruct", cubic),
         ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
@@ -278,6 +291,14 @@ def _wrong_shapes():
                               "zeta": ["1/1", "0/1", "0/1"]}),
         ("reconstruct", {"initial": {"kind": "filtration",
                                      "filtration": filtration}}),
+        ("ftype-check", extra_higgs),
+        ("reconstruct", {"initial": {"kind": "filtration",
+                                     "filtration": short_levels}}),
+        ("reconstruct", {"initial": {"kind": "filtration",
+                                     "filtration": small_gamma}}),
+        ("ftype-check", big_u),
+        ("ftype-check", big_higgs),
+        ("ftype-check", mislabelled_u),
     ]
 
 
@@ -285,9 +306,14 @@ def _wrong_shapes():
                          ids=["jacobi-pairing-1x1", "zeta-short",
                               "zeta-long", "ftype-pairing-ragged",
                               "unfold-zeta-short", "unfold-zeta-long",
-                              "filtration-pairing-1x1"])
+                              "filtration-pairing-1x1", "ftype-extra-higgs",
+                              "filtration-levels-short",
+                              "filtration-gamma-3x3", "ftype-u-endo-3x3",
+                              "ftype-higgs-3x3", "ftype-u-endo-header-3x3"])
 def test_wrong_shape_payload_matrices_exit_two(tmp_path, command, payload):
-    # each passes its schema; a pairing, v_endo or zeta of the wrong shape
-    # is a malformed payload, not a failed certification or exit 3
+    # each passes its schema; a pairing, v_endo, zeta, Higgs field, first
+    # endomorphism, connection or level list of the wrong shape or count
+    # is a malformed payload, not a failed certification, a traceback or
+    # exit 3
     code, report, _ = _run(tmp_path, command, payload)
     assert code == 2 and report is None

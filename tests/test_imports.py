@@ -1,8 +1,10 @@
-"""Every top-level import of a frobkit module is used or re-exported.
+"""Every top-level import of a frobkit module is used or re-exported, and
+violation records are built in one place.
 
 No linter runs on this repository, so this walks the sources with ``ast``:
 a name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the module or listed in its ``__all__``.
+read somewhere in the module or listed in its ``__all__``, and a dict with
+a ``"residual"`` key may appear only in ``structures.violation``.
 """
 
 import ast
@@ -48,3 +50,42 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def residual_dicts(source: str, allowed: str = "") -> list:
+    """Lines that build a dict with a "residual" key, as a display or as
+    ``dict(residual=...)``, outside the function named ``allowed``."""
+    tree = ast.parse(source)
+    inside = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == allowed
+              for n in ast.walk(node)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "dict"):
+            keys = [kw.arg for kw in node.keywords]
+        else:
+            continue
+        if "residual" in keys and id(node) not in inside:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_a_residual_dict():
+    src = ("def violation(out, r):\n    out.append({'residual': r})\n"
+           "def bad(out, r):\n    out.append({'check': 1, 'residual': r})\n"
+           "    return dict(residual=r)\n")
+    assert residual_dicts(src, "violation") == [4, 5]
+    assert residual_dicts(src) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_residual_records_built_only_by_violation(path):
+    allowed = "violation" if path.name == "structures.py" else ""
+    assert residual_dicts(path.read_text(), allowed) == []
+
+
+def test_violation_builds_the_record():
+    assert len(residual_dicts((SRC / "structures.py").read_text())) == 1

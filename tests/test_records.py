@@ -1,0 +1,218 @@
+"""Every reporter files its failed identities as {check, indices, residual}.
+
+Each case feeds one reporter a corrupted input and collects the records it
+returns (or puts in a rejection's detail); every record must have exactly
+the three keys, a list of indices, and survive ``json.dumps``.
+"""
+
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from frobkit.germ import (FrobeniusGermData, compare_germs, euler_check,
+                          frobenius_via_unfolding, potential_integrate,
+                          wdvv_check)
+from frobkit.pencil import (ConnectionPencil, PairingMatrix,
+                            pairing_extension_check, potential_matrix,
+                            reduced_flatness_check)
+from frobkit.series import SeriesMatrix, TruncSeries
+from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
+                                RejectionError, check_filtration,
+                                check_ftype_axioms, filtration_to_ftype,
+                                shift_example, violation)
+from frobkit.unfold import UnfoldProblem, solve, universal_unfold
+from helpers import point_base_pencil, rank2_higgs_ftype, shift_inits
+
+N = 3
+KEYS = {"check", "indices", "residual"}
+
+
+def _assert_records(records):
+    assert records
+    for rec in records:
+        assert set(rec) == KEYS, rec
+        assert isinstance(rec["check"], str)
+        assert isinstance(rec["indices"], list)
+        json.dumps(rec)
+
+
+def _rejection(fn, *args):
+    with pytest.raises(RejectionError) as err:
+        fn(*args)
+    return err.value.report["violations"]
+
+
+def _germ():
+    return frobenius_via_unfolding(shift_inits(N)[(4, "1")])
+
+
+def _corrupted_germ(degrees=True, euler=None):
+    germ = _germ()
+    mult = list(germ.mult)
+    rows = [[mult[1][r, c] for c in range(3)] for r in range(3)]
+    rows[2][2] = rows[2][2] + TruncSeries.var(germ.coords, germ.order,
+                                              germ.coords[1])
+    rows[0][0] = rows[0][0] + 1
+    mult[1] = SeriesMatrix(rows)
+    return FrobeniusGermData(germ.coords, 3, mult, germ.metric,
+                             germ.degrees if degrees else None, euler,
+                             germ.potential, germ.order)
+
+
+def _unclosed_pencil():
+    vars = ("t1", "t2")
+    Z = SeriesMatrix.zeros(2, 2, vars, N)
+    C1 = SeriesMatrix.identity(2, vars, N).scale_series(
+        TruncSeries.var(vars, N, "t2"))
+    return ConnectionPencil(vars, (), 2, [C1, Z], [], Z, Z, Z, N)
+
+
+def _level_jump():
+    D = shift_example(4, [], order=N)
+    jump = [[TruncSeries.zero(D.vars, N) for _ in range(3)]
+            for _ in range(3)]
+    jump[2][0] = TruncSeries.one(D.vars, N)   # drops two levels
+    return FiltrationData(D.vars, 3, 4, D.levels,
+                          [D.Gamma[0] + SeriesMatrix(jump)], D.S, N)
+
+
+def test_wdvv_records():
+    recs = wdvv_check(_corrupted_germ())
+    _assert_records(recs)
+    assert {"unit-column", "commutativity"} <= {r["check"] for r in recs}
+
+
+def test_euler_records_graded_branch():
+    _assert_records(euler_check(_corrupted_germ(), dconst=F(2)))
+
+
+def test_euler_records_general_branch():
+    # a zero Euler field scales nothing, so both identities fail
+    germ = _germ()
+    zero = [TruncSeries.zero(germ.coords, germ.order)] * germ.n
+    recs = euler_check(_corrupted_germ(degrees=False, euler=zero),
+                       dconst=F(1, 2))
+    _assert_records(recs)
+    assert {r["check"] for r in recs} == {"euler-multiplication",
+                                          "euler-metric"}
+
+
+def test_ftype_axiom_records():
+    FT = rank2_higgs_ftype(N)
+    t = TruncSeries.var(FT.vars, N, "t")
+    bad = FrobeniusTypeStructure(
+        FT.vars, 2, FT.C, FT.C[0].scale_series(t),
+        [[F(1), F(0)], [F(0), F(0)]], [[F(0), F(1)], [F(0), F(0)]], N)
+    recs = check_ftype_axioms(bad)
+    _assert_records(recs)
+    assert {"pairing-symmetric", "pairing-invertible", "u-transport",
+            "pairing-v-skew"} <= {r["check"] for r in recs}
+
+
+def test_filtration_records():
+    D = _level_jump()
+    D.S = [[F(1), F(1), F(0)], [F(0)] * 3, [F(0)] * 3]
+    recs = check_filtration(D)
+    _assert_records(recs)
+    assert {"griffiths-transversality", "pairing-weight-symmetric",
+            "pairing-invertible", "pairing-level-orthogonal",
+            "pairing-flat"} <= {r["check"] for r in recs}
+
+
+def test_residue_records():
+    # V + W and W depend on t, so neither residue endomorphism is flat
+    FT = rank2_higgs_ftype(N)
+    t = TruncSeries.var(FT.vars, N, "t")
+    Z = SeriesMatrix.zeros(2, 2, FT.vars, N)
+    E11 = SeriesMatrix.from_consts([[1, 0], [0, 0]], FT.vars, N)
+    P = ConnectionPencil(FT.vars, (), 2, FT.C, [], Z, E11.scale_series(t),
+                         E11.scale_series(t), N)
+    res = P.residues()
+    _assert_records(res["at_infinity"]["violations"])
+    _assert_records(res["at_one"]["violations"])
+    assert res["at_one"]["violations"][0]["indices"] == ["t"]
+
+
+def test_pairing_symmetry_records():
+    R = SeriesMatrix.from_consts([[0, 1], [0, 0]], (), N)
+    recs = PairingMatrix(0, [R, R]).symmetry_violations()
+    _assert_records(recs)
+    assert [r["indices"] for r in recs] == [[0], [1]]
+
+
+def test_pairing_extension_records():
+    P, _ = point_base_pencil(N)
+    R0 = PairingMatrix.constant(0, [[F(1), F(0)], [F(0), F(1)]], (), N,
+                                4 + N)
+    rep = pairing_extension_check(P, R0, z_order=4)
+    _assert_records(rep["base-z-transport"])
+    # the universal unfolding without the correction part of its F-blocks
+    big = universal_unfold(P).pencil
+    badF = [SeriesMatrix([[Fa[i, 0], TruncSeries.zero(big.vars, N)]
+                          for i in range(2)]) for Fa in big.F]
+    bad = ConnectionPencil(big.t_vars, big.y_vars, 2, big.C, badF,
+                           big.U, big.V, big.W, N)
+    _, g = point_base_pencil(N)
+    rep = pairing_extension_check(
+        bad, PairingMatrix.constant(0, g, (), N, 4 + N), z_order=4)
+    _assert_records(rep["holomorphy-obstruction"])
+
+
+def test_reduced_check_records():
+    P, _ = point_base_pencil(N)
+    big = universal_unfold(P).pencil
+    y = TruncSeries.var(big.vars, N, big.y_vars[0])
+    pert = SeriesMatrix.identity(2, big.vars, N).scale_series(y)
+    bad = ConnectionPencil(big.t_vars, big.y_vars, 2, big.C, big.F,
+                           big.U + pert, big.V + pert, big.W, N)
+    rep = reduced_flatness_check(bad)
+    failed = [k for k in rep if k not in ("passes", "residue_at_infinity")]
+    assert "residue-at-infinity-nonconstant" in failed
+    for key in failed:
+        _assert_records(rep[key])
+
+
+def test_compare_germ_records():
+    inits = shift_inits(N)
+    cmp = compare_germs(frobenius_via_unfolding(inits[(5, "1")]),
+                        frobenius_via_unfolding(inits[(5, "1+t")]))
+    assert not cmp["equal"]
+    # each diff is a record that also names its field (and its index, for
+    # one-index fields), which acceptance criterion 9 reads
+    _assert_records([{k: d[k] for k in KEYS} for d in cmp["diffs"]])
+    for d in cmp["diffs"]:
+        assert d["field"] == d["check"]
+        assert set(d) - KEYS == ({"field", "index"} if d["indices"]
+                                 else {"field"})
+        if d["indices"]:
+            assert [d["index"]] == d["indices"]
+
+
+def test_rejection_details_are_records():
+    _assert_records(_rejection(potential_matrix, _unclosed_pencil()))
+    zero = TruncSeries.zero(("t1", "t2", "y1"), N + 1)
+    _assert_records(_rejection(solve, UnfoldProblem(
+        _unclosed_pencil(), ("y1",), [zero, zero], N)))
+    recs = _rejection(filtration_to_ftype, _level_jump())
+    _assert_records(recs)
+    assert recs[0]["residual"] == {"from_level": 3, "to_level": 1}
+    vars = ("s1", "s2")
+    one = SeriesMatrix.identity(2, vars, N)
+    nil = SeriesMatrix.from_consts([[0, 1], [0, 0]], vars, N)
+    _assert_records(_rejection(potential_integrate, [one, nil],
+                               [[F(1), F(0)], [F(0), F(1)]], vars, N))
+
+
+def test_violation_drops_zero_residuals():
+    out = []
+    assert violation(out, "zero", (0,), TruncSeries.zero(("t",), 2)) is False
+    assert violation(out, "zero", (),
+                     SeriesMatrix.zeros(2, 2, ("t",), 2)) is False
+    assert out == []
+    one = TruncSeries.one(("t",), 2)
+    assert violation(out, "one", (1, "t"), one) is True
+    assert violation(out, "singular") is True
+    assert out == [{"check": "one", "indices": [1, "t"],
+                    "residual": one.to_json()},
+                   {"check": "singular", "indices": [], "residual": None}]
