@@ -212,6 +212,23 @@ def _ftype(obj) -> FrobeniusTypeStructure:
     return FrobeniusTypeStructure.from_json(obj)
 
 
+def _pencil(obj) -> ConnectionPencil:
+    """Parse a connection pencil after checking its shapes: one C block per
+    t variable, one F block per y variable, and every block rank x rank."""
+    n = obj["rank"]
+    _square_series(_count(obj["C"], len(obj["t_vars"]), "C"), n, "C")
+    _square_series(_count(obj["F"], len(obj["y_vars"]), "F"), n, "F")
+    for key in ("U", "V", "W"):
+        _square_series([obj[key]], n, key)
+    return ConnectionPencil.from_json(obj)
+
+
+def _pairing(obj, n) -> PairingMatrix:
+    """Parse a pairing after checking that every z-coefficient is n x n."""
+    _square_series(obj["coeffs"], n, "pairing coeffs")
+    return PairingMatrix.from_json(obj)
+
+
 def _load_algebra(payload):
     ws = WeightSystem([frac_from_str(w) for w in payload["weights"]])
     f = XPoly.from_json(payload["num_vars"], payload["terms"])
@@ -290,9 +307,9 @@ def _run_structure_connection(payload, order, z_order, trace, both):
 
 
 def _run_unfold(payload, order, z_order, trace, both):
-    base = ConnectionPencil.from_json(payload["pencil"])
+    base = _pencil(payload["pencil"])
     vars = base.t_vars + tuple(payload["y_vars"])
-    f = [_series(s, vars) for s in payload["f"]]
+    f = [_series(s, vars) for s in _count(payload["f"], base.n, "f")]
     problem = UnfoldProblem(base, tuple(payload["y_vars"]), f,
                             payload.get("order", order))
     tr = [] if trace else None
@@ -314,7 +331,7 @@ def _run_unfold(payload, order, z_order, trace, both):
 
 
 def _run_universal_unfold(payload, order, z_order, trace, both):
-    base = ConnectionPencil.from_json(payload["pencil"])
+    base = _pencil(payload["pencil"])
     zeta = _zeta(payload["zeta"], base.n) if "zeta" in payload else None
     res = universal_unfold(base, zeta=zeta)
     ok = res.jacobian_invertible()
@@ -331,8 +348,8 @@ def _run_universal_unfold(payload, order, z_order, trace, both):
 
 
 def _run_pairing_extend(payload, order, z_order, trace, both):
-    P = ConnectionPencil.from_json(payload["pencil"])
-    R0 = PairingMatrix.from_json(payload["pairing"])
+    P = _pencil(payload["pencil"])
+    R0 = _pairing(payload["pairing"], P.n)
     rep = pairing_extension_check(P, R0, z_order=z_order)
     report = dict(rep)
     if "pairing" in report:

@@ -695,15 +695,12 @@ def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
     G = SeriesMatrix([[gamma[pr][a] for a in range(q)] for pr in selected])
     G_inv = G.inverse_series()
     rhs = [rhs_for(pr) for pr in selected]
-    sols = []
-    for a in range(q):
-        acc = None
-        for b in range(q):
-            piece = rhs[b].scale_series(G_inv[b, a])
-            acc = piece if acc is None else acc + piece
-        sols.append(acc)
+    # rhs[b] = sum_a G[b, a] X_a, so X_a = sum_b rhs[b] * G^-1[a, b]; a
+    # scaled term enters the kernel as rhs[b] @ (G^-1[a, b] I)
     for a, r in enumerate(unknown):
-        add_part(r, sols[a])
+        add_part(r, SeriesMatrix.sum_of_products(
+            [(1, rhs[b], SeriesMatrix.scalar(n, G_inv[a, b]))
+             for b in range(q)]))
     # the remaining generation relations must now hold
     for pr in pairs:
         if pr in selected:

@@ -10,7 +10,8 @@ the carriers for connection and Higgs data everywhere else in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import lcm
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Echelon, Ring
@@ -495,6 +496,21 @@ def euler_integrate(partials, weights: Mapping[str, int] | None = None):
     return SeriesMatrix._make(rows, cols, ctx, order + 1, data)
 
 
+def _normalise(groups) -> dict:
+    """{exponent: Fraction} from {denominator: {exponent: numerator}}, over
+    the lcm of the denominators; terms that sum to zero are dropped."""
+    if len(groups) == 1:
+        ((den, nums),) = groups.items()
+    else:
+        den = lcm(*groups)
+        nums = {}
+        for d, t in groups.items():
+            f = den // d
+            for e, n in t.items():
+                nums[e] = nums.get(e, 0) + n * f
+    return {e: Fraction(n, den) for e, n in nums.items() if n}
+
+
 def _check_shape(rows, cols):
     if rows < 1 or cols < 1:
         raise SeriesError("matrix must be nonempty")
@@ -507,9 +523,10 @@ class SeriesMatrix:
     only the nonzero entries, keyed in increasing column order, and is never
     mutated once the matrix exists (so matrices may share rows).  ``M[i, j]``
     returns a zero of the matrix's vars and order for an absent entry.
-    Products run row by row over the nonzeros (Gustavson, ACM TOMS 1978),
-    accumulating each entry in increasing inner index as a dense sweep
-    would.
+    Products, commutators and every sum of products run through one kernel,
+    ``sum_of_products``: it walks each output row once over all the
+    products, keeps integer numerators grouped by denominator, and forms
+    one Fraction per output term at the end.
     """
 
     __slots__ = ("rows", "cols", "vars", "order", "_data", "_zero")
@@ -573,6 +590,13 @@ class SeriesMatrix:
         _check_shape(n, n)
         o = TruncSeries.one(vars, order)
         return cls._make(n, n, o.vars, order, [{i: o} for i in range(n)])
+
+    @staticmethod
+    def scalar(n, x: TruncSeries) -> "SeriesMatrix":
+        """x times the n x n identity.  Trusted: x must be a TruncSeries."""
+        data = ([{i: x} for i in range(n)] if x.terms
+                else [{} for _ in range(n)])
+        return SeriesMatrix._make(n, n, x.vars, x.order, data)
 
     @classmethod
     def from_consts(cls, mat, vars, order):
@@ -718,23 +742,93 @@ class SeriesMatrix:
     def __matmul__(self, other):
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise SeriesError("shape mismatch for product")
-        right = other._data
-        data = []
-        for ra in self._data:
-            acc: dict = {}
-            for k, a in ra.items():
-                for j, b in right[k].items():
-                    p = a * b
-                    s = acc.get(j)
-                    acc[j] = p if s is None else s + p
-            data.append({j: acc[j] for j in sorted(acc) if acc[j].terms})
-        return SeriesMatrix._make(self.rows, other.cols, self.vars,
-                                  min(self.order, other.order), data)
+        return SeriesMatrix.sum_of_products([(1, self, other)])
 
     def commutator(self, other):
-        return (self @ other) - (other @ self)
+        return SeriesMatrix.sum_of_products([(1, self, other),
+                                             (-1, other, self)])
+
+    @staticmethod
+    def sum_of_products(terms) -> "SeriesMatrix":
+        """The sum of sign * A @ B over the (sign, A, B) of ``terms``.
+
+        Every sign is 1 or -1, every A.cols equals its B.rows (else
+        SeriesError("shape mismatch for product")), every product has the
+        shape of the first and every operand the variables of the first,
+        whether or not a product term is formed.  The result has the least
+        order of the operands.
+
+        Each output row is walked once over all the products, row by row
+        over the nonzeros (Gustavson, ACM TOMS 1978).  An entry enters as
+        integer numerators over the lcm of its denominators, and the
+        product of two entries adds the products of their numerators to a
+        dict kept for the product of their denominators.  So no Fraction
+        and no series is formed until the end, when each output term is
+        normalised once over the lcm of its entry's denominators.
+        """
+        terms = list(terms)
+        if not terms:
+            raise SeriesError("sum of no products")
+        _, A0, B0 = terms[0]
+        rows, cols, vars, order = A0.rows, B0.cols, A0.vars, A0.order
+        for sign, A, B in terms:
+            if sign != 1 and sign != -1:
+                raise SeriesError("product sign must be 1 or -1")
+            if A.cols != B.rows:
+                raise SeriesError("shape mismatch for product")
+            if A.rows != rows or B.cols != cols:
+                raise SeriesError("shape mismatch %dx%d vs %dx%d"
+                                  % (rows, cols, A.rows, B.cols))
+            for M in (A, B):
+                if M.vars != vars:
+                    raise SeriesError("variable lists differ: %r vs %r"
+                                      % (vars, M.vars))
+                order = min(order, M.order)
+        split: dict = {}
+
+        def numerators(x):
+            # (lcm of x's denominators, [(e, deg e, numerator)] by degree);
+            # keyed by id, which is stable while the operands are alive
+            got = split.get(id(x))
+            if got is None:
+                ratios = [(e, sum(e)) + c.as_integer_ratio()
+                          for e, c in x.terms.items()]
+                den = lcm(*[r[3] for r in ratios])
+                got = split[id(x)] = (den, sorted(
+                    [(e, d, n * (den // q)) for e, d, n, q in ratios],
+                    key=itemgetter(1)))
+            return got
+
+        data = []
+        for i in range(rows):
+            acc: dict = {}
+            for sign, A, B in terms:
+                right = B._data
+                for k, a in A._data[i].items():
+                    rk = right[k]
+                    if not rk:
+                        continue
+                    da, ta = numerators(a)
+                    for j, b in rk.items():
+                        db, tb = numerators(b)
+                        t = acc.setdefault(j, {}).setdefault(da * db, {})
+                        for e1, d1, n1 in ta:
+                            room = order - d1
+                            if room < 0:
+                                break
+                            n1 *= sign
+                            for e2, d2, n2 in tb:
+                                if d2 > room:
+                                    break
+                                e = tuple(map(add, e1, e2))
+                                t[e] = t.get(e, 0) + n1 * n2
+            out = {}
+            for j in sorted(acc):
+                x = _normalise(acc[j])
+                if x:
+                    out[j] = TruncSeries._make(vars, order, x)
+            data.append(out)
+        return SeriesMatrix._make(rows, cols, vars, order, data)
 
     def transpose(self):
         data = [{} for _ in range(self.cols)]

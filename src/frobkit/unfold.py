@@ -135,14 +135,14 @@ def _slice_mul(A, B, s):
     it commutes with the y-grading and slice s of the product is exactly
     the sum of the products of complementary slices.
     """
-    acc = A[0] @ B[s]
-    for d in range(1, s + 1):
-        acc = acc + A[d] @ B[s - d]
-    return acc
+    return SeriesMatrix.sum_of_products([(1, A[d], B[s - d])
+                                         for d in range(s + 1)])
 
 
 def _slice_commutator(A, B, s):
-    return _slice_mul(A, B, s) - _slice_mul(B, A, s)
+    return SeriesMatrix.sum_of_products(
+        [(1, A[d], B[s - d]) for d in range(s + 1)]
+        + [(-1, B[d], A[s - d]) for d in range(s + 1)])
 
 
 def _nterms(M: SeriesMatrix) -> int:
@@ -262,26 +262,17 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         if s == 0:
             X.append(Ms[0].inverse_series())
         else:
-            acc = Ms[1] @ X[s - 1]
-            for k in range(2, s + 1):
-                acc = acc + Ms[k] @ X[s - k]
-            X.append(-(X[0] @ acc))
+            X.append(-(X[0] @ SeriesMatrix.sum_of_products(
+                [(1, Ms[k], X[s - k]) for k in range(1, s + 1)])))
+        # a scaled term A * x enters as A @ (x I)
         for k in range(n):
-            acc = zero
-            for j in range(n):
-                for d in range(s + 1):
-                    x = X[s - d][j, k]
-                    if x.terms:
-                        acc = acc + wmats[j][d].scale_series(x)
-            E[k].append(acc)
+            E[k].append(SeriesMatrix.sum_of_products(
+                [(1, wmats[j][d], SeriesMatrix.scalar(n, X[s - d][j, k]))
+                 for j in range(n) for d in range(s + 1)]))
         for a in range(len(y_vars)):
-            acc = zero
-            for i in range(n):
-                for d in range(s + 1):
-                    x = dfs[i][a][s - d]
-                    if x.terms:
-                        acc = acc + E[i][d].scale_series(x)
-            F[a].append(acc)
+            F[a].append(SeriesMatrix.sum_of_products(
+                [(1, E[i][d], SeriesMatrix.scalar(n, dfs[i][a][s - d]))
+                 for i in range(n) for d in range(s + 1)]))
         # the solved equations and the ones the construction must re-prove
         for a in range(len(y_vars)):
             for i in range(n):

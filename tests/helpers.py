@@ -1,6 +1,6 @@
 """Shared fixtures: the pencil corpus, the unfolding oracles (brute force,
-and the whole-series construction), frozen elimination engines and the
-stage-by-stage germ recursion oracle."""
+and the whole-series construction), frozen elimination engines, the
+stage-by-stage germ recursion oracle and the frozen matrix product."""
 
 from fractions import Fraction
 
@@ -11,10 +11,10 @@ from frobkit.jacobi import WeightSystem, XPoly, build_jacobi
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, potential_matrix,
                             residual_report, structure_connection)
-from frobkit.series import SeriesMatrix, TruncSeries
-from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
-                                shift_example, filtration_to_ftype,
-                                jacobi_to_filtration)
+from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
+from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
+                                RejectionError, shift_example,
+                                filtration_to_ftype, jacobi_to_filtration)
 from frobkit.unfold import gc_check
 
 
@@ -113,6 +113,38 @@ def shift_inits(order=4, with_b2_deformed=True):
         out[(5, "1+t")] = initial_from_filtration(
             shift_example(5, [one + t], order=order))
     return out
+
+
+def shift_product_init(w1, w2, deformed=False, order=4):
+    """Initial data of the product of the shift examples of weights w1 (in
+    t) and w2 (in s): frame e_a (x) f_b in lex order, level p_a + q_b - 1,
+    weight w1 + w2 - 2, Gamma_t = Gamma (x) 1, Gamma_s = 1 (x) Gamma' and
+    pairing S (x) S'.  Its Euler degrees a + b - 1 repeat, so the
+    generation solve of ``h2_reconstruct`` has several unknowns at a
+    degree.  With ``deformed`` the free coefficients are 1 + (k + 1) t and
+    1 + (k + 2) s."""
+    Ds = []
+    for w, var, lift in ((w1, "t", 1), (w2, "s", 2)):
+        one = TruncSeries.one((var,), order)
+        x = TruncSeries.var((var,), order, var)
+        b = [one + x * (k + lift) if deformed else one
+             for k in range((w - 1) // 2 - 1)]
+        Ds.append(shift_example(w, b, order=order, var=var))
+    D1, D2 = Ds
+    vars = ("t", "s")
+    n1, n2 = D1.n, D2.n
+    n = n1 * n2
+    gamma = [SeriesMatrix.from_sparse(n, n, vars, order, {
+        (i * n2 + k, j * n2 + k): x.extend(vars)
+        for (i, j), x in D1.Gamma[0].nonzero().items() for k in range(n2)})]
+    gamma.append(SeriesMatrix.from_sparse(n, n, vars, order, {
+        (i * n2 + k, i * n2 + l): x.extend(vars)
+        for (k, l), x in D2.Gamma[0].nonzero().items() for i in range(n1)}))
+    levels = [p + q - 1 for p in D1.levels for q in D2.levels]
+    S = [[D1.S[i][j] * D2.S[k][l] for j in range(n1) for l in range(n2)]
+         for i in range(n1) for k in range(n2)]
+    return initial_from_filtration(FiltrationData(
+        vars, n, w1 + w2 - 2, levels, gamma, S, order))
 
 
 def cubic_init(order=4):
@@ -1015,3 +1047,68 @@ def _fill_ungenerated(tab, unknown, stage, degrees, g, w, top_idx, D, n,
                 tab[r][t][l] = TruncSeries.const(
                     coords, tab[r][t][l].order, g[r][l] / gt1)
             # other entries of such columns vanish by the grading
+
+
+# ---------------------------------------------------------------------------
+# frozen matrix product: ``SeriesMatrix.__matmul__`` (Gustavson's row-by-row
+# product, one TruncSeries product and sum per term) and ``_combine``
+# exactly as they were before the fused ``SeriesMatrix.sum_of_products``.
+# They are the oracle for that kernel.
+# ---------------------------------------------------------------------------
+
+
+def frozen_matmul(self, other):
+    if self.cols != other.rows:
+        raise SeriesError("shape mismatch for product")
+    right = other._data
+    data = []
+    for ra in self._data:
+        acc: dict = {}
+        for k, a in ra.items():
+            for j, b in right[k].items():
+                p = a * b
+                s = acc.get(j)
+                acc[j] = p if s is None else s + p
+        data.append({j: acc[j] for j in sorted(acc) if acc[j].terms})
+    return SeriesMatrix._make(self.rows, other.cols, self.vars,
+                              min(self.order, other.order), data)
+
+
+def frozen_combine(self, other, both, right):
+    self._shape_like(other)
+    zero = both(self._zero, other._zero)
+    order = zero.order
+    data = []
+    for ra, rb in zip(self._data, other._data):
+        out = {}
+        for j in sorted(ra.keys() | rb.keys()):
+            a = ra.get(j)
+            b = rb.get(j)
+            if b is None:
+                x = a
+            elif a is None:
+                x = right(b)
+            else:
+                x = both(a, b)
+            if x.order != order:
+                x = x.truncate(order)
+            if x.terms:
+                out[j] = x
+        data.append(out)
+    return SeriesMatrix._make(self.rows, self.cols, zero.vars, order, data)
+
+
+def frozen_sum_of_products(terms):
+    """sum of sign * A @ B over (sign, A, B), one product and one matrix
+    sum at a time, as callers formed it before the fused kernel."""
+    acc = None
+    for sign, A, B in terms:
+        p = frozen_matmul(A, B)
+        if acc is None:
+            acc = p if sign > 0 else -p
+        elif sign > 0:
+            acc = frozen_combine(acc, p, TruncSeries.__add__, lambda b: b)
+        else:
+            acc = frozen_combine(acc, p, TruncSeries.__sub__,
+                                 TruncSeries.__neg__)
+    return acc

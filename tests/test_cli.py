@@ -279,6 +279,16 @@ def _wrong_shapes():
     big_higgs = dict(ft, higgs=[three_ft] * len(ft["higgs"]))
     # 2 x 2 entries under a 3 x 3 header
     mislabelled_u = dict(ft, u_endo=dict(ft["u_endo"], rows=3, cols=3))
+    # the rank-2 point pencil and its pairing with one 3 x 3 block each or
+    # a block too many, the rank-2 pencil over t with a 3 x 3 C block, and
+    # an unfolding of the point pencil with one first-column function
+    point, g = point_base_pencil(2)
+    pj = point.to_json()
+    three_pt = SeriesMatrix.identity(3, (), 2).to_json()
+    pairing = PairingMatrix.constant(0, g, (), 2, 8).to_json()
+    big_coeff = dict(pairing, coeffs=[three_pt] + pairing["coeffs"][1:])
+    pt = P.to_json()
+    three_t = SeriesMatrix.identity(3, tuple(pt["t_vars"]), 4).to_json()
     return [
         ("reconstruct", cubic),
         ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
@@ -299,6 +309,18 @@ def _wrong_shapes():
         ("ftype-check", big_u),
         ("ftype-check", big_higgs),
         ("ftype-check", mislabelled_u),
+        ("universal-unfold", {"pencil": dict(pj, U=three_pt)}),
+        ("pairing-extend", {"pencil": pj, "pairing": big_coeff}),
+        ("universal-unfold", {"pencil": dict(pt, C=[three_t])}),
+        ("universal-unfold", {"pencil": dict(pj, V=three_pt)}),
+        ("universal-unfold", {"pencil": dict(pj, W=three_pt)}),
+        ("universal-unfold", {"pencil": dict(pj, y_vars=["y1"],
+                                             F=[three_pt])}),
+        ("universal-unfold", {"pencil": dict(pj, C=[pj["U"]])}),
+        ("pairing-extend", {"pencil": dict(pj, F=[pj["U"]]),
+                            "pairing": pairing}),
+        ("unfold", {"pencil": pj, "y_vars": ["y1"],
+                    "f": [TruncSeries(("y1",), 3, {(1,): 1}).to_json()]}),
     ]
 
 
@@ -309,11 +331,15 @@ def _wrong_shapes():
                               "filtration-pairing-1x1", "ftype-extra-higgs",
                               "filtration-levels-short",
                               "filtration-gamma-3x3", "ftype-u-endo-3x3",
-                              "ftype-higgs-3x3", "ftype-u-endo-header-3x3"])
+                              "ftype-higgs-3x3", "ftype-u-endo-header-3x3",
+                              "pencil-u-3x3", "pairing-coeff-3x3",
+                              "pencil-c-3x3", "pencil-v-3x3", "pencil-w-3x3",
+                              "pencil-f-3x3", "pencil-extra-c",
+                              "pencil-extra-f", "unfold-f-short"])
 def test_wrong_shape_payload_matrices_exit_two(tmp_path, command, payload):
     # each passes its schema; a pairing, v_endo, zeta, Higgs field, first
-    # endomorphism, connection or level list of the wrong shape or count
-    # is a malformed payload, not a failed certification, a traceback or
-    # exit 3
+    # endomorphism, connection, level list, pencil block or pairing
+    # coefficient of the wrong shape or count is a malformed payload, not a
+    # failed certification, a traceback or exit 3
     code, report, _ = _run(tmp_path, command, payload)
     assert code == 2 and report is None

@@ -127,6 +127,38 @@ def test_h2_reconstruct_matches_stage_by_stage_reference(case, reverse):
             == json.dumps(normalize_germ(want).to_json(), sort_keys=True))
 
 
+def _blob(germ):
+    return json.dumps(normalize_germ(germ).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_h2_reconstruct_with_several_unknowns_matches_reference(reverse):
+    # Euler degrees -1, 0, 0, 1, 1, 2, 2, 3: the generation solve has two
+    # unknowns at degrees 1 and 2
+    from helpers import reference_h2_reconstruct, shift_product_init
+    init = shift_product_init(5, 3, order=3)
+    assert init.frame_degrees() == [F(d) for d in (-1, 0, 0, 1, 1, 2, 2, 3)]
+    got = h2_reconstruct(init, reverse_generation=reverse)
+    want = reference_h2_reconstruct(init, reverse_generation=reverse)
+    assert _blob(got) == _blob(want)
+    if not reverse:
+        deformed = shift_product_init(5, 3, deformed=True, order=3)
+        assert _blob(h2_reconstruct(deformed)) == _blob(
+            reference_h2_reconstruct(deformed))
+
+
+def test_h2_reconstruct_generation_solve_inverts_the_relations():
+    # scanned in reverse, the deformed product selects relations whose
+    # coefficient matrix is not symmetric, so the solve must apply G^-1 and
+    # not its transpose
+    from helpers import shift_product_init
+    init = shift_product_init(5, 3, deformed=True, order=3)
+    fwd = h2_reconstruct(init)
+    rev = h2_reconstruct(init, reverse_generation=True)
+    assert _blob(rev) == _blob(fwd)
+    assert compare_germs(frobenius_via_unfolding(init), rev)["equal"]
+
+
 def test_wdvv_passes_on_constructed_germs():
     init = shift_inits(N)[(5, "1+t")]
     germ = frobenius_via_unfolding(init)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from frobkit.series import (SeriesMatrix, TruncSeries, euler_integrate,
                             frac_from_str, frac_to_str)
 from frobkit.series import SeriesError
+from helpers import frozen_combine, frozen_matmul, frozen_sum_of_products
 
 F = Fraction
 V2 = ("t", "y")
@@ -568,3 +569,138 @@ def test_sub_is_add_of_negation(a, b, c, k):
         assert list(got.terms.items()) == list(want.terms.items())
         assert (got.vars, got.order) == (want.vars, want.order)
         assert_clean(got)
+
+
+# -- the fused sum-of-products kernel against the frozen matrix product -----
+
+def assert_same_matrix(got, want):
+    """Same JSON, vars, order, row key order and entry order, and every
+    stored entry clean and of the matrix order."""
+    assert got.to_json() == want.to_json()
+    assert (got.rows, got.cols, got.vars, got.order) == (
+        want.rows, want.cols, want.vars, want.order)
+    assert [list(row) for row in got._data] == [list(row)
+                                                for row in want._data]
+    assert list(got.nonzero()) == list(want.nonzero())
+    assert got == want
+    for x in got.nonzero().values():
+        assert_clean(x)
+        assert x.order == got.order and not x.is_zero()
+
+
+# few coefficients with coprime denominators, so that sums of products
+# often meet on one exponent, and any two denominators have an lcm larger
+# than both
+kernel_coeffs = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(1, 3),
+                                 F(-2, 3), F(3, 5), F(-1, 7)])
+
+
+@st.composite
+def kernel_operand(draw, rows, cols, order):
+    """Zero-heavy rows x cols operand with terms of degree 0..order: all
+    zero one time in five, blank rows, entries of order `order` or
+    `order + 1`."""
+    all_zero = draw(st.integers(0, 4)) == 0
+    blank = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1))
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            o = draw(st.sampled_from([order, order, order + 1]))
+            terms = {}
+            if not all_zero and i not in blank and draw(st.booleans()):
+                exps = st.tuples(st.integers(0, o), st.integers(0, o)).filter(
+                    lambda e: sum(e) <= o)
+                terms = draw(st.dictionaries(exps, kernel_coeffs,
+                                             max_size=3))
+            row.append(TruncSeries(V2, o, terms))
+        out.append(row)
+    return SeriesMatrix(out)
+
+
+@st.composite
+def product_sums(draw):
+    """One to three signed products of operands of orders 1-3 that share
+    an r x c result shape; sometimes a term's twin of opposite sign, with
+    the factor 1/2 moved from one operand to the other, cancels it across
+    denominators."""
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        A = draw(kernel_operand(r, k, draw(st.integers(1, 3))))
+        B = draw(kernel_operand(k, c, draw(st.integers(1, 3))))
+        sign = draw(st.sampled_from([1, -1]))
+        terms.append((sign, A, B))
+        if draw(st.booleans()):
+            terms.append((-sign, A.scale(F(1, 2)), B.scale(2)))
+    return terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(product_sums(), kernel_operand(2, 2, 2), kernel_operand(2, 2, 1))
+def test_sum_of_products_matches_frozen_product(terms, S, T):
+    assert_same_matrix(SeriesMatrix.sum_of_products(terms),
+                       frozen_sum_of_products(terms))
+    _, A, B = terms[0]
+    assert_same_matrix(A @ B, frozen_matmul(A, B))
+    assert_same_matrix(S.commutator(T), frozen_combine(
+        frozen_matmul(S, T), frozen_matmul(T, S), TruncSeries.__sub__,
+        TruncSeries.__neg__))
+
+
+def test_sum_of_products_groups_and_cancels_denominators():
+    t = TruncSeries.var(("t",), 3, "t")
+    one = TruncSeries.one(("t",), 3)
+
+    def row(*xs):
+        return SeriesMatrix([list(xs)])
+
+    def col(*xs):
+        return SeriesMatrix([[x] for x in xs])
+
+    # one exponent hit by products with denominators 2 and 3
+    got = row(one * F(1, 2), one * F(1, 3)) @ col(one, one)
+    assert got[0, 0].terms == {(0,): F(5, 6)}
+    # t/2 * 2t/3 - t/3 * t cancels across denominators to exactly zero
+    terms = [(1, row(t * F(1, 2)), col(t * F(2, 3))),
+             (-1, row(t * F(1, 3)), col(t))]
+    got = SeriesMatrix.sum_of_products(terms)
+    assert got._data == [{}] and got.is_zero()
+    assert got.to_json() == frozen_sum_of_products(terms).to_json()
+    # a surviving term keeps only its nonzero part
+    terms.append((1, row(one * F(1, 7), t), col(t * t, t * F(1, 5))))
+    got = SeriesMatrix.sum_of_products(terms)
+    assert got[0, 0].terms == {(2,): F(12, 35)}
+    assert_same_matrix(got, frozen_sum_of_products(terms))
+
+
+def test_sum_of_products_errors():
+    A = SeriesMatrix.zeros(2, 3, V2, 2)
+    B = SeriesMatrix.zeros(3, 2, V2, 2)
+    with pytest.raises(SeriesError, match="^shape mismatch for product$"):
+        A @ A
+    with pytest.raises(SeriesError, match="^shape mismatch for product$"):
+        SeriesMatrix.sum_of_products([(1, A, B), (1, B, B)])
+    with pytest.raises(SeriesError, match="^shape mismatch 2x2 vs 3x3$"):
+        A.commutator(B)
+    with pytest.raises(SeriesError, match="sign"):
+        SeriesMatrix.sum_of_products([(2, A, B)])
+    with pytest.raises(SeriesError, match="no products"):
+        SeriesMatrix.sum_of_products([])
+    # a variable mismatch is an error even where no product term is formed
+    other = SeriesMatrix.zeros(3, 2, ("t",), 2)
+    with pytest.raises(SeriesError, match="variable lists differ"):
+        A @ other
+    with pytest.raises(SeriesError, match="variable lists differ"):
+        SeriesMatrix.sum_of_products([(1, A, B), (-1, A, other)])
+    with pytest.raises(TypeError):
+        A @ 2
+
+
+def test_scalar_matrix_scales():
+    x = TruncSeries(V2, 2, {(0, 0): F(1, 2), (1, 0): 3})
+    M = SeriesMatrix.from_consts([[1, 0, F(2, 3)], [0, 0, 0]], V2, 3)
+    assert_same_matrix(M @ SeriesMatrix.scalar(3, x), M.scale_series(x))
+    zero = SeriesMatrix.scalar(2, TruncSeries.zero(V2, 1))
+    assert zero.is_zero() and zero.order == 1 and zero.rows == zero.cols == 2
