@@ -5,11 +5,11 @@ computes, and writes a machine-readable ``report.json`` plus a short
 ``summary.txt`` into the output directory (atomically).  Exit status 0
 means every requested certification passed, 1 means a certification
 failed (the report names the violated identities), 2 means the payload
-did not validate (against its schema, or a series, a matrix shape or a
-count of matrices or levels in it is malformed), 3 means an internal
-invariant broke (an ``AssertionError`` or ``SeriesError`` inside the
-computation; the report names the exception under ``error`` and
-``error_type``).  A report's failed identities, like the ``violations``
+did not validate (against its schema, or a series, a polynomial, a germ's
+Euler data, a matrix shape or a count of matrices or levels in it is
+malformed), 3 means an internal invariant broke (an ``AssertionError`` or
+``SeriesError`` inside the computation; the report names the exception
+under ``error`` and ``error_type``).  A report's failed identities, like the ``violations``
 of a rejection's ``detail``, are lists of ``structures.violation``
 records ``{"check", "indices", "residual"}``.
 """
@@ -132,10 +132,6 @@ SCHEMAS = {
 }
 
 
-class CliFailure(Exception):
-    """Certification failed; the report explains what."""
-
-
 def _atomic_write(path, text):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -230,9 +226,23 @@ def _pairing(obj, n) -> PairingMatrix:
 
 
 def _load_algebra(payload):
-    ws = WeightSystem([frac_from_str(w) for w in payload["weights"]])
-    f = XPoly.from_json(payload["num_vars"], payload["terms"])
+    """Parse a polynomial payload (one weight in (0, 1/2] per variable,
+    exponents of length num_vars) before building its Jacobi algebra."""
+    n = payload["num_vars"]
+    weights = _count(payload["weights"], n, "weights")
+    try:
+        ws = WeightSystem([frac_from_str(w) for w in weights])
+        f = XPoly.from_json(n, payload["terms"])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PayloadError("polynomial: %s" % exc) from exc
     return build_jacobi(f, ws)
+
+
+def _germ(obj) -> FrobeniusGermData:
+    """Parse a germ, which must carry Euler data in one of its two forms."""
+    if not (obj.get("euler_degrees") or obj.get("euler_coords")):
+        raise PayloadError("germ needs euler_degrees or euler_coords")
+    return FrobeniusGermData.from_json(obj)
 
 
 def _parse_filtration_payload(initial, order):
@@ -375,18 +385,16 @@ def _run_reconstruct(payload, order, z_order, trace, both):
         }
         lines.append("both construction paths agree: %s" % cmp["equal"])
         ok = cmp["equal"]
-    report["wdvv_violations"] = wdvv_check(germ)
-    report["euler_violations"] = euler_check(germ, dconst=init.d_value)
-    ok = ok and not report["wdvv_violations"] and not report["euler_violations"]
-    lines.append("multiplication axioms: %s"
-                 % ("pass" if not report["wdvv_violations"] else "FAIL"))
-    lines.append("scaling axioms: %s"
-                 % ("pass" if not report["euler_violations"] else "FAIL"))
+    # both constructors certify their germ (``germ._assert_clean``) with
+    # the same checks, so a germ that reaches here has no violations
+    report["wdvv_violations"] = []
+    report["euler_violations"] = []
+    lines += ["multiplication axioms: pass", "scaling axioms: pass"]
     return report, lines, ok
 
 
 def _run_wdvv(payload, order, z_order, trace, both):
-    germ = FrobeniusGermData.from_json(payload)
+    germ = _germ(payload)
     viol = wdvv_check(germ)
     eviol = euler_check(germ) if germ.degrees is not None else []
     report = {"wdvv_violations": viol, "euler_violations": eviol}
@@ -398,8 +406,8 @@ def _run_wdvv(payload, order, z_order, trace, both):
 
 
 def _run_compare(payload, order, z_order, trace, both):
-    left = FrobeniusGermData.from_json(payload["left"])
-    right = FrobeniusGermData.from_json(payload["right"])
+    left = _germ(payload["left"])
+    right = _germ(payload["right"])
     cmp = compare_germs(left, right)
     lines = ["germs equal after normalization: %s" % cmp["equal"]]
     return cmp, lines, cmp["equal"]

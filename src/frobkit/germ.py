@@ -386,20 +386,18 @@ def potential_integrate(mult, metric, coords, order) -> TruncSeries:
     """The potential with the given third derivatives, vanishing to second
     order at the origin; total symmetry of the tensor is required."""
     n = len(mult)
-
-    def c(i, j, k):
-        return _c_tensor(mult, metric, coords, order, i, j, k)
-
+    c = [[[_c_tensor(mult, metric, coords, order, i, j, k) for k in range(n)]
+          for j in range(n)] for i in range(n)]
     viol: list = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 violation(viol, "third-derivative-symmetric", (i, j, k),
-                          c(i, j, k) - c(i, k, j))
+                          c[i][j][k] - c[i][k][j])
     if viol:
         raise RejectionError("third-derivative tensor is not symmetric",
                              {"violations": viol})
-    second = [[euler_integrate({coords[i]: c(i, j, k) for i in range(n)})
+    second = [[euler_integrate({coords[i]: c[i][j][k] for i in range(n)})
                for k in range(n)] for j in range(n)]
     first = [euler_integrate({coords[j]: second[j][k] for j in range(n)})
              for k in range(n)]

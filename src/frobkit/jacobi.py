@@ -177,8 +177,13 @@ class XPoly:
         self.terms = {}
         if terms:
             for e, c in dict(terms).items():
+                e = tuple(e)
+                if len(e) != nvars or any(not isinstance(k, int) or k < 0
+                                          for k in e):
+                    raise ValueError("bad exponent tuple %r for %d vars"
+                                     % (e, nvars))
                 if _nonzero(c):
-                    self.terms[tuple(e)] = c
+                    self.terms[e] = c
 
     @classmethod
     def from_json(cls, nvars, term_list):

@@ -7,9 +7,9 @@ commutative algebra generated by the current C-blocks and U (solving for
 matrices with prescribed first columns), and the remaining blocks are
 obtained by radial integration of their transport equations.  Every block
 is held as its list of y-degree slices, and stage s computes only slice s,
-from products of lower slices (see ``solve``).  Every equation the
-construction does not solve directly is re-evaluated on its slice and a
-nonzero residual is a hard failure.
+from products of lower slices (see ``solve``).  The finished pencil is
+certified once, on all fourteen flatness equations, and a nonzero
+residual is a hard failure.
 
 The generation certificate (span of the fiber by iterated applications of
 the constant-term operators to the distinguished vector) and the
@@ -149,6 +149,14 @@ def _nterms(M: SeriesMatrix) -> int:
     return sum(len(x.terms) for x in M.nonzero().values())
 
 
+def _y_degree(M: SeriesMatrix, y_vars) -> int:
+    """The lowest y-degree of a nonzero matrix."""
+    d = 0
+    while M.graded_part(d, names=y_vars).is_zero():
+        d += 1
+    return d
+
+
 def _sum(slices):
     out = slices[0]
     for M in slices[1:]:
@@ -177,9 +185,12 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
     - F_a^(s) = sum_i sum_d E_i^(d) * (df_i/dy_a)^(s-d).
 
     Radial integration then gives slice s+1 of C, U, V and W from slice s
-    of their transport equations.  Each equation the induction re-proves is
-    checked on its slice, built from slice products; the output blocks are
-    the sums of their slices.
+    of their transport equations.  The output blocks are the sums of their
+    slices.  The first-column contract is checked on each slice; every
+    other equation is certified once, on the finished pencil, by all
+    fourteen equations of ``flatness_residual``.  A failure raises an
+    ``AssertionError`` naming each failing equation with its lowest
+    y-degree.
     """
     base = problem.base
     if base.y_vars:
@@ -243,12 +254,6 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
             return zero
         return euler_integrate(dict(zip(y_vars, parts))).truncate(N)
 
-    def assert_zero(part, name, s):
-        if not part.is_zero():
-            raise AssertionError(
-                "unfolding induction failed: %s has a nonzero residual at "
-                "y-degree %d" % (name, s))
-
     for s in range(N + 1):
         for wm, word in zip(wmats, words):
             if not word:
@@ -273,22 +278,10 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
             F[a].append(SeriesMatrix.sum_of_products(
                 [(1, E[i][d], SeriesMatrix.scalar(n, dfs[i][a][s - d]))
                  for i in range(n) for d in range(s + 1)]))
-        # the solved equations and the ones the construction must re-prove
-        for a in range(len(y_vars)):
-            for i in range(n):
-                assert_zero(F[a][s][i, 0] - dfs[i][a][s],
-                            "first-column contract", s)
-            for i in range(len(t_vars)):
-                assert_zero(_slice_commutator(C[i], F[a], s),
-                            "higgs-commute-ty", s)
-            assert_zero(_slice_commutator(F[a], U, s), "u-commute-y", s)
-            for b in range(a + 1, len(y_vars)):
-                assert_zero(_slice_commutator(F[a], F[b], s),
-                            "higgs-commute-yy", s)
-                if s >= 1:
-                    assert_zero(F[a][s].partial(y_vars[b])
-                                - F[b][s].partial(y_vars[a]),
-                                "potential-yy", s - 1)
+        if any(not (F[a][s][i, 0] - dfs[i][a][s]).is_zero()
+               for a in range(len(y_vars)) for i in range(n)):
+            raise AssertionError("unfolding induction failed: first-column "
+                                 "contract at y-degree %d" % s)
         if trace is not None:
             trace.append({
                 "y_degree": s,
@@ -307,30 +300,16 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         U.append(updU)
         W.append(updW)
         V.append(-updW)
-        # step (iii): the equations proved, not solved, by the induction
-        for i in range(len(t_vars)):
-            for j in range(i + 1, len(t_vars)):
-                assert_zero(_slice_commutator(C[i], C[j], s + 1),
-                            "higgs-commute-tt", s + 1)
-                assert_zero(C[i][s].partial(t_vars[j])
-                            - C[j][s].partial(t_vars[i]), "potential-tt", s)
-            assert_zero(_slice_commutator(C[i], U, s + 1), "u-commute-t",
-                        s + 1)
-            assert_zero(U[s].partial(t_vars[i])
-                        - _slice_commutator(V, C[i], s) + C[i][s],
-                        "u-transport-t", s)
-            assert_zero(W[s].partial(t_vars[i])
-                        - _slice_commutator(W, C[i], s), "w-transport-t", s)
-            assert_zero(V[s].partial(t_vars[i])
-                        + _slice_commutator(W, C[i], s), "v-transport-t", s)
 
     out = ConnectionPencil(t_vars, y_vars, n, [_sum(Ci) for Ci in C],
                            [_sum(Fa) for Fa in F], _sum(U), _sum(V), _sum(W),
                            N)
     leftover = flatness_residual(out)
     if leftover:
-        raise AssertionError("unfolding left nonzero flatness residuals: %r"
-                             % sorted(leftover))
+        raise AssertionError("unfolding induction failed: %s" % ", ".join(
+            "%s at y-degree %d" % (eq, min(_y_degree(r, y_vars)
+                                           for _, r in items))
+            for eq, items in sorted(leftover.items())))
     return out
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,18 @@ def _wrong_shapes():
     big_coeff = dict(pairing, coeffs=[three_pt] + pairing["coeffs"][1:])
     pt = P.to_json()
     three_t = SeriesMatrix.identity(3, tuple(pt["t_vars"]), 4).to_json()
+
+    def plane_cubic(**change):
+        return dict({"num_vars": 2, "weights": ["1/3", "1/3"],
+                     "terms": [[[3, 0], "1/1"], [[0, 3], "1/1"]]}, **change)
+
+    # the point germ in one coordinate s1: the unit as multiplication, the
+    # potential s1^3/6, and no Euler data in either form
+    germ = {"coords": ["s1"], "rank": 1, "order": 3,
+            "mult": [SeriesMatrix.identity(1, ("s1",), 3).to_json()],
+            "metric": [["1/1"]],
+            "potential": TruncSeries(("s1",), 3,
+                                     {(3,): Fraction(1, 6)}).to_json()}
     return [
         ("reconstruct", cubic),
         ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
@@ -321,6 +334,16 @@ def _wrong_shapes():
                             "pairing": pairing}),
         ("unfold", {"pencil": pj, "y_vars": ["y1"],
                     "f": [TruncSeries(("y1",), 3, {(1,): 1}).to_json()]}),
+        # polynomial and germ values that do not parse
+        ("h2check", plane_cubic(terms=[[[3, 0, 1], "1/1"],
+                                       [[0, 3], "1/1"]])),
+        ("h2check", plane_cubic(terms=[[[3, -1], "1/1"], [[0, 3], "1/1"]])),
+        ("jacobi", plane_cubic(weights=["abc", "1/3"])),
+        ("h2check", plane_cubic(terms=[[[3, 0], "x"], [[0, 3], "1/1"]])),
+        ("jacobi", plane_cubic(weights=["1/3"])),
+        ("h2check", plane_cubic(weights=["2/3", "1/3"])),
+        ("wdvv", germ),
+        ("compare", {"left": germ, "right": germ}),
     ]
 
 
@@ -335,7 +358,11 @@ def _wrong_shapes():
                               "pencil-u-3x3", "pairing-coeff-3x3",
                               "pencil-c-3x3", "pencil-v-3x3", "pencil-w-3x3",
                               "pencil-f-3x3", "pencil-extra-c",
-                              "pencil-extra-f", "unfold-f-short"])
+                              "pencil-extra-f", "unfold-f-short",
+                              "exponent-too-long", "exponent-negative",
+                              "weight-abc", "coefficient-x", "weights-short",
+                              "weight-out-of-range", "wdvv-no-euler",
+                              "compare-no-euler"])
 def test_wrong_shape_payload_matrices_exit_two(tmp_path, command, payload):
     # each passes its schema; a pairing, v_endo, zeta, Higgs field, first
     # endomorphism, connection, level list, pencil block or pairing

@@ -242,6 +242,25 @@ def test_universal_unfold_shift_w5():
     assert is_flat(res.pencil)
 
 
+def test_wrong_transport_fails_the_flatness_certificate(monkeypatch):
+    # the U and W transport integrate slice commutators; doubling them
+    # must be caught by the one certificate on the finished pencil, which
+    # names the equation and its lowest y-degree
+    from frobkit import unfold
+    from frobkit.germ import initial_from_filtration
+    from frobkit.structures import shift_example
+    t = TruncSeries.var(("t",), 3, "t")
+    b = [c0 + c1 * t for c0, c1 in ((1, 1), (1, 2), (1, 3), (2, 1))]
+    init = initial_from_filtration(shift_example(11, b, order=3))
+    P, _ = structure_connection(init.ftype, 11)
+    orig = unfold._slice_commutator
+    monkeypatch.setattr(unfold, "_slice_commutator",
+                        lambda A, B, s: orig(A, B, s) + orig(A, B, s))
+    with pytest.raises(AssertionError,
+                       match=r"u-transport-t at y-degree \d+"):
+        universal_unfold(P)
+
+
 def test_universal_unfold_rejects_ic_failure():
     vars = ("t1", "t2")
     C = consts([[0, 0], [1, 0]], vars, N)
