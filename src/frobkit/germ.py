@@ -25,10 +25,10 @@ from typing import Sequence
 
 from . import linalg
 from .linalg import Echelon
-from .pencil import (ConnectionPencil, pairing_extension_check,
-                     potential_matrix, structure_connection)
-from .series import (SeriesMatrix, TruncSeries, euler_integrate,
-                     frac_from_str, frac_to_str)
+from .pencil import ConnectionPencil, potential_matrix, structure_connection
+from .series import (SeriesError, SeriesMatrix, TruncSeries,
+                     euler_integrate, frac_from_str, frac_to_str,
+                     require_int, require_square)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
                          filtration_to_ftype, violation)
@@ -60,8 +60,21 @@ class FrobeniusGermData:
 
     def __post_init__(self):
         self.coords = tuple(self.coords)
+        n = require_int("rank", self.n, 1)
+        require_int("order", self.order, 0)
         if self.degrees is None and self.euler is None:
-            raise ValueError("germ needs Euler data in one of the two forms")
+            raise SeriesError("germ needs Euler data in one of the two forms")
+        if any(x is not None and len(x) != n for x in
+               (self.coords, self.mult, self.degrees, self.euler)):
+            raise SeriesError("need one coordinate, mult matrix and Euler "
+                              "entry per frame vector")
+        for i, M in enumerate(self.mult):
+            require_square("mult[%d]" % i, M, n, self.coords)
+        require_square("metric", self.metric, n)
+        if any(s.vars != self.coords
+               for s in [self.potential] + list(self.euler or [])):
+            raise SeriesError("potential and Euler coordinates must be "
+                              "series over %r" % (self.coords,))
 
     def euler_coords(self):
         """Coordinates of the Euler field as series."""
@@ -134,6 +147,8 @@ class InitialData:
         n = ftype.n
         if zeta is not None:
             zeta = [Fraction(c) for c in zeta]
+            if not any(zeta):
+                raise RejectionError("distinguished vector is zero")
             if zeta != [Fraction(int(k == 0)) for k in range(n)]:
                 ftype = rotate_zeta_first(ftype, zeta)
         viol = check_ftype_axioms(ftype)
@@ -153,14 +168,18 @@ class InitialData:
                                      "pass a weight explicitly" % d)
             weight = int(d) + 2
         P, _ = structure_connection(ftype, weight)
-        gc = gc_check(P, with_u=True)
+        gc = gc_check(P)
         if not gc.ok:
             raise RejectionError("generation condition fails",
                                  {"certificate": gc.to_json()})
         ic = ic_check(P)
         if not ic["ok"]:
             raise RejectionError("injectivity condition fails", {"ic": ic})
-        return cls(ftype, weight, d, gc, ic)
+        init = cls(ftype, weight, d, gc, ic)
+        if init.is_graded() and weight != d + 2:
+            raise RejectionError("this graded structure needs weight %s, "
+                                 "not %s" % (d + 2, weight))
+        return init
 
     def is_graded(self) -> bool:
         """True when the first endomorphism vanishes and the flat one is
@@ -409,30 +428,16 @@ def potential_integrate(mult, metric, coords, order) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-def frobenius_via_unfolding(init: InitialData, order: int | None = None,
-                            certify_pairing: bool = False,
-                            z_order: int = 4) -> FrobeniusGermData:
+def frobenius_via_unfolding(init: InitialData,
+                            order: int | None = None) -> FrobeniusGermData:
     """Build the germ by unfolding the structure connection universally and
     shifting everything through the period-map chart."""
     F = init.ftype
     N = order if order is not None else F.order
     if N != F.order:
         F = F.restrict_order(N) if N < F.order else _raise_order(F, N)
-    w = init.weight
-    P, R = structure_connection(F, w, z_order=(z_order + N
-                                               if certify_pairing else 0))
-    res = universal_unfold(P)
-    big = res.pencil
-    if certify_pairing:
-        rep = pairing_extension_check(big, R, z_order=z_order)
-        if not rep["passes"]:
-            raise AssertionError("pairing extension of a structure "
-                                 "connection failed certification")
-        gram = rep["pairing"].coeffs[0]
-        if not gram.is_constant() or gram.at_origin() != [
-                [Fraction(c) for c in row] for row in F.g]:
-            raise AssertionError("extended pairing does not restrict to "
-                                 "the initial metric")
+    P, _ = structure_connection(F, init.weight)
+    big = universal_unfold(P).pencil
     n = big.n
     coords = _coords(n)
     mult, subst = _flat_chart(big, range(n), coords, N)
@@ -750,8 +755,7 @@ def _fill_ungenerated(tab, unknown, stage, degrees, g, w, top_idx, D, n,
             # other entries of such columns vanish by the grading
 
 
-def germ_to_ftype(G: FrobeniusGermData,
-                  d_value: Fraction | None = None) -> FrobeniusTypeStructure:
+def germ_to_ftype(G: FrobeniusGermData) -> FrobeniusTypeStructure:
     """Tangent-bundle structure of a germ over its own full base.
 
     The Higgs field is minus the multiplication, the first endomorphism is
@@ -769,20 +773,12 @@ def germ_to_ftype(G: FrobeniusGermData,
             if e is not None and not e.is_constant():
                 raise RejectionError("Euler field is not affine-linear in "
                                      "the flat coordinates")
-    if d_value is None:
-        # d is fixed by the metric scaling Lie_E(g) = (2-d) g; read it off
-        # the first nonzero metric entry
-        for i in range(n):
-            for j in range(n):
-                if G.metric[i][j]:
-                    lie = sum(Fraction(dE[l][i]) * G.metric[l][j]
-                              + Fraction(dE[l][j]) * G.metric[i][l]
-                              for l in range(n))
-                    d_value = 2 - lie / G.metric[i][j]
-                    break
-            if d_value is not None:
-                break
-    shift = Fraction(2 - Fraction(d_value), 2)
+    # the metric scales as Lie_E(g) = (2-d) g, so the shift (2-d)/2 can be
+    # read off its first nonzero entry
+    i, j = next((i, j) for i in range(n) for j in range(n) if G.metric[i][j])
+    lie = sum(Fraction(dE[l][i]) * G.metric[l][j]
+              + Fraction(dE[l][j]) * G.metric[i][l] for l in range(n))
+    shift = lie / G.metric[i][j] / 2
     V = [[Fraction(dE[k][i]) - (shift if k == i else 0) for i in range(n)]
          for k in range(n)]
     U = None
@@ -826,6 +822,9 @@ def compare_germs(G1: FrobeniusGermData, G2: FrobeniusGermData,
     diffs = []
     if G1.n != G2.n:
         violation(diffs, "rank", (), {"left": G1.n, "right": G2.n})
+    elif G1.coords != G2.coords:
+        violation(diffs, "coords", (), {"left": list(G1.coords),
+                                        "right": list(G2.coords)})
     else:
         order = min(G1.order, G2.order)
         if G1.degrees != G2.degrees:

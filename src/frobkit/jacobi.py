@@ -40,8 +40,8 @@ from .linalg import Echelon
 from .series import TRUNC_SERIES, TruncSeries, frac_from_str, frac_to_str
 
 __all__ = [
-    "WeightSystem", "XPoly", "JacobiAlgebra", "RfClass",
-    "build_jacobi", "jacobian_piece", "normal_form", "multiply_rf",
+    "WeightSystem", "XPoly", "JacobiAlgebra", "RfClass", "build_jacobi",
+    "check_polynomial", "jacobian_piece", "normal_form", "multiply_rf",
     "h2_generation_check", "NotIsolatedError", "JacobiFamily",
 ]
 
@@ -480,19 +480,25 @@ class RfClass:
         return not self.coords
 
 
+def check_polynomial(f: XPoly, ws: WeightSystem) -> None:
+    """Raise ValueError unless f is a nonzero polynomial in the variables of
+    ws, weighted homogeneous of degree 1."""
+    if f.nvars != ws.nvars:
+        raise ValueError("variable count mismatch")
+    if f.is_zero():
+        raise ValueError("f must be nonzero")
+    degs = {ws.scaled_degree(e) for e in f.terms}
+    if degs != {ws.scale}:
+        raise ValueError("f is not weighted homogeneous of degree 1 "
+                         "(scaled degrees %r)" % sorted(degs))
+
+
 class JacobiAlgebra:
     """Quotient of C[x] by the partial derivatives of a weighted
     homogeneous f with certified isolated singularity at 0."""
 
     def __init__(self, f: XPoly, ws: WeightSystem):
-        if f.nvars != ws.nvars:
-            raise ValueError("variable count mismatch")
-        if f.is_zero():
-            raise ValueError("f must be nonzero")
-        degs = {ws.scaled_degree(e) for e in f.terms}
-        if degs != {ws.scale}:
-            raise ValueError("f is not weighted homogeneous of degree 1 "
-                             "(scaled degrees %r)" % sorted(degs))
+        check_polynomial(f, ws)
         self.f = f
         self.ws = ws
         self.partials = [f.partial(i) for i in range(ws.nvars)]

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .series import SeriesMatrix, euler_integrate, frac_to_str
+from .series import (SeriesError, SeriesMatrix, euler_integrate, frac_to_str,
+                     require_int, require_square)
 from .structures import (FrobeniusTypeStructure, RejectionError,
                          check_ftype_axioms, violation)
 
@@ -47,8 +48,12 @@ class ConnectionPencil:
     def __post_init__(self):
         self.t_vars = tuple(self.t_vars)
         self.y_vars = tuple(self.y_vars)
+        require_int("rank", self.n, 1)
+        require_int("order", self.order, 0)
         if len(self.C) != len(self.t_vars) or len(self.F) != len(self.y_vars):
-            raise ValueError("coefficient blocks do not match the variables")
+            raise SeriesError("coefficient blocks do not match the variables")
+        for name, M in self.all_blocks():
+            require_square(name, M, self.n, self.vars)
 
     @property
     def vars(self):
@@ -132,6 +137,14 @@ class PairingMatrix:
     weight: int
     coeffs: list
 
+    def __post_init__(self):
+        require_int("weight", self.weight)
+        if not self.coeffs:
+            raise SeriesError("a pairing needs at least one z-coefficient")
+        for k, R in enumerate(self.coeffs):
+            require_square("pairing coefficient %d" % k, R,
+                           self.coeffs[0].rows, self.coeffs[0].vars)
+
     @property
     def z_order(self):
         return len(self.coeffs) - 1
@@ -178,54 +191,54 @@ class PairingMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _put(res: dict, eq, idx, r):
+    if not r.is_zero():
+        res.setdefault(eq, []).append((idx, r))
+
+
+def _direction_pairs(P: ConnectionPencil):
+    """(kind, (i, j), u, A, v, B) for the pairs of base directions u, v with
+    blocks A, B: kind "tt" or "yy" when i < j, "ty" for all t_i and y_j."""
+    t = list(zip(P.t_vars, P.C))
+    y = list(zip(P.y_vars, P.F))
+    for kind, us, vs in (("tt", t, t), ("ty", t, y), ("yy", y, y)):
+        for i, (u, A) in enumerate(us):
+            for j, (v, B) in enumerate(vs):
+                if kind == "ty" or i < j:
+                    yield kind, (i, j), u, A, v, B
+
+
+def closedness_residual(P: ConnectionPencil) -> dict:
+    """The closedness equations potential-tt, -ty and -yy of the one-form
+    sum_i C_i dt_i + sum_a F_a dy_a, three of the fourteen equations of
+    ``flatness_residual`` and in its format; empty at order 0."""
+    res: dict = {}
+    if P.order >= 1:
+        for kind, idx, u, A, v, B in _direction_pairs(P):
+            _put(res, "potential-" + kind, idx, A.partial(v) - B.partial(u))
+    return res
+
+
 def flatness_residual(P: ConnectionPencil) -> dict:
     """All fourteen coefficient equations of the flatness of the pencil.
 
     Returns {equation id: [(indices, residual matrix), ...]} keeping only
     the nonzero residuals; an empty dict means flat modulo the order.
     """
-    res: dict = {}
-
-    def put(eq, idx, r):
-        if not r.is_zero():
-            res.setdefault(eq, []).append((idx, r))
-
-    C, F, U, V, W = P.C, P.F, P.U, P.V, P.W
-    t, y = P.t_vars, P.y_vars
-    m, l = len(t), len(y)
-    can_diff = P.order >= 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            put("higgs-commute-tt", (i, j), C[i].commutator(C[j]))
-            if can_diff:
-                put("potential-tt", (i, j),
-                    C[i].partial(t[j]) - C[j].partial(t[i]))
-    for i in range(m):
-        for a in range(l):
-            put("higgs-commute-ty", (i, a), C[i].commutator(F[a]))
-            if can_diff:
-                put("potential-ty", (i, a),
-                    C[i].partial(y[a]) - F[a].partial(t[i]))
-    for a in range(l):
-        for b in range(a + 1, l):
-            put("higgs-commute-yy", (a, b), F[a].commutator(F[b]))
-            if can_diff:
-                put("potential-yy", (a, b),
-                    F[a].partial(y[b]) - F[b].partial(y[a]))
-    for i in range(m):
-        put("u-commute-t", (i,), C[i].commutator(U))
-        if can_diff:
-            put("u-transport-t", (i,),
-                U.partial(t[i]) - V.commutator(C[i]) + C[i])
-            put("w-transport-t", (i,), W.partial(t[i]) - W.commutator(C[i]))
-            put("v-transport-t", (i,), V.partial(t[i]) + W.commutator(C[i]))
-    for a in range(l):
-        put("u-commute-y", (a,), F[a].commutator(U))
-        if can_diff:
-            put("u-transport-y", (a,),
-                U.partial(y[a]) - V.commutator(F[a]) + F[a])
-            put("w-transport-y", (a,), W.partial(y[a]) - W.commutator(F[a]))
-            put("v-transport-y", (a,), V.partial(y[a]) + W.commutator(F[a]))
+    res = closedness_residual(P)
+    U, V, W = P.U, P.V, P.W
+    for kind, idx, _, A, _, B in _direction_pairs(P):
+        _put(res, "higgs-commute-" + kind, idx, A.commutator(B))
+    for kind, vs, blocks in (("t", P.t_vars, P.C), ("y", P.y_vars, P.F)):
+        for i, (v, B) in enumerate(zip(vs, blocks)):
+            _put(res, "u-commute-" + kind, (i,), B.commutator(U))
+            if P.order >= 1:
+                _put(res, "u-transport-" + kind, (i,),
+                     U.partial(v) - V.commutator(B) + B)
+                _put(res, "w-transport-" + kind, (i,),
+                     W.partial(v) - W.commutator(B))
+                _put(res, "v-transport-" + kind, (i,),
+                     V.partial(v) + W.commutator(B))
     return res
 
 
@@ -253,9 +266,7 @@ def potential_matrix(P: ConnectionPencil) -> SeriesMatrix:
     Requires the closedness equations among the fourteen; the result is
     exact one order beyond the pencil order.
     """
-    res = flatness_residual(P)
-    viol = residual_report({eq: r for eq, r in res.items()
-                            if eq.startswith("potential-")})
+    viol = residual_report(closedness_residual(P))
     if viol:
         raise RejectionError("pencil one-form is not closed",
                              {"violations": viol})
@@ -386,7 +397,7 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
             % (R0.z_order + 1, need + 1, N))
     base = P.restrict_y0()
     from .unfold import gc_check
-    gc = gc_check(base, with_u=True)
+    gc = gc_check(base)
     if not gc.ok:
         _fail(report, "generation-condition", gc.to_json())
         return report

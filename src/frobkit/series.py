@@ -23,6 +23,8 @@ __all__ = [
     "SeriesMatrix",
     "frac_from_str",
     "frac_to_str",
+    "require_int",
+    "require_square",
 ]
 
 Frac = Fraction
@@ -45,6 +47,16 @@ def frac_to_str(x: Fraction) -> str:
 
 class SeriesError(ValueError):
     """Structural misuse: variable mismatch, unknown variable, bad shape."""
+
+
+def require_int(what, value, minimum=None):
+    """Return ``value`` after checking that it is an int (not a bool), at
+    least ``minimum`` if one is given; raise SeriesError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        raise SeriesError("%s must be an int >= %s, got %r"
+                          % (what, minimum, value))
+    return value
 
 
 def _as_frac(c) -> Fraction:
@@ -422,7 +434,9 @@ class TruncSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "TruncSeries":
         terms = {tuple(e): frac_from_str(c) for e, c in obj.get("terms", [])}
-        return cls(obj["vars"], obj["order"], terms)
+        if not all(isinstance(k, int) for e in terms for k in e):
+            raise SeriesError("exponents must be ints: %r" % list(terms))
+        return cls(obj["vars"], require_int("order", obj["order"], 0), terms)
 
 
 # The coefficient ring of a series Echelon: a series is a unit exactly when
@@ -514,6 +528,21 @@ def _normalise(groups) -> dict:
 def _check_shape(rows, cols):
     if rows < 1 or cols < 1:
         raise SeriesError("matrix must be nonempty")
+
+
+def require_square(what, M, n, vars=None):
+    """Return ``M`` after checking that it is n x n: a SeriesMatrix over
+    exactly ``vars`` when those are given, else a constant matrix as n rows
+    of n entries.  Raise SeriesError otherwise."""
+    if vars is None:
+        ok = len(M) == n and all(len(row) == n for row in M)
+    else:
+        ok = (isinstance(M, SeriesMatrix) and M.rows == M.cols == n
+              and M.vars == tuple(vars))
+    if not ok:
+        raise SeriesError("%s must be %d x %d%s" % (
+            what, n, n, "" if vars is None else " over %r" % (tuple(vars),)))
+    return M
 
 
 class SeriesMatrix:
@@ -918,8 +947,8 @@ class SeriesMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SeriesMatrix":
-        vars = obj["vars"]
-        order = obj["order"]
-        return cls([[TruncSeries.from_json({"vars": vars, "order": order,
-                                            "terms": t})
-                     for t in row] for row in obj["entries"]])
+        M = cls([[TruncSeries.from_json(dict(obj, terms=t)) for t in row]
+                 for row in obj["entries"]])
+        if (M.rows, M.cols) != (obj["rows"], obj["cols"]):
+            raise SeriesError("rows and cols do not match the entries")
+        return M

@@ -23,8 +23,9 @@ from typing import Sequence
 
 from . import linalg
 from .jacobi import JacobiAlgebra, JacobiFamily, h2_generation_check
-from .series import (SeriesMatrix, TruncSeries, euler_integrate,
-                     frac_from_str, frac_to_str)
+from .series import (SeriesError, SeriesMatrix, TruncSeries,
+                     euler_integrate, frac_from_str, frac_to_str,
+                     require_int, require_square)
 
 __all__ = [
     "FrobeniusTypeStructure", "FiltrationData", "RejectionError",
@@ -84,8 +85,15 @@ class FrobeniusTypeStructure:
 
     def __post_init__(self):
         self.vars = tuple(self.vars)
+        n = require_int("rank", self.n, 1)
+        require_int("order", self.order, 0)
         if len(self.C) != len(self.vars):
-            raise ValueError("need one Higgs matrix per base coordinate")
+            raise SeriesError("need one Higgs matrix per base coordinate")
+        for i, C in enumerate(self.C):
+            require_square("higgs[%d]" % i, C, n, self.vars)
+        require_square("u_endo", self.U, n, self.vars)
+        require_square("v_endo", self.V, n)
+        require_square("pairing", self.g, n)
 
     def umat_is_zero(self) -> bool:
         return self.U.is_zero()
@@ -136,8 +144,19 @@ class FiltrationData:
 
     def __post_init__(self):
         self.vars = tuple(self.vars)
-        if len(self.levels) != self.n:
-            raise ValueError("need one level per frame vector")
+        n = require_int("rank", self.n, 1)
+        require_int("order", self.order, 0)
+        require_int("weight", self.weight)
+        if len(self.levels) != n:
+            raise SeriesError("need one level per frame vector")
+        for p in self.levels:
+            require_int("level", p)
+        if len(self.Gamma) != len(self.vars):
+            raise SeriesError("need one gamma matrix per base coordinate")
+        for i, G in enumerate(self.Gamma):
+            require_square("gamma[%d]" % i, G, n, self.vars)
+        if self.S is not None:
+            require_square("pairing", self.S, n)
 
     def to_json(self):
         return {
@@ -557,7 +576,7 @@ def _solve_pairing(levels, w, Gammas, n):
 
 
 def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,
-                         with_pairing: bool = True, t_prefix: str = "t"):
+                         with_pairing: bool = True):
     """Integer-degree part of the graded quotient as a filtration variation.
 
     The frame is the integer-degree monomial basis; the connection in the
@@ -596,7 +615,7 @@ def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,
     for q in range(Q + 1):
         levels.extend([w - 1 - q] * blocks[q])
     m0 = blocks[1] if Q >= 1 else 0
-    t_vars = tuple("%s%d" % (t_prefix, a + 1) for a in range(m0))
+    t_vars = tuple("t%d" % (a + 1) for a in range(m0))
     fam = JacobiFamily(algebra, t_vars, order)
     Gamma = []
     for a in range(m0):

@@ -26,7 +26,8 @@ from fractions import Fraction
 from . import linalg
 from .linalg import Echelon
 from .pencil import ConnectionPencil, flatness_residual, residual_report
-from .series import SeriesMatrix, TruncSeries, euler_integrate
+from .series import (SeriesError, SeriesMatrix, TruncSeries, euler_integrate,
+                     require_int)
 from .structures import RejectionError
 
 __all__ = [
@@ -51,10 +52,9 @@ def _unit_vector(n, k=0):
     return [Fraction(int(i == k)) for i in range(n)]
 
 
-def gc_check(P: ConnectionPencil, with_u: bool = True,
-             zeta=None) -> GCCertificate:
+def gc_check(P: ConnectionPencil) -> GCCertificate:
     """Breadth-first span of the fiber at the origin from the distinguished
-    vector under the constant-term operators.
+    (first) frame vector under the constant terms of the C, F and U blocks.
 
     Returns spanning words (sequences of generator labels, applied left to
     right) when the span is everything, or the reached rank otherwise.
@@ -62,8 +62,6 @@ def gc_check(P: ConnectionPencil, with_u: bool = True,
     multiplication operators stay cheap.
     """
     n = P.n
-    if zeta is None:
-        zeta = _unit_vector(n)
 
     def sparse_cols(M):
         cols = [{} for _ in range(n)]
@@ -75,15 +73,11 @@ def gc_check(P: ConnectionPencil, with_u: bool = True,
 
     gens = [("C%d" % i, sparse_cols(C)) for i, C in enumerate(P.C)]
     gens += [("F%d" % a, sparse_cols(F)) for a, F in enumerate(P.F)]
-    if with_u:
-        gens.append(("U", sparse_cols(P.U)))
+    gens.append(("U", sparse_cols(P.U)))
     ech = Echelon(pivot="min")
-    words = []
-    queue = []
-    vec = {i: c for i, c in enumerate(zeta) if c}
-    if ech.insert(dict(vec)):
-        words.append(())
-        queue.append((vec, ()))
+    ech.insert({0: Fraction(1)})
+    words = [()]
+    queue = [({0: Fraction(1)}, ())]
     while queue and ech.rank < n:
         v, word = queue.pop(0)
         for label, cols in gens:
@@ -124,8 +118,12 @@ class UnfoldProblem:
 
     def __post_init__(self):
         self.y_vars = tuple(self.y_vars)
+        require_int("order", self.order, 0)
         if len(self.f) != self.base.n:
-            raise ValueError("need one first-column function per frame row")
+            raise SeriesError("need one first-column function per frame row")
+        vars = self.base.t_vars + self.y_vars
+        self.f = [fi if fi.vars == vars else fi.extend(vars)
+                  for fi in self.f]
 
 
 def _slice_mul(A, B, s):
@@ -207,7 +205,6 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
     vars = t_vars + y_vars
     fs = []
     for i, fi in enumerate(problem.f):
-        fi = fi.extend(vars) if fi.vars != vars else fi
         # only the y-derivatives of the first-column functions enter, so
         # they must carry one more order than the target
         if fi.order < N + 1:
@@ -218,7 +215,7 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         if not fi.restrict_zero(y_vars).is_zero():
             raise RejectionError("f_%d does not vanish at y=0" % (i + 1))
         fs.append(fi)
-    gc = gc_check(base, with_u=True)
+    gc = gc_check(base)
     if not gc.ok:
         raise RejectionError("generation condition fails at the origin",
                              {"certificate": gc.to_json()})
@@ -345,8 +342,7 @@ def _complete_basis(cols, n):
     return extra
 
 
-def universal_unfold(P: ConnectionPencil, zeta=None,
-                     y_prefix: str = "y") -> UnfoldResult:
+def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
     """Unfold to a full-dimensional base with the period map as chart.
 
     The frame is rotated so the distinguished vector comes first, the new
@@ -375,7 +371,7 @@ def universal_unfold(P: ConnectionPencil, zeta=None,
     ic = ic_check(rot)
     if not ic["ok"]:
         raise RejectionError("injectivity condition fails", {"ic": ic})
-    gc = gc_check(rot, with_u=True)
+    gc = gc_check(rot)
     if not gc.ok:
         raise RejectionError("generation condition fails",
                              {"certificate": gc.to_json()})
@@ -385,7 +381,7 @@ def universal_unfold(P: ConnectionPencil, zeta=None,
     l = n - m
     if len(comp) != l:
         raise AssertionError("complement dimension mismatch")
-    y_vars = tuple("%s%d" % (y_prefix, a + 1) for a in range(l))
+    y_vars = tuple("y%d" % (a + 1) for a in range(l))
     vars = P.t_vars + y_vars
     f = []
     for i in range(n):

@@ -437,7 +437,7 @@ def reference_solve(problem, trace=None):
         if not fi.restrict_zero(y_vars).is_zero():
             raise RejectionError("f_%d does not vanish at y=0" % (i + 1))
         fs.append(fi)
-    gc = gc_check(base, with_u=True)
+    gc = gc_check(base)
     if not gc.ok:
         raise RejectionError("generation condition fails at the origin",
                              {"certificate": gc.to_json()})

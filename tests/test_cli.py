@@ -2,17 +2,24 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frobkit import cli
+from frobkit import cli, pencil, unfold
 from frobkit.cli import main
-from frobkit.pencil import PairingMatrix, structure_connection
+from frobkit.germ import (frobenius_via_unfolding, initial_from_filtration,
+                          normalize_germ)
+from frobkit.pencil import (PairingMatrix, flatness_residual,
+                            structure_connection)
 from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import shift_example
+from frobkit.unfold import UnfoldProblem, solve
 from helpers import point_base_pencil, rank2_higgs_ftype
 
 QUINTIC = {
@@ -104,6 +111,29 @@ def test_unfold_and_pairing_extend(tmp_path):
     assert code == 0 and rep2["passes"]
 
 
+def test_unfold_evaluates_the_flatness_system_four_times(tmp_path,
+                                                        monkeypatch):
+    # solve checks its base and certifies its output; the reduced check
+    # evaluates the unfolded pencil and its restriction to y = 0, and its
+    # potential matrix needs only the closedness equations
+    calls = []
+
+    def counted(P):
+        calls.append(P.vars)
+        return flatness_residual(P)
+
+    for module in (cli, pencil, unfold):
+        monkeypatch.setattr(module, "flatness_residual", counted,
+                            raising=False)
+    P, _ = point_base_pencil(2)
+    f = [TruncSeries(("y1", "y2"), 3, {e: 1}).to_json()
+         for e in ((1, 0), (0, 1))]
+    code, _, _ = _run(tmp_path, "unfold", {"pencil": P.to_json(), "f": f,
+                                           "y_vars": ["y1", "y2"],
+                                           "order": 2})
+    assert code == 0 and len(calls) == 4
+
+
 def test_unfold_trace_flag(tmp_path):
     P, _ = point_base_pencil(2)
     f = [{"vars": ["y1"], "order": 3, "terms": [[[1], "1/1"]]},
@@ -147,6 +177,21 @@ def test_reconstruct_jacobi_kind(tmp_path):
     assert code == 0
     assert report["two_path_comparison"]["equal"]
     assert report["weight"] == 3
+
+
+def test_reconstruct_ftype_weight_off_its_grading_is_a_rejection(tmp_path):
+    # the rank-2 structure is graded, with eigenvalue 1/2 at its first frame
+    # vector, so its germ has weight 3; another weight is a rejection, not a
+    # broken invariant
+    def payload(weight):
+        return {"initial": {"kind": "ftype", "weight": weight,
+                            "ftype": rank2_higgs_ftype(2).to_json()}}
+
+    code, report, _ = _run(tmp_path, "reconstruct", payload(3), "--order", "2")
+    assert code == 0 and report["weight"] == 3
+    code, report, _ = _run(tmp_path, "reconstruct", payload(1), "--order", "2")
+    assert code == 1
+    assert report["error"] == "this graded structure needs weight 3, not 1"
 
 
 def _fermat_payload(nvars, d):
@@ -344,6 +389,16 @@ def _wrong_shapes():
         ("h2check", plane_cubic(weights=["2/3", "1/3"])),
         ("wdvv", germ),
         ("compare", {"left": germ, "right": germ}),
+        # x^3 + y^2 is not weighted homogeneous of degree 1 for 1/3, 1/3,
+        # and a polynomial whose only coefficient is 0 is zero
+        ("h2check", plane_cubic(terms=[[[3, 0], "1/1"], [[0, 2], "1/1"]])),
+        ("h2check", plane_cubic(terms=[[[3, 0], "0/1"]])),
+        # the point germ with Euler degrees, and a two-entry exponent in its
+        # mult matrix, or a 2 x 2 mult matrix at rank 1
+        ("wdvv", dict(germ, euler_degrees=["-1/1"], mult=[dict(
+            germ["mult"][0], entries=[[[[[0, 0], "1/1"]]]])])),
+        ("wdvv", dict(germ, euler_degrees=["-1/1"], mult=[
+            SeriesMatrix.identity(2, ("s1",), 3).to_json()])),
     ]
 
 
@@ -362,7 +417,9 @@ def _wrong_shapes():
                               "exponent-too-long", "exponent-negative",
                               "weight-abc", "coefficient-x", "weights-short",
                               "weight-out-of-range", "wdvv-no-euler",
-                              "compare-no-euler"])
+                              "compare-no-euler", "not-homogeneous",
+                              "zero-polynomial", "wdvv-exponent-too-long",
+                              "wdvv-mult-2x2"])
 def test_wrong_shape_payload_matrices_exit_two(tmp_path, command, payload):
     # each passes its schema; a pairing, v_endo, zeta, Higgs field, first
     # endomorphism, connection, level list, pencil block or pairing
@@ -370,3 +427,104 @@ def test_wrong_shape_payload_matrices_exit_two(tmp_path, command, payload):
     # failed certification, a traceback or exit 3
     code, report, _ = _run(tmp_path, command, payload)
     assert code == 2 and report is None
+
+
+def _fuzz_bases():
+    """A small valid payload for each of the ten commands."""
+    ft = rank2_higgs_ftype(2).to_json()
+    point, g = point_base_pencil(2)
+    f = [TruncSeries(("y1",), 3, {(1,): 1}), TruncSeries(("y1",), 3, {})]
+    unfolded = solve(UnfoldProblem(point, ("y1",), f, 2))
+    sc, _ = structure_connection(rank2_higgs_ftype(2), 1)
+    cubic = {"num_vars": 2, "weights": ["1/3", "1/3"],
+             "terms": [[[3, 0], "1/1"], [[0, 3], "1/1"]]}
+    shift = {"kind": "shift-example", "weight": 5,
+             "b": [{"vars": ["t"], "order": 2, "terms": [[[0], "1/1"]]}]}
+    germ = normalize_germ(frobenius_via_unfolding(
+        initial_from_filtration(shift_example(4, [], order=2)))).to_json()
+    return [
+        ("jacobi", cubic),
+        ("h2check", cubic),
+        ("ftype-check", ft),
+        ("structure-connection", {"ftype": ft, "weight": 1}),
+        ("unfold", {"pencil": point.to_json(), "y_vars": ["y1"],
+                    "f": [s.to_json() for s in f], "order": 2}),
+        ("universal-unfold", {"pencil": sc.to_json(),
+                              "zeta": ["1/1", "0/1"]}),
+        ("pairing-extend", {"pencil": unfolded.to_json(), "pairing":
+                            PairingMatrix.constant(0, g, (), 2, 6).to_json()}),
+        ("reconstruct", {"initial": shift}),
+        ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
+                                     "zeta": ["1/1", "0/1"], "weight": 3}}),
+        ("wdvv", germ),
+        ("compare", {"left": germ, "right": germ}),
+    ]
+
+
+def _paths(obj, path=()):
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutations(parent, value):
+    """Each way to break the value under a key or at an index of parent."""
+    out = [("replace", w) for w in (None, True, 2.5, "x", [], {})
+           if type(w) is not type(value)]
+    if isinstance(parent, dict):
+        out.append(("drop",))
+    if isinstance(value, list) and value:
+        out += [("replace", value[:-1]), ("replace", value + value[-1:])]
+    if isinstance(value, int) and not isinstance(value, bool):
+        out.append(("replace", -value))
+    if isinstance(value, str):
+        out += [("replace", bad) for bad in ("abc", "1/0", "")]
+    return out
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_mutated_payloads_exit_zero_one_or_two(data):
+    # a payload with one key dropped, or one value of the wrong type, list
+    # length, sign or fraction, ends as a report or a rejected input, never
+    # as a broken invariant (exit 3) or a traceback
+    command, payload = data.draw(st.sampled_from(FUZZ_BASES))
+    payload = json.loads(json.dumps(payload))
+    path = data.draw(st.sampled_from(list(_paths(payload))[1:]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    change = data.draw(st.sampled_from(_mutations(parent, parent[path[-1]])))
+    if change[0] == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = change[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = os.path.join(tmp, "in.json")
+        with open(inp, "w") as fh:
+            json.dump(payload, fh)
+        result = CliRunner().invoke(
+            main, [command, "--input", inp, "--output",
+                   os.path.join(tmp, "out"), "--order", "2", "--z-order",
+                   "2"], catch_exceptions=False)
+    assert result.exit_code in (0, 1, 2), (command, path, change)
+
+
+def test_zero_zeta_and_germs_in_other_coordinates_exit_one(tmp_path):
+    # a zero distinguished vector is a rejection, as in universal-unfold;
+    # two germs in differently named coordinates differ in their coords
+    ft = rank2_higgs_ftype(2).to_json()
+    code, report, _ = _run(tmp_path, "reconstruct", {"initial": {
+        "kind": "ftype", "ftype": ft, "zeta": ["0/1", "0/1"]}})
+    assert code == 1 and report["error"] == "distinguished vector is zero"
+    germ = dict(FUZZ_BASES)["wdvv"]
+    renamed = json.loads(json.dumps(germ).replace('"s', '"u'))
+    code, report, _ = _run(tmp_path, "compare",
+                           {"left": germ, "right": renamed})
+    assert code == 1 and not report["equal"]
+    assert [d["check"] for d in report["diffs"]] == ["coords"]
