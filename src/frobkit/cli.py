@@ -373,8 +373,9 @@ def _command(name):
     @click.option("--output", "output_dir", required=True,
                   type=click.Path(file_okay=False))
     @click.option("--order", default=4, show_default=True,
-                  help="total truncation order")
+                  type=click.IntRange(min=0), help="total truncation order")
     @click.option("--z-order", default=4, show_default=True,
+                  type=click.IntRange(min=0),
                   help="certified z-order for pairings")
     @click.option("--trace", is_flag=True,
                   help="emit per-degree intermediates where supported")

@@ -88,8 +88,8 @@ class FrobeniusGermData:
 
     def c_tensor(self, i, j, k):
         """Third structure function g(s_i o s_j, s_k)."""
-        return _c_tensor(self.mult, self.metric, self.coords, self.order,
-                         i, j, k)
+        return _c_matrices([self.mult[i]], self.metric, self.coords,
+                           self.order)[0][j, k]
 
     def to_json(self):
         out = {
@@ -314,12 +314,13 @@ def wdvv_check(G: FrobeniusGermData) -> list:
                   A[i].transpose() @ gS - gS @ A[i])
     # third derivatives of the potential against the structure tensor
     if G.potential is not None and G.order >= 3:
+        T = _c_matrices(A, G.metric, G.coords, G.order)
         for i in range(n):
             for j in range(i, n):
                 dij = G.potential.partial(G.coords[i]).partial(G.coords[j])
                 for k in range(j, n):
                     violation(out, "potential-third-derivatives", (i, j, k),
-                              dij.partial(G.coords[k]) - G.c_tensor(i, j, k))
+                              dij.partial(G.coords[k]) - T[i][j, k])
     return out
 
 
@@ -345,7 +346,6 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
                     elif dsum != s:
                         violation(out, "metric-grading", (i, j),
                                   {"expected": str(dsum), "got": str(s)})
-        wt = {G.coords[k]: dg[k] for k in range(n)}
         for i in range(n):
             for k in range(n):
                 for j in range(n):
@@ -354,8 +354,7 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
                         continue
                     want = dg[k] - dg[i] - dg[j] - 1
                     for exps in e.terms:
-                        got = sum(Fraction(ex) * wt[v]
-                                  for ex, v in zip(exps, G.coords))
+                        got = sum(ex * d for ex, d in zip(exps, dg) if ex)
                         if got != want:
                             violation(out, "multiplication-grading",
                                       (i, j, k), {"expected": str(want),
@@ -365,58 +364,53 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
     # general Euler field: Lie derivative identities on the coordinates
     if G.order < 1:
         return out
-    E = G.euler
-    coords = G.coords
-    dE = [[E[k].partial(v) for v in coords] for k in range(n)]
+    A, E, coords = G.mult, G.euler, G.coords
+    dE = SeriesMatrix([[E[k].partial(v) for v in coords] for k in range(n)])
     for i in range(n):
+        # Lie_E(A_i) - A_i, with dE[k, l] = d E_k / d s_l
+        R = SeriesMatrix.sum_of_products(
+            [(1, A[i].partial(coords[l]), SeriesMatrix.scalar(n, E[l]))
+             for l in range(n)]
+            + [(1, A[l], SeriesMatrix.scalar(n, dE[l, i])) for l in range(n)]
+            + [(1, A[i], dE), (-1, dE, A[i]),
+               (-1, A[i], SeriesMatrix.identity(n, coords, A[i].order))])
         for j in range(n):
             for k in range(n):
-                a = G.mult[i][k, j]
-                acc = TruncSeries.zero(coords, a.order - 1)
-                for l in range(n):
-                    acc = acc + E[l] * a.partial(coords[l])
-                    acc = acc - G.mult[i][l, j] * dE[k][l]
-                    acc = acc + dE[l][i] * G.mult[l][k, j]
-                    acc = acc + dE[l][j] * G.mult[i][k, l]
-                violation(out, "euler-multiplication", (i, j, k), acc - a)
+                violation(out, "euler-multiplication", (i, j, k), R[k, j])
     if dconst is not None:
+        g = SeriesMatrix.from_consts(G.metric, coords, G.order - 1)
+        shift = TruncSeries.const(coords, G.order - 1, 2 - Fraction(dconst))
+        R = SeriesMatrix.sum_of_products([
+            (1, dE.transpose(), g), (1, g, dE),
+            (-1, g, SeriesMatrix.scalar(n, shift))])
         for i in range(n):
             for j in range(n):
-                acc = TruncSeries.zero(coords, G.order - 1 if G.order else 0)
-                for l in range(n):
-                    acc = acc + dE[l][i] * G.metric[l][j]
-                    acc = acc + dE[l][j] * G.metric[i][l]
-                violation(out, "euler-metric", (i, j), acc - (
-                    2 - Fraction(dconst)) * TruncSeries.const(
-                        coords, acc.order, G.metric[i][j]))
+                violation(out, "euler-metric", (i, j), R[i, j])
     return out
 
 
-def _c_tensor(mult, metric, coords, order, i, j, k) -> TruncSeries:
-    """g(s_i o s_j, s_k) = sum_l mult[i][l, j] g[l][k]."""
-    acc = TruncSeries.zero(coords, order)
-    for l in range(len(mult)):
-        if metric[l][k]:
-            acc = acc + mult[i][l, j] * metric[l][k]
-    return acc
+def _c_matrices(mult, metric, coords, order) -> list:
+    """T_i = mult[i]^T g, so that T_i[j, k] = g(s_i o s_j, s_k) = c(i, j, k);
+    g is lifted at ``order``, which bounds the order of each T_i."""
+    g = SeriesMatrix.from_consts(metric, coords, order)
+    return [M.transpose() @ g for M in mult]
 
 
 def potential_integrate(mult, metric, coords, order) -> TruncSeries:
     """The potential with the given third derivatives, vanishing to second
     order at the origin; total symmetry of the tensor is required."""
     n = len(mult)
-    c = [[[_c_tensor(mult, metric, coords, order, i, j, k) for k in range(n)]
-          for j in range(n)] for i in range(n)]
+    T = _c_matrices(mult, metric, coords, order)
     viol: list = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 violation(viol, "third-derivative-symmetric", (i, j, k),
-                          c[i][j][k] - c[i][k][j])
+                          T[i][j, k] - T[i][k, j])
     if viol:
         raise RejectionError("third-derivative tensor is not symmetric",
                              {"violations": viol})
-    second = [[euler_integrate({coords[i]: c[i][j][k] for i in range(n)})
+    second = [[euler_integrate({coords[i]: T[i][j, k] for i in range(n)})
                for k in range(n)] for j in range(n)]
     first = [euler_integrate({coords[j]: second[j][k] for j in range(n)})
              for k in range(n)]
@@ -490,13 +484,10 @@ def _flat_chart(P: ConnectionPencil, rows, names, N):
     blocks = list(P.C) + list(P.F)
     psi_inv = SeriesMatrix([[-B[k, 0] for B in blocks]
                             for k in rows]).inverse_series()
-    mult = []
-    for a in range(len(rows)):
-        acc = None
-        for u, B in enumerate(blocks):
-            piece = B.scale_series(-psi_inv[u, a])
-            acc = piece if acc is None else acc + piece
-        mult.append(acc.compose(subst))
+    mult = [SeriesMatrix.sum_of_products(
+        [(-1, B, SeriesMatrix.scalar(P.n, psi_inv[u, a]))
+         for u, B in enumerate(blocks)]).compose(subst)
+        for a in range(len(rows))]
     return mult, subst
 
 
@@ -536,7 +527,8 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     fixing the top block where generation does not reach), and the
     degree-zero matrices pick up their next weight by radial integration
     of the potentiality relation.  Entirely independent of the unfolding
-    pipeline.
+    pipeline.  The multiplication matrices A[k] are SeriesMatrix values,
+    and each stage adds its weight part to them.
 
     reverse_generation reverses the order in which the generation
     relations are scanned; the output must not depend on it (the solver
@@ -567,54 +559,25 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     coords = _coords(n)
     g = [[Fraction(c) for c in row] for row in F.g]
 
-    # --- flatten the base: degree-zero flat coordinates and matrices -----
-    base_mult = {}
+    # positive-degree matrices start at zero and are filled entirely by the
+    # stages; the degree-zero ones start as the flattened base
+    A = {k: SeriesMatrix.zeros(n, n, coords, N) for k in range(n)}
+    A[0] = SeriesMatrix.identity(n, coords, N)
     if m0:
         Z = SeriesMatrix.zeros(n, n, F.vars, N)
         base, _ = _flat_chart(
             ConnectionPencil(F.vars, (), n, list(F.C), [], Z, Z, Z, N),
             d0_idx, tuple(coords[k] for k in d0_idx), N)
-        base_mult = dict(zip(d0_idx, base))
-
-    zero = TruncSeries.zero(coords, N)
-    one = TruncSeries.one(coords, N)
-
-    def zmat():
-        return [[zero] * n for _ in range(n)]
-
-    # mutable entry tables, assembled weight by weight; positive-degree
-    # matrices start at zero and are filled entirely by the stages
-    tab = {k: zmat() for k in range(n)}
-    tab[0] = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for k in d0_idx:
-        M = base_mult[k]
-        for i in range(n):
-            for j in range(n):
-                e = M[i, j].extend(coords)
-                if j == 0:
-                    want = one if i == k else zero
-                    if e != want:
-                        raise AssertionError("flattened base does not fix "
-                                             "the unit column")
-                if not e.is_zero():
-                    tab[k][i][j] = e
+        for k, M in zip(d0_idx, base):
+            A[k] = M.extend(coords)
+            if A[k].column(0) != A[0].column(k):
+                raise AssertionError("flattened base does not fix the unit "
+                                     "column")
 
     wts = {coords[k]: int(degrees[k]) for k in range(n) if degrees[k] > 0}
-    pos_names = tuple(coords[k] for k in pos_idx)
     top_deg = max([int(d) for d in degrees] + [0])
     top_idx = [k for k in range(n) if degrees[k] == top_deg]
-
-    grading = (pos_names, wts)
-
-    def mat(k) -> SeriesMatrix:
-        return SeriesMatrix(tab[k])
-
-    def add_part(k, part: SeriesMatrix):
-        for i in range(n):
-            for j in range(n):
-                e = part[i, j]
-                if not e.is_zero():
-                    tab[k][i][j] = tab[k][i][j] + e
+    grading = (tuple(coords[k] for k in pos_idx), wts)
 
     max_d = max([int(d) for d in degrees if d > 0] or [1])
     W_cap = min(max(w - 2, 0), N * max_d)
@@ -630,10 +593,8 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
                      for k in (d0_idx if D == 1 else pos_by_D.get(D - 1, []))]
             if reverse_generation:
                 pairs = pairs[::-1]
-            gamma = {}
-            for (i, k) in pairs:
-                gamma[(i, k)] = [tab[i][r][k].graded_part(0, *grading)
-                                 for r in unknown]
+            gamma = {(i, k): [A[i][r, k].graded_part(0, *grading)
+                              for r in unknown] for (i, k) in pairs}
             sel_ech = Echelon(pivot="min")
             selected = []
             for pr in pairs:
@@ -644,81 +605,74 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
                 if len(selected) == len(unknown):
                     break
             if len(selected) == len(unknown):
-                _solve_generated(tab, gamma, pairs, selected, unknown,
-                                 stage, degrees, grading, mat, add_part, n, D)
+                _solve_generated(A, gamma, pairs, selected, unknown, stage,
+                                 degrees, grading, n, D)
             else:
-                _fill_ungenerated(tab, unknown, stage, degrees, g, w,
-                                  top_idx, D, n, coords,
-                                  span_rank=len(selected))
+                _fill_ungenerated(A, unknown, stage, degrees, g, w, top_idx,
+                                  D, n, span_rank=len(selected))
         # (ii) weight-(stage+1) parts of the degree-zero matrices
         if stage == W_cap or N < 1:
             break
         # by potentiality d/ds_j of A_i is d/ds_i of A_j
         Wn = stage + 1
-        lower = {coords[j]: mat(j).graded_part(Wn - int(degrees[j]),
-                                               *grading)
+        lower = {coords[j]: A[j].graded_part(Wn - int(degrees[j]), *grading)
                  for j in pos_idx if degrees[j] <= Wn}
         for i in d0_idx:
             if lower:
-                add_part(i, euler_integrate(
+                A[i] = A[i] + euler_integrate(
                     {v: M.partial(coords[i]) for v, M in lower.items()},
-                    weights=wts).truncate(N))
+                    weights=wts).truncate(N)
 
-    mult = [mat(k) for k in range(n)]
+    mult = [A[k] for k in range(n)]
     pot = potential_integrate(mult, g, coords, N)
     germ = FrobeniusGermData(coords, n, mult, g, degrees, None, pot, N)
     _assert_clean(germ, init)
     return germ
 
 
-def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
-                     grading, mat, add_part, n, D):
-    """Solve the weight-`stage` parts of the degree-D matrices from the
-    products of lower-degree matrices; verify the unselected relations."""
+def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees,
+                     grading, n, D):
+    """Add the weight-`stage` parts of the degree-D matrices A[r], r in
+    ``unknown``, solved from the products A_i A_k of the ``selected``
+    generation relations, whose coefficients gamma[(i, k)] of the unknowns
+    form an invertible matrix G; then verify the unselected relations."""
     q = len(unknown)
 
-    def rhs_for(pr):
+    def relation(pr, solved=()):
+        # the weight-`stage` part of A_i A_k less the known contributions
+        # gamma_r A_r of the degrees above D and the given solved terms
         i, k = pr
-        prod = mat(i) @ mat(k)
-        R = prod.graded_part(stage, *grading)
-        # subtract the known contributions gamma_r * A_r for degrees > D
+        terms = list(solved)
         for r in range(n):
-            dr = degrees[r]
-            if dr <= D or dr <= 0:
-                continue
-            gam = tab[i][r][k]
-            if gam.is_zero():
-                continue
-            shift = stage - (int(dr) - D)
-            if shift < 0:
-                continue
-            R = R - mat(r).graded_part(shift, *grading).scale_series(gam)
-        return R
+            gam = A[i][r, k]
+            shift = stage - (int(degrees[r]) - D)
+            if degrees[r] > D and shift >= 0 and not gam.is_zero():
+                terms.append((1, A[r].graded_part(shift, *grading),
+                              SeriesMatrix.scalar(n, gam)))
+        R = (A[i] @ A[k]).graded_part(stage, *grading)
+        return R - SeriesMatrix.sum_of_products(terms) if terms else R
 
     G = SeriesMatrix([[gamma[pr][a] for a in range(q)] for pr in selected])
     G_inv = G.inverse_series()
-    rhs = [rhs_for(pr) for pr in selected]
+    rhs = [relation(pr) for pr in selected]
     # rhs[b] = sum_a G[b, a] X_a, so X_a = sum_b rhs[b] * G^-1[a, b]; a
     # scaled term enters the kernel as rhs[b] @ (G^-1[a, b] I)
     for a, r in enumerate(unknown):
-        add_part(r, SeriesMatrix.sum_of_products(
+        A[r] = A[r] + SeriesMatrix.sum_of_products(
             [(1, rhs[b], SeriesMatrix.scalar(n, G_inv[a, b]))
-             for b in range(q)]))
+             for b in range(q)])
     # the remaining generation relations must now hold
     for pr in pairs:
-        if pr in selected:
-            continue
-        R = rhs_for(pr)
-        for a, r in enumerate(unknown):
-            X = mat(r).graded_part(stage, *grading)
-            R = R - X.scale_series(gamma[pr][a])
-        if not R.is_zero():
+        if pr not in selected and not relation(pr, [
+                (1, A[r].graded_part(stage, *grading),
+                 SeriesMatrix.scalar(n, gamma[pr][a]))
+                for a, r in enumerate(unknown)]).is_zero():
             raise AssertionError("generation relations are inconsistent at "
                                  "weight %d, degree %d" % (stage, D))
 
 
-def _fill_ungenerated(tab, unknown, stage, degrees, g, w, top_idx, D, n,
-                      coords, span_rank):
+def _fill_ungenerated(A, unknown, stage, degrees, g, w, top_idx, D, n,
+                      span_rank):
     """Entries the generation route cannot reach: symmetry against known
     matrices, metric pairing for the top block, vanishing elsewhere."""
     if D < Fraction(w - 4, 2):
@@ -726,33 +680,34 @@ def _fill_ungenerated(tab, unknown, stage, degrees, g, w, top_idx, D, n,
             "generation fails below half the top degree: degree %d spans "
             "only %d of %d directions" % (D, span_rank, len(unknown)),
             {"degree": D, "rank": span_rank, "needed": len(unknown)})
+    if stage == 0:
+        # the entries past the symmetric ones are constants, filled here
+        if len(top_idx) != 1:
+            raise RejectionError(
+                "metric fallback needs a one-dimensional top degree",
+                {"top_indices": top_idx})
+        t = top_idx[0]
+        gt1 = g[t][0]
+        if gt1 == 0:
+            raise RejectionError("metric does not pair the unit with the "
+                                 "top degree")
     for r in unknown:
+        M = A[r]
+        ent = M.nonzero()
         for l in range(n):
-            dl = degrees[l]
-            if -1 < dl < D:
+            if -1 < degrees[l] < D:
                 # symmetry against the matrix of the l-th field, refreshed
                 # every stage as that matrix accumulates weight parts
                 for u in range(n):
-                    tab[r][u][l] = tab[l][u][r]
-    if stage > 0:
-        return  # the remaining entries are constants, filled at stage 0
-    if len(top_idx) != 1:
-        raise RejectionError(
-            "metric fallback needs a one-dimensional top degree",
-            {"top_indices": top_idx})
-    t = top_idx[0]
-    gt1 = g[t][0]
-    if gt1 == 0:
-        raise RejectionError("metric does not pair the unit with the top "
-                             "degree")
-    for r in unknown:
-        tab[r][r][0] = TruncSeries.one(coords, tab[r][r][0].order)
-        for l in range(n):
-            dl = degrees[l]
-            if dl >= D and Fraction(degrees[r]) + dl == w - 4:
-                tab[r][t][l] = TruncSeries.const(
-                    coords, tab[r][t][l].order, g[r][l] / gt1)
-            # other entries of such columns vanish by the grading
+                    ent[u, l] = A[l][u, r]
+        if stage == 0:
+            ent[r, 0] = TruncSeries.one(M.vars, M.order)
+            for l in range(n):
+                if degrees[l] >= D and degrees[r] + degrees[l] == w - 4:
+                    ent[t, l] = TruncSeries.const(M.vars, M.order,
+                                                  g[r][l] / gt1)
+                # other entries of such columns vanish by the grading
+        A[r] = SeriesMatrix.from_sparse(n, n, M.vars, M.order, ent)
 
 
 def germ_to_ftype(G: FrobeniusGermData) -> FrobeniusTypeStructure:
@@ -781,10 +736,8 @@ def germ_to_ftype(G: FrobeniusGermData) -> FrobeniusTypeStructure:
     shift = lie / G.metric[i][j] / 2
     V = [[Fraction(dE[k][i]) - (shift if k == i else 0) for i in range(n)]
          for k in range(n)]
-    U = None
-    for k in range(n):
-        piece = G.mult[k].scale_series(E[k])
-        U = piece if U is None else U + piece
+    U = SeriesMatrix.sum_of_products(
+        [(1, G.mult[k], SeriesMatrix.scalar(n, E[k])) for k in range(n)])
     C = [(-G.mult[i]) for i in range(n)]
     return FrobeniusTypeStructure(G.coords, n, C, U, V,
                                   [list(map(Fraction, row))

@@ -388,6 +388,7 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     a report with the extended PairingMatrix on success; any nonzero
     z^(weight-1) obstruction is reported as a certification failure.
     """
+    require_int("z_order", z_order, 0)
     report: dict = {"passes": True, "weight": R0.weight, "z_order": z_order}
     N = P.order
     need = z_order + N

@@ -1,6 +1,7 @@
 """Shared fixtures: the pencil corpus, the unfolding oracles (brute force,
 and the whole-series construction), frozen elimination engines, the
-stage-by-stage germ recursion oracle and the frozen matrix product."""
+stage-by-stage germ recursion oracle, the frozen matrix product and the
+frozen general Euler check."""
 
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from frobkit.pencil import (ConnectionPencil, PairingMatrix,
 from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 RejectionError, shift_example,
-                                filtration_to_ftype, jacobi_to_filtration)
+                                filtration_to_ftype, jacobi_to_filtration,
+                                violation)
 from frobkit.unfold import gc_check
 
 
@@ -1112,3 +1114,42 @@ def frozen_sum_of_products(terms):
             acc = frozen_combine(acc, p, TruncSeries.__sub__,
                                  TruncSeries.__neg__)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# frozen general Euler check: the branch of ``germ.euler_check`` for a germ
+# with Euler coordinates, one entry (i, j, k) at a time, exactly as it was
+# before it formed one matrix sum per i.  It is the oracle for that branch.
+# ---------------------------------------------------------------------------
+
+
+def reference_euler_general(G: FrobeniusGermData, dconst=None) -> list:
+    out: list = []
+    n = G.n
+    if G.order < 1:
+        return out
+    E = G.euler
+    coords = G.coords
+    dE = [[E[k].partial(v) for v in coords] for k in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                a = G.mult[i][k, j]
+                acc = TruncSeries.zero(coords, a.order - 1)
+                for l in range(n):
+                    acc = acc + E[l] * a.partial(coords[l])
+                    acc = acc - G.mult[i][l, j] * dE[k][l]
+                    acc = acc + dE[l][i] * G.mult[l][k, j]
+                    acc = acc + dE[l][j] * G.mult[i][k, l]
+                violation(out, "euler-multiplication", (i, j, k), acc - a)
+    if dconst is not None:
+        for i in range(n):
+            for j in range(n):
+                acc = TruncSeries.zero(coords, G.order - 1 if G.order else 0)
+                for l in range(n):
+                    acc = acc + dE[l][i] * G.metric[l][j]
+                    acc = acc + dE[l][j] * G.metric[i][l]
+                violation(out, "euler-metric", (i, j), acc - (
+                    2 - Fraction(dconst)) * TruncSeries.const(
+                        coords, acc.order, G.metric[i][j]))
+    return out

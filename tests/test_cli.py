@@ -528,3 +528,21 @@ def test_zero_zeta_and_germs_in_other_coordinates_exit_one(tmp_path):
                            {"left": germ, "right": renamed})
     assert code == 1 and not report["equal"]
     assert [d["check"] for d in report["diffs"]] == ["coords"]
+
+
+@pytest.mark.parametrize("command, flag", [("pairing-extend", "--z-order"),
+                                           ("reconstruct", "--order")])
+def test_negative_truncation_flags_exit_two(tmp_path, command, flag):
+    # a negative order is a usage error, caught before any payload is read
+    code, report, out = _run(tmp_path, command, dict(FUZZ_BASES)[command],
+                             flag, "-1")
+    assert code == 2 and report is None and not out.exists()
+
+
+def test_pairing_extension_check_rejects_a_negative_z_order():
+    point, g = point_base_pencil(2)
+    f = [TruncSeries(("y1",), 3, {(1,): 1}), TruncSeries(("y1",), 3, {})]
+    unfolded = solve(UnfoldProblem(point, ("y1",), f, 2))
+    with pytest.raises(SeriesError):
+        pencil.pairing_extension_check(
+            unfolded, PairingMatrix.constant(0, g, (), 2, 6), z_order=-1)

@@ -147,15 +147,28 @@ def test_h2_reconstruct_with_several_unknowns_matches_reference(reverse):
             reference_h2_reconstruct(deformed))
 
 
-def test_h2_reconstruct_generation_solve_inverts_the_relations():
-    # scanned in reverse, the deformed product selects relations whose
+@pytest.mark.parametrize("w1, w2, order", [(5, 3, 3), (3, 5, 3), (7, 3, 2)])
+def test_h2_reconstruct_generation_solve_inverts_the_relations(
+        monkeypatch, w1, w2, order):
+    # scanned in reverse, the deformed products select relations whose
     # coefficient matrix is not symmetric, so the solve must apply G^-1 and
     # not its transpose
+    from frobkit import germ as germ_module
     from helpers import shift_product_init
-    init = shift_product_init(5, 3, deformed=True, order=3)
-    fwd = h2_reconstruct(init)
+    solve = germ_module._solve_generated
+    asymmetric = []
+
+    def spy(A, gamma, pairs, selected, unknown, *rest):
+        G = SeriesMatrix([[gamma[pr][a] for a in range(len(unknown))]
+                          for pr in selected])
+        asymmetric.append(G != G.transpose())
+        return solve(A, gamma, pairs, selected, unknown, *rest)
+
+    monkeypatch.setattr(germ_module, "_solve_generated", spy)
+    init = shift_product_init(w1, w2, deformed=True, order=order)
     rev = h2_reconstruct(init, reverse_generation=True)
-    assert _blob(rev) == _blob(fwd)
+    assert any(asymmetric)
+    assert _blob(rev) == _blob(h2_reconstruct(init))
     assert compare_germs(frobenius_via_unfolding(init), rev)["equal"]
 
 
@@ -202,6 +215,47 @@ def test_general_u_rank2_germ():
     assert euler_check(germ, dconst=F(0)) == []
     # the Euler constant part reflects the eigenvalues 0 and 1
     assert [e.constant_term for e in germ.euler] == [F(0), F(1)]
+
+
+def _scaled_euler(germ, c):
+    return FrobeniusGermData(germ.coords, germ.n, germ.mult, germ.metric,
+                             None, [e * c for e in germ.euler],
+                             germ.potential, germ.order)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: point_rank2_init(4), lambda: point_rank2_init(5),
+    lambda: scalar_u_init(F(1)), lambda: scalar_u_init(F(3))],
+    ids=["point-rank2-4", "point-rank2-5", "scalar-u-1", "scalar-u-3"])
+@pytest.mark.parametrize("scale", [F(2), F(1, 3)])
+def test_general_euler_records_match_the_entrywise_reference(make, scale):
+    # a scaled Euler field breaks both identities; the matrix sums must
+    # file the same records, residuals included, as the entrywise loop
+    from helpers import reference_euler_general
+    init = make()
+    germ = _scaled_euler(frobenius_via_unfolding(init), scale)
+    for dconst in (None, F(1, 3), init.d_value):
+        want = reference_euler_general(germ, dconst)
+        assert want
+        assert euler_check(germ, dconst) == want
+
+
+@pytest.mark.parametrize("field", ["zero", "sheared"])
+def test_general_euler_records_of_a_corrupted_germ_match_the_reference(
+        field):
+    from helpers import reference_euler_general
+    from test_records import _corrupted_germ, _germ
+    base = _germ()
+    euler = [TruncSeries.zero(base.coords, base.order)] * base.n
+    if field == "sheared":
+        # the germ's own field plus s_2 d/ds_3: its derivative is neither
+        # symmetric nor commutes with the multiplication
+        euler = list(base.euler_coords())
+        euler[2] = euler[2] + TruncSeries.var(base.coords, base.order,
+                                              base.coords[1])
+    germ = _corrupted_germ(degrees=False, euler=euler)
+    want = reference_euler_general(germ, F(1, 2))
+    assert want and euler_check(germ, F(1, 2)) == want
 
 
 def test_h2_reconstruct_requires_vanishing_u():
