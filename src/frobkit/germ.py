@@ -28,7 +28,7 @@ from .linalg import Echelon
 from .pencil import ConnectionPencil, potential_matrix, structure_connection
 from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      euler_integrate, frac_from_str, frac_to_str,
-                     require_int, require_square)
+                     require_int, require_square, slice_sum, slice_terms)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
                          filtration_to_ftype, violation)
@@ -527,8 +527,11 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     fixing the top block where generation does not reach), and the
     degree-zero matrices pick up their next weight by radial integration
     of the potentiality relation.  Entirely independent of the unfolding
-    pipeline.  The multiplication matrices A[k] are SeriesMatrix values,
-    and each stage adds its weight part to them.
+    pipeline.  Each multiplication matrix A[k] is the list of its
+    Euler-weight slices, as ``unfold.solve`` holds its blocks by y-degree:
+    slice 0 of a degree-zero matrix is the flattened base, and stage W
+    appends slice W to each positive-degree matrix and slice W+1 to each
+    degree-zero one.
 
     reverse_generation reverses the order in which the generation
     relations are scanned; the output must not depend on it (the solver
@@ -559,25 +562,24 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     coords = _coords(n)
     g = [[Fraction(c) for c in row] for row in F.g]
 
-    # positive-degree matrices start at zero and are filled entirely by the
-    # stages; the degree-zero ones start as the flattened base
-    A = {k: SeriesMatrix.zeros(n, n, coords, N) for k in range(n)}
-    A[0] = SeriesMatrix.identity(n, coords, N)
+    # positive-degree matrices get every slice from the stages
+    zero = SeriesMatrix.zeros(n, n, coords, N)
+    A = {k: [] if degrees[k] > 0 else [zero] for k in range(n)}
+    A[0] = [SeriesMatrix.identity(n, coords, N)]
     if m0:
         Z = SeriesMatrix.zeros(n, n, F.vars, N)
         base, _ = _flat_chart(
             ConnectionPencil(F.vars, (), n, list(F.C), [], Z, Z, Z, N),
             d0_idx, tuple(coords[k] for k in d0_idx), N)
         for k, M in zip(d0_idx, base):
-            A[k] = M.extend(coords)
-            if A[k].column(0) != A[0].column(k):
+            A[k] = [M.extend(coords)]
+            if A[k][0].column(0) != A[0][0].column(k):
                 raise AssertionError("flattened base does not fix the unit "
                                      "column")
 
-    wts = {coords[k]: int(degrees[k]) for k in range(n) if degrees[k] > 0}
+    wts = {coords[k]: int(degrees[k]) for k in pos_idx}
     top_deg = max([int(d) for d in degrees] + [0])
     top_idx = [k for k in range(n) if degrees[k] == top_deg]
-    grading = (tuple(coords[k] for k in pos_idx), wts)
 
     max_d = max([int(d) for d in degrees if d > 0] or [1])
     W_cap = min(max(w - 2, 0), N * max_d)
@@ -586,15 +588,16 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
         pos_by_D.setdefault(int(degrees[k]), []).append(k)
 
     for stage in range(W_cap + 1):
-        # (i) weight-`stage` parts of the positive-degree matrices
+        # (i) slice `stage` of the positive-degree matrices
         for D in sorted(pos_by_D):
             unknown = pos_by_D[D]
             pairs = [(i, k) for i in d0_idx
                      for k in (d0_idx if D == 1 else pos_by_D.get(D - 1, []))]
             if reverse_generation:
                 pairs = pairs[::-1]
-            gamma = {(i, k): [A[i][r, k].graded_part(0, *grading)
-                              for r in unknown] for (i, k) in pairs}
+            # the coefficients of the unknowns have weight 0
+            gamma = {(i, k): [A[i][0][r, k] for r in unknown]
+                     for (i, k) in pairs}
             sel_ech = Echelon(pivot="min")
             selected = []
             for pr in pairs:
@@ -606,51 +609,51 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
                     break
             if len(selected) == len(unknown):
                 _solve_generated(A, gamma, pairs, selected, unknown, stage,
-                                 degrees, grading, n, D)
+                                 degrees, n, D)
             else:
                 _fill_ungenerated(A, unknown, stage, degrees, g, w, top_idx,
                                   D, n, span_rank=len(selected))
-        # (ii) weight-(stage+1) parts of the degree-zero matrices
+        # (ii) slice stage+1 of the degree-zero matrices
         if stage == W_cap or N < 1:
             break
         # by potentiality d/ds_j of A_i is d/ds_i of A_j
         Wn = stage + 1
-        lower = {coords[j]: A[j].graded_part(Wn - int(degrees[j]), *grading)
+        lower = {coords[j]: A[j][Wn - int(degrees[j])]
                  for j in pos_idx if degrees[j] <= Wn}
         for i in d0_idx:
-            if lower:
-                A[i] = A[i] + euler_integrate(
-                    {v: M.partial(coords[i]) for v, M in lower.items()},
-                    weights=wts).truncate(N)
+            A[i].append(euler_integrate(
+                {v: M.partial(coords[i]) for v, M in lower.items()},
+                weights=wts).truncate(N) if lower else zero)
 
-    mult = [A[k] for k in range(n)]
+    mult = [slice_sum(A[k]) for k in range(n)]
     pot = potential_integrate(mult, g, coords, N)
     germ = FrobeniusGermData(coords, n, mult, g, degrees, None, pot, N)
     _assert_clean(germ, init)
     return germ
 
 
-def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees,
-                     grading, n, D):
-    """Add the weight-`stage` parts of the degree-D matrices A[r], r in
-    ``unknown``, solved from the products A_i A_k of the ``selected``
-    generation relations, whose coefficients gamma[(i, k)] of the unknowns
-    form an invertible matrix G; then verify the unselected relations."""
+def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees, n,
+                     D):
+    """Append slice `stage` of the degree-D matrices A[r], r in ``unknown``,
+    solved from the generation relations A_i A_k = sum_r gamma_r A_r,
+    gamma_r = A_i[r, k], of the ``selected`` pairs (i, k), whose weight-0
+    coefficients gamma[(i, k)] of the unknowns form an invertible matrix
+    G; then verify the unselected relations.  Slice `stage` of a relation
+    takes gamma_r from slice deg_r - D of A_i, which is the whole entry by
+    the Euler homogeneity that ``euler_check`` certifies."""
     q = len(unknown)
 
     def relation(pr, solved=()):
-        # the weight-`stage` part of A_i A_k less the known contributions
-        # gamma_r A_r of the degrees above D and the given solved terms
+        # slice `stage` of A_i A_k less the known contributions gamma_r A_r
+        # of the degrees above D and the given solved terms
         i, k = pr
-        terms = list(solved)
+        terms = slice_terms(A[i], A[k], stage) + list(solved)
         for r in range(n):
-            gam = A[i][r, k]
-            shift = stage - (int(degrees[r]) - D)
-            if degrees[r] > D and shift >= 0 and not gam.is_zero():
-                terms.append((1, A[r].graded_part(shift, *grading),
-                              SeriesMatrix.scalar(n, gam)))
-        R = (A[i] @ A[k]).graded_part(stage, *grading)
-        return R - SeriesMatrix.sum_of_products(terms) if terms else R
+            wt = int(degrees[r]) - D
+            if 0 < wt <= stage and not A[i][wt][r, k].is_zero():
+                terms.append((-1, A[r][stage - wt],
+                              SeriesMatrix.scalar(n, A[i][wt][r, k])))
+        return SeriesMatrix.sum_of_products(terms)
 
     G = SeriesMatrix([[gamma[pr][a] for a in range(q)] for pr in selected])
     G_inv = G.inverse_series()
@@ -658,14 +661,13 @@ def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees,
     # rhs[b] = sum_a G[b, a] X_a, so X_a = sum_b rhs[b] * G^-1[a, b]; a
     # scaled term enters the kernel as rhs[b] @ (G^-1[a, b] I)
     for a, r in enumerate(unknown):
-        A[r] = A[r] + SeriesMatrix.sum_of_products(
+        A[r].append(SeriesMatrix.sum_of_products(
             [(1, rhs[b], SeriesMatrix.scalar(n, G_inv[a, b]))
-             for b in range(q)])
+             for b in range(q)]))
     # the remaining generation relations must now hold
     for pr in pairs:
         if pr not in selected and not relation(pr, [
-                (1, A[r].graded_part(stage, *grading),
-                 SeriesMatrix.scalar(n, gamma[pr][a]))
+                (-1, A[r][stage], SeriesMatrix.scalar(n, gamma[pr][a]))
                 for a, r in enumerate(unknown)]).is_zero():
             raise AssertionError("generation relations are inconsistent at "
                                  "weight %d, degree %d" % (stage, D))
@@ -673,13 +675,16 @@ def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees,
 
 def _fill_ungenerated(A, unknown, stage, degrees, g, w, top_idx, D, n,
                       span_rank):
-    """Entries the generation route cannot reach: symmetry against known
-    matrices, metric pairing for the top block, vanishing elsewhere."""
+    """Append slice `stage` of the degree-D matrices A[r], r in ``unknown``,
+    that generation cannot reach: symmetry A_r[u, l] = A_l[u, r] against
+    slice `stage` of lower degrees, the metric pairing for the top block at
+    stage 0, vanishing elsewhere."""
     if D < Fraction(w - 4, 2):
         raise RejectionError(
             "generation fails below half the top degree: degree %d spans "
             "only %d of %d directions" % (D, span_rank, len(unknown)),
             {"degree": D, "rank": span_rank, "needed": len(unknown)})
+    vars, order = A[0][0].vars, A[0][0].order
     if stage == 0:
         # the entries past the symmetric ones are constants, filled here
         if len(top_idx) != 1:
@@ -692,22 +697,16 @@ def _fill_ungenerated(A, unknown, stage, degrees, g, w, top_idx, D, n,
             raise RejectionError("metric does not pair the unit with the "
                                  "top degree")
     for r in unknown:
-        M = A[r]
-        ent = M.nonzero()
-        for l in range(n):
-            if -1 < degrees[l] < D:
-                # symmetry against the matrix of the l-th field, refreshed
-                # every stage as that matrix accumulates weight parts
-                for u in range(n):
-                    ent[u, l] = A[l][u, r]
+        ent = {(u, l): A[l][stage][u, r] for l in range(n)
+               if -1 < degrees[l] < D for u in range(n)}
         if stage == 0:
-            ent[r, 0] = TruncSeries.one(M.vars, M.order)
+            ent[r, 0] = TruncSeries.one(vars, order)
             for l in range(n):
                 if degrees[l] >= D and degrees[r] + degrees[l] == w - 4:
-                    ent[t, l] = TruncSeries.const(M.vars, M.order,
+                    ent[t, l] = TruncSeries.const(vars, order,
                                                   g[r][l] / gt1)
                 # other entries of such columns vanish by the grading
-        A[r] = SeriesMatrix.from_sparse(n, n, M.vars, M.order, ent)
+        A[r].append(SeriesMatrix.from_sparse(n, n, vars, order, ent))
 
 
 def germ_to_ftype(G: FrobeniusGermData) -> FrobeniusTypeStructure:

@@ -25,6 +25,8 @@ __all__ = [
     "frac_to_str",
     "require_int",
     "require_square",
+    "slice_terms",
+    "slice_sum",
 ]
 
 Frac = Fraction
@@ -508,6 +510,20 @@ def euler_integrate(partials, weights: Mapping[str, int] | None = None):
                 out[j] = x
         data.append(out)
     return SeriesMatrix._make(rows, cols, ctx, order + 1, data)
+
+
+def slice_terms(A, B, s, sign=1):
+    """The terms (sign, A[d], B[s - d]), d = 0..s, whose sum of products is
+    sign times slice s of the product of two matrices given as lists of
+    slices, slice d being the part of degree d in a grading by positively
+    weighted variables.  Total-degree truncation keeps or drops each
+    monomial on its own, so it commutes with the grading."""
+    return [(sign, A[d], B[s - d]) for d in range(s + 1)]
+
+
+def slice_sum(slices):
+    """The matrix whose list of slices is ``slices``."""
+    return sum(slices[1:], slices[0])
 
 
 def _normalise(groups) -> dict:

@@ -196,7 +196,6 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
     Frobenius type structure to the stated order.
     """
     out = []
-    n = F.n
     g = F.g
     gt = linalg.transpose(g)
     if gt != g:
@@ -228,9 +227,9 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
         violation(out, "pairing-higgs", (i,),
                   F.C[i].transpose() @ gS - gS @ F.C[i])
     violation(out, "pairing-u", (), F.U.transpose() @ gS - gS @ F.U)
-    rv = [[sum(F.V[k][i] * g[k][j] for k in range(n)) +
-           sum(g[i][k] * F.V[k][j] for k in range(n))
-           for j in range(n)] for i in range(n)]
+    rv = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
+          zip(linalg.mat_mul(linalg.transpose(F.V), g),
+              linalg.mat_mul(g, F.V))]
     if any(any(row) for row in rv):
         violation(out, "pairing-v-skew", (), _const_to_json(rv))
     return out

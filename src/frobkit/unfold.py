@@ -27,7 +27,7 @@ from . import linalg
 from .linalg import Echelon
 from .pencil import ConnectionPencil, flatness_residual, residual_report
 from .series import (SeriesError, SeriesMatrix, TruncSeries, euler_integrate,
-                     require_int)
+                     require_int, slice_sum, slice_terms)
 from .structures import RejectionError
 
 __all__ = [
@@ -127,20 +127,13 @@ class UnfoldProblem:
 
 
 def _slice_mul(A, B, s):
-    """Slice s of A @ B from the y-degree slices A[0..s] and B[0..s].
-
-    Total-degree truncation keeps or drops each monomial on its own, so
-    it commutes with the y-grading and slice s of the product is exactly
-    the sum of the products of complementary slices.
-    """
-    return SeriesMatrix.sum_of_products([(1, A[d], B[s - d])
-                                         for d in range(s + 1)])
+    """Slice s of A @ B from the y-degree slices A[0..s] and B[0..s]."""
+    return SeriesMatrix.sum_of_products(slice_terms(A, B, s))
 
 
 def _slice_commutator(A, B, s):
-    return SeriesMatrix.sum_of_products(
-        [(1, A[d], B[s - d]) for d in range(s + 1)]
-        + [(-1, B[d], A[s - d]) for d in range(s + 1)])
+    return SeriesMatrix.sum_of_products(slice_terms(A, B, s)
+                                        + slice_terms(B, A, s, -1))
 
 
 def _nterms(M: SeriesMatrix) -> int:
@@ -153,13 +146,6 @@ def _y_degree(M: SeriesMatrix, y_vars) -> int:
     while M.graded_part(d, names=y_vars).is_zero():
         d += 1
     return d
-
-
-def _sum(slices):
-    out = slices[0]
-    for M in slices[1:]:
-        out = out + M
-    return out
 
 
 def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil:
@@ -282,8 +268,8 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         if trace is not None:
             trace.append({
                 "y_degree": s,
-                "E": [_sum(Ek).to_json() for Ek in E],
-                "F": [_sum(Fa).to_json() for Fa in F],
+                "E": [slice_sum(Ek).to_json() for Ek in E],
+                "F": [slice_sum(Fa).to_json() for Fa in F],
                 "nterms": {"E": [_nterms(Ek[s]) for Ek in E],
                            "F": [_nterms(Fa[s]) for Fa in F]},
             })
@@ -298,9 +284,9 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         W.append(updW)
         V.append(-updW)
 
-    out = ConnectionPencil(t_vars, y_vars, n, [_sum(Ci) for Ci in C],
-                           [_sum(Fa) for Fa in F], _sum(U), _sum(V), _sum(W),
-                           N)
+    out = ConnectionPencil(t_vars, y_vars, n, [slice_sum(Ci) for Ci in C],
+                           [slice_sum(Fa) for Fa in F], slice_sum(U),
+                           slice_sum(V), slice_sum(W), N)
     leftover = flatness_residual(out)
     if leftover:
         raise AssertionError("unfolding induction failed: %s" % ", ".join(

@@ -11,7 +11,8 @@ from frobkit.germ import (FrobeniusGermData, InitialData, compare_germs,
 from frobkit.pencil import pencil_to_ftype, structure_connection
 from frobkit.series import SeriesMatrix, TruncSeries
 from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
-                                check_ftype_axioms, shift_example)
+                                check_ftype_axioms, filtration_to_ftype,
+                                shift_example)
 from helpers import (consts, cubic_init, point_base_pencil,
                      rank2_higgs_ftype, rank3_point_ftype, shift_inits)
 
@@ -373,3 +374,49 @@ def test_normalize_germ_scales_metric_and_potential():
         [[2 * c for c in row] for row in germ.metric],
         germ.degrees, None, germ.potential * 2, germ.order)
     assert compare_germs(germ, doubled)["equal"]
+
+
+def test_truncation_commutes_with_both_constructors():
+    # building at order M gives the order-N germ truncated to M, so no
+    # stage of the recursion and no cap on its Euler weights depends on
+    # the order beyond truncation
+    one = TruncSeries.one(("t",), N)
+    t = TruncSeries.var(("t",), N, "t")
+    for w, b in [(5, [one + t]), (7, [one, one + t * 2])]:
+        init = initial_from_filtration(shift_example(w, b, order=N))
+        for ctor in (h2_reconstruct, frobenius_via_unfolding):
+            germs = [normalize_germ(ctor(init, order=M))
+                     for M in range(N + 1)]
+            for M, small in enumerate(germs):
+                assert small.order == M
+                for big in germs[M + 1:]:
+                    assert [A.truncate(M) for A in big.mult] == small.mult
+                    assert (big.potential.truncate(small.potential.order)
+                            == small.potential), (w, ctor.__name__, M)
+
+
+def _ungenerated_init(w, b, k, order=N):
+    # the shift example with its k-th connection entry vanishing at the
+    # origin, so that degree k spans nothing and the metric and symmetry
+    # fallback fills it; generation at the origin fails, which
+    # InitialData.create would reject, so the data is built directly
+    one = TruncSeries.one(("t",), order)
+    t = TruncSeries.var(("t",), order, "t")
+    FT, _ = filtration_to_ftype(
+        shift_example(w, [one + t * c for c in b], order=order))
+    ent = FT.C[0].nonzero()
+    ent[k + 1, k] = ent[k + 1, k] * t
+    C = SeriesMatrix.from_sparse(FT.n, FT.n, FT.vars, order, ent)
+    FT = FrobeniusTypeStructure(FT.vars, FT.n, [C], FT.U, FT.V, FT.g, order)
+    return InitialData(FT, w, 2 * F(FT.V[0][0]), None, None)
+
+
+@pytest.mark.parametrize("w, b, k", [(5, [1], 1), (7, [1, 2], 2),
+                                     (9, [1, 2, 3], 3)])
+def test_h2_reconstruct_fallback_matches_reference(w, b, k):
+    # the only runs of _fill_ungenerated; at weight 9 the symmetry fills
+    # a nonzero slice past slice 0
+    from helpers import reference_h2_reconstruct
+    init = _ungenerated_init(w, b, k)
+    assert _blob(h2_reconstruct(init)) == _blob(
+        reference_h2_reconstruct(init))

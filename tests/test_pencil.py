@@ -6,7 +6,7 @@ from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, is_flat,
                             pairing_extension_check, pencil_to_ftype,
                             potential_matrix, reduced_flatness_check,
-                            structure_connection)
+                            residual_report, structure_connection)
 from frobkit.series import SeriesMatrix, TruncSeries
 from frobkit.structures import RejectionError, check_ftype_axioms
 from frobkit.unfold import UnfoldProblem, solve, universal_unfold
@@ -243,3 +243,54 @@ def test_pencil_serialization_roundtrip():
     back = ConnectionPencil.from_json(blob)
     assert back.to_json() == blob
     assert back.U == res.pencil.U
+
+
+def test_structure_connection_flatness_is_the_four_ftype_axioms():
+    # with W = 0, constant V and no y-directions, the fourteen flatness
+    # equations of the pencil are four ftype axioms or vanish identically;
+    # so a pencil built without the axiom check fails exactly where they do
+    from frobkit.germ import germ_to_ftype, h2_reconstruct
+    from frobkit.structures import FrobeniusTypeStructure
+    init = shift_inits(3)[(5, "1+t")]
+    F0 = germ_to_ftype(h2_reconstruct(init))
+    vars, n, order = F0.vars, F0.n, F0.order
+    assert len(vars) == 4
+
+    def e(i, j, c=1):
+        return consts([[c if (a, b) == (i, j) else 0 for b in range(n)]
+                       for a in range(n)], vars, order)
+
+    s2 = TruncSeries.var(vars, order, vars[1])
+    s1 = TruncSeries.var(vars, order, vars[0])
+    C, U = list(F0.C), F0.U
+    cases = {
+        "valid": (C, U),
+        "higgs-commute": ([C[0], C[1] + e(2, 3)] + C[2:], U),
+        "higgs-potential": ([C[0] + e(3, 3).scale_series(s2)] + C[1:], U),
+        "u-higgs-commute": (C, U + e(3, 1)),
+        "u-transport": (C, U + SeriesMatrix.identity(n, vars, order)
+                        .scale_series(s1)),
+    }
+    names = {"higgs-commute": "higgs-commute-tt",
+             "higgs-potential": "potential-tt",
+             "u-higgs-commute": "u-commute-t",
+             "u-transport": "u-transport-t"}
+    half = F(init.weight, 2)
+    V = consts([[-F0.V[i][j] + (half if i == j else 0) for j in range(n)]
+                for i in range(n)], vars, order)
+    Z = SeriesMatrix.zeros(n, n, vars, order)
+    for broken, (Cs, Us) in cases.items():
+        FT = FrobeniusTypeStructure(vars, n, Cs, Us, F0.V, F0.g, order)
+        want = [dict(v, check=names[v["check"]])
+                for v in check_ftype_axioms(FT) if v["check"] in names]
+        P = ConnectionPencil(vars, (), n, Cs, [], Us, V, Z, order)
+        got = residual_report(flatness_residual(P))
+        if broken == "valid":
+            assert want == [] and got == []
+        else:
+            assert names[broken] in {v["check"] for v in got}
+
+        def key(v):
+            return v["check"], v["indices"]
+
+        assert sorted(got, key=key) == sorted(want, key=key), broken

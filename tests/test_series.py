@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobkit.series import (SeriesMatrix, TruncSeries, euler_integrate,
-                            frac_from_str, frac_to_str)
+                            frac_from_str, frac_to_str, slice_sum,
+                            slice_terms)
 from frobkit.series import SeriesError
 from helpers import frozen_combine, frozen_matmul, frozen_sum_of_products
 
@@ -596,10 +597,10 @@ kernel_coeffs = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(1, 3),
 
 
 @st.composite
-def kernel_operand(draw, rows, cols, order):
-    """Zero-heavy rows x cols operand with terms of degree 0..order: all
-    zero one time in five, blank rows, entries of order `order` or
-    `order + 1`."""
+def kernel_operand(draw, rows, cols, order, vars=V2):
+    """Zero-heavy rows x cols operand over ``vars`` with terms of degree
+    0..order: all zero one time in five, blank rows, entries of order
+    `order` or `order + 1`."""
     all_zero = draw(st.integers(0, 4)) == 0
     blank = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1))
     out = []
@@ -609,11 +610,11 @@ def kernel_operand(draw, rows, cols, order):
             o = draw(st.sampled_from([order, order, order + 1]))
             terms = {}
             if not all_zero and i not in blank and draw(st.booleans()):
-                exps = st.tuples(st.integers(0, o), st.integers(0, o)).filter(
+                exps = st.tuples(*[st.integers(0, o)] * len(vars)).filter(
                     lambda e: sum(e) <= o)
                 terms = draw(st.dictionaries(exps, kernel_coeffs,
                                              max_size=3))
-            row.append(TruncSeries(V2, o, terms))
+            row.append(TruncSeries(vars, o, terms))
         out.append(row)
     return SeriesMatrix(out)
 
@@ -704,3 +705,39 @@ def test_scalar_matrix_scales():
     assert_same_matrix(M @ SeriesMatrix.scalar(3, x), M.scale_series(x))
     zero = SeriesMatrix.scalar(2, TruncSeries.zero(V2, 1))
     assert zero.is_zero() and zero.order == 1 and zero.rows == zero.cols == 2
+
+
+V3 = ("x", "y", "z")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_slice_terms_give_the_graded_part_of_a_product(data):
+    # both graded recursions (y-degree in unfold.solve, Euler weight in
+    # h2_reconstruct) read slice s of a product off the slices of its
+    # factors; here some of three variables carry positive weights and
+    # the others none, as the degree-zero coordinates do
+    order = data.draw(st.integers(1, 3))
+    r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    A = data.draw(kernel_operand(r, k, order, V3))
+    B = data.draw(kernel_operand(k, c, order, V3))
+    S = data.draw(kernel_operand(k, k, order, V3))
+    T = data.draw(kernel_operand(k, k, order, V3))
+    names = data.draw(st.lists(st.sampled_from(V3), min_size=1, max_size=3,
+                               unique=True))
+    weights = {v: data.draw(st.integers(1, 3)) for v in names}
+    top = (order + 1) * max(weights.values())
+
+    def slices(M):
+        return [M.graded_part(d, names, weights) for d in range(top + 1)]
+
+    As, Bs, Ss, Ts = map(slices, (A, B, S, T))
+    assert slice_sum(As) == A
+    for s in range(top + 1):
+        assert_same_matrix(
+            SeriesMatrix.sum_of_products(slice_terms(As, Bs, s)),
+            (A @ B).graded_part(s, names, weights))
+        assert_same_matrix(
+            SeriesMatrix.sum_of_products(slice_terms(Ss, Ts, s)
+                                         + slice_terms(Ts, Ss, s, -1)),
+            S.commutator(T).graded_part(s, names, weights))
