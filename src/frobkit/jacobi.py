@@ -25,7 +25,11 @@ normal-form table with one entry per monomial.
 
 Milnor number and graded dimensions come from the Koszul Hilbert series
 once the singularity has been certified isolated; materialized pieces are
-checked against it.
+checked against it.  The certificate walks the degrees above the socle
+upwards, and at each one it drops the variables x_i whose cofactor degree
+already lies above the socle: those pieces are certified zero, so x_i times
+any monomial of that degree is in the ideal, and only the piece in the
+remaining variables, with every partial restricted to them, is built.
 """
 
 from __future__ import annotations
@@ -515,12 +519,41 @@ class JacobiAlgebra:
     # -- construction helpers ----------------------------------------------
 
     def _certify_isolated(self):
-        B = self.ws.socle_scaled()
-        top_w = max(self.ws.scaled)
-        for s in range(B + 1, B + top_w + 1):
+        """Certify that the quotient vanishes in the scaled degrees
+        B+1..B+max D_i (B the socle degree), lowest first; the first
+        nonzero piece raises NotIsolatedError with its degree.
+
+        At degree s, x_i is covered when s - D_i > B.  The piece at
+        s - D_i was certified zero earlier in this loop, so x_i times any
+        monomial of that degree lies in J (x_i J_{s-D_i} is in J), and the
+        degree-s piece of C[x]/J is that of C[x]/(J + (covered x_i)): the
+        piece of C[free]/(every partial with the covered variables set to
+        zero).  Only that smaller piece is built.  Straight weights never
+        cover a variable: their range is B+1..B+D, so s - D <= B throughout.
+        """
+        ws = self.ws
+        B = ws.socle_scaled()
+        for s in range(B + 1, B + max(ws.scaled) + 1):
             # no name keeps a piece alive while the next one is built
-            if GradedPiece(self.ws, self.partials, s, self.strides).dim:
-                raise NotIsolatedError(Fraction(s, self.ws.scale))
+            if self._uncovered_dim(s, [s - d <= B for d in ws.scaled]):
+                raise NotIsolatedError(Fraction(s, ws.scale))
+
+    def _uncovered_dim(self, s: int, free) -> int:
+        """Dimension at scaled degree s of the quotient by the partials and
+        the variables not flagged in ``free``."""
+        ws = self.ws
+        if all(free):
+            return GradedPiece(ws, self.partials, s, self.strides).dim
+        sub = WeightSystem(list(compress(ws.weights, free)))
+        t, off_grid = divmod(s * sub.scale, ws.scale)
+        if off_grid:
+            return 0        # no monomial in the free variables has degree s
+        covered = [not x for x in free]
+        partials = [XPoly(sub.nvars, {tuple(compress(e, free)): c
+                                      for e, c in p.terms.items()
+                                      if not any(compress(e, covered))})
+                    for p in self.partials]
+        return GradedPiece(sub, partials, t).dim
 
     def _hilbert_coeffs(self):
         """Coefficients of prod (1-u^(L-D_i)) / prod (1-u^(D_i))."""
@@ -660,9 +693,7 @@ def jacobian_piece(f: XPoly, ws: WeightSystem, q) -> dict:
     Returns {"dimension": ambient dim, "rank": ideal rank,
              "quotient_dim": codimension}.
     """
-    degs = {ws.scaled_degree(e) for e in f.terms}
-    if degs != {ws.scale}:
-        raise ValueError("f is not weighted homogeneous of degree 1")
+    check_polynomial(f, ws)
     s = ws.to_scaled(q)
     partials = [f.partial(i) for i in range(ws.nvars)]
     piece = GradedPiece(ws, partials, s)
@@ -689,7 +720,9 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
     The span at degree q is grown incrementally: span_q = span_{q-1} *
     R^(1), with spanning vectors kept in reduced echelon form so product
     counts stay at rank * dim R^(1).  Multiplying stops once the span is
-    the whole piece, and that full span is handed to the next degree.
+    the whole piece, and that full span is handed to the next degree.  Over
+    a union-find piece the leading unit rows are multiplied out a whole row
+    at a time, straight through its normal-form table.
     """
     L = algebra.ws.scale
     top_int = algebra.top_scaled() // L
@@ -721,7 +754,25 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
         ech = Echelon(pivot="min")
         nf_key = target.nf_key
         table, index = target._uf, target.index
-        for items, kj in product(prev_rows, deg1_keys):
+        rows = prev_rows
+        if table is not None:
+            # the leading unit rows: a union-find normal form is one table
+            # entry, a single line, so each row fills `seen` in one pass
+            at = index.__getitem__
+            lead = 0
+            for items in prev_rows:
+                if len(items) != 1 or items[0][1] != 1:
+                    break
+                lead += 1
+                shifted = map(prev_keys[items[0][0]].__add__, deg1_keys)
+                seen.update(entry[0] for entry in
+                            map(table.__getitem__, map(at, shifted))
+                            if entry is not None)
+                if len(seen) == dim:
+                    break
+            # a full span needs no more products
+            rows = [] if len(seen) == dim else prev_rows[lead:]
+        for items, kj in product(rows, deg1_keys):
             if len(items) == 1 and items[0][1] == 1:
                 if table is not None and not ech.rank:
                     # a union-find normal form is one table entry, a

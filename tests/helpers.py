@@ -1,14 +1,17 @@
 """Shared fixtures: the pencil corpus, the unfolding oracles (brute force,
 and the whole-series construction), frozen elimination engines, the
-stage-by-stage germ recursion oracle, the frozen matrix product and the
-frozen general Euler check."""
+stage-by-stage germ recursion oracle, the frozen matrix product, the
+frozen general Euler check, and the frozen isolatedness certificate and h2
+generation check."""
 
 from fractions import Fraction
+from itertools import product
 
 from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
                           _coords, _raise_order, initial_from_filtration,
                           invert_map, potential_integrate)
-from frobkit.jacobi import WeightSystem, XPoly, build_jacobi
+from frobkit.jacobi import GradedPiece, WeightSystem, XPoly, build_jacobi
+from frobkit.linalg import Echelon
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, potential_matrix,
                             residual_report, structure_connection)
@@ -1153,3 +1156,86 @@ def reference_euler_general(G: FrobeniusGermData, dconst=None) -> list:
                     2 - Fraction(dconst)) * TruncSeries.const(
                         coords, acc.order, G.metric[i][j]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# frozen Jacobi certificates: the isolatedness certificate over full graded
+# pieces, and the h2 generation check one product at a time, exactly as they
+# were before the covered-variable reduction and the bulk unit rows.  They
+# are the oracles for ``JacobiAlgebra._certify_isolated`` and
+# ``jacobi.h2_generation_check``.
+# ---------------------------------------------------------------------------
+
+
+def reference_isolated_witness(ws: WeightSystem, partials):
+    """The first weighted degree in (B, B + max D_i] / L whose full graded
+    piece of the quotient is nonzero, or None when every one is zero."""
+    B = ws.socle_scaled()
+    for s in range(B + 1, B + max(ws.scaled) + 1):
+        if GradedPiece(ws, partials, s).dim:
+            return Fraction(s, ws.scale)
+    return None
+
+
+def reference_h2_generation_check(algebra) -> dict:
+    L = algebra.ws.scale
+    top_int = algebra.top_scaled() // L
+    report: dict[int, int] = {}
+    if algebra.dim_scaled(L) == 0:
+        for q in range(2, top_int + 1):
+            report[q] = algebra.dim_scaled(q * L)
+        return {"codimensions": report,
+                "passes": all(v == 0 for v in report.values())}
+    deg1 = algebra.piece(L)
+    deg1_keys = deg1.basis_keys
+    prev_keys = list(deg1_keys)
+    one = Fraction(1)
+    prev_rows: list[list] = [[(k, one)] for k in range(deg1.dim)]
+    for q in range(2, top_int + 1):
+        s = q * L
+        dim = algebra.dim_scaled(s)
+        if dim == 0:
+            report[q] = 0
+            prev_rows = []
+            prev_keys = []
+            continue
+        target = algebra.piece(s)
+        seen: set = set()
+        ech = Echelon(pivot="min")
+        nf_key = target.nf_key
+        table, index = target._uf, target.index
+        for items, kj in product(prev_rows, deg1_keys):
+            if len(items) == 1 and items[0][1] == 1:
+                if table is not None and not ech.rank:
+                    entry = table[index[prev_keys[items[0][0]] + kj]]
+                    if entry is not None:
+                        seen.add(entry[0])
+                        if len(seen) == dim:
+                            break
+                    continue
+                vec = nf_key(prev_keys[items[0][0]] + kj)
+            else:
+                vec = {}
+                for i, c in items:
+                    for k, v in nf_key(prev_keys[i] + kj, c).items():
+                        w = vec.get(k, Fraction(0)) + v
+                        if w:
+                            vec[k] = w
+                        else:
+                            del vec[k]
+            vec = {k: c for k, c in vec.items() if k not in seen}
+            if not vec:
+                continue
+            if len(vec) == 1 and ech.rank == 0:
+                seen.add(next(iter(vec)))
+            else:
+                ech.insert(vec)
+            if len(seen) + ech.rank == dim:
+                break
+        rank = len(seen) + ech.rank
+        report[q] = dim - rank
+        prev_rows = ([[(k, one)] for k in sorted(seen)]
+                     + [list(r.items()) for r in ech.rows.values()])
+        prev_keys = target.basis_keys
+    return {"codimensions": report,
+            "passes": all(v == 0 for v in report.values())}

@@ -5,9 +5,13 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# the seed-1 `shift-reconstruct` report sha256 recorded in bench/README.md
+# the seed-1 report (certificate) sha256s recorded in bench/README.md
 SHIFT_SHA256 = ("43d0736b104203554d8696252de26bb8e287c5d41d0f747fd5bbda512e8"
                 "ff2b1")
+CODIM_SHA256 = ("1ac44189f1bbf9177815665db2be4866bda5f1d7f3accb3492f4cc18af3"
+                "3f73d")
+QUINTIC_SHA256 = ("6274e95baf99435341203df38b46a7187496181194e6adcd5a0f846f9"
+                  "e8a3b2d")
 
 
 def _load_workloads():
@@ -34,3 +38,30 @@ def test_shift_reconstruct_report_is_pinned(tmp_path):
     status, blob = job["run"](argv, str(outdir))
     assert status == 0 and job["check"](status, blob) == []
     assert hashlib.sha256(blob).hexdigest() == SHIFT_SHA256
+
+
+def test_codim_h2check_report_is_pinned(tmp_path):
+    workloads = _load_workloads()
+    assert CODIM_SHA256 in (BENCH / "README.md").read_text()
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(workloads.codim_payload(1)))
+    job = workloads.WORKLOADS["codim-h2check"]
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = job["load"](str(payload), str(outdir))
+    assert argv[:2] == ["h2check", "--input"]
+    status, blob = job["run"](argv, str(outdir))
+    assert status == 1 and job["check"](status, blob) == []
+    assert hashlib.sha256(blob).hexdigest() == CODIM_SHA256
+
+
+def test_quintic_gc_certificate_is_pinned(tmp_path):
+    workloads = _load_workloads()
+    assert QUINTIC_SHA256 in (BENCH / "README.md").read_text()
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(workloads.quintic_payload(1)))
+    job = workloads.WORKLOADS["quintic-gc"]
+    loaded = job["load"](str(payload), str(tmp_path))
+    status, blob = job["run"](loaded, str(tmp_path))
+    assert status == 0 and job["check"](status, blob) == []
+    assert hashlib.sha256(blob).hexdigest() == QUINTIC_SHA256

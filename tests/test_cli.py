@@ -67,6 +67,18 @@ def test_h2check_codim_instance_exits_one(tmp_path):
     assert report["ok"] is False
 
 
+def test_h2check_rejects_witness_at_covered_degree(tmp_path):
+    # x^6 + y^6 + x y z^2: the socle sits at scaled degree 10, and z^6 at
+    # scaled degree 12 (where x and y are covered) survives every partial
+    payload = {"num_vars": 3, "weights": ["1/6", "1/6", "1/3"],
+               "terms": [[[6, 0, 0], "1/1"], [[0, 6, 0], "1/1"],
+                         [[1, 1, 2], "1/1"]]}
+    code, report, _ = _run(tmp_path, "h2check", payload)
+    assert code == 1 and report["ok"] is False
+    assert report["error"] == ("graded piece at weighted degree 2 is "
+                               "nonzero above the socle bound")
+
+
 def test_schema_violation_exits_two(tmp_path):
     code, report, _ = _run(tmp_path, "jacobi", {"nope": 1})
     assert code == 2

@@ -14,7 +14,8 @@ from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
 from frobkit.linalg import Echelon
 from frobkit.series import TRUNC_SERIES, TruncSeries
 from helpers import (ReferenceSeriesEchelon, codim_one_polynomial, fermat,
-                     fermat_cubic_algebra)
+                     fermat_cubic_algebra, reference_h2_generation_check,
+                     reference_isolated_witness)
 
 F = Fraction
 
@@ -38,6 +39,14 @@ def test_jacobian_piece_two_squares_half():
     f = XPoly(2, {(2, 0): F(1), (0, 2): F(1)})
     jp = jacobian_piece(f, ws, F(1, 2))
     assert jp["dimension"] == 2 and jp["rank"] == 2
+
+
+def test_jacobian_piece_rejects_variable_count_mismatch():
+    two = XPoly(2, {(3, 0): F(1), (0, 3): F(1)})
+    three = XPoly(3, {(3, 0, 0): F(1), (0, 3, 0): F(1), (0, 0, 3): F(1)})
+    for f, ws in ((two, W3), (three, WeightSystem.straight(2, 3))):
+        with pytest.raises(ValueError, match="^variable count mismatch$"):
+            jacobian_piece(f, ws, 1)
 
 
 def test_build_quintic_dimensions_and_product_oracle():
@@ -139,6 +148,7 @@ def test_h2_generation_quintic_passes():
 def test_h2_generation_codim_one_instance():
     A = build_jacobi(*codim_one_polynomial())
     rep = h2_generation_check(A)
+    assert rep == reference_h2_generation_check(A)
     assert rep["codimensions"][2] == 1
     assert all(v == 0 for q, v in rep["codimensions"].items() if q != 2)
     assert not rep["passes"]
@@ -161,6 +171,55 @@ def test_non_isolated_rejected_with_witness():
     with pytest.raises(NotIsolatedError) as err:
         build_jacobi(f, ws)
     assert err.value.degree == F(1)
+
+
+# x^6 + y^6 + x y z^2: B = 10, and at scaled degree 12 both x and y are
+# covered (12 - 1 > B), leaving z^6 with every partial zero at x = y = 0
+COVERED_WITNESS = (XPoly(3, {(6, 0, 0): F(1), (0, 6, 0): F(1),
+                             (1, 1, 2): F(1)}),
+                   WeightSystem([F(1, 6), F(1, 6), F(1, 3)]))
+MIXED_WEIGHTS = [
+    (F(1, 6), F(1, 6), F(1, 3)), (F(1, 8), F(1, 4), F(1, 2)),
+    (F(1, 9), F(2, 9), F(1, 3)), (F(1, 6), F(1, 3), F(1, 2), F(1, 2))]
+
+
+@st.composite
+def mixed_weight_polynomials(draw):
+    ws = WeightSystem(draw(st.sampled_from(MIXED_WEIGHTS)))
+    monos = ws.monomials(ws.scale)
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5,
+                           unique=True))
+    coeffs = draw(st.lists(st.sampled_from([1, -1, 2, -3]),
+                           min_size=len(picked), max_size=len(picked)))
+    return XPoly(ws.nvars, dict(zip(picked, map(F, coeffs)))), ws
+
+
+def _isolated_witness(f, ws):
+    try:
+        build_jacobi(f, ws)
+    except NotIsolatedError as exc:
+        return exc.degree
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mixed_weight_polynomials())
+@example(COVERED_WITNESS)
+def test_isolatedness_certificate_matches_full_pieces(case):
+    """The certificate builds, at each degree above the socle, the piece in
+    the variables not covered there; its verdict and witness degree are
+    those of the full pieces."""
+    f, ws = case
+    partials = [f.partial(i) for i in range(ws.nvars)]
+    assert _isolated_witness(f, ws) == reference_isolated_witness(ws,
+                                                                  partials)
+
+
+def test_covered_witness_degree():
+    assert _isolated_witness(*COVERED_WITNESS) == 2
+    f, ws = COVERED_WITNESS
+    B = ws.socle_scaled()
+    assert B == 10 and [12 - d > B for d in ws.scaled] == [True, True, False]
 
 
 def test_inhomogeneous_f_rejected():
@@ -310,6 +369,27 @@ def test_h2_generation_matches_brute_force_products():
             ech.insert(piece.nf_exps(tuple(map(sum, zip(*ms)))))
         want[q] = A.dim_scaled(q * L) - ech.rank
     assert h2_generation_check(A)["codimensions"] == want == {2: 0, 3: 0}
+
+
+# an echelon piece at degree 2 whose span gains rank before its last unit
+# row is multiplied out, so later unit rows reduce against the echelon
+LATE_UNIT_ROWS = (
+    XPoly(4, {(6, 0, 0, 0): F(1), (0, 6, 0, 0): F(1), (0, 0, 6, 0): F(1),
+              (0, 0, 0, 3): F(1), (1, 0, 3, 1): F(1), (2, 0, 4, 0): F(-1),
+              (4, 0, 2, 0): F(1)}),
+    WeightSystem([F(1, 6), F(1, 6), F(1, 6), F(1, 3)]))
+
+
+def test_h2_generation_matches_frozen_per_product_loop():
+    """The bulk pass over the leading unit rows of a union-find target and
+    the general loop give the span of one product at a time."""
+    for f, ws in (fermat(4, 4), THREE_TERM_QUARTIC, LATE_UNIT_ROWS):
+        A = build_jacobi(f, ws)
+        assert h2_generation_check(A) == reference_h2_generation_check(A)
+    A = build_jacobi(*fermat(4, 4))
+    assert A.piece(2 * A.ws.scale)._uf is not None
+    A = build_jacobi(*THREE_TERM_QUARTIC)
+    assert A.piece(2 * A.ws.scale)._uf is None
 
 
 def test_series_echelon_defers_rows_without_unit_entry():
