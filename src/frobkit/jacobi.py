@@ -542,8 +542,6 @@ class JacobiAlgebra:
         """Dimension at scaled degree s of the quotient by the partials and
         the variables not flagged in ``free``."""
         ws = self.ws
-        if all(free):
-            return GradedPiece(ws, self.partials, s, self.strides).dim
         sub = WeightSystem(list(compress(ws.weights, free)))
         t, off_grid = divmod(s * sub.scale, ws.scale)
         if off_grid:
@@ -721,8 +719,8 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
     R^(1), with spanning vectors kept in reduced echelon form so product
     counts stay at rank * dim R^(1).  Multiplying stops once the span is
     the whole piece, and that full span is handed to the next degree.  Over
-    a union-find piece the leading unit rows are multiplied out a whole row
-    at a time, straight through its normal-form table.
+    a union-find piece every row is a unit row, multiplied out a whole row
+    at a time straight through its normal-form table.
     """
     L = algebra.ws.scale
     top_int = algebra.top_scaled() // L
@@ -754,55 +752,44 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
         ech = Echelon(pivot="min")
         nf_key = target.nf_key
         table, index = target._uf, target.index
-        rows = prev_rows
         if table is not None:
-            # the leading unit rows: a union-find normal form is one table
-            # entry, a single line, so each row fills `seen` in one pass
+            # below a union-find piece every piece is union-find (a partial
+            # counts at every degree from its own upwards), so every row is
+            # a unit row and every product's normal form is one table
+            # entry, a single line: each row fills `seen` in one pass
             at = index.__getitem__
-            lead = 0
-            for items in prev_rows:
-                if len(items) != 1 or items[0][1] != 1:
-                    break
-                lead += 1
-                shifted = map(prev_keys[items[0][0]].__add__, deg1_keys)
+            for [(k, _)] in prev_rows:
+                shifted = map(prev_keys[k].__add__, deg1_keys)
                 seen.update(entry[0] for entry in
                             map(table.__getitem__, map(at, shifted))
                             if entry is not None)
                 if len(seen) == dim:
+                    # the products span the whole piece
                     break
-            # a full span needs no more products
-            rows = [] if len(seen) == dim else prev_rows[lead:]
-        for items, kj in product(rows, deg1_keys):
-            if len(items) == 1 and items[0][1] == 1:
-                if table is not None and not ech.rank:
-                    # a union-find normal form is one table entry, a
-                    # single line (below a union-find piece every row is)
-                    entry = table[index[prev_keys[items[0][0]] + kj]]
-                    if entry is not None:
-                        seen.add(entry[0])
-                        if len(seen) == dim:
-                            break
+        else:
+            for items, kj in product(prev_rows, deg1_keys):
+                if len(items) == 1 and items[0][1] == 1:
+                    vec = nf_key(prev_keys[items[0][0]] + kj)
+                else:
+                    vec = {}
+                    for i, c in items:
+                        for k, v in nf_key(prev_keys[i] + kj, c).items():
+                            w = vec.get(k, Fraction(0)) + v
+                            if w:
+                                vec[k] = w
+                            else:
+                                del vec[k]
+                vec = {k: c for k, c in vec.items() if k not in seen}
+                if not vec:
                     continue
-                vec = nf_key(prev_keys[items[0][0]] + kj)
-            else:
-                vec = {}
-                for i, c in items:
-                    for k, v in nf_key(prev_keys[i] + kj, c).items():
-                        w = vec.get(k, Fraction(0)) + v
-                        if w:
-                            vec[k] = w
-                        else:
-                            del vec[k]
-            vec = {k: c for k, c in vec.items() if k not in seen}
-            if not vec:
-                continue
-            if len(vec) == 1 and ech.rank == 0:
-                seen.add(next(iter(vec)))
-            else:
-                ech.insert(vec)
-            if len(seen) + ech.rank == dim:
-                # the products span the whole piece; later ones add nothing
-                break
+                if len(vec) == 1 and ech.rank == 0:
+                    seen.add(next(iter(vec)))
+                else:
+                    ech.insert(vec)
+                if len(seen) + ech.rank == dim:
+                    # the products span the whole piece; later ones add
+                    # nothing
+                    break
         rank = len(seen) + ech.rank
         report[q] = dim - rank
         prev_rows = ([[(k, one)] for k in sorted(seen)]

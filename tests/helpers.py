@@ -1161,7 +1161,7 @@ def reference_euler_general(G: FrobeniusGermData, dconst=None) -> list:
 # ---------------------------------------------------------------------------
 # frozen Jacobi certificates: the isolatedness certificate over full graded
 # pieces, and the h2 generation check one product at a time, exactly as they
-# were before the covered-variable reduction and the bulk unit rows.  They
+# were before the covered-variable reduction and the whole-row pass.  They
 # are the oracles for ``JacobiAlgebra._certify_isolated`` and
 # ``jacobi.h2_generation_check``.
 # ---------------------------------------------------------------------------

@@ -215,13 +215,6 @@ def test_isolatedness_certificate_matches_full_pieces(case):
                                                                   partials)
 
 
-def test_covered_witness_degree():
-    assert _isolated_witness(*COVERED_WITNESS) == 2
-    f, ws = COVERED_WITNESS
-    B = ws.socle_scaled()
-    assert B == 10 and [12 - d > B for d in ws.scaled] == [True, True, False]
-
-
 def test_inhomogeneous_f_rejected():
     ws = WeightSystem([F(1, 3), F(1, 3)])
     with pytest.raises(ValueError):
@@ -381,8 +374,8 @@ LATE_UNIT_ROWS = (
 
 
 def test_h2_generation_matches_frozen_per_product_loop():
-    """The bulk pass over the leading unit rows of a union-find target and
-    the general loop give the span of one product at a time."""
+    """The whole-row pass over a union-find target and the general loop
+    over an echelon target give the span of one product at a time."""
     for f, ws in (fermat(4, 4), THREE_TERM_QUARTIC, LATE_UNIT_ROWS):
         A = build_jacobi(f, ws)
         assert h2_generation_check(A) == reference_h2_generation_check(A)
