@@ -9,8 +9,13 @@ data and are tested against each other:
 
 * ``h2_reconstruct`` never touches the pencil: it determines the
   multiplication matrices degree by degree in the Euler grading, using
-  generation by the degree-zero directions, the metric pairing for the
-  top block, and radial integration of the potentiality relation.
+  generation by the degree-zero directions and radial integration of the
+  potentiality relation.
+
+Both take ``InitialData``, which only ``InitialData.create`` builds: it
+certifies the axioms and the eigenvector, generation (gc) and injectivity
+(ic) conditions of the paper's construction theorem, so generation reaches
+every Euler degree of the data the constructors see.
 
 Germ data is stored in flat coordinates s_1..s_n vanishing at the origin,
 frame vector k at the origin being d/ds_k; structure constants are the
@@ -30,9 +35,8 @@ from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      euler_integrate, frac_from_str, frac_to_str,
                      require_int, require_square, slice_sum, slice_terms)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
-                         RejectionError, check_ftype_axioms,
-                         filtration_to_ftype, violation)
-from .unfold import gc_check, ic_check, universal_unfold
+                         RejectionError, filtration_to_ftype, violation)
+from .unfold import GCCertificate, gc_check, ic_check, universal_unfold
 
 __all__ = [
     "FrobeniusGermData", "InitialData", "initial_from_filtration",
@@ -131,15 +135,25 @@ class InitialData:
     """A Frobenius type structure with a distinguished eigenvector.
 
     The frame is normalized so the distinguished vector is the first frame
-    vector; certificates for the injectivity, generation and eigenvector
-    conditions are computed on construction.
+    vector.  ``create`` is the only constructor: it certifies the axioms
+    and the eigenvector, generation and injectivity conditions, and keeps
+    the structure connection it certified them on.  Construction refuses
+    anything but passing certificates, so generation reaches every Euler
+    degree of the data the germ constructors receive.
     """
 
     ftype: FrobeniusTypeStructure
     weight: int
     d_value: Fraction
-    gc: object
+    gc: GCCertificate
     ic: dict
+    pencil: ConnectionPencil
+
+    def __post_init__(self):
+        if not (isinstance(self.gc, GCCertificate) and self.gc.ok
+                and isinstance(self.ic, dict) and self.ic.get("ok") is True):
+            raise TypeError("InitialData holds certified data only; build "
+                            "it with InitialData.create")
 
     @classmethod
     def create(cls, ftype: FrobeniusTypeStructure, zeta=None,
@@ -151,10 +165,6 @@ class InitialData:
                 raise RejectionError("distinguished vector is zero")
             if zeta != [Fraction(int(k == 0)) for k in range(n)]:
                 ftype = rotate_zeta_first(ftype, zeta)
-        viol = check_ftype_axioms(ftype)
-        if viol:
-            raise RejectionError("initial structure fails its axioms",
-                                 {"violations": viol})
         # eigenvector condition
         col = [Fraction(ftype.V[k][0]) for k in range(n)]
         if any(col[k] != 0 for k in range(1, n)):
@@ -167,6 +177,7 @@ class InitialData:
                 raise RejectionError("eigenvalue 2*%s is not an integer; "
                                      "pass a weight explicitly" % d)
             weight = int(d) + 2
+        # the structure connection checks the axioms
         P, _ = structure_connection(ftype, weight)
         gc = gc_check(P)
         if not gc.ok:
@@ -175,7 +186,7 @@ class InitialData:
         ic = ic_check(P)
         if not ic["ok"]:
             raise RejectionError("injectivity condition fails", {"ic": ic})
-        init = cls(ftype, weight, d, gc, ic)
+        init = cls(ftype, weight, d, gc, ic, P)
         if init.is_graded() and weight != d + 2:
             raise RejectionError("this graded structure needs weight %s, "
                                  "not %s" % (d + 2, weight))
@@ -426,11 +437,12 @@ def frobenius_via_unfolding(init: InitialData,
                             order: int | None = None) -> FrobeniusGermData:
     """Build the germ by unfolding the structure connection universally and
     shifting everything through the period-map chart."""
-    F = init.ftype
+    F, P = init.ftype, init.pencil
     N = order if order is not None else F.order
     if N != F.order:
+        # raising the order adds identities the certified order never saw
         F = F.restrict_order(N) if N < F.order else _raise_order(F, N)
-    P, _ = structure_connection(F, init.weight)
+        P, _ = structure_connection(F, init.weight)
     big = universal_unfold(P).pencil
     n = big.n
     coords = _coords(n)
@@ -523,15 +535,14 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     """Determine the structure constants directly from the restricted data.
 
     Stage by stage in the Euler weight: matrices of positive-degree fields
-    are solved from generation by degree-zero fields (with the metric
-    fixing the top block where generation does not reach), and the
-    degree-zero matrices pick up their next weight by radial integration
-    of the potentiality relation.  Entirely independent of the unfolding
-    pipeline.  Each multiplication matrix A[k] is the list of its
-    Euler-weight slices, as ``unfold.solve`` holds its blocks by y-degree:
-    slice 0 of a degree-zero matrix is the flattened base, and stage W
-    appends slice W to each positive-degree matrix and slice W+1 to each
-    degree-zero one.
+    are solved from generation by degree-zero fields, which reaches every
+    degree of certified data, and the degree-zero matrices pick up their
+    next weight by radial integration of the potentiality relation.
+    Entirely independent of the unfolding pipeline.  Each multiplication
+    matrix A[k] is the list of its Euler-weight slices, as ``unfold.solve``
+    holds its blocks by y-degree: slice 0 of a degree-zero matrix is the
+    flattened base, and stage W appends slice W to each positive-degree
+    matrix and slice W+1 to each degree-zero one.
 
     reverse_generation reverses the order in which the generation
     relations are scanned; the output must not depend on it (the solver
@@ -549,16 +560,11 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
         F = F.restrict_order(N) if N < F.order else _raise_order(F, N)
     n = F.n
     w = init.weight
+    # certified graded data has w = d + 2, so the unit has Euler degree -1,
+    # and by gc and ic the base directions are the degree-zero ones
     degrees = init.frame_degrees()
-    if degrees[0] != -1:
-        raise RejectionError("first frame vector must have Euler degree -1")
     d0_idx = [k for k in range(n) if degrees[k] == 0]
     pos_idx = [k for k in range(n) if degrees[k] > 0]
-    m0 = len(d0_idx)
-    if len(F.vars) != m0:
-        raise RejectionError("base dimension %d does not match the count "
-                             "of degree-zero directions %d"
-                             % (len(F.vars), m0))
     coords = _coords(n)
     g = [[Fraction(c) for c in row] for row in F.g]
 
@@ -566,7 +572,7 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     zero = SeriesMatrix.zeros(n, n, coords, N)
     A = {k: [] if degrees[k] > 0 else [zero] for k in range(n)}
     A[0] = [SeriesMatrix.identity(n, coords, N)]
-    if m0:
+    if d0_idx:
         Z = SeriesMatrix.zeros(n, n, F.vars, N)
         base, _ = _flat_chart(
             ConnectionPencil(F.vars, (), n, list(F.C), [], Z, Z, Z, N),
@@ -578,8 +584,6 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
                                      "column")
 
     wts = {coords[k]: int(degrees[k]) for k in pos_idx}
-    top_deg = max([int(d) for d in degrees] + [0])
-    top_idx = [k for k in range(n) if degrees[k] == top_deg]
 
     max_d = max([int(d) for d in degrees if d > 0] or [1])
     W_cap = min(max(w - 2, 0), N * max_d)
@@ -607,12 +611,15 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
                     selected.append(pr)
                 if len(selected) == len(unknown):
                     break
-            if len(selected) == len(unknown):
-                _solve_generated(A, gamma, pairs, selected, unknown, stage,
-                                 degrees, n, D)
-            else:
-                _fill_ungenerated(A, unknown, stage, degrees, g, w, top_idx,
-                                  D, n, span_rank=len(selected))
+            # gc spans the fiber from the unit under the C(0), each raising
+            # the Euler degree by one, so every degree is reached
+            if len(selected) < len(unknown):
+                raise AssertionError("generation spans only %d of %d "
+                                     "directions at weight %d, degree %d"
+                                     % (len(selected), len(unknown), stage,
+                                        D))
+            _solve_generated(A, gamma, pairs, selected, unknown, stage,
+                             degrees, n, D)
         # (ii) slice stage+1 of the degree-zero matrices
         if stage == W_cap or N < 1:
             break
@@ -671,42 +678,6 @@ def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees, n,
                 for a, r in enumerate(unknown)]).is_zero():
             raise AssertionError("generation relations are inconsistent at "
                                  "weight %d, degree %d" % (stage, D))
-
-
-def _fill_ungenerated(A, unknown, stage, degrees, g, w, top_idx, D, n,
-                      span_rank):
-    """Append slice `stage` of the degree-D matrices A[r], r in ``unknown``,
-    that generation cannot reach: symmetry A_r[u, l] = A_l[u, r] against
-    slice `stage` of lower degrees, the metric pairing for the top block at
-    stage 0, vanishing elsewhere."""
-    if D < Fraction(w - 4, 2):
-        raise RejectionError(
-            "generation fails below half the top degree: degree %d spans "
-            "only %d of %d directions" % (D, span_rank, len(unknown)),
-            {"degree": D, "rank": span_rank, "needed": len(unknown)})
-    vars, order = A[0][0].vars, A[0][0].order
-    if stage == 0:
-        # the entries past the symmetric ones are constants, filled here
-        if len(top_idx) != 1:
-            raise RejectionError(
-                "metric fallback needs a one-dimensional top degree",
-                {"top_indices": top_idx})
-        t = top_idx[0]
-        gt1 = g[t][0]
-        if gt1 == 0:
-            raise RejectionError("metric does not pair the unit with the "
-                                 "top degree")
-    for r in unknown:
-        ent = {(u, l): A[l][stage][u, r] for l in range(n)
-               if -1 < degrees[l] < D for u in range(n)}
-        if stage == 0:
-            ent[r, 0] = TruncSeries.one(vars, order)
-            for l in range(n):
-                if degrees[l] >= D and degrees[r] + degrees[l] == w - 4:
-                    ent[t, l] = TruncSeries.const(vars, order,
-                                                  g[r][l] / gt1)
-                # other entries of such columns vanish by the grading
-        A[r].append(SeriesMatrix.from_sparse(n, n, vars, order, ent))
 
 
 def germ_to_ftype(G: FrobeniusGermData) -> FrobeniusTypeStructure:

@@ -993,7 +993,7 @@ def _solve_generated(tab, gamma, pairs, selected, unknown, stage, degrees,
     for a in range(q):
         acc = None
         for b in range(q):
-            piece = rhs[b].scale_series(G_inv[b, a])
+            piece = rhs[b].scale_series(G_inv[a, b])
             acc = piece if acc is None else acc + piece
         sols.append(acc)
     for a, r in enumerate(unknown):

@@ -1,7 +1,13 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from frobkit import pencil, structures
+from frobkit.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,3 +71,29 @@ def test_quintic_gc_certificate_is_pinned(tmp_path):
     status, blob = job["run"](loaded, str(tmp_path))
     assert status == 0 and job["check"](status, blob) == []
     assert hashlib.sha256(blob).hexdigest() == QUINTIC_SHA256
+
+
+def test_shift_reconstruct_checks_each_structure_once(tmp_path, monkeypatch):
+    # InitialData.create certifies the axioms inside its one structure
+    # connection, and frobenius_via_unfolding reuses that pencil at the
+    # same order; the other check is filtration_to_ftype's
+    calls = {"check_ftype_axioms": 0, "structure_connection": 0}
+    for name, orig in (("check_ftype_axioms", structures.check_ftype_axioms),
+                       ("structure_connection",
+                        pencil.structure_connection)):
+        def spy(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.split(".")[0] == "frobkit"
+                    and getattr(mod, name, None) is orig):
+                monkeypatch.setattr(mod, name, spy)
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(_load_workloads().shift_payload(1)))
+    result = CliRunner().invoke(main, [
+        "reconstruct", "--input", str(payload), "--output",
+        str(tmp_path / "out"), "--both-paths", "--order", "6"],
+        catch_exceptions=False)
+    assert result.exit_code == 0
+    assert calls["check_ftype_axioms"] <= 2
+    assert calls["structure_connection"] == 1

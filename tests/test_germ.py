@@ -142,10 +142,9 @@ def test_h2_reconstruct_with_several_unknowns_matches_reference(reverse):
     got = h2_reconstruct(init, reverse_generation=reverse)
     want = reference_h2_reconstruct(init, reverse_generation=reverse)
     assert _blob(got) == _blob(want)
-    if not reverse:
-        deformed = shift_product_init(5, 3, deformed=True, order=3)
-        assert _blob(h2_reconstruct(deformed)) == _blob(
-            reference_h2_reconstruct(deformed))
+    deformed = shift_product_init(5, 3, deformed=True, order=3)
+    assert _blob(h2_reconstruct(deformed, reverse_generation=reverse)) == (
+        _blob(reference_h2_reconstruct(deformed, reverse_generation=reverse)))
 
 
 @pytest.mark.parametrize("w1, w2, order", [(5, 3, 3), (3, 5, 3), (7, 3, 2)])
@@ -262,6 +261,20 @@ def test_general_euler_records_of_a_corrupted_germ_match_the_reference(
 def test_h2_reconstruct_requires_vanishing_u():
     init = point_rank2_init()
     with pytest.raises(RejectionError):
+        h2_reconstruct(init)
+
+
+def test_h2_reconstruct_requires_graded_data():
+    # U = 0 and certified, but the levels V_kk + w/2 are not integers
+    vars = ("t",)
+    FT = FrobeniusTypeStructure(
+        vars, 2, [consts([[0, 0], [1, 0]], vars, N)],
+        SeriesMatrix.zeros(2, 2, vars, N), [[F(1, 2), F(0)], [F(0), F(-1, 2)]],
+        [[F(0), F(1)], [F(1), F(0)]], N)
+    init = InitialData.create(FT, weight=4)
+    assert init.gc.ok and init.ic["rank"] == 1 and not init.is_graded()
+    assert frobenius_via_unfolding(init).n == 2
+    with pytest.raises(RejectionError, match="diagonal flat endomorphism"):
         h2_reconstruct(init)
 
 
@@ -395,11 +408,9 @@ def test_truncation_commutes_with_both_constructors():
                             == small.potential), (w, ctor.__name__, M)
 
 
-def _ungenerated_init(w, b, k, order=N):
+def _ungenerated_ftype(w, b, k, order=N):
     # the shift example with its k-th connection entry vanishing at the
-    # origin, so that degree k spans nothing and the metric and symmetry
-    # fallback fills it; generation at the origin fails, which
-    # InitialData.create would reject, so the data is built directly
+    # origin, so that generation at the origin stops below degree k
     one = TruncSeries.one(("t",), order)
     t = TruncSeries.var(("t",), order, "t")
     FT, _ = filtration_to_ftype(
@@ -407,16 +418,24 @@ def _ungenerated_init(w, b, k, order=N):
     ent = FT.C[0].nonzero()
     ent[k + 1, k] = ent[k + 1, k] * t
     C = SeriesMatrix.from_sparse(FT.n, FT.n, FT.vars, order, ent)
-    FT = FrobeniusTypeStructure(FT.vars, FT.n, [C], FT.U, FT.V, FT.g, order)
-    return InitialData(FT, w, 2 * F(FT.V[0][0]), None, None)
+    return FrobeniusTypeStructure(FT.vars, FT.n, [C], FT.U, FT.V, FT.g, order)
 
 
 @pytest.mark.parametrize("w, b, k", [(5, [1], 1), (7, [1, 2], 2),
                                      (9, [1, 2, 3], 3)])
-def test_h2_reconstruct_fallback_matches_reference(w, b, k):
-    # the only runs of _fill_ungenerated; at weight 9 the symmetry fills
-    # a nonzero slice past slice 0
-    from helpers import reference_h2_reconstruct
-    init = _ungenerated_init(w, b, k)
-    assert _blob(h2_reconstruct(init)) == _blob(
-        reference_h2_reconstruct(init))
+def test_ungenerated_data_never_reaches_the_constructors(w, b, k):
+    FT = _ungenerated_ftype(w, b, k)
+    with pytest.raises(RejectionError) as exc:
+        InitialData.create(FT, weight=w)
+    assert exc.value.args[0] == "generation condition fails"
+    d = 2 * F(FT.V[0][0])
+    with pytest.raises(TypeError):
+        InitialData(FT, w, d, None, None)
+    # a missing or failing certificate is refused with a pencil too
+    other = _shift_init(w, True)
+    assert InitialData(other.ftype, w, other.d_value, other.gc, other.ic,
+                       other.pencil) == other
+    for gc, ic in [(None, other.ic), (other.gc, None),
+                   (other.gc, {"ok": False}), (other.gc, {})]:
+        with pytest.raises(TypeError):
+            InitialData(FT, w, d, gc, ic, other.pencil)
