@@ -13,7 +13,8 @@ key is missing or a value has the wrong type, length, shape or variables
 names the exception under ``error`` and ``error_type``).  A report's
 failed identities, like the ``violations`` of a rejection's ``detail``,
 are lists of ``structures.violation`` records ``{"check", "indices",
-"residual"}``.
+"residual"}``, plus ``"lowest_degree"`` and ``"nterms"`` for a series or
+matrix residual.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .jacobi import (NotIsolatedError, WeightSystem, XPoly, build_jacobi,
                      check_polynomial, h2_generation_check)
 from .pencil import (ConnectionPencil, PairingMatrix, pairing_extension_check,
                      reduced_flatness_check, structure_connection)
-from .series import (SeriesError, TruncSeries, frac_from_str, require_int,
-                     require_square)
+from .series import (MAX_ORDER, SeriesError, TruncSeries, frac_from_str,
+                     require_int, require_square)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
                          jacobi_to_filtration, shift_example)
@@ -373,7 +374,8 @@ def _command(name):
     @click.option("--output", "output_dir", required=True,
                   type=click.Path(file_okay=False))
     @click.option("--order", default=4, show_default=True,
-                  type=click.IntRange(min=0), help="total truncation order")
+                  type=click.IntRange(min=0, max=MAX_ORDER),
+                  help="total truncation order")
     @click.option("--z-order", default=4, show_default=True,
                   type=click.IntRange(min=0),
                   help="certified z-order for pairings")

@@ -32,8 +32,9 @@ from . import linalg
 from .linalg import Echelon
 from .pencil import ConnectionPencil, potential_matrix, structure_connection
 from .series import (SeriesError, SeriesMatrix, TruncSeries,
-                     euler_integrate, frac_from_str, frac_to_str,
-                     require_int, require_square, slice_sum, slice_terms)
+                     euler_integrate, exponent_strides, frac_from_str,
+                     frac_to_str, require_int, require_square, slice_sum,
+                     slice_terms, unpack_key)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, filtration_to_ftype, violation)
 from .unfold import GCCertificate, gc_check, ic_check, universal_unfold
@@ -357,6 +358,7 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
                     elif dsum != s:
                         violation(out, "metric-grading", (i, j),
                                   {"expected": str(dsum), "got": str(s)})
+        st = exponent_strides(len(G.coords))
         for i in range(n):
             for k in range(n):
                 for j in range(n):
@@ -364,7 +366,8 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
                     if e.is_zero():
                         continue
                     want = dg[k] - dg[i] - dg[j] - 1
-                    for exps in e.terms:
+                    for key in e.packed_terms:
+                        exps = unpack_key(key, st)[:-1]
                         got = sum(ex * d for ex, d in zip(exps, dg) if ex)
                         if got != want:
                             violation(out, "multiplication-grading",

@@ -41,7 +41,8 @@ from itertools import compress, product
 from typing import Sequence
 
 from .linalg import Echelon
-from .series import TRUNC_SERIES, TruncSeries, frac_from_str, frac_to_str
+from .series import (TRUNC_SERIES, TruncSeries, frac_from_str, frac_to_str,
+                     pack_key, unpack_key)
 
 __all__ = [
     "WeightSystem", "XPoly", "JacobiAlgebra", "RfClass", "build_jacobi",
@@ -191,7 +192,13 @@ class XPoly:
 
     @classmethod
     def from_json(cls, nvars, term_list):
-        return cls(nvars, {tuple(e): frac_from_str(c) for e, c in term_list})
+        terms = {}
+        for e, c in term_list:
+            e = tuple(e)
+            if e in terms:
+                raise ValueError("repeated exponent %r" % (list(e),))
+            terms[e] = frac_from_str(c)
+        return cls(nvars, terms)
 
     def to_json(self):
         return [[list(e), frac_to_str(self.terms[e])] for e in sorted(self.terms)]
@@ -247,20 +254,6 @@ def _nonzero(c):
     if isinstance(c, TruncSeries):
         return not c.is_zero()
     return c != 0
-
-
-def pack_key(exps, strides) -> int:
-    """The packed key sum(e_i * strides[i]) of an exponent tuple."""
-    return sum(e * s for e, s in zip(exps, strides))
-
-
-def unpack_key(key: int, strides) -> tuple:
-    """The exponent tuple of a packed key (strides as from key_strides)."""
-    exps = []
-    for s in reversed(strides):
-        e, key = divmod(key, s)
-        exps.append(e)
-    return tuple(reversed(exps))
 
 
 # ---------------------------------------------------------------------------

@@ -54,18 +54,27 @@ class Ring(NamedTuple):
 
     ``entry`` converts an input entry into the ring; ``is_zero`` and
     ``is_unit`` test an element and ``inv`` inverts a unit.  Only units
-    become pivots.
+    become pivots.  ``mul(x, y)`` is the product and ``sub_mul(a, f, x)``
+    the fused update a - f*x, where ``a`` None stands for zero.  The
+    echelon touches its entries only through these fields.
     """
 
     is_zero: Callable
     is_unit: Callable
     inv: Callable
     entry: Callable
+    mul: Callable
+    sub_mul: Callable
+
+
+def _frac_sub_mul(a, f, x):
+    return -(f * x) if a is None else a - f * x
 
 
 # every nonzero Fraction is a unit; Fraction(x) keeps ints exact
 FRACTIONS = Ring(is_zero=operator.not_, is_unit=bool,
-                 inv=lambda x: 1 / x, entry=Fraction)
+                 inv=lambda x: 1 / x, entry=Fraction, mul=operator.mul,
+                 sub_mul=_frac_sub_mul)
 
 
 def _echelon(a, ncols):
@@ -163,7 +172,8 @@ class Echelon:
 
     def reduce(self, vec) -> dict:
         """Return vec reduced modulo the current row space (a fresh dict)."""
-        is_zero, entry = self.ring.is_zero, self.ring.entry
+        ring = self.ring
+        is_zero, entry, sub_mul = ring.is_zero, ring.entry, ring.sub_mul
         rows = self.rows
         v = {c: entry(x) for c, x in vec.items() if not is_zero(x)}
         for p in [c for c in v if c in rows]:
@@ -173,7 +183,7 @@ class Echelon:
                     continue
                 # over series f * x can vanish by truncation, so s is
                 # tested even for a column v does not hold
-                s = (v[c] - f * x) if c in v else -(f * x)
+                s = sub_mul(v.get(c), f, x)
                 if is_zero(s):
                     v.pop(c, None)
                 else:
@@ -187,14 +197,15 @@ class Echelon:
         if not v:
             return False
         ring = self.ring
-        is_unit, is_zero = ring.is_unit, ring.is_zero
+        is_unit, is_zero, sub_mul = ring.is_unit, ring.is_zero, ring.sub_mul
         unit_cols = [c for c, x in v.items() if is_unit(x)]
         if not unit_cols:
             self.deferred.append(v)
             return False
         p = max(unit_cols) if self._max else min(unit_cols)
         inv = ring.inv(v[p])
-        row = {c: x * inv for c, x in v.items()}
+        mul = ring.mul
+        row = {c: mul(x, inv) for c, x in v.items()}
         occ = self._occ
         for q in occ.pop(p, ()):
             other = self.rows[q]
@@ -202,18 +213,17 @@ class Echelon:
             for c, x in row.items():
                 if c == p:
                     continue
-                if c in other:
-                    s = other[c] - f * x
-                    if is_zero(s):
+                a = other.get(c)
+                s = sub_mul(a, f, x)
+                if is_zero(s):
+                    if a is not None:
                         del other[c]
                         occ[c].remove(q)
-                    else:
-                        other[c] = s
+                elif a is None:
+                    other[c] = s
+                    occ.setdefault(c, set()).add(q)
                 else:
-                    s = -(f * x)
-                    if not is_zero(s):
-                        other[c] = s
-                        occ.setdefault(c, set()).add(q)
+                    other[c] = s
         for c in row:
             if c != p:
                 occ.setdefault(c, set()).add(p)

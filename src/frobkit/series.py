@@ -5,13 +5,21 @@ correct up to a stated total-degree bound ``order``; everything of higher
 degree has been discarded.  All arithmetic is exact on the retained part.
 Matrices of series share one variable context and one order bound and are
 the carriers for connection and Higgs data everywhere else in the package.
+
+A series stores its terms under packed integer keys: every exponent gets one
+``FIELD_BITS``-bit field, the same for every series in the same number of
+variables, and the total degree takes the field above them.  Keys of terms
+within an order bound add without carries, the degree of a key is one shift,
+and a key is below ``(order + 1) << (FIELD_BITS * nvars)`` exactly when its
+degree is at most ``order`` (Monagan and Pearce, *Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors*, CASC 2007).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Echelon, Ring
@@ -27,6 +35,12 @@ __all__ = [
     "require_square",
     "slice_terms",
     "slice_sum",
+    "pack_key",
+    "unpack_key",
+    "exponent_strides",
+    "key_degree",
+    "FIELD_BITS",
+    "MAX_ORDER",
 ]
 
 Frac = Fraction
@@ -61,6 +75,53 @@ def require_int(what, value, minimum=None):
     return value
 
 
+def pack_key(exps, strides) -> int:
+    """The packed key sum(e_i * strides[i]) of an exponent tuple."""
+    return sum(e * s for e, s in zip(exps, strides))
+
+
+def unpack_key(key: int, strides) -> tuple:
+    """The exponent tuple of a packed key (one entry per stride, the
+    largest stride last)."""
+    exps = []
+    for s in reversed(strides):
+        e, key = divmod(key, s)
+        exps.append(e)
+    return tuple(reversed(exps))
+
+
+# The width of one exponent field of a series key; an order bound, and so
+# every exponent and degree of a series, must fit in one field.
+FIELD_BITS = 8
+MAX_ORDER = (1 << FIELD_BITS) - 1
+
+
+def exponent_strides(nvars: int) -> tuple:
+    """The strides of the series keys in nvars variables: one field per
+    exponent, then the total degree.  ``unpack_key`` with them gives the
+    exponents followed by the degree."""
+    return tuple(1 << (FIELD_BITS * i) for i in range(nvars + 1))
+
+
+def key_degree(key: int, nvars: int) -> int:
+    """The total degree of a series key in nvars variables."""
+    return key >> (FIELD_BITS * nvars)
+
+
+def _limit(nvars: int, order: int) -> int:
+    """The least key of degree order + 1: a key is below it exactly when
+    its degree is at most order."""
+    return (order + 1) << (FIELD_BITS * nvars)
+
+
+def _check_order(order):
+    if order < 0:
+        raise SeriesError("order bound must be >= 0")
+    if order > MAX_ORDER:
+        raise SeriesError("order bound %d exceeds the %d-bit exponent field "
+                          "(at most %d)" % (order, FIELD_BITS, MAX_ORDER))
+
+
 def _as_frac(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -72,56 +133,71 @@ def _as_frac(c) -> Fraction:
 class TruncSeries:
     """Formal power series in ``vars``, truncated at total degree ``order``.
 
-    terms maps exponent tuples (one entry per variable) to nonzero
-    Fractions; every stored exponent tuple has total degree <= order.
-    Instances are immutable; all operations return new objects.
+    The terms are nonzero Fractions under packed keys (see the module
+    docstring), every one of total degree <= order; ``terms`` decodes them
+    to exponent tuples.  Instances are immutable; all operations return new
+    objects.
     """
 
-    __slots__ = ("vars", "order", "terms")
+    __slots__ = ("vars", "order", "_t")
 
     def __init__(self, vars: Sequence[str], order: int,
                  terms: Mapping[tuple, Fraction] | None = None):
-        if order < 0:
-            raise SeriesError("order bound must be >= 0")
+        _check_order(order)
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise SeriesError("duplicate variable names: %r" % (vars,))
         clean = {}
         if terms:
             nv = len(vars)
+            st = exponent_strides(nv)
             for e, c in terms.items():
                 e = tuple(e)
                 if len(e) != nv or any(k < 0 for k in e):
                     raise SeriesError("bad exponent tuple %r for %d vars" % (e, nv))
-                if sum(e) > order:
+                d = sum(e)
+                if d > order:
                     continue
                 c = _as_frac(c)
                 if c != 0:
-                    clean[e] = c
+                    clean[pack_key(e, st) + d * st[-1]] = c
         _set(self, "vars", vars)
         _set(self, "order", order)
-        _set(self, "terms", clean)
+        _set(self, "_t", clean)
 
     @staticmethod
     def _make(vars: tuple, order: int, terms: dict) -> "TruncSeries":
         """Trusted constructor: wrap ``terms`` as is, with no checks or copy.
 
         The caller guarantees everything ``__init__`` would otherwise
-        enforce: ``vars`` is a tuple of distinct names, ``order >= 0``, and
-        ``terms`` is a dict of exponent tuples (``len(vars)`` nonnegative
-        ints, total degree <= order) to nonzero Fractions.  The dict becomes
-        the new series' own, so the caller must not touch it afterwards.
-        Use it only for output that is clean by construction, such as the
-        result of an operation on series that already hold the invariant.
+        enforce: ``vars`` is a tuple of distinct names, 0 <= order <=
+        MAX_ORDER, and ``terms`` is a dict of packed keys in ``len(vars)``
+        variables, of total degree <= order, to nonzero Fractions.  The dict
+        becomes the new series' own, so the caller must not touch it
+        afterwards.  Use it only for output that is clean by construction,
+        such as the result of an operation on series that already hold the
+        invariant.
         """
         out = _new(TruncSeries)
         _set(out, "vars", vars)
         _set(out, "order", order)
-        _set(out, "terms", terms)
+        _set(out, "_t", terms)
         return out
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """The terms as a fresh dict {exponent tuple: Fraction}, in the
+        insertion order of the stored keys."""
+        st = exponent_strides(len(self.vars))
+        return {unpack_key(k, st)[:-1]: c for k, c in self._t.items()}
+
+    @property
+    def packed_terms(self) -> dict:
+        """The stored dict {packed key: Fraction} itself; read it only."""
+        return self._t
 
     # -- constructors ------------------------------------------------------
 
@@ -134,11 +210,10 @@ class TruncSeries:
         # the checks of __init__, without its walk over the exponent tuple
         vars = tuple(vars)
         c = _as_frac(c)
-        if order < 0:
-            raise SeriesError("order bound must be >= 0")
+        _check_order(order)
         if len(set(vars)) != len(vars):
             raise SeriesError("duplicate variable names: %r" % (vars,))
-        return cls._make(vars, order, {(0,) * len(vars): c} if c else {})
+        return cls._make(vars, order, {0: c} if c else {})
 
     @classmethod
     def one(cls, vars, order):
@@ -156,33 +231,33 @@ class TruncSeries:
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     @property
     def constant_term(self) -> Fraction:
-        if not self.terms:
-            return _ZERO
-        return self.terms.get((0,) * len(self.vars), _ZERO)
+        # the constant monomial has key 0 in any number of variables
+        return self._t.get(0, _ZERO)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self._t)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return (self.vars == other.vars and self.order == other.order
-                and self.terms == other.terms)
+                and self._t == other._t)
 
     def __hash__(self):
-        return hash((self.vars, self.order, frozenset(self.terms.items())))
+        return hash((self.vars, self.order, frozenset(self._t.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._t:
             return "<0 (order %d)>" % self.order
+        terms = self.terms
         bits = []
-        for e in sorted(self.terms):
+        for e in sorted(terms):
             mono = "*".join("%s^%d" % (v, k) for v, k in zip(self.vars, e) if k)
-            c = self.terms[e]
+            c = terms[e]
             bits.append(("%s*%s" % (c, mono)) if mono else str(c))
         return "<" + " + ".join(bits) + " (order %d)>" % self.order
 
@@ -190,6 +265,12 @@ class TruncSeries:
         if self.vars != other.vars:
             raise SeriesError("variable lists differ: %r vs %r"
                               % (self.vars, other.vars))
+
+    def _field_shift(self, name: str) -> int:
+        """The bit offset of the exponent field of variable ``name``."""
+        if name not in self.vars:
+            raise SeriesError("unknown variable %r" % name)
+        return FIELD_BITS * self.vars.index(name)
 
     # -- ring operations ---------------------------------------------------
     # Binary operations align to the smaller order bound: the result is
@@ -205,32 +286,33 @@ class TruncSeries:
             return NotImplemented
         self._like(other)
         order = min(self.order, other.order)
+        limit = _limit(len(self.vars), order)
         if self.order == order:
-            terms = dict(self.terms)
+            terms = dict(self._t)
         else:
-            terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
-        right = other.terms.items()
+            terms = {k: c for k, c in self._t.items() if k < limit}
+        right = other._t.items()
         if other.order != order:
-            right = [(e, c) for e, c in right if sum(e) <= order]
-        for e, c in right:
+            right = [(k, c) for k, c in right if k < limit]
+        for k, c in right:
             if negate:
                 c = -c
-            s = terms.get(e)
+            s = terms.get(k)
             if s is None:
-                terms[e] = c
+                terms[k] = c
             else:
                 s += c
                 if s:
-                    terms[e] = s
+                    terms[k] = s
                 else:
-                    del terms[e]
+                    del terms[k]
         return TruncSeries._make(self.vars, order, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncSeries._make(self.vars, self.order,
-                                 {e: -c for e, c in self.terms.items()})
+                                 {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
         return self.__add__(other, True)
@@ -244,30 +326,30 @@ class TruncSeries:
             if c == 0:
                 return TruncSeries._make(self.vars, self.order, {})
             return TruncSeries._make(self.vars, self.order,
-                                     {e: c * v for e, v in self.terms.items()})
+                                     {k: c * v for k, v in self._t.items()})
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._like(other)
         order = min(self.order, other.order)
-        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
+        limit = _limit(len(self.vars), order)
+        right = list(other._t.items())
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            room = order - sum(e1)
-            if room < 0:
+        for k1, c1 in self._t.items():
+            if k1 >= limit:
                 continue
-            for e2, d2, c2 in right:
-                if d2 > room:
+            for k2, c2 in right:
+                k = k1 + k2
+                if k >= limit:
                     continue
-                e = tuple(map(add, e1, e2))
-                s = terms.get(e)
+                s = terms.get(k)
                 if s is None:
-                    terms[e] = c1 * c2
+                    terms[k] = c1 * c2
                 else:
                     s += c1 * c2
                     if s:
-                        terms[e] = s
+                        terms[k] = s
                     else:
-                        del terms[e]
+                        del terms[k]
         return TruncSeries._make(self.vars, order, terms)
 
     __rmul__ = __mul__
@@ -290,6 +372,9 @@ class TruncSeries:
         if c0 == 0:
             raise SeriesError("series is not a unit (zero constant term)")
         inv_c0 = 1 / c0
+        if len(self._t) == 1:
+            # a constant unit
+            return TruncSeries._make(self.vars, self.order, {0: inv_c0})
         # Newton-free iteration: u_{k+1} picks up one degree per step.
         rest = self - c0
         out = TruncSeries.const(self.vars, self.order, inv_c0)
@@ -307,15 +392,18 @@ class TruncSeries:
 
     def partial(self, name: str) -> "TruncSeries":
         """Formal d/d(name).  The result bound drops to order-1."""
-        if name not in self.vars:
-            raise SeriesError("unknown variable %r" % name)
-        i = self.vars.index(name)
+        b = self._field_shift(name)
         if self.order == 0:
             raise SeriesError("cannot differentiate a series of order 0")
-        # lowering e[i] is injective on the terms with e[i] > 0, and
-        # c * e[i] stays nonzero, so the result is clean as built
-        terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                 for e, c in self.terms.items() if e[i]}
+        # lower the exponent of name and the degree by one; that is
+        # injective on the terms with a positive exponent, and c * e stays
+        # nonzero, so the result is clean as built
+        down = (1 << b) + (1 << (FIELD_BITS * len(self.vars)))
+        terms = {}
+        for k, c in self._t.items():
+            e = (k >> b) & MAX_ORDER
+            if e:
+                terms[k - down] = c * e
         return TruncSeries._make(self.vars, self.order - 1, terms)
 
     def mul_var(self, name: str) -> "TruncSeries":
@@ -324,11 +412,28 @@ class TruncSeries:
         Multiplication by an exact degree-1 monomial turns degree<=k
         information into degree<=k+1 information, so the bound may grow.
         """
-        if name not in self.vars:
-            raise SeriesError("unknown variable %r" % name)
-        i = self.vars.index(name)
-        terms = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in self.terms.items()}
-        return TruncSeries._make(self.vars, self.order + 1, terms)
+        b = self._field_shift(name)
+        _check_order(self.order + 1)
+        up = (1 << b) + (1 << (FIELD_BITS * len(self.vars)))
+        return TruncSeries._make(self.vars, self.order + 1,
+                                 {k + up: c for k, c in self._t.items()})
+
+    def _move_fields(self, moves, new_vars, skip=0) -> "TruncSeries":
+        """The series in ``new_vars`` whose term keys carry field i of each
+        key to field j for (i, j) in ``moves``, and the degree along; keys
+        that meet the mask ``skip`` are left out.  The caller guarantees
+        that no kept term has a nonzero field outside ``moves``."""
+        moves = [(FIELD_BITS * i, FIELD_BITS * j) for i, j in moves]
+        top, new_top = FIELD_BITS * len(self.vars), FIELD_BITS * len(new_vars)
+        terms = {}
+        for k, c in self._t.items():
+            if k & skip:
+                continue
+            key = (k >> top) << new_top
+            for b, nb in moves:
+                key += ((k >> b) & MAX_ORDER) << nb
+            terms[key] = c
+        return TruncSeries._make(new_vars, self.order, terms)
 
     def restrict_zero(self, names: Iterable[str]) -> "TruncSeries":
         """Set the listed variables to 0 and remove them from the context."""
@@ -339,35 +444,32 @@ class TruncSeries:
         drop = [self.vars.index(nm) for nm in names]
         keep = [i for i in range(len(self.vars)) if i not in drop]
         new_vars = tuple(self.vars[i] for i in keep)
-        terms = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in drop):
-                continue
-            terms[tuple(e[i] for i in keep)] = c
-        return TruncSeries(new_vars, self.order, terms)
+        skip = sum(MAX_ORDER << (FIELD_BITS * i) for i in set(drop))
+        return self._move_fields(list(zip(keep, range(len(keep)))), new_vars,
+                                 skip)
 
     def extend(self, new_vars: Sequence[str]) -> "TruncSeries":
         """Reinterpret in a larger (or reordered) variable context."""
         new_vars = tuple(new_vars)
+        if len(set(new_vars)) != len(new_vars):
+            raise SeriesError("duplicate variable names: %r" % (new_vars,))
         pos = []
         for v in self.vars:
             if v not in new_vars:
                 raise SeriesError("variable %r missing from new context" % v)
             pos.append(new_vars.index(v))
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(new_vars)
-            for p, k in zip(pos, e):
-                e2[p] = k
-            terms[tuple(e2)] = c
-        return TruncSeries(new_vars, self.order, terms)
+        return self._move_fields(list(enumerate(pos)), new_vars)
 
     def truncate(self, order: int) -> "TruncSeries":
         if order >= self.order:
             if order == self.order:
                 return self
             raise SeriesError("cannot raise the order bound by truncation")
-        return TruncSeries(self.vars, order, self.terms)
+        _check_order(order)
+        limit = _limit(len(self.vars), order)
+        return TruncSeries._make(self.vars, order,
+                                 {k: c for k, c in self._t.items()
+                                  if k < limit})
 
     def graded_part(self, degree: int, names: Iterable[str] | None = None,
                     weights: Mapping[str, int] | None = None) -> "TruncSeries":
@@ -376,6 +478,10 @@ class TruncSeries:
         With names=None the total degree over all variables is used; weights
         maps variable name to a positive integer weight (default 1).
         """
+        if names is None and not weights:
+            top = FIELD_BITS * len(self.vars)
+            terms = {k: c for k, c in self._t.items() if k >> top == degree}
+            return TruncSeries._make(self.vars, self.order, terms)
         if names is None:
             idx = range(len(self.vars))
         else:
@@ -383,8 +489,9 @@ class TruncSeries:
         wt = {}
         for i in idx:
             wt[i] = 1 if not weights else weights.get(self.vars[i], 1)
-        terms = {e: c for e, c in self.terms.items()
-                 if sum(e[i] * wt[i] for i in wt) == degree}
+        wt = [(FIELD_BITS * i, w) for i, w in wt.items()]
+        terms = {k: c for k, c in self._t.items()
+                 if sum(((k >> b) & MAX_ORDER) * w for b, w in wt) == degree}
         return TruncSeries._make(self.vars, self.order, terms)
 
     def compose(self, mapping: Mapping[str, "TruncSeries"]) -> "TruncSeries":
@@ -415,9 +522,11 @@ class TruncSeries:
                     cache[k] = power(i, k - 1) * images[i]
             return cache[k]
 
-        for e, c in self.terms.items():
+        shifts = [FIELD_BITS * i for i in range(len(images))]
+        for key, c in self._t.items():
             term = TruncSeries.const(ctx, order, c)
-            for i, k in enumerate(e):
+            for i, b in enumerate(shifts):
+                k = (key >> b) & MAX_ORDER
                 if k:
                     term = term * power(i, k)
             out = out + term
@@ -426,19 +535,62 @@ class TruncSeries:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        terms = self.terms
         return {
             "vars": list(self.vars),
             "order": self.order,
-            "terms": [[list(e), frac_to_str(self.terms[e])]
-                      for e in sorted(self.terms)],
+            "terms": [[list(e), frac_to_str(terms[e])] for e in sorted(terms)],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncSeries":
-        terms = {tuple(e): frac_from_str(c) for e, c in obj.get("terms", [])}
+        terms = {}
+        for e, c in obj.get("terms", []):
+            e = tuple(e)
+            if e in terms:
+                raise SeriesError("repeated exponent %r" % (list(e),))
+            terms[e] = frac_from_str(c)
         if not all(isinstance(k, int) for e in terms for k in e):
             raise SeriesError("exponents must be ints: %r" % list(terms))
         return cls(obj["vars"], require_int("order", obj["order"], 0), terms)
+
+
+def _sub_mul(a, f, x):
+    """a - f * x (a None is zero) in one pass over the terms: those of a,
+    then each product term subtracted, the terms of x in key order for each
+    term of f.  Keys sort by degree first, so the walk over x stops at the
+    first product beyond the order bound."""
+    f._like(x)
+    order = min(f.order, x.order)
+    if a is not None:
+        a._like(f)
+        order = min(order, a.order)
+    limit = _limit(len(f.vars), order)
+    if a is None:
+        terms = {}
+    elif a.order == order:
+        terms = dict(a._t)
+    else:
+        terms = {k: c for k, c in a._t.items() if k < limit}
+    right = sorted(x._t.items())
+    room = limit - right[0][0] if right else 0
+    for k1, c1 in f._t.items():
+        if k1 >= room:
+            continue
+        for k2, c2 in right:
+            k = k1 + k2
+            if k >= limit:
+                break
+            s = terms.get(k)
+            if s is None:
+                terms[k] = -(c1 * c2)
+            else:
+                s -= c1 * c2
+                if s:
+                    terms[k] = s
+                else:
+                    del terms[k]
+    return TruncSeries._make(f.vars, order, terms)
 
 
 # The coefficient ring of a series Echelon: a series is a unit exactly when
@@ -446,7 +598,8 @@ class TruncSeries:
 # bound, so a normalized pivot entry is exactly 1.
 TRUNC_SERIES = Ring(is_zero=TruncSeries.is_zero,
                     is_unit=lambda x: x.constant_term != 0,
-                    inv=TruncSeries.inverse, entry=lambda x: x)
+                    inv=TruncSeries.inverse, entry=lambda x: x,
+                    mul=mul, sub_mul=_sub_mul)
 
 
 def euler_integrate(partials, weights: Mapping[str, int] | None = None):
@@ -480,20 +633,26 @@ def euler_integrate(partials, weights: Mapping[str, int] | None = None):
             raise SeriesError("unknown variable %r" % nm)
         if w <= 0:
             raise SeriesError("Euler weights must be positive")
-    wt = [(ctx.index(nm), w) for nm, w in weights.items()]
+    wt = [(FIELD_BITS * ctx.index(nm), w) for nm, w in weights.items()]
     order = min(p.order for p in forms)
-    slots = [(ctx.index(nm), weights[nm], p) for nm, p in partials.items()]
+    _check_order(order + 1)
+    limit = _limit(len(ctx), order)
+    # each slot raises the exponent of its variable and the degree by one
+    top = 1 << (FIELD_BITS * len(ctx))
+    slots = [((1 << (FIELD_BITS * ctx.index(nm))) + top, weights[nm], p)
+             for nm, p in partials.items()]
 
     def integrate(entries) -> TruncSeries:
         terms: dict = {}
-        for i, w, p in entries:
-            for e, c in p.terms.items():
-                if sum(e) > order:
+        for up, w, p in entries:
+            for k, c in p._t.items():
+                if k >= limit:
                     continue
-                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-                d = sum(e2[k] * wk for k, wk in wt)
-                terms[e2] = terms.get(e2, _ZERO) + c * w / d
-        return TruncSeries(ctx, order + 1, terms)
+                k += up
+                d = sum(((k >> b) & MAX_ORDER) * wk for b, wk in wt)
+                terms[k] = terms.get(k, _ZERO) + c * w / d
+        return TruncSeries._make(ctx, order + 1,
+                                 {k: c for k, c in terms.items() if c})
 
     if not isinstance(forms[0], SeriesMatrix):
         return integrate(slots)
@@ -506,7 +665,7 @@ def euler_integrate(partials, weights: Mapping[str, int] | None = None):
         for j in sorted(set().union(*(M._data[r] for M in forms))):
             x = integrate([(i, w, M._data[r][j]) for i, w, M in slots
                            if j in M._data[r]])
-            if x.terms:
+            if x._t:
                 out[j] = x
         data.append(out)
     return SeriesMatrix._make(rows, cols, ctx, order + 1, data)
@@ -527,7 +686,7 @@ def slice_sum(slices):
 
 
 def _normalise(groups) -> dict:
-    """{exponent: Fraction} from {denominator: {exponent: numerator}}, over
+    """{key: Fraction} from {denominator: {key: numerator}}, over
     the lcm of the denominators; terms that sum to zero are dropped."""
     if len(groups) == 1:
         ((den, nums),) = groups.items()
@@ -591,9 +750,9 @@ class SeriesMatrix:
             for j, x in enumerate(row):
                 if x.vars != vars:
                     raise SeriesError("matrix entries disagree on variables")
-                if x.terms and x.order != order:
+                if x._t and x.order != order:
                     x = x.truncate(order)
-                if x.terms:
+                if x._t:
                     out[j] = x
             data.append(out)
         SeriesMatrix._fill(self, rows, cols, vars, order, data)
@@ -639,7 +798,7 @@ class SeriesMatrix:
     @staticmethod
     def scalar(n, x: TruncSeries) -> "SeriesMatrix":
         """x times the n x n identity.  Trusted: x must be a TruncSeries."""
-        data = ([{i: x} for i in range(n)] if x.terms
+        data = ([{i: x} for i in range(n)] if x._t
                 else [{} for _ in range(n)])
         return SeriesMatrix._make(n, n, x.vars, x.order, data)
 
@@ -674,7 +833,7 @@ class SeriesMatrix:
             x = entries[i, j]
             if x.order != order:
                 x = x.truncate(order)
-            if x.terms:
+            if x._t:
                 data[i][j] = x
         return cls._make(rows, cols, vars, order, data)
 
@@ -737,7 +896,7 @@ class SeriesMatrix:
             out = {}
             for j, x in row.items():
                 y = f(x)
-                if y.terms:
+                if y._t:
                     out[j] = y
             data.append(out)
         return SeriesMatrix._make(self.rows, self.cols, zero.vars, zero.order,
@@ -763,7 +922,7 @@ class SeriesMatrix:
                     x = both(a, b)
                 if x.order != order:
                     x = x.truncate(order)
-                if x.terms:
+                if x._t:
                     out[j] = x
             data.append(out)
         return SeriesMatrix._make(self.rows, self.cols, zero.vars, order,
@@ -830,14 +989,15 @@ class SeriesMatrix:
                                       % (vars, M.vars))
                 order = min(order, M.order)
         split: dict = {}
+        top = FIELD_BITS * len(vars)
 
         def numerators(x):
-            # (lcm of x's denominators, [(e, deg e, numerator)] by degree);
+            # (lcm of x's denominators, [(key, deg, numerator)] by degree);
             # keyed by id, which is stable while the operands are alive
             got = split.get(id(x))
             if got is None:
-                ratios = [(e, sum(e)) + c.as_integer_ratio()
-                          for e, c in x.terms.items()]
+                ratios = [(k, k >> top) + c.as_integer_ratio()
+                          for k, c in x._t.items()]
                 den = lcm(*[r[3] for r in ratios])
                 got = split[id(x)] = (den, sorted(
                     [(e, d, n * (den // q)) for e, d, n, q in ratios],
@@ -865,7 +1025,7 @@ class SeriesMatrix:
                             for e2, d2, n2 in tb:
                                 if d2 > room:
                                     break
-                                e = tuple(map(add, e1, e2))
+                                e = e1 + e2
                                 t[e] = t.get(e, 0) + n1 * n2
             out = {}
             for j in sorted(acc):

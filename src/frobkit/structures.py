@@ -24,7 +24,7 @@ from typing import Sequence
 from . import linalg
 from .jacobi import JacobiAlgebra, JacobiFamily, h2_generation_check
 from .series import (SeriesError, SeriesMatrix, TruncSeries,
-                     euler_integrate, frac_from_str, frac_to_str,
+                     euler_integrate, frac_from_str, frac_to_str, key_degree,
                      require_int, require_square)
 
 __all__ = [
@@ -46,16 +46,25 @@ def violation(out: list, check: str, indices=(), residual=None) -> bool:
     """Append the record {check, indices, residual} of a failed identity.
 
     This is the one place such a record is built.  A series or matrix
-    residual is stored as its JSON, and a zero one appends nothing; any
-    other detail (a constant matrix, "singular", expected and observed
-    values) is stored as given.  Returns whether a record was appended.
+    residual is stored as its JSON, with its lowest total degree under
+    ``lowest_degree`` and its number of terms under ``nterms``, and a zero
+    one appends nothing; any other detail (a constant matrix, "singular",
+    expected and observed values) is stored as given.  Returns whether a
+    record was appended.
     """
+    summary = {}
     if isinstance(residual, (TruncSeries, SeriesMatrix)):
         if residual.is_zero():
             return False
+        entries = ([residual] if isinstance(residual, TruncSeries)
+                   else residual.nonzero().values())
+        keys = [k for x in entries for k in x.packed_terms]
+        # keys sort by degree first, so the least key has the least degree
+        summary = {"lowest_degree": key_degree(min(keys), len(residual.vars)),
+                   "nterms": len(keys)}
         residual = residual.to_json()
     out.append({"check": check, "indices": list(indices),
-                "residual": residual})
+                "residual": residual, **summary})
     return True
 
 
@@ -513,15 +522,15 @@ def _solve_pairing(levels, w, Gammas, n):
         for k in range(n):
             for l in range(n):
                 # (G^T S + S G)_{kl} = sum_m G_{mk} S_{ml} + S_{km} G_{ml}
-                acc: dict[tuple, dict] = {}
+                acc: dict[int, dict] = {}
                 for m in range(n):
                     for coeff_entry, uk in ((G[m, k], entry_unknown(m, l)),
                                             (G[m, l], entry_unknown(k, m))):
                         if uk is None or coeff_entry.is_zero():
                             continue
                         j, sgn = uk
-                        for e, c in coeff_entry.terms.items():
-                            d = acc.setdefault(e, {})
+                        for key, c in coeff_entry.packed_terms.items():
+                            d = acc.setdefault(key, {})
                             d[j] = d.get(j, Fraction(0)) + sgn * c
                 for e, d in acc.items():
                     row = [Fraction(0)] * len(pairs)

@@ -137,7 +137,7 @@ def _slice_commutator(A, B, s):
 
 
 def _nterms(M: SeriesMatrix) -> int:
-    return sum(len(x.terms) for x in M.nonzero().values())
+    return sum(len(x.packed_terms) for x in M.nonzero().values())
 
 
 def _y_degree(M: SeriesMatrix, y_vars) -> int:

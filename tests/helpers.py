@@ -1,11 +1,13 @@
 """Shared fixtures: the pencil corpus, the unfolding oracles (brute force,
 and the whole-series construction), frozen elimination engines, the
 stage-by-stage germ recursion oracle, the frozen matrix product, the
-frozen general Euler check, and the frozen isolatedness certificate and h2
-generation check."""
+frozen general Euler check, the frozen isolatedness certificate and h2
+generation check, and the frozen tuple-keyed series arithmetic."""
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import add, itemgetter
 
 from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
                           _coords, _raise_order, initial_from_filtration,
@@ -1239,3 +1241,292 @@ def reference_h2_generation_check(algebra) -> dict:
         prev_keys = target.basis_keys
     return {"codimensions": report,
             "passes": all(v == 0 for v in report.values())}
+
+
+# ---------------------------------------------------------------------------
+# frozen tuple-keyed series: ``TruncSeries`` arithmetic, ``euler_integrate``
+# on a series and the numerators of ``SeriesMatrix.sum_of_products`` exactly
+# as they were while terms were keyed by exponent tuples, before the packed
+# integer keys.  They are the oracle for the packed series, term order
+# included.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSeries:
+    """A truncated series with terms {exponent tuple: Fraction}."""
+
+    __slots__ = ("vars", "order", "terms")
+
+    def __init__(self, vars, order, terms=None):
+        if order < 0:
+            raise SeriesError("order bound must be >= 0")
+        vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise SeriesError("duplicate variable names: %r" % (vars,))
+        clean = {}
+        if terms:
+            nv = len(vars)
+            for e, c in terms.items():
+                e = tuple(e)
+                if len(e) != nv or any(k < 0 for k in e):
+                    raise SeriesError("bad exponent tuple %r" % (e,))
+                if sum(e) > order:
+                    continue
+                c = Fraction(c)
+                if c != 0:
+                    clean[e] = c
+        self.vars, self.order, self.terms = vars, order, clean
+
+    @classmethod
+    def _make(cls, vars, order, terms):
+        out = cls(vars, order)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def const(cls, vars, order, c):
+        c = Fraction(c)
+        return cls._make(tuple(vars), order,
+                         {(0,) * len(vars): c} if c else {})
+
+    @property
+    def constant_term(self):
+        return self.terms.get((0,) * len(self.vars), Fraction(0))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other, negate=False):
+        if isinstance(other, (int, Fraction)):
+            other = ReferenceSeries.const(self.vars, self.order, other)
+        order = min(self.order, other.order)
+        if self.order == order:
+            terms = dict(self.terms)
+        else:
+            terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
+        right = other.terms.items()
+        if other.order != order:
+            right = [(e, c) for e, c in right if sum(e) <= order]
+        for e, c in right:
+            if negate:
+                c = -c
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
+            else:
+                s += c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return ReferenceSeries._make(self.vars, order, terms)
+
+    def __neg__(self):
+        return ReferenceSeries._make(self.vars, self.order,
+                                     {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self.__add__(other, True)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            if c == 0:
+                return ReferenceSeries._make(self.vars, self.order, {})
+            return ReferenceSeries._make(
+                self.vars, self.order,
+                {e: c * v for e, v in self.terms.items()})
+        order = min(self.order, other.order)
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
+        terms: dict = {}
+        for e1, c1 in self.terms.items():
+            room = order - sum(e1)
+            if room < 0:
+                continue
+            for e2, d2, c2 in right:
+                if d2 > room:
+                    continue
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        return ReferenceSeries._make(self.vars, order, terms)
+
+    def inverse(self):
+        c0 = self.constant_term
+        if c0 == 0:
+            raise SeriesError("series is not a unit (zero constant term)")
+        inv_c0 = 1 / c0
+        rest = self - c0
+        out = ReferenceSeries.const(self.vars, self.order, inv_c0)
+        power = ReferenceSeries.const(self.vars, self.order, 1)
+        sign = -1
+        for _ in range(self.order):
+            power = power * rest
+            if power.is_zero():
+                break
+            out = out + power * (sign * inv_c0 ** (_ + 2))
+            sign = -sign
+        return out
+
+    def partial(self, name):
+        i = self.vars.index(name)
+        terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                 for e, c in self.terms.items() if e[i]}
+        return ReferenceSeries._make(self.vars, self.order - 1, terms)
+
+    def mul_var(self, name):
+        i = self.vars.index(name)
+        terms = {e[:i] + (e[i] + 1,) + e[i + 1:]: c
+                 for e, c in self.terms.items()}
+        return ReferenceSeries._make(self.vars, self.order + 1, terms)
+
+    def restrict_zero(self, names):
+        drop = [self.vars.index(nm) for nm in names]
+        keep = [i for i in range(len(self.vars)) if i not in drop]
+        terms = {}
+        for e, c in self.terms.items():
+            if any(e[i] for i in drop):
+                continue
+            terms[tuple(e[i] for i in keep)] = c
+        return ReferenceSeries(tuple(self.vars[i] for i in keep), self.order,
+                               terms)
+
+    def extend(self, new_vars):
+        new_vars = tuple(new_vars)
+        pos = [new_vars.index(v) for v in self.vars]
+        terms = {}
+        for e, c in self.terms.items():
+            e2 = [0] * len(new_vars)
+            for p, k in zip(pos, e):
+                e2[p] = k
+            terms[tuple(e2)] = c
+        return ReferenceSeries(new_vars, self.order, terms)
+
+    def truncate(self, order):
+        if order == self.order:
+            return self
+        return ReferenceSeries(self.vars, order, self.terms)
+
+    def graded_part(self, degree, names=None, weights=None):
+        if names is None:
+            idx = range(len(self.vars))
+        else:
+            idx = [self.vars.index(nm) for nm in names]
+        wt = {}
+        for i in idx:
+            wt[i] = 1 if not weights else weights.get(self.vars[i], 1)
+        terms = {e: c for e, c in self.terms.items()
+                 if sum(e[i] * wt[i] for i in wt) == degree}
+        return ReferenceSeries._make(self.vars, self.order, terms)
+
+    def compose(self, mapping):
+        images = [mapping[v] for v in self.vars]
+        ctx = images[0].vars
+        order = min(im.order for im in images)
+        out = ReferenceSeries(ctx, order)
+        pow_cache = [dict() for _ in images]
+
+        def power(i, k):
+            cache = pow_cache[i]
+            if k not in cache:
+                if k == 0:
+                    cache[k] = ReferenceSeries.const(ctx, order, 1)
+                else:
+                    cache[k] = power(i, k - 1) * images[i]
+            return cache[k]
+
+        for e, c in self.terms.items():
+            term = ReferenceSeries.const(ctx, order, c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * power(i, k)
+            out = out + term
+        return out
+
+    def to_json(self):
+        return {"vars": list(self.vars), "order": self.order,
+                "terms": [[list(e), "%d/%d" % (self.terms[e].numerator,
+                                               self.terms[e].denominator)]
+                          for e in sorted(self.terms)]}
+
+
+def reference_euler_integrate(partials, weights=None):
+    """``euler_integrate`` on a one-form of ReferenceSeries."""
+    forms = list(partials.values())
+    ctx = forms[0].vars
+    if weights is None:
+        weights = dict.fromkeys(partials, 1)
+    wt = [(ctx.index(nm), w) for nm, w in weights.items()]
+    order = min(p.order for p in forms)
+    terms: dict = {}
+    for nm, p in partials.items():
+        i, w = ctx.index(nm), weights[nm]
+        for e, c in p.terms.items():
+            if sum(e) > order:
+                continue
+            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+            d = sum(e2[k] * wk for k, wk in wt)
+            terms[e2] = terms.get(e2, Fraction(0)) + c * w / d
+    return ReferenceSeries(ctx, order + 1, terms)
+
+
+def reference_sum_of_products(terms):
+    """The entries {(i, j): {exponent tuple: Fraction}} of the fused
+    ``SeriesMatrix.sum_of_products``, by its integer-numerator kernel over
+    tuple keys."""
+    _, A0, B0 = terms[0]
+    order = min(min(A.order, B.order) for _, A, B in terms)
+    split: dict = {}
+
+    def numerators(x):
+        got = split.get(id(x))
+        if got is None:
+            ratios = [(e, sum(e)) + c.as_integer_ratio()
+                      for e, c in x.terms.items()]
+            den = lcm(*[r[3] for r in ratios])
+            got = split[id(x)] = (x, den, sorted(
+                [(e, d, n * (den // q)) for e, d, n, q in ratios],
+                key=itemgetter(1)))
+        return got[1:]
+
+    out = {}
+    for i in range(A0.rows):
+        acc: dict = {}
+        for sign, A, B in terms:
+            right = B._data
+            for k, a in A._data[i].items():
+                da, ta = numerators(a)
+                for j, b in right[k].items():
+                    db, tb = numerators(b)
+                    t = acc.setdefault(j, {}).setdefault(da * db, {})
+                    for e1, d1, n1 in ta:
+                        room = order - d1
+                        if room < 0:
+                            break
+                        n1 *= sign
+                        for e2, d2, n2 in tb:
+                            if d2 > room:
+                                break
+                            e = tuple(map(add, e1, e2))
+                            t[e] = t.get(e, 0) + n1 * n2
+        for j in sorted(acc):
+            groups = acc[j]
+            if len(groups) == 1:
+                ((den, nums),) = groups.items()
+            else:
+                den = lcm(*groups)
+                nums = {}
+                for d, t in groups.items():
+                    for e, n in t.items():
+                        nums[e] = nums.get(e, 0) + n * (den // d)
+            x = {e: Fraction(n, den) for e, n in nums.items() if n}
+            if x:
+                out[i, j] = x
+    return out

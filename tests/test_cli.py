@@ -15,9 +15,10 @@ from frobkit import cli, pencil, unfold
 from frobkit.cli import main
 from frobkit.germ import (frobenius_via_unfolding, initial_from_filtration,
                           normalize_germ)
+from frobkit.jacobi import XPoly
 from frobkit.pencil import (PairingMatrix, flatness_residual,
                             structure_connection)
-from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
+from frobkit.series import MAX_ORDER, SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import shift_example
 from frobkit.unfold import UnfoldProblem, solve
 from helpers import point_base_pencil, rank2_higgs_ftype
@@ -315,6 +316,31 @@ def test_malformed_payload_series_exits_two(tmp_path):
         assert code == 2 and report is None
 
 
+def test_repeated_exponent_in_a_series_payload_exits_two(tmp_path):
+    # b_2 = t + 2t with t listed twice would parse as 2t if the last
+    # coefficient won; a repeated exponent is a malformed payload
+    twice = {"vars": ["t"], "order": 4,
+             "terms": [[[1], "1/1"], [[1], "2/1"]]}
+    payload = {"initial": {"kind": "shift-example", "weight": 5,
+                           "b": [twice]}}
+    code, report, _ = _run(tmp_path, "reconstruct", payload)
+    assert code == 2 and report is None
+    with pytest.raises(SeriesError, match=r"repeated exponent \[1\]"):
+        TruncSeries.from_json(twice)
+
+
+def test_repeated_exponent_in_a_polynomial_payload_exits_two(tmp_path):
+    # x^3 - x^3 + y^3 is y^3, which has no isolated singularity; the last
+    # coefficient of x^3 must not win and make it -x^3 + y^3
+    payload = {"num_vars": 2, "weights": ["1/3", "1/3"],
+               "terms": [[[3, 0], "1/1"], [[3, 0], "-1/1"],
+                         [[0, 3], "1/1"]]}
+    code, report, _ = _run(tmp_path, "h2check", payload)
+    assert code == 2 and report is None
+    with pytest.raises(ValueError, match=r"repeated exponent \[3, 0\]"):
+        XPoly.from_json(2, payload["terms"])
+
+
 def _wrong_shapes():
     cubic = _fermat_payload(3, 3)
     cubic["initial"]["pairing"] = [["1/1"]]
@@ -548,6 +574,14 @@ def test_negative_truncation_flags_exit_two(tmp_path, command, flag):
     # a negative order is a usage error, caught before any payload is read
     code, report, out = _run(tmp_path, command, dict(FUZZ_BASES)[command],
                              flag, "-1")
+    assert code == 2 and report is None and not out.exists()
+
+
+def test_order_beyond_the_exponent_field_exits_two(tmp_path):
+    # series keys hold each exponent in a field of MAX_ORDER + 1 values
+    code, report, out = _run(tmp_path, "reconstruct",
+                             dict(FUZZ_BASES)["reconstruct"], "--order",
+                             str(MAX_ORDER + 1))
     assert code == 2 and report is None and not out.exists()
 
 

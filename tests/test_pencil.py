@@ -190,6 +190,32 @@ def test_rank1_three_pole_pairing_certifies():
     assert rep["passes"]
 
 
+def test_pairing_y_transport_moves_the_pairing():
+    # rank 2 over one unfolding direction y, with a pole at z = 1 (W = I):
+    # F = Nil, U = (1 + y) Nil and V = diag(-1, 1), where Nil e_0 = e_1.
+    # At y = 0 the weight-0 pairing R_0 + R_1 z + ... + R_4 z^4 below solves
+    # the z-transport identities; W makes R_1 nonzero, so the y-transport
+    # dR_k/dy = F^T R_(k+1) - R_(k+1) F moves R_0 to [[(1 + y)^2, -1],
+    # [-1, 0]] (d/dy of R_0 is [[2, 0], [0, 0]] + y [[2, 0], [0, 0]]).
+    order, y = 2, ("y",)
+    nil = consts([[0, 0], [1, 0]], y, order)
+    one_plus_y = TruncSeries(y, order, {(0,): 1, (1,): 1})
+    P = ConnectionPencil((), y, 2, [], [nil], nil.scale_series(one_plus_y),
+                         consts([[-1, 0], [0, 1]], y, order),
+                         SeriesMatrix.identity(2, y, order), order)
+    assert not flatness_residual(P)
+    base = [[[1, -1], [-1, 0]], [[0, -1], [1, 0]], [[-1, 1], [1, -1]],
+            [[0, 1], [-1, 0]], [[0, 0], [0, 1]]]
+    R0 = PairingMatrix(0, [consts(R, (), order) for R in base])
+    rep = pairing_extension_check(P, R0, z_order=2)
+    assert rep["passes"], rep
+    moved = TruncSeries(y, order, {(0,): 1, (1,): 2, (2,): 1})
+    want = SeriesMatrix([[moved, TruncSeries.const(y, order, -1)],
+                         [TruncSeries.const(y, order, -1),
+                          TruncSeries.zero(y, order)]])
+    assert rep["pairing"].coeffs[0] == want
+
+
 def test_structure_connection_zero_structure():
     from frobkit.structures import FrobeniusTypeStructure
     Z = SeriesMatrix.zeros(2, 2, ("t",), N)

@@ -2,7 +2,9 @@
 
 Each case feeds one reporter a corrupted input and collects the records it
 returns (or puts in a rejection's detail); every record must have exactly
-the three keys, a list of indices, and survive ``json.dumps``.
+the three keys, plus ``lowest_degree`` and ``nterms`` when the residual is
+a series or matrix (read back from its JSON), a list of indices, and
+survive ``json.dumps``.
 """
 
 import json
@@ -26,12 +28,31 @@ from helpers import point_base_pencil, rank2_higgs_ftype, shift_inits
 
 N = 3
 KEYS = {"check", "indices", "residual"}
+SUMMARY = {"lowest_degree", "nterms"}
+
+
+def _summary(residual) -> dict:
+    """The summary of a series or matrix residual, from its JSON; {} for
+    any other detail."""
+    if not isinstance(residual, dict):
+        return {}
+    if "entries" in residual:
+        terms = [t for row in residual["entries"] for entry in row
+                 for t in entry]
+    elif "terms" in residual:
+        terms = residual["terms"]
+    else:
+        return {}
+    return {"lowest_degree": min(sum(e) for e, _ in terms),
+            "nterms": len(terms)}
 
 
 def _assert_records(records):
     assert records
     for rec in records:
-        assert set(rec) == KEYS, rec
+        summary = _summary(rec["residual"])
+        assert set(rec) == KEYS | set(summary), rec
+        assert {k: rec[k] for k in summary} == summary
         assert isinstance(rec["check"], str)
         assert isinstance(rec["indices"], list)
         json.dumps(rec)
@@ -180,11 +201,12 @@ def test_compare_germ_records():
     assert not cmp["equal"]
     # each diff is a record that also names its field (and its index, for
     # one-index fields), which acceptance criterion 9 reads
-    _assert_records([{k: d[k] for k in KEYS} for d in cmp["diffs"]])
+    _assert_records([{k: d[k] for k in d if k not in ("field", "index")}
+                     for d in cmp["diffs"]])
     for d in cmp["diffs"]:
         assert d["field"] == d["check"]
-        assert set(d) - KEYS == ({"field", "index"} if d["indices"]
-                                 else {"field"})
+        assert set(d) - KEYS - SUMMARY == ({"field", "index"} if d["indices"]
+                                           else {"field"})
         if d["indices"]:
             assert [d["index"]] == d["indices"]
 
@@ -214,5 +236,23 @@ def test_violation_drops_zero_residuals():
     assert violation(out, "one", (1, "t"), one) is True
     assert violation(out, "singular") is True
     assert out == [{"check": "one", "indices": [1, "t"],
-                    "residual": one.to_json()},
+                    "residual": one.to_json(), "lowest_degree": 0,
+                    "nterms": 1},
                    {"check": "singular", "indices": [], "residual": None}]
+
+
+def test_violation_summarises_series_and_matrix_residuals():
+    vars = ("t", "y")
+    # t^2 + 3 t y^2: lowest degree 2, two terms
+    x = TruncSeries(vars, 4, {(2, 0): 1, (1, 2): 3})
+    # entries y^3 and t - y: lowest degree 1 over both, three terms
+    M = SeriesMatrix([[TruncSeries(vars, 4, {(0, 3): 1}),
+                       TruncSeries.zero(vars, 4)],
+                      [TruncSeries.zero(vars, 4),
+                       TruncSeries(vars, 4, {(1, 0): 1, (0, 1): -1})]])
+    out = []
+    violation(out, "series", (), x)
+    violation(out, "matrix", (), M)
+    assert [(r["lowest_degree"], r["nterms"]) for r in out] == [(2, 2),
+                                                               (1, 3)]
+    _assert_records(out)
