@@ -35,7 +35,7 @@ from .jacobi import (NotIsolatedError, WeightSystem, XPoly, build_jacobi,
                      check_polynomial, h2_generation_check)
 from .pencil import (ConnectionPencil, PairingMatrix, pairing_extension_check,
                      reduced_flatness_check, structure_connection)
-from .series import (MAX_ORDER, SeriesError, TruncSeries, frac_from_str,
+from .series import (MAX_INPUT_ORDER, SeriesError, TruncSeries, frac_from_str,
                      require_int, require_square)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
@@ -166,6 +166,19 @@ def _parse(build, *args):
     except (KeyError, TypeError, ValueError, AttributeError,
             ZeroDivisionError) as exc:
         raise PayloadError("%s: %s" % (type(exc).__name__, exc)) from exc
+
+
+def _orders(obj):
+    """Every int under an "order" key of a payload, at any depth."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if (key == "order" and isinstance(value, int)
+                    and not isinstance(value, bool)):
+                yield value
+            yield from _orders(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _orders(value)
 
 
 def _vector(values, n):
@@ -374,7 +387,7 @@ def _command(name):
     @click.option("--output", "output_dir", required=True,
                   type=click.Path(file_okay=False))
     @click.option("--order", default=4, show_default=True,
-                  type=click.IntRange(min=0, max=MAX_ORDER),
+                  type=click.IntRange(min=0, max=MAX_INPUT_ORDER),
                   help="total truncation order")
     @click.option("--z-order", default=4, show_default=True,
                   type=click.IntRange(min=0),
@@ -391,6 +404,11 @@ def _command(name):
         except jsonschema.ValidationError as exc:
             click.echo("payload does not match the %s schema: %s"
                        % (name, exc.message), err=True)
+            sys.exit(2)
+        top = max(_orders(payload), default=0)
+        if top > MAX_INPUT_ORDER:
+            click.echo("payload is malformed: order %d exceeds %d"
+                       % (top, MAX_INPUT_ORDER), err=True)
             sys.exit(2)
         meta = {"command": name, "order": order, "z_order": z_order}
         try:

@@ -54,16 +54,14 @@ class Ring(NamedTuple):
 
     ``entry`` converts an input entry into the ring; ``is_zero`` and
     ``is_unit`` test an element and ``inv`` inverts a unit.  Only units
-    become pivots.  ``mul(x, y)`` is the product and ``sub_mul(a, f, x)``
-    the fused update a - f*x, where ``a`` None stands for zero.  The
-    echelon touches its entries only through these fields.
+    become pivots.  ``sub_mul(a, f, x)`` is the fused update a - f*x,
+    where ``a`` None stands for zero.
     """
 
     is_zero: Callable
     is_unit: Callable
     inv: Callable
     entry: Callable
-    mul: Callable
     sub_mul: Callable
 
 
@@ -73,7 +71,7 @@ def _frac_sub_mul(a, f, x):
 
 # every nonzero Fraction is a unit; Fraction(x) keeps ints exact
 FRACTIONS = Ring(is_zero=operator.not_, is_unit=bool,
-                 inv=lambda x: 1 / x, entry=Fraction, mul=operator.mul,
+                 inv=lambda x: 1 / x, entry=Fraction,
                  sub_mul=_frac_sub_mul)
 
 
@@ -204,8 +202,7 @@ class Echelon:
             return False
         p = max(unit_cols) if self._max else min(unit_cols)
         inv = ring.inv(v[p])
-        mul = ring.mul
-        row = {c: mul(x, inv) for c, x in v.items()}
+        row = {c: x * inv for c, x in v.items()}
         occ = self._occ
         for q in occ.pop(p, ()):
             other = self.rows[q]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Echelon, Ring
@@ -41,6 +41,7 @@ __all__ = [
     "key_degree",
     "FIELD_BITS",
     "MAX_ORDER",
+    "MAX_INPUT_ORDER",
 ]
 
 Frac = Fraction
@@ -94,6 +95,10 @@ def unpack_key(key: int, strides) -> tuple:
 # every exponent and degree of a series, must fit in one field.
 FIELD_BITS = 8
 MAX_ORDER = (1 << FIELD_BITS) - 1
+# The largest order an input may ask for.  The constructors raise the order
+# bound by up to three: the germ constructors integrate the potential three
+# times, each integration one degree up.
+MAX_INPUT_ORDER = MAX_ORDER - 3
 
 
 def exponent_strides(nvars: int) -> tuple:
@@ -478,10 +483,6 @@ class TruncSeries:
         With names=None the total degree over all variables is used; weights
         maps variable name to a positive integer weight (default 1).
         """
-        if names is None and not weights:
-            top = FIELD_BITS * len(self.vars)
-            terms = {k: c for k, c in self._t.items() if k >> top == degree}
-            return TruncSeries._make(self.vars, self.order, terms)
         if names is None:
             idx = range(len(self.vars))
         else:
@@ -559,7 +560,8 @@ def _sub_mul(a, f, x):
     """a - f * x (a None is zero) in one pass over the terms: those of a,
     then each product term subtracted, the terms of x in key order for each
     term of f.  Keys sort by degree first, so the walk over x stops at the
-    first product beyond the order bound."""
+    first product beyond the order bound, which saves most of the walk at
+    higher orders, where most products fall beyond it."""
     f._like(x)
     order = min(f.order, x.order)
     if a is not None:
@@ -599,7 +601,7 @@ def _sub_mul(a, f, x):
 TRUNC_SERIES = Ring(is_zero=TruncSeries.is_zero,
                     is_unit=lambda x: x.constant_term != 0,
                     inv=TruncSeries.inverse, entry=lambda x: x,
-                    mul=mul, sub_mul=_sub_mul)
+                    sub_mul=_sub_mul)
 
 
 def euler_integrate(partials, weights: Mapping[str, int] | None = None):

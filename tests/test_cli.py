@@ -18,10 +18,11 @@ from frobkit.germ import (frobenius_via_unfolding, initial_from_filtration,
 from frobkit.jacobi import XPoly
 from frobkit.pencil import (PairingMatrix, flatness_residual,
                             structure_connection)
-from frobkit.series import MAX_ORDER, SeriesError, SeriesMatrix, TruncSeries
+from frobkit.series import (MAX_INPUT_ORDER, SeriesError, SeriesMatrix,
+                            TruncSeries)
 from frobkit.structures import shift_example
 from frobkit.unfold import UnfoldProblem, solve
-from helpers import point_base_pencil, rank2_higgs_ftype
+from helpers import point_base_pencil, rank1_log_pencil, rank2_higgs_ftype
 
 QUINTIC = {
     "num_vars": 5,
@@ -578,11 +579,24 @@ def test_negative_truncation_flags_exit_two(tmp_path, command, flag):
 
 
 def test_order_beyond_the_exponent_field_exits_two(tmp_path):
-    # series keys hold each exponent in a field of MAX_ORDER + 1 values
+    # series keys hold each exponent in a field of MAX_ORDER + 1 values, and
+    # the constructors need three orders above their input
     code, report, out = _run(tmp_path, "reconstruct",
                              dict(FUZZ_BASES)["reconstruct"], "--order",
-                             str(MAX_ORDER + 1))
+                             str(MAX_INPUT_ORDER + 1))
     assert code == 2 and report is None and not out.exists()
+    P, _ = rank1_log_pencil(MAX_INPUT_ORDER + 1)
+    code, report, out = _run(tmp_path, "universal-unfold",
+                             {"pencil": P.to_json()})
+    assert code == 2 and report is None and not out.exists()
+
+
+def test_universal_unfold_at_the_top_input_order_exits_zero(tmp_path):
+    # the unfolding runs at order + 1 inside the exponent field
+    P, _ = rank1_log_pencil(MAX_INPUT_ORDER)
+    code, report, _ = _run(tmp_path, "universal-unfold",
+                           {"pencil": P.to_json()})
+    assert code == 0 and report["chart_invertible"]
 
 
 def test_pairing_extension_check_rejects_a_negative_z_order():
