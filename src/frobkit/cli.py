@@ -36,7 +36,7 @@ from .jacobi import (NotIsolatedError, WeightSystem, XPoly, build_jacobi,
 from .pencil import (ConnectionPencil, PairingMatrix, pairing_extension_check,
                      reduced_flatness_check, structure_connection)
 from .series import (MAX_INPUT_ORDER, SeriesError, TruncSeries, frac_from_str,
-                     require_int, require_square)
+                     frac_to_str, require_int, require_square)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
                          jacobi_to_filtration, shift_example)
@@ -443,7 +443,7 @@ def _command(name):
 def _plain(obj):
     """Make report values JSON-encodable (Fractions to strings)."""
     if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator)
+        return frac_to_str(obj)
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -37,7 +37,8 @@ from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      slice_terms, unpack_key)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, filtration_to_ftype, violation)
-from .unfold import GCCertificate, gc_check, ic_check, universal_unfold
+from .unfold import (GCCertificate, _zeta_frame, gc_check, ic_check,
+                     universal_unfold)
 
 __all__ = [
     "FrobeniusGermData", "InitialData", "initial_from_filtration",
@@ -222,10 +223,7 @@ class InitialData:
 
 def rotate_zeta_first(F: FrobeniusTypeStructure, zeta) -> FrobeniusTypeStructure:
     """Constant frame change making the given vector the first frame vector."""
-    from .unfold import _complete_basis
-    cols = [list(zeta)] + _complete_basis([list(zeta)], F.n)
-    B = linalg.transpose(cols)
-    Binv = linalg.mat_inverse(B)
+    B, Binv = _zeta_frame(zeta, F.n)
     Bt = linalg.transpose(B)
     return FrobeniusTypeStructure(
         F.vars, F.n,

@@ -218,9 +218,6 @@ class XPoly:
                 terms.pop(e, None)
         return XPoly(self.nvars, terms)
 
-    def scale(self, c):
-        return XPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
-
     def __mul__(self, other):
         terms: dict = {}
         for e1, c1 in self.terms.items():
@@ -261,6 +258,37 @@ def _nonzero(c):
 # ---------------------------------------------------------------------------
 
 
+def _packed_partials(ws, partials, sdeg, strides) -> list:
+    """(multiplier keys, [(packed key, coefficient)] in exponent order) for
+    every nonzero partial dF/dx_i with multipliers g at scaled degree sdeg;
+    the keys of the g are shared by the partials of one degree."""
+    gkeys: dict = {}
+    packed = []
+    for dfi in partials:
+        if dfi.is_zero():
+            continue
+        gdeg = sdeg - ws.scaled_degree(next(iter(dfi.terms)))
+        if gdeg < 0:
+            continue
+        shifts = gkeys.get(gdeg)
+        if shifts is None:
+            shifts = gkeys[gdeg] = ws.monomial_keys(gdeg, strides)
+        packed.append((shifts, [(pack_key(exp, strides), c)
+                                for exp, c in sorted(dfi.terms.items())]))
+    return packed
+
+
+def _ideal_rows(packed, index):
+    """The ideal rows g * dF/dx_i as {monomial index: coefficient}.
+
+    Distinct exponents of one partial give distinct keys, and no
+    coefficient is zero, so a row needs no accumulation.
+    """
+    for shifts, terms in packed:
+        for g in shifts:
+            yield {index[g + k]: c for k, c in terms}
+
+
 class GradedPiece:
     """One graded piece of the quotient: basis plus normal-form map.
 
@@ -285,27 +313,13 @@ class GradedPiece:
         self._build(ws, partials, sdeg)
 
     def _build(self, ws, partials, sdeg):
-        st = self.strides
-        packed = []
-        simple = True
-        for dfi in partials:
-            if dfi.is_zero():
-                continue
-            gdeg = sdeg - ws.scaled_degree(next(iter(dfi.terms)))
-            if gdeg < 0:
-                continue
-            terms = [(pack_key(exp, st), c)
-                     for exp, c in sorted(dfi.terms.items())]
-            if len(terms) > 2:
-                simple = False
-            packed.append((gdeg, terms))
-        gkeys_cache = {gdeg: ws.monomial_keys(gdeg, st) for gdeg, _ in packed}
-        if simple:
-            self._build_uf(packed, gkeys_cache)
+        packed = _packed_partials(ws, partials, sdeg, self.strides)
+        if all(len(terms) <= 2 for _, terms in packed):
+            self._build_uf(packed)
         else:
-            self._build_echelon(packed, gkeys_cache)
+            self._build_echelon(packed)
 
-    def _build_uf(self, packed, gkeys_cache):
+    def _build_uf(self, packed):
         n = len(self.keys)
         at = self.index.__getitem__
         # phase 1: integer union-find over all generator products (union by
@@ -320,8 +334,7 @@ class GradedPiece:
             return i
 
         binomials = []
-        for gdeg, terms in packed:
-            shifts = gkeys_cache[gdeg]
+        for shifts, terms in packed:
             if len(terms) == 1:
                 for i in map(at, map(terms[0][0].__add__, shifts)):
                     dead[i] = 1
@@ -395,21 +408,10 @@ class GradedPiece:
         self.dim = len(basis)
         self._basis_pos = {b: k for k, b in enumerate(basis)}
 
-    def _build_echelon(self, packed, gkeys_cache):
+    def _build_echelon(self, packed):
         ech = Echelon(pivot="max")
-        index = self.index
-        for gdeg, terms in packed:
-            for g in gkeys_cache[gdeg]:
-                vec: dict = {}
-                for k, c in terms:
-                    i = index[g + k]
-                    s = vec.get(i, Fraction(0)) + c
-                    if s:
-                        vec[i] = s
-                    else:
-                        del vec[i]
-                if vec:
-                    ech.insert(vec)
+        for row in _ideal_rows(packed, self.index):
+            ech.insert(row)
         pivots = ech.pivots
         self.basis = [i for i in range(len(self.keys)) if i not in pivots]
         self.dim = len(self.basis)
@@ -451,6 +453,19 @@ class GradedPiece:
             entry = self._uf[i]
             return {} if entry is None else {entry[0]: entry[1] * coeff}
         return {k: v * coeff for k, v in self.nf_index(i).items()}
+
+    def nf_sum(self, items) -> dict:
+        """Normal form of sum c * m over (packed key of m, c) pairs, with
+        no zero coordinates."""
+        out: dict = {}
+        for key, c in items:
+            for k, v in self.nf_key(key, c).items():
+                w = out.get(k, Fraction(0)) + v
+                if w:
+                    out[k] = w
+                else:
+                    out.pop(k, None)
+        return out
 
     def nf_exps(self, exps, coeff=Fraction(1)) -> dict:
         i = self.index.get(pack_key(exps, self.strides))
@@ -618,15 +633,9 @@ class JacobiAlgebra:
         if s > self.top_scaled():
             return RfClass(s, {})
         piece = self.piece(s)
-        coords: dict = {}
-        for e, c in p.terms.items():
-            for k, v in piece.nf_exps(e, c).items():
-                w = coords.get(k, Fraction(0)) + v
-                if w:
-                    coords[k] = w
-                else:
-                    del coords[k]
-        return RfClass(s, coords)
+        st = piece.strides
+        return RfClass(s, piece.nf_sum((pack_key(e, st), c)
+                                       for e, c in p.terms.items()))
 
     def class_of_monomial(self, exps) -> RfClass:
         s = self.ws.scaled_degree(exps)
@@ -640,17 +649,9 @@ class JacobiAlgebra:
             return RfClass(s, {})
         ka = self.piece(a.sdeg).basis_keys
         kb = self.piece(b.sdeg).basis_keys
-        target = self.piece(s)
-        coords: dict = {}
-        for i, ca in a.coords.items():
-            for j, cb in b.coords.items():
-                for k, v in target.nf_key(ka[i] + kb[j], ca * cb).items():
-                    w = coords.get(k, Fraction(0)) + v
-                    if w:
-                        coords[k] = w
-                    else:
-                        del coords[k]
-        return RfClass(s, coords)
+        return RfClass(s, self.piece(s).nf_sum(
+            (ka[i] + kb[j], ca * cb)
+            for i, ca in a.coords.items() for j, cb in b.coords.items()))
 
     def unit(self) -> RfClass:
         return RfClass(0, {0: Fraction(1)})
@@ -743,7 +744,7 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
         # monomials reduces to a single line) plus a general echelon.
         seen: set = set()
         ech = Echelon(pivot="min")
-        nf_key = target.nf_key
+        nf_sum = target.nf_sum
         table, index = target._uf, target.index
         if table is not None:
             # below a union-find piece every piece is union-find (a partial
@@ -761,17 +762,7 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
                     break
         else:
             for items, kj in product(prev_rows, deg1_keys):
-                if len(items) == 1 and items[0][1] == 1:
-                    vec = nf_key(prev_keys[items[0][0]] + kj)
-                else:
-                    vec = {}
-                    for i, c in items:
-                        for k, v in nf_key(prev_keys[i] + kj, c).items():
-                            w = vec.get(k, Fraction(0)) + v
-                            if w:
-                                vec[k] = w
-                            else:
-                                del vec[k]
+                vec = nf_sum((prev_keys[i] + kj, c) for i, c in items)
                 vec = {k: c for k, c in vec.items() if k not in seen}
                 if not vec:
                     continue
@@ -833,26 +824,11 @@ class JacobiFamily:
         if sdeg in self._pieces:
             return self._pieces[sdeg]
         base = self.algebra.piece(sdeg)
-        ws = self.algebra.ws
-        st = base.strides
-        zero = TruncSeries.zero(self.t_vars, self.order)
+        packed = _packed_partials(self.algebra.ws, self.partials, sdeg,
+                                  base.strides)
         ech = Echelon(pivot="max", ring=TRUNC_SERIES)
-        for dfi in self.partials:
-            if dfi.is_zero():
-                continue
-            gdeg = sdeg - ws.scaled_degree(next(iter(dfi.terms)))
-            if gdeg < 0:
-                continue
-            terms = [(pack_key(exp, st), c)
-                     for exp, c in sorted(dfi.terms.items())]
-            for gk in ws.monomial_keys(gdeg, st):
-                vec: dict = {}
-                for k, c in terms:
-                    i = base.index[gk + k]
-                    vec[i] = vec.get(i, zero) + c
-                vec = {i: v for i, v in vec.items() if not v.is_zero()}
-                if vec:
-                    ech.insert(vec)
+        for row in _ideal_rows(packed, base.index):
+            ech.insert(row)
         ech.close()
         pivots = set(ech.rows)
         basis = [i for i in range(len(base.keys)) if i not in pivots]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 __all__ = [
-    "mat_mul", "mat_vec", "identity", "mat_inverse", "mat_rank",
+    "mat_mul", "identity", "mat_inverse", "mat_rank",
     "nullspace", "Echelon", "Ring", "FRACTIONS", "transpose",
 ]
 
@@ -42,11 +42,6 @@ def mat_mul(a, b):
                     if bs[j]:
                         oi[j] += c * bs[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c and x), Fraction(0))
-            for row in a]
 
 
 class Ring(NamedTuple):

@@ -194,10 +194,6 @@ class FiltrationData:
 # ---------------------------------------------------------------------------
 
 
-def _lift(mat, vars, order):
-    return SeriesMatrix.from_consts(mat, vars, order)
-
-
 def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
     """Evaluate every defining identity exactly modulo the truncation order.
 
@@ -215,8 +211,8 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
     except ValueError:
         violation(out, "pairing-invertible", (), "singular")
 
-    gS = _lift(g, F.vars, F.order)
-    VS = _lift(F.V, F.vars, F.order)
+    gS = SeriesMatrix.from_consts(g, F.vars, F.order)
+    VS = SeriesMatrix.from_consts(F.V, F.vars, F.order)
     can_diff = F.order >= 1
 
     for i in range(len(F.vars)):
@@ -280,7 +276,7 @@ def check_filtration(D: FiltrationData) -> list:
                 if S[k][l] != 0 and lv[k] + lv[l] != D.weight:
                     violation(out, "pairing-level-orthogonal", (k, l),
                               frac_to_str(S[k][l]))
-        SS = _lift(S, D.vars, D.order)
+        SS = SeriesMatrix.from_consts(S, D.vars, D.order)
         for a, G in enumerate(D.Gamma):
             violation(out, "pairing-flat", (a,), G.transpose() @ SS + SS @ G)
     return out

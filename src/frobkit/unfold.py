@@ -100,7 +100,7 @@ def ic_check(P: ConnectionPencil) -> dict:
     m = len(P.t_vars)
     if m == 0:
         return {"ok": True, "rank": 0, "kernel": []}
-    rows = [linalg.mat_vec(C.at_origin(), _unit_vector(P.n)) for C in P.C]
+    rows = [[row[0] for row in C.at_origin()] for C in P.C]
     rank = linalg.mat_rank(rows)
     # kernel: combinations of base directions killed by the map
     kernel = (linalg.nullspace([list(col) for col in zip(*rows)])
@@ -328,6 +328,12 @@ def _complete_basis(cols, n):
     return extra
 
 
+def _zeta_frame(zeta, n):
+    """The frame B = [zeta | standard completion] and its inverse."""
+    B = linalg.transpose([list(zeta)] + _complete_basis([list(zeta)], n))
+    return B, linalg.mat_inverse(B)
+
+
 def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
     """Unfold to a full-dimensional base with the period map as chart.
 
@@ -344,9 +350,7 @@ def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
     zeta = [Fraction(c) for c in zeta]
     if all(c == 0 for c in zeta):
         raise RejectionError("distinguished vector is zero")
-    frame_cols = [list(zeta)] + _complete_basis([zeta], n)
-    B = linalg.transpose(frame_cols)
-    Binv = linalg.mat_inverse(B)
+    B, Binv = _zeta_frame(zeta, n)
     rot = ConnectionPencil(
         P.t_vars, (), n,
         [C.conjugate_const(B, Binv) for C in P.C], [],
@@ -362,7 +366,7 @@ def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
         raise RejectionError("generation condition fails",
                              {"certificate": gc.to_json()})
     m = len(P.t_vars)
-    image = [linalg.mat_vec(C.at_origin(), _unit_vector(n)) for C in rot.C]
+    image = [[row[0] for row in C.at_origin()] for C in rot.C]
     comp = _complete_basis(image, n)
     l = n - m
     if len(comp) != l:

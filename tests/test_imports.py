@@ -1,10 +1,12 @@
-"""Every top-level import of a frobkit module is used or re-exported, and
-violation records are built in one place.
+"""Every top-level import of a frobkit module is used or re-exported, every
+private helper is used, and violation records are built in one place.
 
 No linter runs on this repository, so this walks the sources with ``ast``:
 a name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the module or listed in its ``__all__``, and a dict with
-a ``"residual"`` key may appear only in ``structures.violation``.
+read somewhere in the module or listed in its ``__all__``; the name of a
+module-level private function or class, or of a private method, must be
+read somewhere in the package; and a dict with a ``"residual"`` key may
+appear only in ``structures.violation``.
 """
 
 import ast
@@ -50,6 +52,54 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def orphaned_private_helpers(sources: dict) -> list:
+    """(module, line, name) of every module-level private function or class
+    and every private method in ``sources`` ({module: source}) whose name is
+    read nowhere in them: not as a name, an attribute or an imported name."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + members:
+                if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)) and _private(d.name)):
+                    defined.append((module, d.lineno, d.name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_detects_an_orphaned_private_helper():
+    a = ("def _used():\n    return 1\n"
+         "def _orphan():\n    return _used()\n"
+         "class _Box:\n    def __init__(self):\n        self._fill()\n"
+         "    def _fill(self):\n        pass\n"
+         "    def _spare(self):\n        pass\n")
+    b = "from a import _Box\n"
+    # dunders are not private, and a name read in another module counts
+    assert orphaned_private_helpers({"a": a, "b": b}) == [
+        ("a", 3, "_orphan"), ("a", 10, "_spare")]
+    assert orphaned_private_helpers({"a": a}) == [
+        ("a", 3, "_orphan"), ("a", 5, "_Box"), ("a", 10, "_spare")]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert orphaned_private_helpers(sources) == []
 
 
 def residual_dicts(source: str, allowed: str = "") -> list:

@@ -625,3 +625,26 @@ def test_build_jacobi_with_three_term_partials():
         ech.insert(piece.nf_exps(tuple(map(sum, zip(*ms)))))
     assert h2_generation_check(A)["codimensions"] == {
         2: A.dim_scaled(2 * L) - ech.rank} == {2: 0}
+
+
+@pytest.mark.parametrize("case, echelon", [
+    (fermat(4, 4), False), (THREE_TERM_QUARTIC, True)],
+    ids=["fermat-quartic", "three-term-quartic"])
+def test_family_at_zero_is_the_algebra(case, echelon):
+    """At t = 0 every multiplication matrix of the family is the algebra's:
+    the family's ideal rows over series and the algebra's over Fractions
+    (union-find or echelon) span the same pieces."""
+    A = build_jacobi(*case)
+    L = A.ws.scale
+    assert (A.piece(L)._uf is None) == echelon
+    fam = JacobiFamily(A, tuple("t%d" % a for a in range(A.dim_scaled(L))),
+                       order=1)
+    for a, m in enumerate(fam.deg1_monomials):
+        m_a = A.class_of_monomial(m)
+        for q in range(A.top_scaled() // L):
+            entries = fam.mult_entries(a, q * L)
+            for j in range(A.dim_scaled(q * L)):
+                col = {i: c for (i, k), v in entries.items()
+                       if k == j and (c := v.constant_term)}
+                e_j = RfClass(q * L, {j: F(1)})
+                assert col == A.multiply(m_a, e_j).coords
