@@ -173,7 +173,8 @@ class WeightSystem:
 
 
 class XPoly:
-    """Exact polynomial in x_0..x_n; coefficients Fraction or TruncSeries."""
+    """Exact polynomial in x_0..x_n; coefficients Fraction or TruncSeries
+    (an int coefficient is stored as a Fraction, anything else raises)."""
 
     __slots__ = ("nvars", "terms")
 
@@ -187,6 +188,11 @@ class XPoly:
                                           for k in e):
                     raise ValueError("bad exponent tuple %r for %d vars"
                                      % (e, nvars))
+                if isinstance(c, int):
+                    c = Fraction(c)
+                elif not isinstance(c, (Fraction, TruncSeries)):
+                    raise ValueError("coefficient %r of %r is not exact"
+                                     % (c, e))
                 if _nonzero(c):
                     self.terms[e] = c
 
@@ -216,20 +222,6 @@ class XPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return XPoly(self.nvars, terms)
-
-    def __mul__(self, other):
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if _nonzero(s):
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
         return XPoly(self.nvars, terms)
 
     def partial(self, i: int) -> "XPoly":
@@ -436,15 +428,9 @@ class GradedPiece:
     def ideal_rank(self) -> int:
         return len(self.keys) - self.dim
 
-    def nf_index(self, i: int) -> dict:
-        """Normal form of the i-th monomial: {basis position: Fraction}."""
-        if self._uf is not None:
-            entry = self._uf[i]
-            return {} if entry is None else {entry[0]: entry[1]}
-        red = self._echelon.reduce({i: Fraction(1)})
-        return {self._basis_pos[c]: x for c, x in red.items()}
-
     def nf_key(self, key: int, coeff=Fraction(1)) -> dict:
+        """Normal form of coeff times the monomial with packed key ``key``:
+        {basis position: Fraction}."""
         i = self.index.get(key)
         if i is None:
             raise ValueError("monomial key %d not of scaled degree %d"
@@ -452,7 +438,9 @@ class GradedPiece:
         if self._uf is not None:
             entry = self._uf[i]
             return {} if entry is None else {entry[0]: entry[1] * coeff}
-        return {k: v * coeff for k, v in self.nf_index(i).items()}
+        pos = self._basis_pos
+        return {pos[c]: x
+                for c, x in self._echelon.reduce({i: coeff}).items()}
 
     def nf_sum(self, items) -> dict:
         """Normal form of sum c * m over (packed key of m, c) pairs, with
@@ -468,12 +456,8 @@ class GradedPiece:
         return out
 
     def nf_exps(self, exps, coeff=Fraction(1)) -> dict:
-        i = self.index.get(pack_key(exps, self.strides))
-        if i is None:
-            raise ValueError("monomial %r not of scaled degree %d"
-                             % (exps, self.sdeg))
-        out = self.nf_index(i)
-        return {k: v * coeff for k, v in out.items()}
+        """``nf_key`` for a monomial given by its exponent tuple."""
+        return self.nf_key(pack_key(exps, self.strides), coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -710,48 +694,39 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
     products of degree-1 classes; passes iff every codimension is 0.
 
     The span at degree q is grown incrementally: span_q = span_{q-1} *
-    R^(1), with spanning vectors kept in reduced echelon form so product
-    counts stay at rank * dim R^(1).  Multiplying stops once the span is
-    the whole piece, and that full span is handed to the next degree.  Over
-    a union-find piece every row is a unit row, multiplied out a whole row
-    at a time straight through its normal-form table.
+    R^(1), with one basis of the span handed on, so product counts stay at
+    rank * dim R^(1).  Multiplying stops once the span is the whole piece.
+    Over an echelon piece the span is an ``Echelon``; over a union-find
+    piece it is a set of coordinate lines, each row multiplied out a whole
+    row at a time straight through the normal-form table.
     """
     L = algebra.ws.scale
     top_int = algebra.top_scaled() // L
     report: dict[int, int] = {}
-    if algebra.dim_scaled(L) == 0:
-        # no degree-1 classes: every nonzero higher integer piece is missed
-        for q in range(2, top_int + 1):
-            report[q] = algebra.dim_scaled(q * L)
-        return {"codimensions": report,
-                "passes": all(v == 0 for v in report.values())}
     deg1 = algebra.piece(L)
     deg1_keys = deg1.basis_keys
-    prev_keys = list(deg1_keys)
+    prev_keys = deg1_keys
     one = Fraction(1)
     prev_rows: list[list] = [[(k, one)] for k in range(deg1.dim)]
     for q in range(2, top_int + 1):
         s = q * L
         dim = algebra.dim_scaled(s)
-        if dim == 0:
-            report[q] = 0
+        if dim == 0 or not prev_rows:
+            # a zero piece, or no products to span anything in it (no
+            # degree-1 classes, or a zero piece below)
+            report[q] = dim
             prev_rows = []
-            prev_keys = []
             continue
         target = algebra.piece(s)
-        # span of the products, tracked as coordinate lines (`seen`, the
-        # common case for union-find pieces: every product of basis
-        # monomials reduces to a single line) plus a general echelon.
-        seen: set = set()
-        ech = Echelon(pivot="min")
-        nf_sum = target.nf_sum
-        table, index = target._uf, target.index
+        table = target._uf
         if table is not None:
             # below a union-find piece every piece is union-find (a partial
             # counts at every degree from its own upwards), so every row is
             # a unit row and every product's normal form is one table
-            # entry, a single line: each row fills `seen` in one pass
-            at = index.__getitem__
+            # entry: the span is a set of coordinate lines, and each row
+            # fills it in one pass
+            seen: set = set()
+            at = target.index.__getitem__
             for [(k, _)] in prev_rows:
                 shifted = map(prev_keys[k].__add__, deg1_keys)
                 seen.update(entry[0] for entry in
@@ -760,24 +735,20 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
                 if len(seen) == dim:
                     # the products span the whole piece
                     break
+            rank = len(seen)
+            prev_rows = [[(k, one)] for k in sorted(seen)]
         else:
+            ech = Echelon(pivot="min")
+            nf_sum = target.nf_sum
             for items, kj in product(prev_rows, deg1_keys):
-                vec = nf_sum((prev_keys[i] + kj, c) for i, c in items)
-                vec = {k: c for k, c in vec.items() if k not in seen}
-                if not vec:
-                    continue
-                if len(vec) == 1 and ech.rank == 0:
-                    seen.add(next(iter(vec)))
-                else:
-                    ech.insert(vec)
-                if len(seen) + ech.rank == dim:
+                ech.insert(nf_sum((prev_keys[i] + kj, c) for i, c in items))
+                if ech.rank == dim:
                     # the products span the whole piece; later ones add
                     # nothing
                     break
-        rank = len(seen) + ech.rank
+            rank = ech.rank
+            prev_rows = [list(r.items()) for r in ech.rows.values()]
         report[q] = dim - rank
-        prev_rows = ([[(k, one)] for k in sorted(seen)]
-                     + [list(r.items()) for r in ech.rows.values()])
         prev_keys = target.basis_keys
     return {"codimensions": report,
             "passes": all(v == 0 for v in report.values())}

@@ -158,11 +158,8 @@ class PairingMatrix:
         return out
 
     def gram_invertible(self) -> bool:
-        try:
-            linalg.mat_inverse(self.coeffs[0].at_origin())
-        except ValueError:
-            return False
-        return True
+        R0 = self.coeffs[0]
+        return linalg.mat_rank(R0.at_origin()) == R0.rows
 
     def restrict_y0(self, y_vars):
         return PairingMatrix(self.weight,

@@ -206,9 +206,7 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
     if gt != g:
         violation(out, "pairing-symmetric", (), _const_to_json(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(gt, g)]))
-    try:
-        linalg.mat_inverse(g)
-    except ValueError:
+    if linalg.mat_rank(g) != len(g):
         violation(out, "pairing-invertible", (), "singular")
 
     gS = SeriesMatrix.from_consts(g, F.vars, F.order)
@@ -267,9 +265,7 @@ def check_filtration(D: FiltrationData) -> list:
         St = linalg.transpose(S)
         if St != [[sign * c for c in row] for row in S]:
             violation(out, "pairing-weight-symmetric", (), _const_to_json(S))
-        try:
-            linalg.mat_inverse(S)
-        except ValueError:
+        if linalg.mat_rank(S) != n:
             violation(out, "pairing-invertible", (), "singular")
         for k in range(n):
             for l in range(n):
@@ -548,16 +544,10 @@ def _solve_pairing(levels, w, Gammas, n):
             S[l][k] = sign * vec[j]
         return S
 
-    chosen = None
-    for vec in sols + ([ [sum(v[j] for v in sols) for j in range(len(pairs))] ]
-                       if len(sols) > 1 else []):
-        S = build(vec)
-        try:
-            linalg.mat_inverse(S)
-        except ValueError:
-            continue
-        chosen = S
-        break
+    candidates = sols + ([[sum(v[j] for v in sols) for j in range(len(pairs))]]
+                         if len(sols) > 1 else [])
+    chosen = next((S for S in map(build, candidates)
+                   if linalg.mat_rank(S) == n), None)
     if chosen is None:
         order = Gammas[0].order if Gammas else 0
         raise RejectionError(

@@ -307,11 +307,7 @@ class UnfoldResult:
     y_vars: tuple
 
     def jacobian_invertible(self) -> bool:
-        try:
-            linalg.mat_inverse(self.jacobian)
-        except ValueError:
-            return False
-        return True
+        return linalg.mat_rank(self.jacobian) == len(self.jacobian)
 
 
 def _complete_basis(cols, n):

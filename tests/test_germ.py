@@ -439,3 +439,35 @@ def test_ungenerated_data_never_reaches_the_constructors(w, b, k):
                    (other.gc, {"ok": False}), (other.gc, {})]:
         with pytest.raises(TypeError):
             InitialData(FT, w, d, gc, ic, other.pencil)
+
+
+def test_rotating_zeta_gives_the_same_normalised_germ():
+    # zeta = 2 e_0 rescales the first frame vector; normalisation absorbs
+    # the scale the rotated pairing carries
+    FT = rank2_higgs_ftype(N)
+    plain = InitialData.create(FT)
+    rotated = InitialData.create(FT, zeta=(2, 0))
+    # the frame is B = diag(2, 1): g -> B^T g B and C -> B^-1 C B
+    assert rotated.ftype.g == [[F(0), F(2)], [F(2), F(0)]]
+    assert rotated.ftype.C[0].at_origin() == [[F(0), F(0)], [F(2), F(0)]]
+    for ctor in (frobenius_via_unfolding, h2_reconstruct):
+        assert compare_germs(ctor(plain), ctor(rotated))["equal"]
+    with pytest.raises(RejectionError, match="not an eigenvector"):
+        InitialData.create(FT, zeta=(1, 1))
+
+
+def test_constructors_raise_the_order_of_constant_data_only():
+    low = InitialData.create(rank2_higgs_ftype(order=1))
+    full = InitialData.create(rank2_higgs_ftype(order=N))
+    for ctor in (frobenius_via_unfolding, h2_reconstruct):
+        got = ctor(low, order=N)
+        assert got.order == N
+        assert compare_germs(got, ctor(full))["equal"]
+    one = TruncSeries.one(("t",), 1)
+    t = TruncSeries.var(("t",), 1, "t")
+    init = initial_from_filtration(shift_example(5, [one + t], order=1))
+    for ctor in (frobenius_via_unfolding, h2_reconstruct):
+        with pytest.raises(RejectionError) as exc:
+            ctor(init, order=3)
+        assert exc.value.args[0] == ("initial data carries too little "
+                                     "precision (order 1 < 3)")

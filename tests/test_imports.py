@@ -5,8 +5,9 @@ No linter runs on this repository, so this walks the sources with ``ast``:
 a name bound by a module-level ``import`` or ``from ... import`` must be
 read somewhere in the module or listed in its ``__all__``; the name of a
 module-level private function or class, or of a private method, must be
-read somewhere in the package; and a dict with a ``"residual"`` key may
-appear only in ``structures.violation``.
+read somewhere in the package; a dict with a ``"residual"`` key may
+appear only in ``structures.violation``; and no float enters the package
+through a literal or the name ``float`` (exact rationals only).
 """
 
 import ast
@@ -139,3 +140,31 @@ def test_residual_records_built_only_by_violation(path):
 
 def test_violation_builds_the_record():
     assert len(residual_dicts((SRC / "structures.py").read_text())) == 1
+
+
+def float_uses(source: str) -> list:
+    """Lines holding a float or complex literal or a read of the name
+    ``float``."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if ((isinstance(n, ast.Constant)
+             and isinstance(n.value, (float, complex)))
+                or (isinstance(n, ast.Name) and n.id == "float"
+                    and isinstance(n.ctx, ast.Load))):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_detects_a_float():
+    src = ("from fractions import Fraction\n"
+           "half = Fraction(1, 2)\nx = 0.5\n"
+           "def f(c):\n    return float(c) + 2j\n"
+           "s = '0.5'\nfloat_ok = 1\n")
+    # strings and names that merely contain "float" are not floats
+    assert float_uses(src) == [3, 5, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_uses(path.read_text()) == []

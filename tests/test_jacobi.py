@@ -49,6 +49,26 @@ def test_jacobian_piece_rejects_variable_count_mismatch():
             jacobian_piece(f, ws, 1)
 
 
+def test_int_coefficients_are_stored_as_fractions():
+    # x^3 + y^3 + x^2 y: the binomial ratios of the union-find engine are
+    # quotients of coefficients, floats if the ints stayed ints
+    ws = WeightSystem.straight(2, 3)
+    exps = [(3, 0), (0, 3), (2, 1)]
+    A_int = build_jacobi(XPoly(2, dict.fromkeys(exps, 1)), ws)
+    A_frac = build_jacobi(XPoly(2, dict.fromkeys(exps, F(1))), ws)
+    assert all(type(c) is F for c in A_int.f.terms.values())
+    assert A_int.piece(2)._uf[1:] == [(0, F(9, 2)), (0, F(-3))]
+    for s in range(A_int.top_scaled() + 1):
+        got, want = A_int.piece(s), A_frac.piece(s)
+        assert got.basis == want.basis
+        assert [got.nf_key(k) for k in got.keys] == [
+            want.nf_key(k) for k in want.keys]
+        assert all(type(c) is F for k in got.keys
+                   for c in got.nf_key(k).values())
+    with pytest.raises(ValueError, match="not exact"):
+        XPoly(2, {(3, 0): 1.5})
+
+
 def test_build_quintic_dimensions_and_product_oracle():
     f, ws = fermat(5, 5)
     A = build_jacobi(f, ws)
@@ -278,7 +298,7 @@ def _assert_matches_echelon(ws, gens, sdeg):
     dim, basis, nfs = _echelon_reference(ws, gens, sdeg)
     assert (piece.dim, piece.basis) == (dim, basis)
     for i, key in enumerate(piece.keys):
-        assert piece.nf_index(i) == nfs[i]
+        assert piece.nf_key(key) == nfs[i]
         assert piece.nf_key(key, F(-3, 2)) == {
             k: v * F(-3, 2) for k, v in nfs[i].items()}
     return piece
@@ -373,12 +393,21 @@ LATE_UNIT_ROWS = (
     WeightSystem([F(1, 6), F(1, 6), F(1, 6), F(1, 3)]))
 
 
+# x^5 + y^7 + z^8: no degree-1 classes, and integer degrees up to 2
+NO_DEGREE_ONE = (
+    XPoly(3, {(5, 0, 0): F(1), (0, 7, 0): F(1), (0, 0, 8): F(1)}),
+    WeightSystem([F(1, 5), F(1, 7), F(1, 8)]))
+
+
 def test_h2_generation_matches_frozen_per_product_loop():
     """The whole-row pass over a union-find target and the general loop
     over an echelon target give the span of one product at a time."""
-    for f, ws in (fermat(4, 4), THREE_TERM_QUARTIC, LATE_UNIT_ROWS):
+    for f, ws in (fermat(4, 4), THREE_TERM_QUARTIC, LATE_UNIT_ROWS,
+                  NO_DEGREE_ONE):
         A = build_jacobi(f, ws)
         assert h2_generation_check(A) == reference_h2_generation_check(A)
+    A = build_jacobi(*NO_DEGREE_ONE)
+    assert A.dim_scaled(A.ws.scale) == 0 and A.top_scaled() // A.ws.scale == 2
     A = build_jacobi(*fermat(4, 4))
     assert A.piece(2 * A.ws.scale)._uf is not None
     A = build_jacobi(*THREE_TERM_QUARTIC)
@@ -564,7 +593,7 @@ def _assert_echelon_engine_matches(ws, gens, sdeg):
     dim, basis, nfs = _echelon_reference(ws, gens, sdeg)
     assert (piece.dim, piece.basis) == (dim, basis)
     for i, key in enumerate(piece.keys):
-        assert piece.nf_index(i) == nfs[i]
+        assert piece.nf_key(key) == nfs[i]
         assert piece.nf_key(key, F(-3, 2)) == {
             k: v * F(-3, 2) for k, v in nfs[i].items()}
     _assert_basis_round_trips(piece)

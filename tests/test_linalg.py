@@ -69,6 +69,8 @@ def test_echelon_matches_frozen_fraction_engine(a):
     if len(a) == ncols:
         assert (_inverse_or_error(linalg.mat_inverse, a)
                 == _inverse_or_error(frozen.mat_inverse, a))
+        assert ((linalg.mat_rank(a) == ncols)
+                == (_inverse_or_error(linalg.mat_inverse, a) != "singular"))
 
 
 @pytest.mark.parametrize("a", [[[1, 2], [2, 4]],        # singular

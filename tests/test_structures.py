@@ -84,6 +84,30 @@ def test_nonhalfinteger_spectrum_rejected():
         ftype_to_filtration(FT, 1)
 
 
+def test_non_diagonal_flat_endomorphism_is_diagonalised():
+    # rank2_higgs_ftype in the frame P = [[1, 1], [0, 1]]: V = P^-1 V P is
+    # no longer diagonal, so the levels come from its eigenvectors
+    FT = rank2_higgs_ftype(N)
+    P = [[F(1), F(1)], [F(0), F(1)]]
+    Pinv = [[F(1), F(-1)], [F(0), F(1)]]
+    V = [[F(1, 2), F(1)], [F(0), F(-1, 2)]]
+    g = [[F(0), F(1)], [F(1), F(2)]]        # P^T g P
+    rot = FrobeniusTypeStructure(FT.vars, 2,
+                                 [C.conjugate_const(P, Pinv) for C in FT.C],
+                                 FT.U, V, g, N)
+    assert check_ftype_axioms(rot) == []
+    D = ftype_to_filtration(rot, 1)
+    assert D.levels == [0, 1]
+    assert check_filtration(D) == []
+    # a Jordan block has one eigenvector for two frame vectors
+    Z = SeriesMatrix.zeros(2, 2, FT.vars, N)
+    jordan = FrobeniusTypeStructure(FT.vars, 2, [Z], Z,
+                                    [[F(1, 2), F(1)], [F(0), F(1, 2)]],
+                                    FT.g, N)
+    with pytest.raises(RejectionError, match="not semisimple"):
+        ftype_to_filtration(jordan, 1)
+
+
 def test_level_preserving_part_is_gauged_away():
     # the gauge G of filtration_to_ftype solves dG = -(sum B_i dt_i) G with
     # G(0) = id, which removes the level-preserving part B: G^-1 (B_i G +
