@@ -10,16 +10,17 @@ from .germ import (FrobeniusGermData, InitialData, compare_germs,
 from .jacobi import (JacobiAlgebra, NotIsolatedError, RfClass, WeightSystem,
                      XPoly, build_jacobi, h2_generation_check,
                      jacobian_piece, multiply_rf, normal_form)
-from .pencil import (ConnectionPencil, PairingMatrix, flatness_residual,
-                     is_flat, pairing_extension_check, pencil_to_ftype,
-                     potential_matrix, reduced_flatness_check, structure_connection)
+from .pencil import (ConnectionPencil, GCCertificate, PairingMatrix,
+                     flatness_residual, gc_check, ic_check, is_flat,
+                     pairing_extension_check, pencil_to_ftype,
+                     potential_matrix, reduced_flatness_check,
+                     structure_connection)
 from .series import SeriesMatrix, TruncSeries
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms, shift_example,
                          filtration_to_ftype, ftype_to_filtration,
                          jacobi_to_filtration)
-from .unfold import (GCCertificate, UnfoldProblem, gc_check, ic_check,
-                     solve, universal_unfold)
+from .unfold import UnfoldProblem, solve, universal_unfold
 
 __all__ = [
     "FrobeniusGermData", "InitialData", "compare_germs", "euler_check",

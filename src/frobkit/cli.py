@@ -7,8 +7,10 @@ schema and builds every payload object in ``_parse``; each constructor
 checks the shape of what it builds.  Exit status 0 means every requested
 certification passed, 1 means a certification failed (the report names
 the violated identities), 2 means the payload does not parse, because a
-key is missing or a value has the wrong type, length, shape or variables
-(nothing is written), 3 means an internal invariant broke (an
+key is missing, a value has the wrong type, length, shape or variables, or
+a value that restates its data disagrees with it (an object's ``order``
+above one of its series, a pairing's ``z_order``), or the command line
+does not (nothing is written), 3 means an internal invariant broke (an
 ``AssertionError`` or ``SeriesError`` inside the computation; the report
 names the exception under ``error`` and ``error_type``).  A report's
 failed identities, like the ``violations`` of a rejection's ``detail``,
@@ -33,14 +35,15 @@ from .germ import (FrobeniusGermData, InitialData, compare_germs,
                    initial_from_filtration, normalize_germ, wdvv_check)
 from .jacobi import (NotIsolatedError, WeightSystem, XPoly, build_jacobi,
                      check_polynomial, h2_generation_check)
-from .pencil import (ConnectionPencil, PairingMatrix, pairing_extension_check,
-                     reduced_flatness_check, structure_connection)
+from .pencil import (ConnectionPencil, PairingMatrix, gc_check, ic_check,
+                     pairing_extension_check, reduced_flatness_check,
+                     structure_connection)
 from .series import (MAX_INPUT_ORDER, SeriesError, TruncSeries, frac_from_str,
                      frac_to_str, require_int, require_square)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
                          jacobi_to_filtration, shift_example)
-from .unfold import UnfoldProblem, gc_check, ic_check, solve, universal_unfold
+from .unfold import UnfoldProblem, solve, universal_unfold
 
 SERIES = {
     "type": "object",
@@ -379,6 +382,12 @@ RUNNERS = {
     "compare": _run_compare,
 }
 
+# the one command each flag acts on; the other runners get False
+FLAGS = {"unfold": click.option("--trace", is_flag=True,
+                                help="emit the intermediates per y-degree"),
+         "reconstruct": click.option("--both-paths", "both", is_flag=True,
+                                     help="run both germ constructors")}
+
 
 def _command(name):
     @click.command(name=name)
@@ -392,11 +401,7 @@ def _command(name):
     @click.option("--z-order", default=4, show_default=True,
                   type=click.IntRange(min=0),
                   help="certified z-order for pairings")
-    @click.option("--trace", is_flag=True,
-                  help="emit per-degree intermediates where supported")
-    @click.option("--both-paths", "both", is_flag=True,
-                  help="run both germ constructors and compare")
-    def cmd(input_path, output_dir, order, z_order, trace, both):
+    def cmd(input_path, output_dir, order, z_order, **flag):
         with open(input_path) as fh:
             payload = json.load(fh)
         try:
@@ -412,8 +417,9 @@ def _command(name):
             sys.exit(2)
         meta = {"command": name, "order": order, "z_order": z_order}
         try:
-            report, lines, ok = RUNNERS[name](payload, order, z_order,
-                                              trace, both)
+            report, lines, ok = RUNNERS[name](
+                payload, order, z_order, flag.get("trace", False),
+                flag.get("both", False))
         except PayloadError as exc:
             click.echo("payload is malformed: %s" % exc, err=True)
             sys.exit(2)
@@ -437,7 +443,7 @@ def _command(name):
         _emit(output_dir, _plain(report), lines + ["ok: %s" % ok])
         sys.exit(0 if ok else 1)
 
-    return cmd
+    return FLAGS[name](cmd) if name in FLAGS else cmd
 
 
 def _plain(obj):

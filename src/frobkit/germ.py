@@ -30,15 +30,15 @@ from typing import Sequence
 
 from . import linalg
 from .linalg import Echelon
-from .pencil import ConnectionPencil, potential_matrix, structure_connection
+from .pencil import (ConnectionPencil, GCCertificate, gc_check, ic_check,
+                     structure_connection)
 from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      euler_integrate, exponent_strides, frac_from_str,
-                     frac_to_str, require_int, require_square, slice_sum,
-                     slice_terms, unpack_key)
+                     frac_to_str, require_int, require_order, require_square,
+                     slice_sum, slice_terms, unpack_key)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, filtration_to_ftype, violation)
-from .unfold import (GCCertificate, _zeta_frame, gc_check, ic_check,
-                     universal_unfold)
+from .unfold import universal_unfold, zeta_frame
 
 __all__ = [
     "FrobeniusGermData", "InitialData", "initial_from_filtration",
@@ -81,6 +81,11 @@ class FrobeniusGermData:
                for s in [self.potential] + list(self.euler or [])):
             raise SeriesError("potential and Euler coordinates must be "
                               "series over %r" % (self.coords,))
+        require_order(self.order, [("mult[%d]" % i, M) for i, M in
+                                   enumerate(self.mult)]
+                      + [("potential", self.potential)]
+                      + [("euler[%d]" % k, e) for k, e in
+                         enumerate(self.euler or [])])
 
     def euler_coords(self):
         """Coordinates of the Euler field as series."""
@@ -223,7 +228,7 @@ class InitialData:
 
 def rotate_zeta_first(F: FrobeniusTypeStructure, zeta) -> FrobeniusTypeStructure:
     """Constant frame change making the given vector the first frame vector."""
-    B, Binv = _zeta_frame(zeta, F.n)
+    B, Binv = zeta_frame(zeta, F.n)
     Bt = linalg.transpose(B)
     return FrobeniusTypeStructure(
         F.vars, F.n,
@@ -422,11 +427,12 @@ def potential_integrate(mult, metric, coords, order) -> TruncSeries:
     if viol:
         raise RejectionError("third-derivative tensor is not symmetric",
                              {"violations": viol})
-    second = [[euler_integrate({coords[i]: T[i][j, k] for i in range(n)})
-               for k in range(n)] for j in range(n)]
-    first = [euler_integrate({coords[j]: second[j][k] for j in range(n)})
-             for k in range(n)]
-    return euler_integrate({coords[k]: first[k] for k in range(n)})
+    # one matrix integration per index: of T_i[j, k], second[j, k], first[0, k]
+    second = euler_integrate(dict(zip(coords, T)))
+    first = euler_integrate({
+        v: SeriesMatrix([[second[j, k] for k in range(n)]])
+        for j, v in enumerate(coords)})
+    return euler_integrate({v: first[0, k] for k, v in enumerate(coords)})
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +453,9 @@ def frobenius_via_unfolding(init: InitialData,
     big = universal_unfold(P).pencil
     n = big.n
     coords = _coords(n)
-    mult, subst = _flat_chart(big, range(n), coords, N)
+    # the unfolding's flatness certificate holds its closedness equations
+    mult, subst = _flat_chart(big.vars, list(big.C) + list(big.F), range(n),
+                              coords, N)
     metric = [[Fraction(c) for c in row] for row in F.g]
     ucol = [big.U[k, 0].compose(subst) for k in range(n)]
     # transport of the Euler field: its covariant derivative in the flat
@@ -481,24 +489,23 @@ def frobenius_via_unfolding(init: InitialData,
     return germ
 
 
-def _flat_chart(P: ConnectionPencil, rows, names, N):
+def _flat_chart(vars, blocks, rows, names, N):
     """Multiplication in the flat chart of the potential's first column.
 
-    names[a] = -A[rows[a], 0] are flat coordinates on the base of P, with A
-    the potential matrix (whose construction checks that P's one-form is
-    closed).  Returns the matrices of multiplication by d/d names[a], each
-    minus the combination of P's blocks whose first column restricted to
-    ``rows`` is the a-th unit vector, written in the flat coordinates; and
-    the substitution that writes P's base variables in them.
+    A is the potential of the one-form sum_u blocks[u] d vars[u], which the
+    caller has certified closed, and names[a] = -A[rows[a], 0] are flat
+    coordinates on the base.  Returns the matrices of multiplication by
+    d/d names[a], each minus the combination of the blocks whose first
+    column restricted to ``rows`` is the a-th unit vector, written in the
+    flat coordinates; and the substitution that writes ``vars`` in them.
     """
-    A = potential_matrix(P)
-    subst = dict(zip(P.vars, invert_map(
+    A = euler_integrate(dict(zip(vars, blocks)))
+    subst = dict(zip(vars, invert_map(
         [(-A[k, 0]).truncate(N) for k in rows], names)))
-    blocks = list(P.C) + list(P.F)
     psi_inv = SeriesMatrix([[-B[k, 0] for B in blocks]
                             for k in rows]).inverse_series()
     mult = [SeriesMatrix.sum_of_products(
-        [(-1, B, SeriesMatrix.scalar(P.n, psi_inv[u, a]))
+        [(-1, B, SeriesMatrix.scalar(A.rows, psi_inv[u, a]))
          for u, B in enumerate(blocks)]).compose(subst)
         for a in range(len(rows))]
     return mult, subst
@@ -574,10 +581,9 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     A = {k: [] if degrees[k] > 0 else [zero] for k in range(n)}
     A[0] = [SeriesMatrix.identity(n, coords, N)]
     if d0_idx:
-        Z = SeriesMatrix.zeros(n, n, F.vars, N)
-        base, _ = _flat_chart(
-            ConnectionPencil(F.vars, (), n, list(F.C), [], Z, Z, Z, N),
-            d0_idx, tuple(coords[k] for k in d0_idx), N)
+        # closed: the certified axioms hold higgs-potential
+        base, _ = _flat_chart(F.vars, list(F.C), d0_idx,
+                              tuple(coords[k] for k in d0_idx), N)
         for k, M in zip(d0_idx, base):
             A[k] = [M.extend(coords)]
             if A[k][0].column(0) != A[0][0].column(k):

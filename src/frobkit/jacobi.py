@@ -456,8 +456,14 @@ class GradedPiece:
         return out
 
     def nf_exps(self, exps, coeff=Fraction(1)) -> dict:
-        """``nf_key`` for a monomial given by its exponent tuple."""
-        return self.nf_key(pack_key(exps, self.strides), coeff)
+        """``nf_key`` for a monomial given by its exponent tuple.  An
+        exponent beyond the strides would pack to another monomial's key,
+        so a tuple that does not unpack from its key is refused."""
+        key = pack_key(exps, self.strides)
+        if unpack_key(key, self.strides) != tuple(exps):
+            raise ValueError("monomial %r not of scaled degree %d"
+                             % (tuple(exps), self.sdeg))
+        return self.nf_key(key, coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ pole structure and evaluated exactly on the series coefficients.
 
 The pairing companion stores the z-power coefficients of z^(-weight) times
 the Gram matrix of the flat pairing in the same frame, again exactly.
+
+The generation (gc) and injectivity (ic) certificates of a pencil at the
+origin, which the unfoldings and the pairing extension require of their
+base, live here too.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .linalg import Echelon
 from .series import (SeriesError, SeriesMatrix, euler_integrate, frac_to_str,
-                     require_int, require_square)
+                     require_int, require_order, require_square)
 from .structures import (FrobeniusTypeStructure, RejectionError,
                          check_ftype_axioms, violation)
 
 __all__ = [
-    "ConnectionPencil", "PairingMatrix", "flatness_residual", "is_flat",
+    "ConnectionPencil", "PairingMatrix", "GCCertificate", "gc_check",
+    "ic_check", "flatness_residual", "is_flat",
     "potential_matrix", "reduced_flatness_check", "pairing_extension_check",
     "structure_connection", "pencil_to_ftype",
 ]
@@ -54,6 +60,7 @@ class ConnectionPencil:
             raise SeriesError("coefficient blocks do not match the variables")
         for name, M in self.all_blocks():
             require_square(name, M, self.n, self.vars)
+        require_order(self.order, self.all_blocks())
 
     @property
     def vars(self):
@@ -172,8 +179,13 @@ class PairingMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["weight"],
-                   [SeriesMatrix.from_json(R) for R in obj["coeffs"]])
+        out = cls(obj["weight"],
+                  [SeriesMatrix.from_json(R) for R in obj["coeffs"]])
+        if obj["z_order"] != out.z_order:
+            raise SeriesError("z_order %r, but %d z-coefficients give z_order "
+                              "%d" % (obj["z_order"], len(out.coeffs),
+                                      out.z_order))
+        return out
 
     @classmethod
     def constant(cls, weight, g, vars, order, z_order):
@@ -250,6 +262,80 @@ def residual_report(res: dict) -> list:
         for idx, r in items:
             violation(out, eq, idx, r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# generation and injectivity certificates at the origin
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class GCCertificate:
+    ok: bool
+    words: list
+    rank: int
+    n: int
+
+    def to_json(self):
+        return {"ok": self.ok, "rank": self.rank, "n": self.n,
+                "words": [list(w) for w in self.words]}
+
+
+def gc_check(P: ConnectionPencil) -> GCCertificate:
+    """Breadth-first span of the fiber at the origin from the distinguished
+    (first) frame vector under the constant terms of the C, F and U blocks.
+
+    Returns spanning words (sequences of generator labels, applied left to
+    right) when the span is everything, or the reached rank otherwise.
+    Generator matrices are applied sparsely, so large mostly-empty
+    multiplication operators stay cheap.
+    """
+    n = P.n
+
+    def sparse_cols(M):
+        cols = [{} for _ in range(n)]
+        for (i, j), x in M.nonzero().items():
+            c = x.constant_term
+            if c:
+                cols[j][i] = c
+        return cols
+
+    gens = [("C%d" % i, sparse_cols(C)) for i, C in enumerate(P.C)]
+    gens += [("F%d" % a, sparse_cols(F)) for a, F in enumerate(P.F)]
+    gens.append(("U", sparse_cols(P.U)))
+    ech = Echelon(pivot="min")
+    ech.insert({0: Fraction(1)})
+    words = [()]
+    queue = [({0: Fraction(1)}, ())]
+    while queue and ech.rank < n:
+        v, word = queue.pop(0)
+        for label, cols in gens:
+            w: dict = {}
+            for j, c in v.items():
+                for i, x in cols[j].items():
+                    s = w.get(i, Fraction(0)) + c * x
+                    if s:
+                        w[i] = s
+                    else:
+                        del w[i]
+            if w and ech.insert(dict(w)):
+                words.append(word + (label,))
+                queue.append((w, word + (label,)))
+    return GCCertificate(ech.rank == n, words, ech.rank, n)
+
+
+def ic_check(P: ConnectionPencil) -> dict:
+    """Rank of t-direction -> C(0) applied to the distinguished vector."""
+    m = len(P.t_vars)
+    if m == 0:
+        return {"ok": True, "rank": 0, "kernel": []}
+    rows = [[row[0] for row in C.at_origin()] for C in P.C]
+    rank = linalg.mat_rank(rows)
+    # kernel: combinations of base directions killed by the map
+    kernel = (linalg.nullspace([list(col) for col in zip(*rows)])
+              if rank < m else [])
+    return {"ok": rank == m, "rank": rank,
+            "kernel": [[str(c) for c in v] for v in kernel]}
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +480,6 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
             "base pairing carries %d z-coefficients, need %d for y-order %d"
             % (R0.z_order + 1, need + 1, N))
     base = P.restrict_y0()
-    from .unfold import gc_check
     gc = gc_check(base)
     if not gc.ok:
         _fail(report, "generation-condition", gc.to_json())

@@ -25,7 +25,6 @@ from typing import Iterable, Mapping, Sequence
 from .linalg import Echelon, Ring
 
 __all__ = [
-    "Frac",
     "TruncSeries",
     "TRUNC_SERIES",
     "SeriesMatrix",
@@ -33,6 +32,7 @@ __all__ = [
     "frac_to_str",
     "require_int",
     "require_square",
+    "require_order",
     "slice_terms",
     "slice_sum",
     "pack_key",
@@ -44,7 +44,6 @@ __all__ = [
     "MAX_INPUT_ORDER",
 ]
 
-Frac = Fraction
 _ZERO = Fraction(0)
 _new = object.__new__
 _set = object.__setattr__
@@ -720,6 +719,16 @@ def require_square(what, M, n, vars=None):
         raise SeriesError("%s must be %d x %d%s" % (
             what, n, n, "" if vars is None else " over %r" % (tuple(vars),)))
     return M
+
+
+def require_order(order, named):
+    """Check that every (name, series or matrix) of ``named`` carries at
+    least the ``order`` of the object that holds it; raise SeriesError
+    otherwise.  Truncating to that order would need terms it lacks."""
+    for what, x in named:
+        if x.order < order:
+            raise SeriesError("%s carries order %d, below the order %d of "
+                              "its object" % (what, x.order, order))
 
 
 class SeriesMatrix:

@@ -25,7 +25,7 @@ from . import linalg
 from .jacobi import JacobiAlgebra, JacobiFamily, h2_generation_check
 from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      euler_integrate, frac_from_str, frac_to_str, key_degree,
-                     require_int, require_square)
+                     require_int, require_order, require_square)
 
 __all__ = [
     "FrobeniusTypeStructure", "FiltrationData", "RejectionError",
@@ -103,6 +103,8 @@ class FrobeniusTypeStructure:
         require_square("u_endo", self.U, n, self.vars)
         require_square("v_endo", self.V, n)
         require_square("pairing", self.g, n)
+        require_order(self.order, [("higgs[%d]" % i, C) for i, C in
+                                   enumerate(self.C)] + [("u_endo", self.U)])
 
     def umat_is_zero(self) -> bool:
         return self.U.is_zero()
@@ -164,6 +166,8 @@ class FiltrationData:
             raise SeriesError("need one gamma matrix per base coordinate")
         for i, G in enumerate(self.Gamma):
             require_square("gamma[%d]" % i, G, n, self.vars)
+        require_order(self.order, [("gamma[%d]" % i, G)
+                                   for i, G in enumerate(self.Gamma)])
         if self.S is not None:
             require_square("pairing", self.S, n)
 
@@ -363,24 +367,18 @@ def filtration_to_ftype(D: FiltrationData):
         raise RejectionError("filtration data has no pairing")
     n, lv = D.n, D.levels
     lower, keep, bad = [], [], []
-    zero = TruncSeries.zero(D.vars, D.order)
     for a, G in enumerate(D.Gamma):
-        Lm = [[zero] * n for _ in range(n)]
-        Bm = [[zero] * n for _ in range(n)]
-        for k in range(n):
-            for l in range(n):
-                e = G[k, l]
-                if e.is_zero():
-                    continue
-                if lv[k] == lv[l] - 1:
-                    Lm[k][l] = e
-                elif lv[k] == lv[l]:
-                    Bm[k][l] = e
-                else:
-                    violation(bad, "griffiths-transversality", (a, k, l),
-                              {"from_level": lv[l], "to_level": lv[k]})
-        lower.append(SeriesMatrix(Lm))
-        keep.append(SeriesMatrix(Bm))
+        down, level = {}, {}
+        for (k, l), e in G.nonzero().items():
+            if lv[k] == lv[l] - 1:
+                down[k, l] = e
+            elif lv[k] == lv[l]:
+                level[k, l] = e
+            else:
+                violation(bad, "griffiths-transversality", (a, k, l),
+                          {"from_level": lv[l], "to_level": lv[k]})
+        lower.append(SeriesMatrix.from_sparse(n, n, D.vars, D.order, down))
+        keep.append(SeriesMatrix.from_sparse(n, n, D.vars, D.order, level))
     if bad:
         raise RejectionError("connection moves levels by more than one "
                              "step down", {"violations": bad})
@@ -456,19 +454,17 @@ def shift_example(w: int, b_free: Sequence[TruncSeries] = (),
         b[k] = s
     for k in range(half + 1, w - 1):
         b[k] = b[w - 1 - k]
-    b[w - 1] = TruncSeries.zero(vars, order)
     n = w - 1
-    zero = TruncSeries.zero(vars, order)
-    Gm = [[zero] * n for _ in range(n)]
-    for l in range(n - 1):
-        Gm[l + 1][l] = b[l + 1]
+    # b_{w-1} = 0: the last frame vector has no successor
+    Gamma = SeriesMatrix.from_sparse(
+        n, n, vars, order, {(l + 1, l): b[l + 1] for l in range(n - 1)})
     levels = [w - 1 - k for k in range(n)]
     S = [[Fraction(0)] * n for _ in range(n)]
     for k in range(n):
         for l in range(n):
             if (k + 1) + (l + 1) == w:
                 S[k][l] = Fraction((-1) ** (k + 1))
-    D = FiltrationData(vars, n, w, levels, [SeriesMatrix(Gm)], S, order)
+    D = FiltrationData(vars, n, w, levels, [Gamma], S, order)
     viol = check_filtration(D)
     if viol:
         raise AssertionError("shift example violates its own invariants: %r"

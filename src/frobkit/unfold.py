@@ -11,11 +11,9 @@ from products of lower slices (see ``solve``).  The finished pencil is
 certified once, on all fourteen flatness equations, and a nonzero
 residual is a hard failure.
 
-The generation certificate (span of the fiber by iterated applications of
-the constant-term operators to the distinguished vector) and the
-injectivity certificate for the base directions live here too, as does
-the universal unfolding that picks coordinates making the period map the
-identity chart.
+The universal unfolding that picks coordinates making the period map the
+identity chart lives here too; it and ``solve`` require the generation
+and injectivity certificates of ``pencil`` on their base.
 """
 
 from __future__ import annotations
@@ -25,88 +23,22 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Echelon
-from .pencil import ConnectionPencil, flatness_residual, residual_report
+from .pencil import (ConnectionPencil, GCCertificate, flatness_residual,
+                     gc_check, ic_check, residual_report)
 from .series import (SeriesError, SeriesMatrix, TruncSeries, euler_integrate,
                      require_int, slice_sum, slice_terms)
 from .structures import RejectionError
 
+# the certificates live in ``pencil``; they are re-exported here, where
+# they certify the base of an unfolding
 __all__ = [
     "GCCertificate", "gc_check", "ic_check", "UnfoldProblem", "solve",
-    "universal_unfold", "UnfoldResult",
+    "universal_unfold", "UnfoldResult", "zeta_frame",
 ]
-
-
-@dataclass
-class GCCertificate:
-    ok: bool
-    words: list
-    rank: int
-    n: int
-
-    def to_json(self):
-        return {"ok": self.ok, "rank": self.rank, "n": self.n,
-                "words": [list(w) for w in self.words]}
 
 
 def _unit_vector(n, k=0):
     return [Fraction(int(i == k)) for i in range(n)]
-
-
-def gc_check(P: ConnectionPencil) -> GCCertificate:
-    """Breadth-first span of the fiber at the origin from the distinguished
-    (first) frame vector under the constant terms of the C, F and U blocks.
-
-    Returns spanning words (sequences of generator labels, applied left to
-    right) when the span is everything, or the reached rank otherwise.
-    Generator matrices are applied sparsely, so large mostly-empty
-    multiplication operators stay cheap.
-    """
-    n = P.n
-
-    def sparse_cols(M):
-        cols = [{} for _ in range(n)]
-        for (i, j), x in M.nonzero().items():
-            c = x.constant_term
-            if c:
-                cols[j][i] = c
-        return cols
-
-    gens = [("C%d" % i, sparse_cols(C)) for i, C in enumerate(P.C)]
-    gens += [("F%d" % a, sparse_cols(F)) for a, F in enumerate(P.F)]
-    gens.append(("U", sparse_cols(P.U)))
-    ech = Echelon(pivot="min")
-    ech.insert({0: Fraction(1)})
-    words = [()]
-    queue = [({0: Fraction(1)}, ())]
-    while queue and ech.rank < n:
-        v, word = queue.pop(0)
-        for label, cols in gens:
-            w: dict = {}
-            for j, c in v.items():
-                for i, x in cols[j].items():
-                    s = w.get(i, Fraction(0)) + c * x
-                    if s:
-                        w[i] = s
-                    else:
-                        del w[i]
-            if w and ech.insert(dict(w)):
-                words.append(word + (label,))
-                queue.append((w, word + (label,)))
-    return GCCertificate(ech.rank == n, words, ech.rank, n)
-
-
-def ic_check(P: ConnectionPencil) -> dict:
-    """Rank of t-direction -> C(0) applied to the distinguished vector."""
-    m = len(P.t_vars)
-    if m == 0:
-        return {"ok": True, "rank": 0, "kernel": []}
-    rows = [[row[0] for row in C.at_origin()] for C in P.C]
-    rank = linalg.mat_rank(rows)
-    # kernel: combinations of base directions killed by the map
-    kernel = (linalg.nullspace([list(col) for col in zip(*rows)])
-              if rank < m else [])
-    return {"ok": rank == m, "rank": rank,
-            "kernel": [[str(c) for c in v] for v in kernel]}
 
 
 @dataclass
@@ -324,7 +256,7 @@ def _complete_basis(cols, n):
     return extra
 
 
-def _zeta_frame(zeta, n):
+def zeta_frame(zeta, n):
     """The frame B = [zeta | standard completion] and its inverse."""
     B = linalg.transpose([list(zeta)] + _complete_basis([list(zeta)], n))
     return B, linalg.mat_inverse(B)
@@ -346,7 +278,7 @@ def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
     zeta = [Fraction(c) for c in zeta]
     if all(c == 0 for c in zeta):
         raise RejectionError("distinguished vector is zero")
-    B, Binv = _zeta_frame(zeta, n)
+    B, Binv = zeta_frame(zeta, n)
     rot = ConnectionPencil(
         P.t_vars, (), n,
         [C.conjugate_const(B, Binv) for C in P.C], [],

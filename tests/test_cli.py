@@ -606,3 +606,35 @@ def test_pairing_extension_check_rejects_a_negative_z_order():
     with pytest.raises(SeriesError):
         pencil.pairing_extension_check(
             unfolded, PairingMatrix.constant(0, g, (), 2, 6), z_order=-1)
+
+
+# --trace and --both-paths exist only on the one command each acts on
+FLAG_OWNERS = {"--trace": "unfold", "--both-paths": "reconstruct"}
+
+
+@pytest.mark.parametrize("command", sorted(cli.RUNNERS))
+def test_flags_exist_only_where_they_act(tmp_path, command):
+    usage = CliRunner().invoke(main, [command, "--help"]).output
+    for flag, owner in FLAG_OWNERS.items():
+        assert (flag in usage) == (command == owner)
+        if command != owner:
+            # a usage error before any payload is read: nothing is written
+            code, report, out = _run(tmp_path, command,
+                                     dict(FUZZ_BASES)[command], flag)
+            assert code == 2 and report is None and not out.exists()
+
+
+def test_restated_orders_must_agree_with_their_data(tmp_path):
+    # an ftype that claims order 6 over order-2 series is malformed at any
+    # --order (it broke an invariant at 4 and passed at 6), and so is a
+    # pairing whose z_order is not its number of z-coefficients less one
+    ft = dict(rank2_higgs_ftype(2).to_json(), order=6)
+    for order in ("4", "6"):
+        code, report, out = _run(tmp_path, "reconstruct", {
+            "initial": {"kind": "ftype", "ftype": ft}}, "--order", order)
+        assert code == 2 and report is None and not out.exists()
+    payload = dict(FUZZ_BASES)["pairing-extend"]
+    assert len(payload["pairing"]["coeffs"]) == 7
+    code, report, out = _run(tmp_path, "pairing-extend", dict(
+        payload, pairing=dict(payload["pairing"], z_order=99)))
+    assert code == 2 and report is None and not out.exists()

@@ -9,7 +9,7 @@ from frobkit.germ import (FrobeniusGermData, InitialData, compare_germs,
                           invert_map, normalize_germ, potential_integrate,
                           wdvv_check)
 from frobkit.pencil import pencil_to_ftype, structure_connection
-from frobkit.series import SeriesMatrix, TruncSeries
+from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
                                 check_ftype_axioms, filtration_to_ftype,
                                 shift_example)
@@ -471,3 +471,71 @@ def test_constructors_raise_the_order_of_constant_data_only():
             ctor(init, order=3)
         assert exc.value.args[0] == ("initial data carries too little "
                                      "precision (order 1 < 3)")
+
+
+def test_shift_reconstruct_integrates_each_one_form_once(tmp_path,
+                                                         monkeypatch):
+    # both germ constructors read the flat chart off a one-form certified
+    # closed upstream, and the potential takes one matrix integration per
+    # index, so the seed-1 benchmark job checks closedness only inside the
+    # unfolding's two flatness certificates
+    import sys
+
+    from click.testing import CliRunner
+
+    from frobkit import pencil, series
+    from frobkit.cli import main
+    from test_bench_report import _load_workloads
+
+    calls = dict.fromkeys(("closedness_residual", "potential_matrix",
+                           "euler_integrate"), 0)
+    for name, orig in ((n, getattr(pencil, n, None) or getattr(series, n))
+                       for n in calls):
+        def spy(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.split(".")[0] == "frobkit"
+                    and getattr(mod, name, None) is orig):
+                monkeypatch.setattr(mod, name, spy)
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(_load_workloads().shift_payload(1)))
+    result = CliRunner().invoke(main, [
+        "reconstruct", "--input", str(payload), "--output",
+        str(tmp_path / "out"), "--both-paths", "--order", "6"],
+        catch_exceptions=False)
+    assert result.exit_code == 0
+    assert calls["closedness_residual"] <= 2
+    assert calls["potential_matrix"] == 0
+    assert calls["euler_integrate"] <= 35
+
+
+def test_ungraded_germ_round_trips_and_compares():
+    # U != 0 at the origin, so the germ keeps its Euler field as coordinates
+    G = frobenius_via_unfolding(point_rank2_init(2))
+    assert G.degrees is None and G.euler is not None
+    blob = json.dumps(G.to_json(), sort_keys=True)
+    assert "euler_coords" in blob and "euler_degrees" not in blob
+    back = FrobeniusGermData.from_json(json.loads(blob))
+    assert back == G
+    assert compare_germs(G, back) == {"equal": True, "diffs": []}
+    # without degrees the unit is paired with the last frame vector
+    assert normalize_germ(G).metric[0][G.n - 1] == 1
+    s1 = TruncSeries.var(G.coords, G.order, "s1")
+    moved = FrobeniusGermData(G.coords, G.n, G.mult, G.metric, None,
+                              [G.euler[0], G.euler[1] + s1], G.potential,
+                              G.order)
+    assert [(d["check"], d["indices"]) for d in
+            compare_germs(G, moved)["diffs"]] == [("euler_coords", [1])]
+    graded = frobenius_via_unfolding(
+        initial_from_filtration(shift_example(3, [], order=2)))
+    assert graded.n == G.n and graded.degrees is not None
+    assert "euler_form" in [d["check"] for d in
+                            compare_germs(G, graded)["diffs"]]
+
+
+def test_germ_refuses_a_potential_below_its_order():
+    G = frobenius_via_unfolding(shift_inits(2)[(4, "1")])
+    with pytest.raises(SeriesError, match="potential carries order 1"):
+        FrobeniusGermData(G.coords, G.n, G.mult, G.metric, G.degrees, None,
+                          G.potential.truncate(1), G.order)

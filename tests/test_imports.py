@@ -6,8 +6,10 @@ a name bound by a module-level ``import`` or ``from ... import`` must be
 read somewhere in the module or listed in its ``__all__``; the name of a
 module-level private function or class, or of a private method, must be
 read somewhere in the package; a dict with a ``"residual"`` key may
-appear only in ``structures.violation``; and no float enters the package
-through a literal or the name ``float`` (exact rationals only).
+appear only in ``structures.violation``; no float enters the package
+through a literal or the name ``float`` (exact rationals only); and the
+modules meet only at their top-level imports of public names (no private
+name is imported and no frobkit module is imported inside a function).
 """
 
 import ast
@@ -168,3 +170,53 @@ def test_detects_a_float():
                          ids=lambda p: p.name)
 def test_no_floats(path):
     assert float_uses(path.read_text()) == []
+
+
+def _frobkit_import(node) -> bool:
+    """Whether an import statement imports from the frobkit package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "frobkit"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "frobkit" for alias in node.names)
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of every private name imported from a frobkit module."""
+    return sorted((n.lineno, alias.name) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.ImportFrom) and _frobkit_import(n)
+                  for alias in n.names if _private(alias.name))
+
+
+def test_detects_a_private_import():
+    src = ("from .unfold import _zeta_frame, solve\n"
+           "from frobkit.series import _limit\n"
+           "from os.path import _joinrealpath\n"
+           "from .series import __all__\n")
+    # a private name of another package and a dunder are not flagged
+    assert private_imports(src) == [(1, "_zeta_frame"), (2, "_limit")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def nested_imports(source: str) -> list:
+    """Lines that import a frobkit module inside a function body."""
+    return sorted({n.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(fn) if _frobkit_import(n)})
+
+
+def test_detects_a_nested_import():
+    src = ("from .pencil import gc_check\n"
+           "def f(P):\n    from .unfold import solve\n"
+           "    def g():\n        import frobkit.series\n"
+           "    import json\n    return solve(P)\n")
+    # top-level and non-frobkit imports are not flagged
+    assert nested_imports(src) == [3, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert nested_imports(path.read_text()) == []

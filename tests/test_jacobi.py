@@ -677,3 +677,15 @@ def test_family_at_zero_is_the_algebra(case, echelon):
                        if k == j and (c := v.constant_term)}
                 e_j = RfClass(q * L, {j: F(1)})
                 assert col == A.multiply(m_a, e_j).coords
+
+
+def test_nf_exps_refuses_a_tuple_outside_the_piece():
+    # strides (1, 3) at degree 2: (4, 0) packs to the key of x*y, (1, 1)
+    quartic = XPoly(2, {(4, 0): F(1), (0, 4): F(1)})
+    ws = WeightSystem.straight(2, 4)
+    piece = GradedPiece(ws, [quartic.partial(i) for i in range(2)],
+                        ws.to_scaled(F(1, 2)))
+    assert piece.nf_exps((1, 1)) == {1: F(1)}
+    for exps in ((4, 0), (2, 0, 0), (3, -1), (0, 1)):
+        with pytest.raises(ValueError, match="not of scaled degree"):
+            piece.nf_exps(exps)

@@ -7,7 +7,7 @@ from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             pairing_extension_check, pencil_to_ftype,
                             potential_matrix, reduced_flatness_check,
                             residual_report, structure_connection)
-from frobkit.series import SeriesMatrix, TruncSeries
+from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import RejectionError, check_ftype_axioms
 from frobkit.unfold import UnfoldProblem, solve, universal_unfold
 from helpers import (consts, corpus, point_base_pencil, rank1_log_pencil,
@@ -320,3 +320,28 @@ def test_structure_connection_flatness_is_the_four_ftype_axioms():
             return v["check"], v["indices"]
 
         assert sorted(got, key=key) == sorted(want, key=key), broken
+
+
+def test_reduced_check_files_full_and_base_residuals():
+    # the universal unfolding of the rank-2 structure over t, with a
+    # constant E_12 added to F_1 (breaking higgs-commute-ty in full) and to
+    # U (breaking u-commute-t at y = 0)
+    P, _ = structure_connection(rank2_higgs_ftype(2), 1)
+    big = universal_unfold(P).pencil
+    assert reduced_flatness_check(big)["passes"]
+    E12 = consts([[0, 1], [0, 0]], big.vars, big.order)
+    bent = ConnectionPencil(big.t_vars, big.y_vars, 2, big.C,
+                            [big.F[0] + E12], big.U + E12, big.V, big.W,
+                            big.order)
+    rep = reduced_flatness_check(bent)
+    assert rep["passes"] is False
+    assert [(v["check"], v["indices"]) for v in
+            rep["reduced-set-residuals"]] == [("higgs-commute-ty", [0, 0]),
+                                              ("u-commute-t@y=0", [0])]
+
+
+def test_pencil_refuses_a_block_below_its_order():
+    P, _ = point_base_pencil(2)
+    Z = SeriesMatrix.zeros(2, 2, (), 3)
+    with pytest.raises(SeriesError, match="U carries order 2"):
+        ConnectionPencil((), (), 2, [], [], P.U, Z, Z, 3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from frobkit.jacobi import JacobiFamily, WeightSystem, XPoly, build_jacobi
-from frobkit.series import SeriesMatrix, TruncSeries
+from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 RejectionError, _gauge_flat_frame,
                                 check_ftype_axioms,
@@ -291,3 +291,40 @@ def test_filtration_flatness_invariant_on_produced_data():
               shift_example(5, [one + t], order=N),
               jacobi_to_filtration(fermat_cubic_algebra(), order=N)[0]]:
         assert check_filtration(D) == []
+
+
+def _two_parameter_filtration(a, b):
+    # rank 2 over (t1, t2), each gamma lowering the level of e_0 onto e_1;
+    # the two gammas commute, so flatness is d/dt1 b = d/dt2 a
+    vars = ("t1", "t2")
+    gammas = [SeriesMatrix.from_sparse(2, 2, vars, 2, {(1, 0): x})
+              for x in (a, b)]
+    return FiltrationData(vars, 2, 1, [1, 0], gammas, None, 2)
+
+
+def test_check_filtration_differentiates_in_two_parameters():
+    t1 = TruncSeries.var(("t1", "t2"), 2, "t1")
+    t2 = TruncSeries.var(("t1", "t2"), 2, "t2")
+    assert check_filtration(_two_parameter_filtration(t2, t1)) == []
+    # d/dt2 of t2 is 1, d/dt1 of 2 t1 is 2: the curvature is the constant -1
+    viol = check_filtration(_two_parameter_filtration(t2, t1 * 2))
+    assert [(v["check"], v["indices"]) for v in viol] == [
+        ("connection-flat", [0, 1])]
+    assert viol[0]["residual"]["entries"][1][0] == [[[0, 0], "-1/1"]]
+
+
+def test_constructors_refuse_series_below_their_order():
+    F2 = rank2_higgs_ftype(2)
+    with pytest.raises(SeriesError, match=r"higgs\[0\] carries order 2, "
+                                          "below the order 3"):
+        FrobeniusTypeStructure(F2.vars, 2, F2.C,
+                               SeriesMatrix.zeros(2, 2, F2.vars, 3), F2.V,
+                               F2.g, 3)
+    with pytest.raises(SeriesError, match="u_endo carries order 1"):
+        FrobeniusTypeStructure(F2.vars, 2, F2.C, F2.U.truncate(1), F2.V,
+                               F2.g, 2)
+    D = shift_example(4, [], order=2)
+    with pytest.raises(SeriesError, match=r"gamma\[0\] carries order 2"):
+        FiltrationData(D.vars, D.n, D.weight, D.levels, D.Gamma, D.S, 3)
+    # more than the order is fine: it is truncated on use
+    FiltrationData(D.vars, D.n, D.weight, D.levels, D.Gamma, D.S, 1)

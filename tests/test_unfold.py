@@ -372,3 +372,14 @@ def test_trace_stage_is_final_f_cut_at_its_degree():
             part = Fa.graded_part(s, names=yv)
             assert st["nterms"]["F"][a] == sum(
                 len(x.terms) for x in part.nonzero().values())
+
+
+def test_solve_lifts_a_constant_base_to_the_target_order():
+    # the point pencil at order 0 is constant, so it is exact at any order
+    # and unfolds as the same pencil given at order 2 does
+    f = [TruncSeries(("y1",), 3, {(1,): 1}), TruncSeries(("y1",), 3, {})]
+    low, _ = point_base_pencil(0)
+    high, _ = point_base_pencil(2)
+    out = solve(UnfoldProblem(low, ("y1",), f, 2))
+    assert out.order == 2
+    assert out == solve(UnfoldProblem(high, ("y1",), f, 2))
