@@ -39,7 +39,8 @@ from .pencil import (ConnectionPencil, PairingMatrix, gc_check, ic_check,
                      pairing_extension_check, reduced_flatness_check,
                      structure_connection)
 from .series import (MAX_INPUT_ORDER, SeriesError, TruncSeries, frac_from_str,
-                     frac_to_str, require_int, require_square)
+                     frac_to_str, require_int, require_order,
+                     require_square)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, check_ftype_axioms,
                          jacobi_to_filtration, shift_example)
@@ -314,8 +315,12 @@ def _run_universal_unfold(payload, order, z_order, trace, both):
 def _run_pairing_extend(payload, order, z_order, trace, both):
     P = _parse(ConnectionPencil.from_json, payload["pencil"])
     R0 = _parse(PairingMatrix.from_json, payload["pairing"])
-    # the pairing is given at y = 0, on the pencil's frame
+    # the pairing is given at y = 0, on the pencil's frame, and is read to
+    # the pencil's order
     _parse(require_square, "pairing coeffs", R0.coeffs[0], P.n, P.t_vars)
+    _parse(require_order, P.order, [("pairing.coeffs[%d]" % k, R)
+                                    for k, R in enumerate(R0.coeffs)])
+    R0 = PairingMatrix(R0.weight, [R.truncate(P.order) for R in R0.coeffs])
     rep = pairing_extension_check(P, R0, z_order=z_order)
     report = dict(rep)
     if "pairing" in report:

@@ -386,11 +386,10 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
     for i in range(n):
         # Lie_E(A_i) - A_i, with dE[k, l] = d E_k / d s_l
         R = SeriesMatrix.sum_of_products(
-            [(1, A[i].partial(coords[l]), SeriesMatrix.scalar(n, E[l]))
-             for l in range(n)]
-            + [(1, A[l], SeriesMatrix.scalar(n, dE[l, i])) for l in range(n)]
+            [(1, A[i].partial(coords[l]), E[l]) for l in range(n)]
+            + [(1, A[l], dE[l, i]) for l in range(n)]
             + [(1, A[i], dE), (-1, dE, A[i]),
-               (-1, A[i], SeriesMatrix.identity(n, coords, A[i].order))])
+               (-1, A[i], TruncSeries.one(coords, A[i].order))])
         for j in range(n):
             for k in range(n):
                 violation(out, "euler-multiplication", (i, j, k), R[k, j])
@@ -399,7 +398,7 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
         shift = TruncSeries.const(coords, G.order - 1, 2 - Fraction(dconst))
         R = SeriesMatrix.sum_of_products([
             (1, dE.transpose(), g), (1, g, dE),
-            (-1, g, SeriesMatrix.scalar(n, shift))])
+            (-1, g, shift)])
         for i in range(n):
             for j in range(n):
                 violation(out, "euler-metric", (i, j), R[i, j])
@@ -505,8 +504,7 @@ def _flat_chart(vars, blocks, rows, names, N):
     psi_inv = SeriesMatrix([[-B[k, 0] for B in blocks]
                             for k in rows]).inverse_series()
     mult = [SeriesMatrix.sum_of_products(
-        [(-1, B, SeriesMatrix.scalar(A.rows, psi_inv[u, a]))
-         for u, B in enumerate(blocks)]).compose(subst)
+        [(-1, B, psi_inv[u, a]) for u, B in enumerate(blocks)]).compose(subst)
         for a in range(len(rows))]
     return mult, subst
 
@@ -664,24 +662,21 @@ def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees, n,
         terms = slice_terms(A[i], A[k], stage) + list(solved)
         for r in range(n):
             wt = int(degrees[r]) - D
-            if 0 < wt <= stage and not A[i][wt][r, k].is_zero():
-                terms.append((-1, A[r][stage - wt],
-                              SeriesMatrix.scalar(n, A[i][wt][r, k])))
+            if 0 < wt <= stage:
+                terms.append((-1, A[r][stage - wt], A[i][wt][r, k]))
         return SeriesMatrix.sum_of_products(terms)
 
     G = SeriesMatrix([[gamma[pr][a] for a in range(q)] for pr in selected])
     G_inv = G.inverse_series()
     rhs = [relation(pr) for pr in selected]
-    # rhs[b] = sum_a G[b, a] X_a, so X_a = sum_b rhs[b] * G^-1[a, b]; a
-    # scaled term enters the kernel as rhs[b] @ (G^-1[a, b] I)
+    # rhs[b] = sum_a G[b, a] X_a, so X_a = sum_b rhs[b] * G^-1[a, b]
     for a, r in enumerate(unknown):
         A[r].append(SeriesMatrix.sum_of_products(
-            [(1, rhs[b], SeriesMatrix.scalar(n, G_inv[a, b]))
-             for b in range(q)]))
+            [(1, rhs[b], G_inv[a, b]) for b in range(q)]))
     # the remaining generation relations must now hold
     for pr in pairs:
         if pr not in selected and not relation(pr, [
-                (-1, A[r][stage], SeriesMatrix.scalar(n, gamma[pr][a]))
+                (-1, A[r][stage], gamma[pr][a])
                 for a, r in enumerate(unknown)]).is_zero():
             raise AssertionError("generation relations are inconsistent at "
                                  "weight %d, degree %d" % (stage, D))
@@ -714,7 +709,7 @@ def germ_to_ftype(G: FrobeniusGermData) -> FrobeniusTypeStructure:
     V = [[Fraction(dE[k][i]) - (shift if k == i else 0) for i in range(n)]
          for k in range(n)]
     U = SeriesMatrix.sum_of_products(
-        [(1, G.mult[k], SeriesMatrix.scalar(n, E[k])) for k in range(n)])
+        [(1, G.mult[k], E[k]) for k in range(n)])
     C = [(-G.mult[i]) for i in range(n)]
     return FrobeniusTypeStructure(G.coords, n, C, U, V,
                                   [list(map(Fraction, row))

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Echelon
-from .series import (SeriesError, SeriesMatrix, euler_integrate, frac_to_str,
-                     require_int, require_order, require_square)
+from .series import (SeriesError, SeriesMatrix, TruncSeries, euler_integrate,
+                     frac_to_str, require_int, require_order, require_square)
 from .structures import (FrobeniusTypeStructure, RejectionError,
                          check_ftype_axioms, violation)
 
@@ -413,22 +413,22 @@ def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     """
     out = []
     w = R.weight
-    K = R.z_order
+    Rs = R.coeffs
+    U, V, W = P.U, P.V, P.W
+    Ut, Vt, Wt = U.transpose(), V.transpose(), W.transpose()
     # the z^(w-1) coefficient: nothing on the left, so the commutator with
     # the irregular part must vanish outright
     violation(out, "z-transport", (-1,),
-              P.U.transpose() @ R.coeffs[0] - R.coeffs[0] @ P.U)
-    for k in range(K):
-        lhs = R.coeffs[k].scale(Fraction(w + k))
-        rhs = (P.U.transpose() @ R.coeffs[k + 1]
-               - R.coeffs[k + 1] @ P.U
-               + P.V.transpose() @ R.coeffs[k]
-               + R.coeffs[k] @ P.V)
+              SeriesMatrix.sum_of_products([(1, Ut, Rs[0]), (-1, Rs[0], U)]))
+    for k in range(R.z_order):
+        # the left side less the right side, term by term
+        terms = [(1, Rs[k], TruncSeries.const(Rs[k].vars, Rs[k].order, w + k)),
+                 (-1, Ut, Rs[k + 1]), (1, Rs[k + 1], U),
+                 (-1, Vt, Rs[k]), (-1, Rs[k], V)]
         for j in range(1, k + 1):
-            rhs = rhs - P.W.transpose() @ R.coeffs[k - j]
-            term = R.coeffs[k - j] @ P.W
-            rhs = rhs + (term if j % 2 == 1 else -term)
-        violation(out, "z-transport", (k,), lhs - rhs)
+            terms += [(1, Wt, Rs[k - j]), (-1 if j % 2 else 1, Rs[k - j], W)]
+        violation(out, "z-transport", (k,),
+                  SeriesMatrix.sum_of_products(terms))
     return out
 
 

@@ -683,7 +683,8 @@ def slice_terms(A, B, s, sign=1):
 
 def slice_sum(slices):
     """The matrix whose list of slices is ``slices``."""
-    return sum(slices[1:], slices[0])
+    one = TruncSeries.one(slices[0].vars, slices[0].order)
+    return SeriesMatrix.sum_of_products([(1, M, one) for M in slices])
 
 
 def _normalise(groups) -> dict:
@@ -738,10 +739,13 @@ class SeriesMatrix:
     only the nonzero entries, keyed in increasing column order, and is never
     mutated once the matrix exists (so matrices may share rows).  ``M[i, j]``
     returns a zero of the matrix's vars and order for an absent entry.
-    Products, commutators and every sum of products run through one kernel,
-    ``sum_of_products``: it walks each output row once over all the
-    products, keeps integer numerators grouped by denominator, and forms
-    one Fraction per output term at the end.
+    Products, commutators, sums, differences and every linear combination
+    of matrices with series coefficients run through one kernel,
+    ``sum_of_products``, whose terms are products sign * A @ B and scaled
+    terms sign * A * x (x a series; a zero x is dropped unread).  It walks
+    each output row once over all the terms, keeps integer numerators
+    grouped by denominator, and forms one Fraction per output term at the
+    end.
     """
 
     __slots__ = ("rows", "cols", "vars", "order", "_data", "_zero")
@@ -805,13 +809,6 @@ class SeriesMatrix:
         _check_shape(n, n)
         o = TruncSeries.one(vars, order)
         return cls._make(n, n, o.vars, order, [{i: o} for i in range(n)])
-
-    @staticmethod
-    def scalar(n, x: TruncSeries) -> "SeriesMatrix":
-        """x times the n x n identity.  Trusted: x must be a TruncSeries."""
-        data = ([{i: x} for i in range(n)] if x._t
-                else [{} for _ in range(n)])
-        return SeriesMatrix._make(n, n, x.vars, x.order, data)
 
     @classmethod
     def from_consts(cls, mat, vars, order):
@@ -913,37 +910,18 @@ class SeriesMatrix:
         return SeriesMatrix._make(self.rows, self.cols, zero.vars, zero.order,
                                   data)
 
-    def _combine(self, other, both, right):
-        """Entrywise both(a, b) over the union of the nonzeros, with a
-        stored entry of self kept as is and right(b) for one of other."""
-        self._shape_like(other)
-        zero = both(self._zero, other._zero)
-        order = zero.order
-        data = []
-        for ra, rb in zip(self._data, other._data):
-            out = {}
-            for j in sorted(ra.keys() | rb.keys()):
-                a = ra.get(j)
-                b = rb.get(j)
-                if b is None:
-                    x = a
-                elif a is None:
-                    x = right(b)
-                else:
-                    x = both(a, b)
-                if x.order != order:
-                    x = x.truncate(order)
-                if x._t:
-                    out[j] = x
-            data.append(out)
-        return SeriesMatrix._make(self.rows, self.cols, zero.vars, order,
-                                  data)
+    def _plus(self, other, sign):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
+        one = TruncSeries.one(self.vars, self.order)
+        return SeriesMatrix.sum_of_products([(1, self, one),
+                                             (sign, other, one)])
 
     def __add__(self, other):
-        return self._combine(other, TruncSeries.__add__, lambda b: b)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, TruncSeries.__sub__, TruncSeries.__neg__)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return self._map(TruncSeries.__neg__)
@@ -965,40 +943,54 @@ class SeriesMatrix:
 
     @staticmethod
     def sum_of_products(terms) -> "SeriesMatrix":
-        """The sum of sign * A @ B over the (sign, A, B) of ``terms``.
+        """The sum of the (sign, A, B) of ``terms``: sign * A @ B for a
+        matrix B, and the scaled term sign * A * x for a series B = x.
 
-        Every sign is 1 or -1, every A.cols equals its B.rows (else
-        SeriesError("shape mismatch for product")), every product has the
-        shape of the first and every operand the variables of the first,
-        whether or not a product term is formed.  The result has the least
-        order of the operands.
+        Every sign is 1 or -1, and every A.cols equals its matrix B's rows
+        (else SeriesError("shape mismatch for product")).  Every term has
+        the shape of the first (a scaled term has A's shape), and every
+        operand, x included, the variables of the first, whether or not a
+        term is formed.  The result has the least order of the operands, x
+        included.  A sum of matrices is the sum of their scaled terms by
+        the unit series.
 
-        Each output row is walked once over all the products, row by row
-        over the nonzeros (Gustavson, ACM TOMS 1978).  An entry enters as
-        integer numerators over the lcm of its denominators, and the
-        product of two entries adds the products of their numerators to a
-        dict kept for the product of their denominators.  So no Fraction
-        and no series is formed until the end, when each output term is
-        normalised once over the lcm of its entry's denominators.
+        Each output row is walked once over all the terms, row by row over
+        the nonzeros (Gustavson, ACM TOMS 1978).  A scaled term sends each
+        nonzero a of row i of A, in column k, to column k of the output as
+        a * x, through the same inner loop as a product's a * B[k, j]; a
+        term whose x is zero is dropped before any row is walked.  An entry
+        enters as integer numerators over the lcm of its denominators, and
+        the product of two entries adds the products of their numerators
+        to a dict kept for the product of their denominators.  So no
+        Fraction and no series is formed until the end, when each output
+        term is normalised once over the lcm of its entry's denominators.
         """
         terms = list(terms)
         if not terms:
             raise SeriesError("sum of no products")
         _, A0, B0 = terms[0]
-        rows, cols, vars, order = A0.rows, B0.cols, A0.vars, A0.order
+        rows, vars, order = A0.rows, A0.vars, A0.order
+        cols = A0.cols if isinstance(B0, TruncSeries) else B0.cols
+        walks = []
         for sign, A, B in terms:
             if sign != 1 and sign != -1:
                 raise SeriesError("product sign must be 1 or -1")
-            if A.cols != B.rows:
+            scaled = isinstance(B, TruncSeries)
+            if not scaled and A.cols != B.rows:
                 raise SeriesError("shape mismatch for product")
-            if A.rows != rows or B.cols != cols:
+            width = A.cols if scaled else B.cols
+            if A.rows != rows or width != cols:
                 raise SeriesError("shape mismatch %dx%d vs %dx%d"
-                                  % (rows, cols, A.rows, B.cols))
+                                  % (rows, cols, A.rows, width))
             for M in (A, B):
                 if M.vars != vars:
                     raise SeriesError("variable lists differ: %r vs %r"
                                       % (vars, M.vars))
                 order = min(order, M.order)
+            if not scaled:
+                walks.append((sign, A._data, B._data, None))
+            elif B._t:
+                walks.append((sign, A._data, None, B))
         split: dict = {}
         top = FIELD_BITS * len(vars)
 
@@ -1018,14 +1010,13 @@ class SeriesMatrix:
         data = []
         for i in range(rows):
             acc: dict = {}
-            for sign, A, B in terms:
-                right = B._data
-                for k, a in A._data[i].items():
-                    rk = right[k]
-                    if not rk:
+            for sign, left, right, x in walks:
+                for k, a in left[i].items():
+                    pairs = right[k].items() if x is None else ((k, x),)
+                    if not pairs:
                         continue
                     da, ta = numerators(a)
-                    for j, b in rk.items():
+                    for j, b in pairs:
                         db, tb = numerators(b)
                         t = acc.setdefault(j, {}).setdefault(da * db, {})
                         for e1, d1, n1 in ta:
@@ -1040,9 +1031,9 @@ class SeriesMatrix:
                                 t[e] = t.get(e, 0) + n1 * n2
             out = {}
             for j in sorted(acc):
-                x = _normalise(acc[j])
-                if x:
-                    out[j] = TruncSeries._make(vars, order, x)
+                norm = _normalise(acc[j])
+                if norm:
+                    out[j] = TruncSeries._make(vars, order, norm)
             data.append(out)
         return SeriesMatrix._make(rows, cols, vars, order, data)
 

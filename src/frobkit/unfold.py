@@ -184,14 +184,13 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
         else:
             X.append(-(X[0] @ SeriesMatrix.sum_of_products(
                 [(1, Ms[k], X[s - k]) for k in range(1, s + 1)])))
-        # a scaled term A * x enters as A @ (x I)
         for k in range(n):
             E[k].append(SeriesMatrix.sum_of_products(
-                [(1, wmats[j][d], SeriesMatrix.scalar(n, X[s - d][j, k]))
+                [(1, wmats[j][d], X[s - d][j, k])
                  for j in range(n) for d in range(s + 1)]))
         for a in range(len(y_vars)):
             F[a].append(SeriesMatrix.sum_of_products(
-                [(1, E[i][d], SeriesMatrix.scalar(n, dfs[i][a][s - d]))
+                [(1, E[i][d], dfs[i][a][s - d])
                  for i in range(n) for d in range(s + 1)]))
         if any(not (F[a][s][i, 0] - dfs[i][a][s]).is_zero()
                for a in range(len(y_vars)) for i in range(n)):

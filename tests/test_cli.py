@@ -517,9 +517,12 @@ def _mutations(parent, value):
     if isinstance(value, list) and value:
         out += [("replace", value[:-1]), ("replace", value + value[-1:])]
     if isinstance(value, int) and not isinstance(value, bool):
-        out.append(("replace", -value))
+        # a well-formed value can still be wrong: zero, or the largest order
+        out += [("replace", w) for w in (-value, 0, MAX_INPUT_ORDER)]
     if isinstance(value, str):
         out += [("replace", bad) for bad in ("abc", "1/0", "")]
+        if "/" in value:
+            out.append(("replace", "0/1"))
     return out
 
 
@@ -530,8 +533,9 @@ FUZZ_BASES = _fuzz_bases()
 @given(st.data())
 def test_mutated_payloads_exit_zero_one_or_two(data):
     # a payload with one key dropped, or one value of the wrong type, list
-    # length, sign or fraction, ends as a report or a rejected input, never
-    # as a broken invariant (exit 3) or a traceback
+    # length, sign or fraction, or a zero or the largest order in place of
+    # a number, ends as a report or a rejected input, never as a broken
+    # invariant (exit 3) or a traceback
     command, payload = data.draw(st.sampled_from(FUZZ_BASES))
     payload = json.loads(json.dumps(payload))
     path = data.draw(st.sampled_from(list(_paths(payload))[1:]))
@@ -638,3 +642,24 @@ def test_restated_orders_must_agree_with_their_data(tmp_path):
     code, report, out = _run(tmp_path, "pairing-extend", dict(
         payload, pairing=dict(payload["pairing"], z_order=99)))
     assert code == 2 and report is None and not out.exists()
+
+
+def test_pairing_coefficients_are_read_to_the_pencil_order(tmp_path):
+    # a coefficient below the pencil's order 2 is malformed (it broke an
+    # invariant in the y-transport), and one above it is truncated to it
+    payload = dict(FUZZ_BASES)["pairing-extend"]
+    assert payload["pencil"]["order"] == 2
+    code, base, _ = _run(tmp_path, "pairing-extend", payload)
+    assert code == 0
+    for order, want in ((0, 2), (1, 2), (MAX_INPUT_ORDER, 0)):
+        coeffs = [dict(R, order=order) if k == 3 else R
+                  for k, R in enumerate(payload["pairing"]["coeffs"])]
+        (tmp_path / str(order)).mkdir()
+        code, report, out = _run(tmp_path / str(order), "pairing-extend",
+                                 dict(payload, pairing=dict(
+                                     payload["pairing"], coeffs=coeffs)))
+        assert code == want
+        if want:
+            assert report is None and not out.exists()
+        else:
+            assert report == base

@@ -689,3 +689,49 @@ def test_nf_exps_refuses_a_tuple_outside_the_piece():
     for exps in ((4, 0), (2, 0, 0), (3, -1), (0, 1)):
         with pytest.raises(ValueError, match="not of scaled degree"):
             piece.nf_exps(exps)
+
+
+@st.composite
+def scaled_polynomials(draw):
+    """A Fermat polynomial in 2-3 variables plus one or two monomials of
+    its degree (so its partials have two terms, or three where both extra
+    monomials reach one partial), and a nonzero constant."""
+    ws = WeightSystem(draw(st.sampled_from([
+        (F(1, 3),) * 2, (F(1, 4),) * 2, (F(1, 3),) * 3,
+        (F(1, 6), F(1, 6), F(1, 3)), (F(1, 4), F(1, 4), F(1, 2))])))
+    n = ws.nvars
+    fermat_terms = [tuple(int(1 / w) if i == j else 0 for i in range(n))
+                    for j, w in enumerate(ws.weights)]
+    extra = draw(st.lists(st.sampled_from(
+        [m for m in ws.monomials(ws.scale) if m not in fermat_terms]),
+        min_size=1, max_size=2, unique=True))
+    coeffs = draw(st.lists(st.sampled_from([1, -1, 2, -3]),
+                           min_size=n + len(extra), max_size=n + len(extra)))
+    f = XPoly(n, dict(zip(fermat_terms + extra, map(F, coeffs))))
+    c = draw(st.sampled_from([F(-7, 3), F(2), F(-1), F(1, 5)]))
+    return f, ws, c
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(scaled_polynomials())
+@example((*THREE_TERM_CUBIC, F(-7, 3)))
+def test_scaling_f_keeps_the_jacobi_algebra(case):
+    """c f has the ideal of partials of f for c != 0: the same report,
+    the same basis and normal forms in every piece and the same h2
+    codimensions."""
+    f, ws, c = case
+    cf = XPoly(f.nvars, {e: c * v for e, v in f.terms.items()})
+    try:
+        A = build_jacobi(f, ws)
+    except NotIsolatedError as exc:
+        with pytest.raises(NotIsolatedError) as got:
+            build_jacobi(cf, ws)
+        assert got.value.degree == exc.degree
+        return
+    B = build_jacobi(cf, ws)
+    assert B.report() == A.report()
+    for s in range(A.top_scaled() + 1):
+        a, b = A.piece(s), B.piece(s)
+        assert b.basis_keys == a.basis_keys
+        assert [b.nf_key(k) for k in b.keys] == [a.nf_key(k) for k in a.keys]
+    assert h2_generation_check(B) == h2_generation_check(A)

@@ -620,31 +620,63 @@ def kernel_operand(draw, rows, cols, order, vars=V2):
 
 
 @st.composite
+def kernel_scale(draw, order):
+    """A series of order `order` over V2: zero one time in five, else one
+    to three terms of degree 0..order."""
+    if draw(st.integers(0, 4)) == 0:
+        return TruncSeries.zero(V2, order)
+    exps = st.tuples(*[st.integers(0, order)] * 2).filter(
+        lambda e: sum(e) <= order)
+    return TruncSeries(V2, order, draw(st.dictionaries(
+        exps, kernel_coeffs, min_size=1, max_size=3)))
+
+
+@st.composite
 def product_sums(draw):
-    """One to three signed products of operands of orders 1-3 that share
-    an r x c result shape; sometimes a term's twin of opposite sign, with
-    the factor 1/2 moved from one operand to the other, cancels it across
-    denominators."""
+    """One to three signed terms that share an r x c result shape: products
+    of operands of orders 1-3, and scaled terms A * x with x of order 0-3
+    (so at times below A's) and zero one time in five.  Sometimes a term's
+    twin of opposite sign, with the factor 1/2 moved from one operand to
+    the other, cancels it across denominators."""
     r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     terms = []
     for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(1, 3))
-        A = draw(kernel_operand(r, k, draw(st.integers(1, 3))))
-        B = draw(kernel_operand(k, c, draw(st.integers(1, 3))))
+        if draw(st.booleans()):
+            A = draw(kernel_operand(r, c, draw(st.integers(1, 3))))
+            B = draw(kernel_scale(draw(st.integers(0, 3))))
+            twice = B * 2
+        else:
+            k = draw(st.integers(1, 3))
+            A = draw(kernel_operand(r, k, draw(st.integers(1, 3))))
+            B = draw(kernel_operand(k, c, draw(st.integers(1, 3))))
+            twice = B.scale(2)
         sign = draw(st.sampled_from([1, -1]))
         terms.append((sign, A, B))
         if draw(st.booleans()):
-            terms.append((-sign, A.scale(F(1, 2)), B.scale(2)))
+            terms.append((-sign, A.scale(F(1, 2)), twice))
     return terms
+
+
+def written_out(terms):
+    """The terms with each scaled term A * x written as the product of A
+    and the diagonal matrix x I."""
+    out = []
+    for sign, A, B in terms:
+        if isinstance(B, TruncSeries):
+            B = SeriesMatrix.from_sparse(A.cols, A.cols, B.vars, B.order,
+                                         {(k, k): B for k in range(A.cols)})
+        out.append((sign, A, B))
+    return out
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(product_sums(), kernel_operand(2, 2, 2), kernel_operand(2, 2, 1))
 def test_sum_of_products_matches_frozen_product(terms, S, T):
     assert_same_matrix(SeriesMatrix.sum_of_products(terms),
-                       frozen_sum_of_products(terms))
+                       frozen_sum_of_products(written_out(terms)))
     _, A, B = terms[0]
-    assert_same_matrix(A @ B, frozen_matmul(A, B))
+    if isinstance(B, SeriesMatrix):
+        assert_same_matrix(A @ B, frozen_matmul(A, B))
     assert_same_matrix(S.commutator(T), frozen_combine(
         frozen_matmul(S, T), frozen_matmul(T, S), TruncSeries.__sub__,
         TruncSeries.__neg__))
@@ -697,14 +729,29 @@ def test_sum_of_products_errors():
         SeriesMatrix.sum_of_products([(1, A, B), (-1, A, other)])
     with pytest.raises(TypeError):
         A @ 2
+    # a scaled term has A's shape, and its scale the variables of the sum
+    one = TruncSeries.one(V2, 2)
+    with pytest.raises(SeriesError, match="^shape mismatch 2x2 vs 2x3$"):
+        SeriesMatrix.sum_of_products([(1, A, B), (1, A, one)])
+    with pytest.raises(SeriesError, match="variable lists differ"):
+        SeriesMatrix.sum_of_products([(1, A, TruncSeries.one(("t",), 2))])
+    with pytest.raises(SeriesError, match="variable lists differ"):
+        A + SeriesMatrix.zeros(2, 3, ("t",), 2)
+    for op in (lambda: A + 2, lambda: A - 2, lambda: 2 + A):
+        with pytest.raises(TypeError):
+            op()
 
 
-def test_scalar_matrix_scales():
+def test_scaled_term_is_scale_series():
     x = TruncSeries(V2, 2, {(0, 0): F(1, 2), (1, 0): 3})
     M = SeriesMatrix.from_consts([[1, 0, F(2, 3)], [0, 0, 0]], V2, 3)
-    assert_same_matrix(M @ SeriesMatrix.scalar(3, x), M.scale_series(x))
-    zero = SeriesMatrix.scalar(2, TruncSeries.zero(V2, 1))
-    assert zero.is_zero() and zero.order == 1 and zero.rows == zero.cols == 2
+    assert_same_matrix(SeriesMatrix.sum_of_products([(1, M, x)]),
+                       M.scale_series(x))
+    # a zero scale adds nothing but still bounds the order
+    zero = TruncSeries.zero(V2, 1)
+    got = SeriesMatrix.sum_of_products([(-1, M, zero)])
+    assert got.is_zero() and got.order == 1 and (got.rows, got.cols) == (2, 3)
+    assert_same_matrix(got, M.scale_series(zero))
 
 
 V3 = ("x", "y", "z")
