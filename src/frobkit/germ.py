@@ -326,7 +326,8 @@ def wdvv_check(G: FrobeniusGermData) -> list:
     gS = SeriesMatrix.from_consts(G.metric, G.coords, G.order)
     for i in range(n):
         violation(out, "metric-invariance", (i,),
-                  A[i].transpose() @ gS - gS @ A[i])
+                  SeriesMatrix.sum_of_products(
+                      [(1, A[i].transpose(), gS), (-1, gS, A[i])]))
     # third derivatives of the potential against the structure tensor
     if G.potential is not None and G.order >= 3:
         T = _c_matrices(A, G.metric, G.coords, G.order)

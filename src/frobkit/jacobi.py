@@ -30,6 +30,16 @@ upwards, and at each one it drops the variables x_i whose cofactor degree
 already lies above the socle: those pieces are certified zero, so x_i times
 any monomial of that degree is in the ideal, and only the piece in the
 remaining variables, with every partial restricted to them, is built.
+
+The family F_t = f + sum_a t_a m_a over the degree-1 basis monomials is
+not eliminated again.  Its normal forms are lifted in t from the
+algebra's: each piece can write m - NF(m) as sum_i h_i dF/dx_i (search
+trees over the union-find rows, or the echelon rows tagged with their
+origin), and then m = NF(m) - sum_a t_a sum_i h_i dm_a/dx_i modulo the
+ideal of F_t, a polynomial of the same degree, reduced again one t-degree
+higher.  The t = 0 basis stays a basis: the partials of F_t lift a regular
+sequence, so the quotient is free over the truncated series ring (the
+local flatness criterion), and the lifted normal form is the only one.
 """
 
 from __future__ import annotations
@@ -41,8 +51,8 @@ from itertools import compress, product
 from typing import Sequence
 
 from .linalg import Echelon
-from .series import (TRUNC_SERIES, TruncSeries, frac_from_str, frac_to_str,
-                     pack_key, unpack_key)
+from .series import (TruncSeries, exponent_strides, frac_from_str,
+                     frac_to_str, pack_key, unpack_key)
 
 __all__ = [
     "WeightSystem", "XPoly", "JacobiAlgebra", "RfClass", "build_jacobi",
@@ -251,12 +261,12 @@ def _nonzero(c):
 
 
 def _packed_partials(ws, partials, sdeg, strides) -> list:
-    """(multiplier keys, [(packed key, coefficient)] in exponent order) for
-    every nonzero partial dF/dx_i with multipliers g at scaled degree sdeg;
-    the keys of the g are shared by the partials of one degree."""
+    """(i, multiplier keys, [(packed key, coefficient)] in exponent order)
+    for every nonzero partial dF/dx_i with multipliers g at scaled degree
+    sdeg; the keys of the g are shared by the partials of one degree."""
     gkeys: dict = {}
     packed = []
-    for dfi in partials:
+    for i, dfi in enumerate(partials):
         if dfi.is_zero():
             continue
         gdeg = sdeg - ws.scaled_degree(next(iter(dfi.terms)))
@@ -265,20 +275,21 @@ def _packed_partials(ws, partials, sdeg, strides) -> list:
         shifts = gkeys.get(gdeg)
         if shifts is None:
             shifts = gkeys[gdeg] = ws.monomial_keys(gdeg, strides)
-        packed.append((shifts, [(pack_key(exp, strides), c)
-                                for exp, c in sorted(dfi.terms.items())]))
+        packed.append((i, shifts, [(pack_key(exp, strides), c)
+                                   for exp, c in sorted(dfi.terms.items())]))
     return packed
 
 
 def _ideal_rows(packed, index):
-    """The ideal rows g * dF/dx_i as {monomial index: coefficient}.
+    """The ideal rows g * dF/dx_i as ((g, i), {monomial index:
+    coefficient}), g a packed key.
 
     Distinct exponents of one partial give distinct keys, and no
     coefficient is zero, so a row needs no accumulation.
     """
-    for shifts, terms in packed:
+    for i, shifts, terms in packed:
         for g in shifts:
-            yield {index[g + k]: c for k, c in terms}
+            yield (g, i), {index[g + k]: c for k, c in terms}
 
 
 class GradedPiece:
@@ -295,6 +306,7 @@ class GradedPiece:
     monomial: None for a monomial in the ideal, else (basis position,
     coefficient).  ``_uf`` is None exactly for pieces built with the sparse
     echelon, whose normal forms are reductions against ``_echelon``.
+    ``cofactors`` are computed from ``_source`` on first use only.
     """
 
     def __init__(self, ws: WeightSystem, partials, sdeg: int, strides=None):
@@ -302,11 +314,13 @@ class GradedPiece:
         self.strides = strides if strides is not None else ws.key_strides(sdeg)
         self.keys = ws.monomial_keys(sdeg, self.strides)
         self.index = dict(zip(self.keys, range(len(self.keys))))
+        self._source = (ws, partials)
+        self._cof = None
         self._build(ws, partials, sdeg)
 
     def _build(self, ws, partials, sdeg):
         packed = _packed_partials(ws, partials, sdeg, self.strides)
-        if all(len(terms) <= 2 for _, terms in packed):
+        if all(len(terms) <= 2 for _, _, terms in packed):
             self._build_uf(packed)
         else:
             self._build_echelon(packed)
@@ -326,7 +340,7 @@ class GradedPiece:
             return i
 
         binomials = []
-        for shifts, terms in packed:
+        for _, shifts, terms in packed:
             if len(terms) == 1:
                 for i in map(at, map(terms[0][0].__add__, shifts)):
                     dead[i] = 1
@@ -402,7 +416,7 @@ class GradedPiece:
 
     def _build_echelon(self, packed):
         ech = Echelon(pivot="max")
-        for row in _ideal_rows(packed, self.index):
+        for _, row in _ideal_rows(packed, self.index):
             ech.insert(row)
         pivots = ech.pivots
         self.basis = [i for i in range(len(self.keys)) if i not in pivots]
@@ -410,6 +424,115 @@ class GradedPiece:
         self._echelon = ech
         self._uf = None
         self._basis_pos = {b: k for k, b in enumerate(self.basis)}
+
+    def cofactors(self) -> list:
+        """Cofactors h with m - NF(m) = sum_i h_i * dF/dx_i, one record per
+        monomial index m: None for a basis monomial (h = 0), else
+        (parent, w, local) with h(m) = w * h(parent) + sum c * x^g * e_i
+        over the (c, g, i) of local (g a packed key); a root has parent
+        None.  The parents form a forest."""
+        if self._cof is None:
+            packed = _packed_partials(*self._source, self.sdeg, self.strides)
+            self._cof = (self._uf_cofactors(packed) if self._uf is not None
+                         else self._echelon_cofactors(packed))
+        return self._cof
+
+    def _uf_cofactors(self, packed):
+        """The records of a union-find piece: search trees over the
+        binomial rows, with every kill-free component rooted at its basis
+        monomial and every killed one at its dead monomials.  A component
+        that neither reaches is in the ideal through an inconsistent
+        cycle; its lex-first monomial b becomes the root, with the
+        cofactor the cycle gives."""
+        n = len(self.keys)
+        at = self.index.__getitem__
+        cof: list = [None] * n
+        seen = bytearray(n)
+        dead = []
+        # adj[u] lists (v, w, (c, g, i)): v = w * u + c * g * dF/dx_i
+        adj: dict[int, list] = {}
+        for i, shifts, terms in packed:
+            if len(terms) == 1:
+                # c x^(g+k) = g * dF/dx_i
+                (k, c), = terms
+                inv = 1 / c
+                for g in shifts:
+                    m = at(g + k)
+                    if not seen[m]:
+                        seen[m] = 1
+                        cof[m] = (None, None, ((inv, g, i),))
+                        dead.append(m)
+                continue
+            # c1 x^(g+k1) + c2 x^(g+k2) = g * dF/dx_i
+            (k1, c1), (k2, c2) = terms
+            w12, w21, inv1, inv2 = -c1 / c2, -c2 / c1, 1 / c1, 1 / c2
+            for g in shifts:
+                m1, m2 = at(g + k1), at(g + k2)
+                adj.setdefault(m1, []).append((m2, w12, (inv2, g, i)))
+                adj.setdefault(m2, []).append((m1, w21, (inv1, g, i)))
+
+        def grow(stack):
+            # the search tree from the monomials on the stack; returns the
+            # monomials it reached, in the order it reached them
+            reached = []
+            while stack:
+                u = stack.pop()
+                reached.append(u)
+                for v, w, edge in adj.get(u, ()):
+                    if not seen[v]:
+                        seen[v] = 1
+                        cof[v] = (u, w, (edge,))
+                        stack.append(v)
+            return reached
+
+        for b in self.basis:
+            seen[b] = 1
+        grow(list(self.basis))
+        grow(dead)
+        for b in range(n):
+            if seen[b]:
+                continue
+            seen[b] = 1
+            reached = grow([b])
+            # e_m = coef[m] * e_b along the tree; some row breaks it
+            coef = {b: Fraction(1)}
+            for m in reached[1:]:
+                u, w, _ = cof[m]
+                coef[m] = w * coef[u]
+            u, v, w, edge = next((u, v, w, edge) for u in reached
+                                 for v, w, edge in adj[u]
+                                 if coef[v] != w * coef[u])
+            # with h(b) = 0 on the tree, m = coef[m] b + H(m) . dF for every
+            # m; the row v = w u + edge gives
+            # (coef[v] - w coef[u]) b = (w H(u) + edge - H(v)) . dF
+            h = {edge[1:]: edge[0]}
+            _unroll(h, cof, u, w)
+            _unroll(h, cof, v, -1)
+            d = coef[v] - w * coef[u]
+            cof[b] = (None, None, tuple((c / d, g, i)
+                                        for (g, i), c in h.items() if c))
+        return cof
+
+    def _echelon_cofactors(self, packed):
+        """The records of an echelon piece: the ideal rows eliminated again
+        with each row's origin carried in its own negative column, as
+        [A | I] carries the row operations (columns below zero are never
+        pivots, so the pivots are the build's).  Each pivot monomial's
+        record is its row's origin."""
+        ech = Echelon(pivot="max")
+        origin = []
+        one = Fraction(1)
+        for gi, row in _ideal_rows(packed, self.index):
+            row[-1 - len(origin)] = one
+            origin.append(gi)
+            row = ech.reduce(row)
+            if max(row) >= 0:
+                ech.insert(row)
+        cof: list = [None] * len(self.keys)
+        for p, row in ech.rows.items():
+            cof[p] = (None, None, tuple((c, *origin[-1 - col])
+                                        for col, c in row.items() if col < 0))
+        return cof
 
     @property
     def monomials(self):
@@ -464,6 +587,20 @@ class GradedPiece:
             raise ValueError("monomial %r not of scaled degree %d"
                              % (tuple(exps), self.sdeg))
         return self.nf_key(key, coeff)
+
+
+def _unroll(h: dict, cof, m, scale) -> None:
+    """h += scale * h(m) over {(g, i): c}, from the records of
+    ``GradedPiece.cofactors`` up the parents to a root or a basis
+    monomial."""
+    while cof[m] is not None:
+        parent, w, local = cof[m]
+        for c, g, i in local:
+            h[g, i] = h.get((g, i), 0) + scale * c
+        if parent is None:
+            break
+        scale *= w
+        m = parent
 
 
 # ---------------------------------------------------------------------------
@@ -761,59 +898,93 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# one-parameter families F_t = f + sum t_a m_a (normal forms over series)
+# one-parameter families F_t = f + sum t_a m_a (normal forms lifted in t)
 # ---------------------------------------------------------------------------
 
 
 class JacobiFamily:
     """F_t = f + sum_a t_a m_a over the degree-1 basis monomials m_a.
 
-    Provides normal forms in R_{F_t} with TruncSeries coefficients, against
-    the t=0 monomial basis (the family is flat, so the basis persists).
+    Provides normal forms in R_{F_t}, with TruncSeries coefficients in the
+    t_a truncated at ``order``, against the t = 0 monomial basis, lifted
+    from the algebra's own normal forms NF as Dixon lifts a solution
+    p-adically (Numer. Math. 40, 1982).  If m - NF(m) = sum_i h_i dF/dx_i
+    (the piece's ``cofactors``), then modulo the ideal of F_t
+
+        m = NF(m) + T(m),   T(m) = -sum_a t_a sum_i h_i dm_a/dx_i,
+
+    with T(m) of the degree of m and T zero on the basis; so
+    NF_t = NF o sum_{k <= order} T^k.  Slice k of NF_t(m), its part of
+    t-degree k, is NF(m) for k = 0, and for k >= 1 it is w times slice k
+    of m's parent plus -c e t_a times slice k - 1 of
+    x^g dm_a/dx_i = e x^(g + m_a - x_i) over m's local terms (c, g, i).
+    Slices are memoised per target piece, t-degree and monomial; order 0
+    reads NF alone and asks for no cofactors.
+
+    Any choice of cofactors gives the same answer: the quotient is free
+    over Q[t]/(t^(order + 1)) on the t = 0 basis, because the partials of
+    F_t lift a regular sequence (the local flatness criterion; Matsumura,
+    Commutative Ring Theory, section 22), so NF_t(m) is the only
+    combination of basis monomials congruent to m.
     """
 
     def __init__(self, algebra: JacobiAlgebra, t_vars: Sequence[str],
                  order: int):
         self.algebra = algebra
         ws = algebra.ws
-        L = ws.scale
-        deg1 = algebra.piece(L)
+        deg1 = algebra.piece(ws.scale)
         if len(t_vars) != deg1.dim:
             raise ValueError("need one parameter per degree-1 basis class")
-        self.t_vars = tuple(t_vars)
+        self.t_vars = TruncSeries.zero(t_vars, order).vars
         self.order = order
         self.deg1_monomials = deg1.basis_monomials
         self.deg1_keys = deg1.basis_keys
+        # per variable x_i, (series key of t_a, e, key of x^(m_a - x_i))
+        # over the m_a with exponent e > 0 in x_i
+        tst, xst = exponent_strides(len(self.t_vars)), algebra.strides
+        self._moving = [[(tst[a] + tst[-1], m[i], k - xst[i])
+                         for a, (m, k) in enumerate(zip(self.deg1_monomials,
+                                                        self.deg1_keys))
+                         if m[i]]
+                        for i in range(ws.nvars)]
+        # target scaled degree -> one {monomial index: slice} per t-degree
+        self._slices: dict[int, list] = {}
 
-        def lift(c):
-            return TruncSeries.const(self.t_vars, order, c)
-
-        famf = XPoly(ws.nvars, {e: lift(c) for e, c in algebra.f.terms.items()})
-        for a, m in enumerate(self.deg1_monomials):
-            tm = TruncSeries.var(self.t_vars, order, self.t_vars[a])
-            famf = famf + XPoly(ws.nvars, {m: tm})
-        self.F = famf
-        self.partials = [famf.partial(i) for i in range(ws.nvars)]
-        self._pieces: dict[int, Echelon] = {}
-        self._one = TruncSeries.one(self.t_vars, order)
-
-    def _family_piece(self, sdeg: int):
-        if sdeg in self._pieces:
-            return self._pieces[sdeg]
-        base = self.algebra.piece(sdeg)
-        packed = _packed_partials(self.algebra.ws, self.partials, sdeg,
-                                  base.strides)
-        ech = Echelon(pivot="max", ring=TRUNC_SERIES)
-        for row in _ideal_rows(packed, base.index):
-            ech.insert(row)
-        ech.close()
-        pivots = set(ech.rows)
-        basis = [i for i in range(len(base.keys)) if i not in pivots]
-        if basis != base.basis:
-            raise AssertionError("family basis at scaled degree %d deviates "
-                                 "from the t=0 basis" % sdeg)
-        self._pieces[sdeg] = ech
-        return ech
+    def _slice(self, piece, k: int, m: int) -> dict:
+        """Slice k of the family normal form of the monomial with index m
+        in ``piece``: {basis position: {series key: Fraction}}."""
+        memo = self._slices.get(piece.sdeg)
+        if memo is None:
+            memo = self._slices[piece.sdeg] = [{} for _ in
+                                               range(self.order + 1)]
+        out = memo[k].get(m)
+        if out is not None:
+            return out
+        if k == 0:
+            out = memo[0][m] = {p: {0: c} for p, c in
+                                piece.nf_key(piece.keys[m]).items()}
+            return out
+        cof, index = piece.cofactors(), piece.index
+        # up the parents to a root or a monomial whose slice is known
+        chain = [m]
+        while True:
+            rec = cof[chain[-1]]
+            if rec is None or rec[0] is None or rec[0] in memo[k]:
+                break
+            chain.append(rec[0])
+        for x in reversed(chain):
+            out = {}
+            if cof[x] is not None:
+                parent, w, local = cof[x]
+                if parent is not None:
+                    _add_scaled(out, w, memo[k][parent], 0)
+                for c, g, i in local:
+                    for tkey, e, shift in self._moving[i]:
+                        _add_scaled(out, -c * e,
+                                    self._slice(piece, k - 1,
+                                                index[g + shift]), tkey)
+            memo[k][x] = out
+        return out
 
     def mult_entries(self, a: int, from_sdeg: int) -> dict:
         """Nonzero entries {(row, col): TruncSeries} of the matrix of
@@ -828,14 +999,15 @@ class JacobiFamily:
         if not self.algebra.dim_scaled(tdeg):
             return {}
         target = self.algebra.piece(tdeg)
-        ech = self._family_piece(tdeg)
-        index, pos, one = target.index, target._basis_pos, self._one
         ka = self.deg1_keys[a]
-        entries = {}
+        entries: dict = {}
         for j, kj in enumerate(self.algebra.piece(from_sdeg).basis_keys):
-            for c, v in ech.reduce({index[ka + kj]: one}).items():
-                entries[pos[c], j] = v
-        return entries
+            m = target.index[ka + kj]
+            for k in range(self.order + 1):
+                for p, terms in self._slice(target, k, m).items():
+                    entries.setdefault((p, j), {}).update(terms)
+        return {pj: TruncSeries._make(self.t_vars, self.order, terms)
+                for pj, terms in entries.items()}
 
     def mult_matrix(self, a: int, from_sdeg: int):
         """Dense view of ``mult_entries``: a list of rows, absent entries
@@ -846,3 +1018,22 @@ class JacobiFamily:
         zero = TruncSeries.zero(self.t_vars, self.order)
         return [[entries.get((i, j), zero) for j in range(ncols)]
                 for i in range(nrows)]
+
+
+def _add_scaled(out: dict, c, vec: dict, shift: int) -> None:
+    """out += c t^shift vec over {basis position: {series key: Fraction}}
+    (shift a series key, c nonzero), dropping what cancels."""
+    for p, terms in vec.items():
+        acc = out.get(p)
+        if acc is None:
+            out[p] = {key + shift: c * x for key, x in terms.items()}
+            continue
+        for key, x in terms.items():
+            key += shift
+            y = acc.get(key, 0) + c * x
+            if y:
+                acc[key] = y
+            else:
+                del acc[key]
+        if not acc:
+            del out[p]

@@ -2,10 +2,10 @@
 
 ``Echelon`` is an incremental reduced row echelon over sparse vectors with
 entries in a coefficient ``Ring``.  Over ``FRACTIONS`` it gives the ranks,
-inverses and kernels below and the spans of the graded quotient and
-generation computations; over ``series.TRUNC_SERIES`` (defined in
-``series``, which imports this module) it gives the normal forms of the
-Jacobi family and solves series linear systems.  All results are exact.
+inverses and kernels below, the spans of the graded quotient and
+generation computations and the cofactors of the Jacobi pieces; over
+``series.TRUNC_SERIES`` (defined in ``series``, which imports this module)
+it serves only ``SeriesMatrix.solve_series``.  All results are exact.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ class Echelon:
 
     def close(self):
         """Require every deferred row to lie in the span of the pivot rows
-        (for a family echelon: the family is flat)."""
+        (over series: the rows span a free module)."""
         for v in self.deferred:
             if self.reduce(v):
                 raise AssertionError("family is not flat: row with no unit "

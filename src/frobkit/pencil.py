@@ -380,7 +380,7 @@ def reduced_flatness_check(P: ConnectionPencil) -> dict:
 
         Ares = unfolded_part(A).truncate(P.order)
         RES = SeriesMatrix.from_consts(res_inf, P.vars, P.order)
-        rhs = (RES @ Ares - Ares @ RES) - Ares - unfolded_part(P.W)
+        rhs = RES.commutator(Ares) - Ares - unfolded_part(P.W)
         _fail(report, "integrated-u-formula", unfolded_part(P.U) - rhs)
     # reduced sufficient set: the y-direction commutation and W-transport
     # equations in full, the rest restricted to y = 0
@@ -441,8 +441,9 @@ def _base_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     for k in range(R.z_order):
         for v, B in blocks:
             violation(out, "base-transport", (k, v), R.coeffs[k].partial(v)
-                      - (B.transpose() @ R.coeffs[k + 1]
-                         - R.coeffs[k + 1] @ B))
+                      - SeriesMatrix.sum_of_products(
+                          [(1, B.transpose(), R.coeffs[k + 1]),
+                           (-1, R.coeffs[k + 1], B)]))
     return out
 
 
@@ -502,8 +503,9 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
             for k in range(top + 1):
                 grad = {}
                 for a, v in enumerate(ys):
-                    rhs = (P.F[a].transpose() @ coeffs[k + 1]
-                           - coeffs[k + 1] @ P.F[a])
+                    rhs = SeriesMatrix.sum_of_products(
+                        [(1, P.F[a].transpose(), coeffs[k + 1]),
+                         (-1, coeffs[k + 1], P.F[a])])
                     grad[v] = rhs.graded_part(s - 1, names=ys)
                 upd = euler_integrate(grad)
                 new.append(coeffs[k] + upd.truncate(coeffs[k].order))
@@ -511,7 +513,9 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
             obs: list = []
             for a, v in enumerate(ys):
                 violation(obs, "holomorphy-obstruction", (s, v),
-                          (P.F[a].transpose() @ new[0] - new[0] @ P.F[a])
+                          SeriesMatrix.sum_of_products(
+                              [(1, P.F[a].transpose(), new[0]),
+                               (-1, new[0], P.F[a])])
                           .graded_part(s - 1, names=ys))
             _fail(report, "holomorphy-obstruction", obs)
             if not report["passes"]:
@@ -528,7 +532,8 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     obs = []
     for v, B in zip(vars, list(P.C) + list(P.F)):
         violation(obs, "holomorphy-obstruction", (v,),
-                  B.transpose() @ coeffs[0] - coeffs[0] @ B)
+                  SeriesMatrix.sum_of_products(
+                      [(1, B.transpose(), coeffs[0]), (-1, coeffs[0], B)]))
     _fail(report, "holomorphy-obstruction", obs)
     if report["passes"]:
         report["pairing"] = R

@@ -1114,13 +1114,20 @@ class SeriesMatrix:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        entries = []
+        for row in self._data:
+            # absent entries share one empty list: a wide, mostly zero
+            # matrix is not walked entry by entry
+            out = [[]] * self.cols
+            for j, x in row.items():
+                out[j] = x.to_json()["terms"]
+            entries.append(out)
         return {
             "rows": self.rows,
             "cols": self.cols,
             "vars": list(self.vars),
             "order": self.order,
-            "entries": [[row[j].to_json()["terms"] if j in row else []
-                         for j in range(self.cols)] for row in self._data],
+            "entries": entries,
         }
 
     @classmethod

@@ -231,9 +231,10 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
         if can_diff:
             violation(out, "u-transport", (i,), F.U.partial(F.vars[i])
                       - F.C[i].commutator(VS) + F.C[i])
-        violation(out, "pairing-higgs", (i,),
-                  F.C[i].transpose() @ gS - gS @ F.C[i])
-    violation(out, "pairing-u", (), F.U.transpose() @ gS - gS @ F.U)
+        violation(out, "pairing-higgs", (i,), SeriesMatrix.sum_of_products(
+            [(1, F.C[i].transpose(), gS), (-1, gS, F.C[i])]))
+    violation(out, "pairing-u", (), SeriesMatrix.sum_of_products(
+        [(1, F.U.transpose(), gS), (-1, gS, F.U)]))
     rv = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
           zip(linalg.mat_mul(linalg.transpose(F.V), g),
               linalg.mat_mul(g, F.V))]
@@ -278,7 +279,8 @@ def check_filtration(D: FiltrationData) -> list:
                               frac_to_str(S[k][l]))
         SS = SeriesMatrix.from_consts(S, D.vars, D.order)
         for a, G in enumerate(D.Gamma):
-            violation(out, "pairing-flat", (a,), G.transpose() @ SS + SS @ G)
+            violation(out, "pairing-flat", (a,), SeriesMatrix.sum_of_products(
+                [(1, G.transpose(), SS), (1, SS, G)]))
     return out
 
 

@@ -12,12 +12,14 @@ from operator import add, itemgetter
 from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
                           _coords, _raise_order, initial_from_filtration,
                           invert_map, potential_integrate)
-from frobkit.jacobi import GradedPiece, WeightSystem, XPoly, build_jacobi
-from frobkit.linalg import Echelon
+from frobkit.jacobi import (GradedPiece, WeightSystem, XPoly, _ideal_rows,
+                            _packed_partials, build_jacobi)
+from frobkit.linalg import Echelon as RingEchelon
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, potential_matrix,
                             residual_report, structure_connection)
-from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
+from frobkit.series import (TRUNC_SERIES, SeriesError, SeriesMatrix,
+                            TruncSeries)
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 RejectionError, shift_example,
                                 filtration_to_ftype, jacobi_to_filtration,
@@ -43,6 +45,11 @@ def fermat(nvars, d):
 def fermat_cubic_algebra():
     f, ws = fermat(3, 3)
     return build_jacobi(f, ws)
+
+
+# the Hesse cubic x^3 + y^3 + z^3 - 6xyz: every partial is a binomial
+HESSE = XPoly(3, {(3, 0, 0): F(1), (0, 3, 0): F(1), (0, 0, 3): F(1),
+                  (1, 1, 1): F(-6)})
 
 
 def codim_one_polynomial():
@@ -636,6 +643,63 @@ class ReferenceSeriesEchelon:
             if self.reduce(v):
                 raise AssertionError("family is not flat: row with no unit "
                                      "entry")
+
+
+# ---------------------------------------------------------------------------
+# the family normal forms as the series echelon gave them
+# ---------------------------------------------------------------------------
+
+
+def reference_family_entries(algebra, t_vars, order):
+    """``JacobiFamily.mult_entries`` as it was before the family normal
+    forms were lifted from the algebra's cofactors: every ideal piece of
+    F_t = f + sum_a t_a m_a is eliminated again by a ``linalg.Echelon`` over
+    ``TRUNC_SERIES`` (pivots on the largest column), whose non-pivot
+    columns must be the t = 0 basis, and each product is reduced against
+    it.  Returns the function (a, from_sdeg) -> {(row, col): series}."""
+    ws = algebra.ws
+    deg1 = algebra.piece(ws.scale)
+    famf = XPoly(ws.nvars, {e: TruncSeries.const(t_vars, order, c)
+                            for e, c in algebra.f.terms.items()})
+    for a, m in enumerate(deg1.basis_monomials):
+        tm = TruncSeries.var(t_vars, order, t_vars[a])
+        famf = famf + XPoly(ws.nvars, {m: tm})
+    partials = [famf.partial(i) for i in range(ws.nvars)]
+    one = TruncSeries.one(t_vars, order)
+    pieces = {}
+
+    def family_piece(sdeg):
+        if sdeg in pieces:
+            return pieces[sdeg]
+        base = algebra.piece(sdeg)
+        packed = _packed_partials(ws, partials, sdeg, base.strides)
+        ech = RingEchelon(pivot="max", ring=TRUNC_SERIES)
+        for _, row in _ideal_rows(packed, base.index):
+            ech.insert(row)
+        ech.close()
+        pivots = set(ech.rows)
+        basis = [i for i in range(len(base.keys)) if i not in pivots]
+        if basis != base.basis:
+            raise AssertionError("family basis at scaled degree %d deviates "
+                                 "from the t=0 basis" % sdeg)
+        pieces[sdeg] = ech
+        return ech
+
+    def mult_entries(a, from_sdeg):
+        tdeg = from_sdeg + ws.scale
+        if not algebra.dim_scaled(tdeg):
+            return {}
+        target = algebra.piece(tdeg)
+        ech = family_piece(tdeg)
+        index, pos = target.index, target._basis_pos
+        ka = deg1.basis_keys[a]
+        entries = {}
+        for j, kj in enumerate(algebra.piece(from_sdeg).basis_keys):
+            for c, v in ech.reduce({index[ka + kj]: one}).items():
+                entries[pos[c], j] = v
+        return entries
+
+    return mult_entries
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
                             pack_key, unpack_key)
 from frobkit.linalg import Echelon
 from frobkit.series import TRUNC_SERIES, TruncSeries
-from helpers import (ReferenceSeriesEchelon, codim_one_polynomial, fermat,
-                     fermat_cubic_algebra, reference_h2_generation_check,
+from helpers import (HESSE, ReferenceSeriesEchelon, codim_one_polynomial,
+                     fermat, fermat_cubic_algebra, reference_family_entries,
+                     reference_h2_generation_check,
                      reference_isolated_witness)
 
 F = Fraction
@@ -677,6 +678,129 @@ def test_family_at_zero_is_the_algebra(case, echelon):
                        if k == j and (c := v.constant_term)}
                 e_j = RfClass(q * L, {j: F(1)})
                 assert col == A.multiply(m_a, e_j).coords
+
+
+# ---------------------------------------------------------------------------
+# family normal forms lifted from the cofactors, against the series echelon
+# ---------------------------------------------------------------------------
+
+# x^3 y + y^4: a one-term partial and a binomial one, so killed components
+# reach their dead monomials through binomial rows
+CHAIN_QUARTIC = (XPoly(2, {(3, 1): F(1), (0, 4): F(1)}),
+                 WeightSystem.straight(2, 4))
+# x^4 + y^4 + z^4 + x^2 y z: binomial partials, with inconsistent cycles
+BINOMIAL_QUARTIC = (XPoly(3, {(4, 0, 0): F(1), (0, 4, 0): F(1),
+                              (0, 0, 4): F(1), (2, 1, 1): F(1)}),
+                    WeightSystem.straight(3, 4))
+
+
+@pytest.mark.parametrize("case, deep_sources", [
+    (fermat(3, 4), None), ((HESSE, W3), None), (BINOMIAL_QUARTIC, None),
+    (THREE_TERM_QUARTIC, 1)],
+    ids=["fermat-quartic", "hesse-cubic", "binomial-quartic",
+         "three-term-quartic"])
+def test_family_lift_matches_series_echelon(case, deep_sources):
+    """Every multiplication matrix of the family at orders 0-3, from every
+    source piece, is the one the series echelon gives: on every ideal
+    monomial dead (the Fermat quartic), on binomial rows with inconsistent
+    cycles (the Hesse cubic and a binomial quartic) and on echelon pieces
+    (the three-term quartic).  The series echelon of the three-term
+    quartic takes about a minute at order 3, so its orders 2 and 3 stop
+    at the first ``deep_sources`` source pieces."""
+    A = build_jacobi(*case)
+    L = A.ws.scale
+    t_vars = tuple("t%d" % a for a in range(A.dim_scaled(L)))
+    for order in range(4):
+        sources = range(A.top_scaled() + 1 - L)
+        if order >= 2 and deep_sources is not None:
+            sources = sources[:deep_sources]
+        fam = JacobiFamily(A, t_vars, order)
+        ref = reference_family_entries(A, t_vars, order)
+        for a in range(len(t_vars)):
+            for s in sources:
+                assert fam.mult_entries(a, s) == ref(a, s)
+
+
+def _cofactor_kind(piece, gens, m):
+    """The case that gives monomial m its record: "basis", "echelon",
+    or, on a union-find piece, the root its parents lead to: a basis
+    monomial ("kill-free"), a monomial a one-term row kills ("killed") or
+    the root of an inconsistent cycle ("cycle")."""
+    cof = piece.cofactors()
+    if cof[m] is None:
+        return "basis"
+    if piece._uf is None:
+        return "echelon"
+    while cof[m] is not None and cof[m][0] is not None:
+        m = cof[m][0]
+    if cof[m] is None:
+        return "kill-free"
+    (_, _, i), *more = cof[m][2]
+    return "killed" if not more and len(gens[i].terms) == 1 else "cycle"
+
+
+def _assert_cofactors(piece, gens):
+    """m - NF(m) = sum_i h_i gens[i] for every monomial m of the piece,
+    with h unrolled from the records here and both sides expanded as
+    polynomials; returns the kinds of record met."""
+    cof, st_ = piece.cofactors(), piece.strides
+    kinds = set()
+    for m, key in enumerate(piece.keys):
+        want = {unpack_key(key, st_): F(1)}
+        for pos, c in piece.nf_key(key).items():
+            e = unpack_key(piece.keys[piece.basis[pos]], st_)
+            want[e] = want.get(e, 0) - c
+        got, x, scale = {}, m, F(1)
+        while cof[x] is not None:
+            parent, w, local = cof[x]
+            for c, g, i in local:
+                ge = unpack_key(g, st_)
+                for e, d in gens[i].terms.items():
+                    k = tuple(a + b for a, b in zip(ge, e))
+                    got[k] = got.get(k, 0) + scale * c * d
+            if parent is None:
+                break
+            scale *= w
+            x = parent
+        assert ({e: c for e, c in got.items() if c}
+                == {e: c for e, c in want.items() if c})
+        kinds.add(_cofactor_kind(piece, gens, m))
+    return kinds
+
+
+def test_cofactors_cover_every_kind_of_record():
+    kinds = set()
+    for f, ws in (fermat(3, 4), (HESSE, W3), CHAIN_QUARTIC,
+                  BINOMIAL_QUARTIC, THREE_TERM_CUBIC):
+        A = build_jacobi(f, ws)
+        for s in range(A.top_scaled() + 1):
+            kinds |= _assert_cofactors(A.piece(s), A.partials)
+    assert kinds == {"basis", "kill-free", "killed", "cycle", "echelon"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(binomial_generators(), trinomial_generators()))
+@example((W3, [_gen((X, 1), (Y, -2)), _gen((X, 1), (Y, -3))], 2))
+@example((W3, [_gen((X, 1), (Y, -1)), _gen((Y, 1), (Z, -2)),
+               _gen((X, 1), (Z, -2)), _gen(((0, 2, 0), 1))], 2))
+def test_cofactors_expand_to_the_reduction(case):
+    ws, gens, sdeg = case
+    _assert_cofactors(GradedPiece(ws, gens, sdeg), gens)
+
+
+def test_h2_check_and_order_zero_family_compute_no_cofactors():
+    """The cofactors are lazy: building the algebra, its h2 check and a
+    family at order 0 never ask for them."""
+    for case in (fermat(4, 4), (HESSE, W3), THREE_TERM_QUARTIC):
+        A = build_jacobi(*case)
+        h2_generation_check(A)
+        L = A.ws.scale
+        fam = JacobiFamily(
+            A, tuple("t%d" % a for a in range(A.dim_scaled(L))), 0)
+        for a in range(A.dim_scaled(L)):
+            for s in range(A.top_scaled() + 1 - L):
+                fam.mult_entries(a, s)
+        assert A._pieces and all(p._cof is None for p in A._pieces.values())
 
 
 def test_nf_exps_refuses_a_tuple_outside_the_piece():

@@ -13,7 +13,8 @@ from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 check_filtration, shift_example,
                                 filtration_to_ftype, ftype_to_filtration,
                                 jacobi_to_filtration)
-from helpers import consts, fermat, fermat_cubic_algebra, rank2_higgs_ftype
+from helpers import (HESSE, consts, fermat, fermat_cubic_algebra,
+                     rank2_higgs_ftype)
 
 F = Fraction
 N = 4
@@ -224,20 +225,25 @@ def test_jacobi_filtration_quintic_bookkeeping():
 
 
 # sha256 of the JSON of [G.to_json() for G in D.Gamma], taken before the
-# family echelon kept a column-occurrence index; at order > 0 the family
-# rows have several entries, which the order-0 benchmark job never builds
-HESSE = XPoly(3, {(3, 0, 0): F(1), (0, 3, 0): F(1), (0, 0, 3): F(1),
-                  (1, 1, 1): F(-6)})
+# family echelon kept a column-occurrence index (the K3 at order 3 and the
+# quintic at order 0: before the family normal forms were lifted from the
+# algebra's cofactors); at order > 0 the family rows have several entries,
+# which the order-0 benchmark job never builds
 FAMILY_FIXTURES = [
     ((HESSE, WeightSystem.straight(3, 3)), 4,
      "1195a22de2af740a117aa7d2e86c64fdba4a7bfe1678550c838ad66752ee711b"),
     (fermat(4, 4), 2,
      "e662e7304345e2ac602b54fe202e43e8e9923dfe80d07108c2310ddb4f5a07d6"),
+    (fermat(4, 4), 3,
+     "1a5ccb9db99ba9c7ed47ebf873787cc7559c091d65a065b08a797c6e4bd4f5fe"),
+    (fermat(5, 5), 0,
+     "3d9576097c8da108439f507614e4f448312b1dbd9efff26c591b4b2fbd604ce0"),
 ]
 
 
 @pytest.mark.parametrize("poly, order, digest", FAMILY_FIXTURES,
-                         ids=["hesse-cubic-4", "fermat-k3-2"])
+                         ids=["hesse-cubic-4", "fermat-k3-2", "fermat-k3-3",
+                              "fermat-quintic-0"])
 def test_jacobi_filtration_family_regression(poly, order, digest):
     A = build_jacobi(*poly)
     D, info = jacobi_to_filtration(A, order=order, with_pairing=False)
