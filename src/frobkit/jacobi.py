@@ -33,13 +33,13 @@ remaining variables, with every partial restricted to them, is built.
 
 The family F_t = f + sum_a t_a m_a over the degree-1 basis monomials is
 not eliminated again.  Its normal forms are lifted in t from the
-algebra's: each piece can write m - NF(m) as sum_i h_i dF/dx_i (search
-trees over the union-find rows, or the echelon rows tagged with their
-origin), and then m = NF(m) - sum_a t_a sum_i h_i dm_a/dx_i modulo the
-ideal of F_t, a polynomial of the same degree, reduced again one t-degree
-higher.  The t = 0 basis stays a basis: the partials of F_t lift a regular
-sequence, so the quotient is free over the truncated series ring (the
-local flatness criterion), and the lifted normal form is the only one.
+algebra's: each piece can write m - NF(m) as sum_i h_i dF/dx_i (its
+ideal rows eliminated with their origins tagged), and then
+m = NF(m) - sum_a t_a sum_i h_i dm_a/dx_i modulo the ideal of F_t, a
+polynomial of the same degree, reduced again one t-degree higher.  The
+t = 0 basis stays a basis: the partials of F_t lift a regular sequence, so
+the quotient is free over the truncated series ring (the local flatness
+criterion), and the lifted normal form is the only one.
 """
 
 from __future__ import annotations
@@ -426,113 +426,35 @@ class GradedPiece:
         self._basis_pos = {b: k for k, b in enumerate(self.basis)}
 
     def cofactors(self) -> list:
-        """Cofactors h with m - NF(m) = sum_i h_i * dF/dx_i, one record per
-        monomial index m: None for a basis monomial (h = 0), else
-        (parent, w, local) with h(m) = w * h(parent) + sum c * x^g * e_i
-        over the (c, g, i) of local (g a packed key); a root has parent
-        None.  The parents form a forest."""
+        """Cofactors h with m - NF(m) = sum_i h_i * dF/dx_i, one per
+        monomial index m: None for a basis monomial (h = 0), else the terms
+        (c, g, i) of h = sum c * x^g * e_i (g a packed key).
+
+        The ideal rows are eliminated again with each row's origin carried
+        in its own negative column, as [A | I] carries the row operations;
+        each pivot monomial's cofactor is read off its row's tags.  Columns
+        below zero are never pivots, so the pivots are the build's: those
+        of the echelon, and on a union-find piece every monomial but the
+        lex-first one of a kill-free, consistent component, since there
+        e_m - c_m e_b spans the rows and b is the largest column of none.
+        """
         if self._cof is None:
+            ech = Echelon(pivot="max")
+            origin = []
+            one = Fraction(1)
             packed = _packed_partials(*self._source, self.sdeg, self.strides)
-            self._cof = (self._uf_cofactors(packed) if self._uf is not None
-                         else self._echelon_cofactors(packed))
+            for gi, row in _ideal_rows(packed, self.index):
+                row[-1 - len(origin)] = one
+                origin.append(gi)
+                row = ech.reduce(row)
+                if max(row) >= 0:
+                    ech.insert(row)
+            cof: list = [None] * len(self.keys)
+            for p, row in ech.rows.items():
+                cof[p] = tuple((c, *origin[-1 - col])
+                               for col, c in row.items() if col < 0)
+            self._cof = cof
         return self._cof
-
-    def _uf_cofactors(self, packed):
-        """The records of a union-find piece: search trees over the
-        binomial rows, with every kill-free component rooted at its basis
-        monomial and every killed one at its dead monomials.  A component
-        that neither reaches is in the ideal through an inconsistent
-        cycle; its lex-first monomial b becomes the root, with the
-        cofactor the cycle gives."""
-        n = len(self.keys)
-        at = self.index.__getitem__
-        cof: list = [None] * n
-        seen = bytearray(n)
-        dead = []
-        # adj[u] lists (v, w, (c, g, i)): v = w * u + c * g * dF/dx_i
-        adj: dict[int, list] = {}
-        for i, shifts, terms in packed:
-            if len(terms) == 1:
-                # c x^(g+k) = g * dF/dx_i
-                (k, c), = terms
-                inv = 1 / c
-                for g in shifts:
-                    m = at(g + k)
-                    if not seen[m]:
-                        seen[m] = 1
-                        cof[m] = (None, None, ((inv, g, i),))
-                        dead.append(m)
-                continue
-            # c1 x^(g+k1) + c2 x^(g+k2) = g * dF/dx_i
-            (k1, c1), (k2, c2) = terms
-            w12, w21, inv1, inv2 = -c1 / c2, -c2 / c1, 1 / c1, 1 / c2
-            for g in shifts:
-                m1, m2 = at(g + k1), at(g + k2)
-                adj.setdefault(m1, []).append((m2, w12, (inv2, g, i)))
-                adj.setdefault(m2, []).append((m1, w21, (inv1, g, i)))
-
-        def grow(stack):
-            # the search tree from the monomials on the stack; returns the
-            # monomials it reached, in the order it reached them
-            reached = []
-            while stack:
-                u = stack.pop()
-                reached.append(u)
-                for v, w, edge in adj.get(u, ()):
-                    if not seen[v]:
-                        seen[v] = 1
-                        cof[v] = (u, w, (edge,))
-                        stack.append(v)
-            return reached
-
-        for b in self.basis:
-            seen[b] = 1
-        grow(list(self.basis))
-        grow(dead)
-        for b in range(n):
-            if seen[b]:
-                continue
-            seen[b] = 1
-            reached = grow([b])
-            # e_m = coef[m] * e_b along the tree; some row breaks it
-            coef = {b: Fraction(1)}
-            for m in reached[1:]:
-                u, w, _ = cof[m]
-                coef[m] = w * coef[u]
-            u, v, w, edge = next((u, v, w, edge) for u in reached
-                                 for v, w, edge in adj[u]
-                                 if coef[v] != w * coef[u])
-            # with h(b) = 0 on the tree, m = coef[m] b + H(m) . dF for every
-            # m; the row v = w u + edge gives
-            # (coef[v] - w coef[u]) b = (w H(u) + edge - H(v)) . dF
-            h = {edge[1:]: edge[0]}
-            _unroll(h, cof, u, w)
-            _unroll(h, cof, v, -1)
-            d = coef[v] - w * coef[u]
-            cof[b] = (None, None, tuple((c / d, g, i)
-                                        for (g, i), c in h.items() if c))
-        return cof
-
-    def _echelon_cofactors(self, packed):
-        """The records of an echelon piece: the ideal rows eliminated again
-        with each row's origin carried in its own negative column, as
-        [A | I] carries the row operations (columns below zero are never
-        pivots, so the pivots are the build's).  Each pivot monomial's
-        record is its row's origin."""
-        ech = Echelon(pivot="max")
-        origin = []
-        one = Fraction(1)
-        for gi, row in _ideal_rows(packed, self.index):
-            row[-1 - len(origin)] = one
-            origin.append(gi)
-            row = ech.reduce(row)
-            if max(row) >= 0:
-                ech.insert(row)
-        cof: list = [None] * len(self.keys)
-        for p, row in ech.rows.items():
-            cof[p] = (None, None, tuple((c, *origin[-1 - col])
-                                        for col, c in row.items() if col < 0))
-        return cof
 
     @property
     def monomials(self):
@@ -587,20 +509,6 @@ class GradedPiece:
             raise ValueError("monomial %r not of scaled degree %d"
                              % (tuple(exps), self.sdeg))
         return self.nf_key(key, coeff)
-
-
-def _unroll(h: dict, cof, m, scale) -> None:
-    """h += scale * h(m) over {(g, i): c}, from the records of
-    ``GradedPiece.cofactors`` up the parents to a root or a basis
-    monomial."""
-    while cof[m] is not None:
-        parent, w, local = cof[m]
-        for c, g, i in local:
-            h[g, i] = h.get((g, i), 0) + scale * c
-        if parent is None:
-            break
-        scale *= w
-        m = parent
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +823,9 @@ class JacobiFamily:
 
     with T(m) of the degree of m and T zero on the basis; so
     NF_t = NF o sum_{k <= order} T^k.  Slice k of NF_t(m), its part of
-    t-degree k, is NF(m) for k = 0, and for k >= 1 it is w times slice k
-    of m's parent plus -c e t_a times slice k - 1 of
-    x^g dm_a/dx_i = e x^(g + m_a - x_i) over m's local terms (c, g, i).
+    t-degree k, is NF(m) for k = 0, and for k >= 1 the sum of -c e t_a
+    times slice k - 1 of x^g dm_a/dx_i = e x^(g + m_a - x_i) over the
+    terms (c, g, i) of m's cofactor.
     Slices are memoised per target piece, t-degree and monomial; order 0
     reads NF alone and asks for no cofactors.
 
@@ -961,29 +869,14 @@ class JacobiFamily:
         if out is not None:
             return out
         if k == 0:
-            out = memo[0][m] = {p: {0: c} for p, c in
-                                piece.nf_key(piece.keys[m]).items()}
-            return out
-        cof, index = piece.cofactors(), piece.index
-        # up the parents to a root or a monomial whose slice is known
-        chain = [m]
-        while True:
-            rec = cof[chain[-1]]
-            if rec is None or rec[0] is None or rec[0] in memo[k]:
-                break
-            chain.append(rec[0])
-        for x in reversed(chain):
+            out = {p: {0: c} for p, c in piece.nf_key(piece.keys[m]).items()}
+        else:
             out = {}
-            if cof[x] is not None:
-                parent, w, local = cof[x]
-                if parent is not None:
-                    _add_scaled(out, w, memo[k][parent], 0)
-                for c, g, i in local:
-                    for tkey, e, shift in self._moving[i]:
-                        _add_scaled(out, -c * e,
-                                    self._slice(piece, k - 1,
-                                                index[g + shift]), tkey)
-            memo[k][x] = out
+            for c, g, i in piece.cofactors()[m] or ():
+                for tkey, e, shift in self._moving[i]:
+                    _add_scaled(out, -c * e, self._slice(
+                        piece, k - 1, piece.index[g + shift]), tkey)
+        memo[k][m] = out
         return out
 
     def mult_entries(self, a: int, from_sdeg: int) -> dict:

@@ -1114,10 +1114,11 @@ class SeriesMatrix:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        """The JSON form, for ``json.dumps`` or comparison; not to be
+        changed in place: the absent entries of a row are one shared empty
+        list, so a wide, mostly zero matrix allocates nothing per zero."""
         entries = []
         for row in self._data:
-            # absent entries share one empty list: a wide, mostly zero
-            # matrix is not walked entry by entry
             out = [[]] * self.cols
             for j, x in row.items():
                 out[j] = x.to_json()["terms"]

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
-                            RfClass, WeightSystem, XPoly,
-                            build_jacobi, h2_generation_check,
-                            jacobian_piece, multiply_rf, normal_form,
-                            pack_key, unpack_key)
+                            RfClass, WeightSystem, XPoly, _ideal_rows,
+                            _packed_partials, build_jacobi,
+                            h2_generation_check, jacobian_piece, multiply_rf,
+                            normal_form, pack_key, unpack_key)
 from frobkit.linalg import Echelon
 from frobkit.series import TRUNC_SERIES, TruncSeries
 from helpers import (HESSE, ReferenceSeriesEchelon, codim_one_polynomial,
@@ -721,60 +721,75 @@ def test_family_lift_matches_series_echelon(case, deep_sources):
                 assert fam.mult_entries(a, s) == ref(a, s)
 
 
-def _cofactor_kind(piece, gens, m):
-    """The case that gives monomial m its record: "basis", "echelon",
-    or, on a union-find piece, the root its parents lead to: a basis
-    monomial ("kill-free"), a monomial a one-term row kills ("killed") or
-    the root of an inconsistent cycle ("cycle")."""
-    cof = piece.cofactors()
-    if cof[m] is None:
-        return "basis"
+def _record_kinds(piece, ws, gens):
+    """The case each monomial of the piece stands in: "basis", "echelon"
+    (a piece built with the sparse echelon) or, on a union-find piece,
+    the kind of its component under the binomial rows: "kill-free" (it
+    holds a basis monomial), "killed" (a one-term row kills one of its
+    monomials) or "cycle" (an inconsistent cycle puts it in the ideal)."""
+    n = len(piece.keys)
     if piece._uf is None:
-        return "echelon"
-    while cof[m] is not None and cof[m][0] is not None:
-        m = cof[m][0]
-    if cof[m] is None:
-        return "kill-free"
-    (_, _, i), *more = cof[m][2]
-    return "killed" if not more and len(gens[i].terms) == 1 else "cycle"
+        return ["basis" if m in piece._basis_pos else "echelon"
+                for m in range(n)]
+    adj, dead = [[] for _ in range(n)], set()
+    packed = _packed_partials(ws, gens, piece.sdeg, piece.strides)
+    for _, row in _ideal_rows(packed, piece.index):
+        if len(row) == 1:
+            dead.update(row)
+        else:
+            a, b = row
+            adj[a].append(b)
+            adj[b].append(a)
+    kinds = [None] * n
+    for b in range(n):
+        if kinds[b] is not None:
+            continue
+        comp, stack = {b}, [b]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        kind = ("kill-free" if piece._uf[b] is not None
+                else "killed" if comp & dead else "cycle")
+        for m in comp:
+            kinds[m] = kind
+    for b in piece.basis:
+        kinds[b] = "basis"
+    return kinds
 
 
-def _assert_cofactors(piece, gens):
+def _assert_cofactors(piece, ws, gens):
     """m - NF(m) = sum_i h_i gens[i] for every monomial m of the piece,
-    with h unrolled from the records here and both sides expanded as
-    polynomials; returns the kinds of record met."""
+    both sides expanded as polynomials; returns the kinds of monomial
+    met."""
     cof, st_ = piece.cofactors(), piece.strides
-    kinds = set()
     for m, key in enumerate(piece.keys):
         want = {unpack_key(key, st_): F(1)}
         for pos, c in piece.nf_key(key).items():
             e = unpack_key(piece.keys[piece.basis[pos]], st_)
             want[e] = want.get(e, 0) - c
-        got, x, scale = {}, m, F(1)
-        while cof[x] is not None:
-            parent, w, local = cof[x]
-            for c, g, i in local:
-                ge = unpack_key(g, st_)
-                for e, d in gens[i].terms.items():
-                    k = tuple(a + b for a, b in zip(ge, e))
-                    got[k] = got.get(k, 0) + scale * c * d
-            if parent is None:
-                break
-            scale *= w
-            x = parent
+        got = {}
+        for c, g, i in cof[m] or ():
+            ge = unpack_key(g, st_)
+            for e, d in gens[i].terms.items():
+                k = tuple(a + b for a, b in zip(ge, e))
+                got[k] = got.get(k, 0) + c * d
         assert ({e: c for e, c in got.items() if c}
                 == {e: c for e, c in want.items() if c})
-        kinds.add(_cofactor_kind(piece, gens, m))
-    return kinds
+    return set(_record_kinds(piece, ws, gens))
 
 
 def test_cofactors_cover_every_kind_of_record():
+    """One elimination with tagged origins gives the cofactors of every
+    piece: an echelon piece and, on a union-find piece, kill-free,
+    killed and cycle components alike."""
     kinds = set()
     for f, ws in (fermat(3, 4), (HESSE, W3), CHAIN_QUARTIC,
                   BINOMIAL_QUARTIC, THREE_TERM_CUBIC):
         A = build_jacobi(f, ws)
         for s in range(A.top_scaled() + 1):
-            kinds |= _assert_cofactors(A.piece(s), A.partials)
+            kinds |= _assert_cofactors(A.piece(s), ws, A.partials)
     assert kinds == {"basis", "kill-free", "killed", "cycle", "echelon"}
 
 
@@ -785,7 +800,7 @@ def test_cofactors_cover_every_kind_of_record():
                _gen((X, 1), (Z, -2)), _gen(((0, 2, 0), 1))], 2))
 def test_cofactors_expand_to_the_reduction(case):
     ws, gens, sdeg = case
-    _assert_cofactors(GradedPiece(ws, gens, sdeg), gens)
+    _assert_cofactors(GradedPiece(ws, gens, sdeg), ws, gens)
 
 
 def test_h2_check_and_order_zero_family_compute_no_cofactors():
