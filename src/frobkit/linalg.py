@@ -1,22 +1,20 @@
 """Exact linear algebra: dense helpers and the package's one elimination.
 
 ``Echelon`` is an incremental reduced row echelon over sparse vectors with
-entries in a coefficient ``Ring``.  Over ``FRACTIONS`` it gives the ranks,
-inverses and kernels below, the spans of the graded quotient and
-generation computations and the cofactors of the Jacobi pieces; over
-``series.TRUNC_SERIES`` (defined in ``series``, which imports this module)
-it serves only ``SeriesMatrix.solve_series``.  All results are exact.
+Fraction entries.  It gives the ranks, inverses and kernels below (an
+inverse of A(0) starts the Newton iteration of
+``series.SeriesMatrix.inverse_series``), the spans of the graded quotient
+and generation computations and the cofactors of the Jacobi pieces.  All
+results are exact.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 __all__ = [
     "mat_mul", "identity", "mat_inverse", "mat_rank",
-    "nullspace", "Echelon", "Ring", "FRACTIONS", "transpose",
+    "nullspace", "Echelon", "transpose",
 ]
 
 
@@ -42,32 +40,6 @@ def mat_mul(a, b):
                     if bs[j]:
                         oi[j] += c * bs[j]
     return out
-
-
-class Ring(NamedTuple):
-    """The coefficient ring of an ``Echelon``.
-
-    ``entry`` converts an input entry into the ring; ``is_zero`` and
-    ``is_unit`` test an element and ``inv`` inverts a unit.  Only units
-    become pivots.  ``sub_mul(a, f, x)`` is the fused update a - f*x,
-    where ``a`` None stands for zero.
-    """
-
-    is_zero: Callable
-    is_unit: Callable
-    inv: Callable
-    entry: Callable
-    sub_mul: Callable
-
-
-def _frac_sub_mul(a, f, x):
-    return -(f * x) if a is None else a - f * x
-
-
-# every nonzero Fraction is a unit; Fraction(x) keeps ints exact
-FRACTIONS = Ring(is_zero=operator.not_, is_unit=bool,
-                 inv=lambda x: 1 / x, entry=Fraction,
-                 sub_mul=_frac_sub_mul)
 
 
 def _echelon(a, ncols):
@@ -123,14 +95,14 @@ def nullspace(a):
 
 
 class Echelon:
-    """Incremental reduced row echelon over sparse vectors with entries in
-    ``ring`` (Fractions by default).
+    """Incremental reduced row echelon over sparse vectors with Fraction
+    entries.
 
-    Vectors are dicts {column index: entry}.  ``insert`` reduces a vector
-    against the current rows; if something with a unit entry survives, it
-    becomes a row whose pivot (the smallest or, with ``pivot="max"``, the
-    largest unit column) is normalized to 1 and back-substituted into the
-    existing rows.
+    Vectors are dicts {column index: entry}; entries enter as
+    ``Fraction(x)``, so ints stay exact.  ``insert`` reduces a vector
+    against the current rows; if something survives, it becomes a row
+    whose pivot (its smallest or, with ``pivot="max"``, its largest column)
+    is normalized to 1 and back-substituted into the existing rows.
 
     Rows are kept fully reduced: a pivot column occurs only in its own row.
     ``_occ`` maps every other column to the pivots whose rows hold it, so an
@@ -139,20 +111,13 @@ class Echelon:
     (subtracting a reduced row brings in no pivot column).  A normalized
     pivot entry is exactly 1, so back-substitution clears the pivot column
     of a row by removing it.
-
-    A row that reduces to one with no unit entry (over truncated series, a
-    row in m*I, m the maximal ideal of the parameters) gets no pivot: it is
-    kept aside in ``deferred``, and ``close`` requires it to reduce to zero
-    once every row is in.  Over a field no row is ever deferred.
     """
 
-    def __init__(self, pivot: str = "min", ring: Ring = FRACTIONS):
+    def __init__(self, pivot: str = "min"):
         if pivot not in ("min", "max"):
             raise ValueError("pivot must be 'min' or 'max'")
         self._max = pivot == "max"
-        self.ring = ring
         self.rows: dict[int, dict] = {}
-        self.deferred: list[dict] = []
         self._occ: dict[int, set[int]] = {}
 
     @property
@@ -165,38 +130,32 @@ class Echelon:
 
     def reduce(self, vec) -> dict:
         """Return vec reduced modulo the current row space (a fresh dict)."""
-        ring = self.ring
-        is_zero, entry, sub_mul = ring.is_zero, ring.entry, ring.sub_mul
         rows = self.rows
-        v = {c: entry(x) for c, x in vec.items() if not is_zero(x)}
+        v = {c: Fraction(x) for c, x in vec.items() if x}
         for p in [c for c in v if c in rows]:
             f = v.pop(p)
             for c, x in rows[p].items():
                 if c == p:
                     continue
-                # over series f * x can vanish by truncation, so s is
-                # tested even for a column v does not hold
-                s = sub_mul(v.get(c), f, x)
-                if is_zero(s):
-                    v.pop(c, None)
+                a = v.get(c)
+                if a is None:
+                    v[c] = -(f * x)
                 else:
-                    v[c] = s
+                    s = a - f * x
+                    if s:
+                        v[c] = s
+                    else:
+                        del v[c]
         return v
 
     def insert(self, vec) -> bool:
         """Insert a vector; True if it became a new pivot row (False if it
-        reduced to zero or was deferred)."""
+        reduced to zero)."""
         v = self.reduce(vec)
         if not v:
             return False
-        ring = self.ring
-        is_unit, is_zero, sub_mul = ring.is_unit, ring.is_zero, ring.sub_mul
-        unit_cols = [c for c, x in v.items() if is_unit(x)]
-        if not unit_cols:
-            self.deferred.append(v)
-            return False
-        p = max(unit_cols) if self._max else min(unit_cols)
-        inv = ring.inv(v[p])
+        p = max(v) if self._max else min(v)
+        inv = 1 / v[p]
         row = {c: x * inv for c, x in v.items()}
         occ = self._occ
         for q in occ.pop(p, ()):
@@ -206,26 +165,18 @@ class Echelon:
                 if c == p:
                     continue
                 a = other.get(c)
-                s = sub_mul(a, f, x)
-                if is_zero(s):
-                    if a is not None:
-                        del other[c]
-                        occ[c].remove(q)
-                elif a is None:
-                    other[c] = s
+                if a is None:
+                    other[c] = -(f * x)
                     occ.setdefault(c, set()).add(q)
                 else:
-                    other[c] = s
+                    s = a - f * x
+                    if s:
+                        other[c] = s
+                    else:
+                        del other[c]
+                        occ[c].remove(q)
         for c in row:
             if c != p:
                 occ.setdefault(c, set()).add(p)
         self.rows[p] = row
         return True
-
-    def close(self):
-        """Require every deferred row to lie in the span of the pivot rows
-        (over series: the rows span a free module)."""
-        for v in self.deferred:
-            if self.reduce(v):
-                raise AssertionError("family is not flat: row with no unit "
-                                     "entry")

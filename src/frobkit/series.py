@@ -22,11 +22,10 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Echelon, Ring
+from .linalg import mat_inverse
 
 __all__ = [
     "TruncSeries",
-    "TRUNC_SERIES",
     "SeriesMatrix",
     "frac_from_str",
     "frac_to_str",
@@ -555,54 +554,6 @@ class TruncSeries:
         return cls(obj["vars"], require_int("order", obj["order"], 0), terms)
 
 
-def _sub_mul(a, f, x):
-    """a - f * x (a None is zero) in one pass over the terms: those of a,
-    then each product term subtracted, the terms of x in key order for each
-    term of f.  Keys sort by degree first, so the walk over x stops at the
-    first product beyond the order bound, which saves most of the walk at
-    higher orders, where most products fall beyond it."""
-    f._like(x)
-    order = min(f.order, x.order)
-    if a is not None:
-        a._like(f)
-        order = min(order, a.order)
-    limit = _limit(len(f.vars), order)
-    if a is None:
-        terms = {}
-    elif a.order == order:
-        terms = dict(a._t)
-    else:
-        terms = {k: c for k, c in a._t.items() if k < limit}
-    right = sorted(x._t.items())
-    room = limit - right[0][0] if right else 0
-    for k1, c1 in f._t.items():
-        if k1 >= room:
-            continue
-        for k2, c2 in right:
-            k = k1 + k2
-            if k >= limit:
-                break
-            s = terms.get(k)
-            if s is None:
-                terms[k] = -(c1 * c2)
-            else:
-                s -= c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-    return TruncSeries._make(f.vars, order, terms)
-
-
-# The coefficient ring of a series Echelon: a series is a unit exactly when
-# its constant term is nonzero.  All entries of one echelon share one order
-# bound, so a normalized pivot entry is exactly 1.
-TRUNC_SERIES = Ring(is_zero=TruncSeries.is_zero,
-                    is_unit=lambda x: x.constant_term != 0,
-                    inv=TruncSeries.inverse, entry=lambda x: x,
-                    sub_mul=_sub_mul)
-
-
 def euler_integrate(partials, weights: Mapping[str, int] | None = None):
     """The unique F with F(0)=0 and dF/d(name) = partials[name].
 
@@ -1080,36 +1031,37 @@ class SeriesMatrix:
         return binv @ self @ b
 
     def solve_series(self, rhs: "SeriesMatrix") -> "SeriesMatrix":
-        """Solve self @ X = rhs; self must be square with an invertible
-        constant term, else SeriesError("matrix constant term is
-        singular")."""
-        if self.rows != self.cols:
-            raise SeriesError("solve needs a square matrix")
-        n = self.rows
-        if rhs.rows != n:
-            raise SeriesError("right-hand side needs %d rows" % n)
-        zero = self._zero * rhs._zero
-        order = zero.order
-        A = self if self.order == order else self.truncate(order)
-        B = rhs if rhs.order == order else rhs.truncate(order)
-        # The rows of [A | B], B's columns at n + j, reduce to [I | X]
-        # exactly when A(0) is invertible: then each reduced row has a unit
-        # entry among the A columns, and the leftmost unit is the pivot.
-        ech = Echelon(pivot="min", ring=TRUNC_SERIES)
-        for ra, rb in zip(A._data, B._data):
-            row = dict(ra)
-            for j, x in rb.items():
-                row[n + j] = x
-            ech.insert(row)
-        if ech.pivots != set(range(n)):
-            raise SeriesError("matrix constant term is singular")
-        data = [{j - n: x for j, x in sorted(ech.rows[i].items()) if j >= n}
-                for i in range(n)]
-        return SeriesMatrix._make(n, B.cols, zero.vars, order, data)
+        """Solve self @ X = rhs, as ``self.inverse_series() @ rhs``."""
+        if rhs.rows != self.rows:
+            raise SeriesError("right-hand side needs %d rows" % self.rows)
+        return self.inverse_series() @ rhs
 
     def inverse_series(self) -> "SeriesMatrix":
-        return self.solve_series(
-            SeriesMatrix.identity(self.rows, self.vars, self.order))
+        """The inverse, by Newton's iteration X <- X + X @ (I - self @ X)
+        from X = self(0)^-1 (von zur Gathen and Gerhard, *Modern Computer
+        Algebra*, 9.1); self must be square with an invertible constant
+        term, else SeriesError("matrix constant term is singular").  If
+        the residual R = I - self @ X has no terms below degree d, the next
+        one is R @ R, with none below 2d, so each step doubles the degree
+        up to which X is exact."""
+        if self.rows != self.cols:
+            raise SeriesError("solve needs a square matrix")
+        try:
+            x0 = mat_inverse(self.at_origin())
+        except ValueError:
+            raise SeriesError("matrix constant term is singular") from None
+        vars, order = self.vars, self.order
+        one = TruncSeries.one(vars, order)
+        eye = SeriesMatrix.identity(self.rows, vars, order)
+        X = SeriesMatrix.from_consts(x0, vars, order)
+        exact = 1
+        while exact <= order:
+            R = SeriesMatrix.sum_of_products([(1, eye, one), (-1, self, X)])
+            if R.is_zero():
+                break
+            X = SeriesMatrix.sum_of_products([(1, X, one), (1, X, R)])
+            exact *= 2
+        return X
 
     # -- serialization -----------------------------------------------------
 

@@ -14,12 +14,10 @@ from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
                           invert_map, potential_integrate)
 from frobkit.jacobi import (GradedPiece, WeightSystem, XPoly, _ideal_rows,
                             _packed_partials, build_jacobi)
-from frobkit.linalg import Echelon as RingEchelon
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, potential_matrix,
                             residual_report, structure_connection)
-from frobkit.series import (TRUNC_SERIES, SeriesError, SeriesMatrix,
-                            TruncSeries)
+from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 RejectionError, shift_example,
                                 filtration_to_ftype, jacobi_to_filtration,
@@ -584,10 +582,12 @@ def reference_solve(problem, trace=None):
 
 
 class ReferenceSeriesEchelon:
-    """The family echelon before it kept a column-occurrence index: every
-    insert scans all pivot rows for the new pivot column, and ``reduce``
-    repeats passes until no pivot column is left.  It stays here only as a
-    test oracle for ``jacobi._SeriesEchelon``.
+    """The family echelon over truncated series, as the package once ran
+    it: units (a nonzero constant term) are the only pivots, the largest
+    column first; every insert scans all pivot rows for the new pivot
+    column, ``reduce`` repeats passes until no pivot column is left, and a
+    row with no unit entry is deferred until ``close``.  It stays here only
+    as the elimination of ``reference_family_entries``.
     """
 
     def __init__(self):
@@ -653,10 +653,11 @@ class ReferenceSeriesEchelon:
 def reference_family_entries(algebra, t_vars, order):
     """``JacobiFamily.mult_entries`` as it was before the family normal
     forms were lifted from the algebra's cofactors: every ideal piece of
-    F_t = f + sum_a t_a m_a is eliminated again by a ``linalg.Echelon`` over
-    ``TRUNC_SERIES`` (pivots on the largest column), whose non-pivot
-    columns must be the t = 0 basis, and each product is reduced against
-    it.  Returns the function (a, from_sdeg) -> {(row, col): series}."""
+    F_t = f + sum_a t_a m_a is eliminated again over the series by a
+    ``ReferenceSeriesEchelon`` (pivots on the largest column), whose
+    non-pivot columns must be the t = 0 basis, and each product is reduced
+    against it.  Returns the function
+    (a, from_sdeg) -> {(row, col): series}."""
     ws = algebra.ws
     deg1 = algebra.piece(ws.scale)
     famf = XPoly(ws.nvars, {e: TruncSeries.const(t_vars, order, c)
@@ -673,7 +674,7 @@ def reference_family_entries(algebra, t_vars, order):
             return pieces[sdeg]
         base = algebra.piece(sdeg)
         packed = _packed_partials(ws, partials, sdeg, base.strides)
-        ech = RingEchelon(pivot="max", ring=TRUNC_SERIES)
+        ech = ReferenceSeriesEchelon()
         for _, row in _ideal_rows(packed, base.index):
             ech.insert(row)
         ech.close()
@@ -704,8 +705,8 @@ def reference_family_entries(algebra, t_vars, order):
 
 # ---------------------------------------------------------------------------
 # frozen Fraction engine: the dense elimination and the Fraction echelon
-# exactly as they were before ``linalg.Echelon`` took a coefficient ring.
-# They are the oracle for the ring-generic engine, and ``_elim`` keeps the
+# exactly as they were before the sparse ``linalg.Echelon`` and its
+# column-occurrence index.  They are its oracle, and ``_elim`` keeps the
 # brute-force unfolding oracle independent of the engine it checks.
 # ---------------------------------------------------------------------------
 

@@ -3,7 +3,8 @@ private helper is used, and violation records are built in one place.
 
 No linter runs on this repository, so this walks the sources with ``ast``:
 a name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the module or listed in its ``__all__``; the name of a
+read somewhere in the module or listed in its ``__all__``; every name in
+``__all__`` must be bound at the module's top level; the name of a
 module-level private function or class, or of a private method, must be
 read somewhere in the package; a dict with a ``"residual"`` key may
 appear only in ``structures.violation``; no float enters the package
@@ -55,6 +56,47 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_exports(source: str) -> list:
+    """Names in a module's ``__all__`` that no top-level ``def``, ``class``,
+    assignment or import of the module binds."""
+    tree = ast.parse(source)
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = {n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            bound |= names
+    return sorted(name for name in exported if name not in bound)
+
+
+def test_detects_an_undefined_export():
+    src = ("from fractions import Fraction as Q\n"
+           "__all__ = ['Q', 'f', 'Box', 'ONE', 'LIMIT', 'Ring', 'Fraction']\n"
+           "def f():\n    Ring = 1\n    return Ring\n"
+           "class Box:\n    pass\n"
+           "ONE, LIMIT = 1, 2\n")
+    # a name bound only inside a function, or imported under another
+    # name, is not exported
+    assert undefined_exports(src) == ["Fraction", "Ring"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 def _private(name: str) -> bool:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -12,9 +11,8 @@ from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
                             h2_generation_check, jacobian_piece, multiply_rf,
                             normal_form, pack_key, unpack_key)
 from frobkit.linalg import Echelon
-from frobkit.series import TRUNC_SERIES, TruncSeries
-from helpers import (HESSE, ReferenceSeriesEchelon, codim_one_polynomial,
-                     fermat, fermat_cubic_algebra, reference_family_entries,
+from helpers import (HESSE, codim_one_polynomial, fermat,
+                     fermat_cubic_algebra, reference_family_entries,
                      reference_h2_generation_check,
                      reference_isolated_witness)
 
@@ -413,97 +411,6 @@ def test_h2_generation_matches_frozen_per_product_loop():
     assert A.piece(2 * A.ws.scale)._uf is not None
     A = build_jacobi(*THREE_TERM_QUARTIC)
     assert A.piece(2 * A.ws.scale)._uf is None
-
-
-def test_series_echelon_defers_rows_without_unit_entry():
-    t = TruncSeries.var(("t",), 2, "t")
-    one = TruncSeries.one(("t",), 2)
-    # t*(e0 + e1) has no unit entry, but e0 and e1 come in later
-    ech = Echelon(pivot="max", ring=TRUNC_SERIES)
-    assert not ech.insert({0: t, 1: t})
-    assert ech.insert({0: one}) and ech.insert({1: one})
-    ech.close()
-    assert sorted(ech.rows) == [0, 1]
-    # t*e0 is not in the span of e1: the family is not flat
-    ech = Echelon(pivot="max", ring=TRUNC_SERIES)
-    assert not ech.insert({0: t})
-    assert ech.insert({1: one})
-    with pytest.raises(AssertionError, match="family is not flat"):
-        ech.close()
-
-
-# ---------------------------------------------------------------------------
-# the indexed family echelon against the row-scan oracle
-# ---------------------------------------------------------------------------
-
-def _vec_json(vec):
-    return json.dumps({str(c): x.to_json() for c, x in vec.items()},
-                      sort_keys=True)
-
-
-def _rows_json(rows):
-    return json.dumps({str(p): _vec_json(r) for p, r in rows.items()},
-                      sort_keys=True)
-
-
-@st.composite
-def series_rows(draw):
-    vars = draw(st.sampled_from([("t",), ("t", "u")]))
-    order = draw(st.integers(0, 2))
-    exps = [e for e in product(range(order + 1), repeat=len(vars))
-            if sum(e) <= order]
-    ncols = draw(st.integers(1, 5))
-    rows = []
-    for _ in range(draw(st.integers(1, 7))):
-        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1,
-                             max_size=ncols, unique=True))
-        rows.append({c: TruncSeries(vars, order, draw(st.dictionaries(
-            st.sampled_from(exps), st.sampled_from([1, -1, 1, 2]),
-            max_size=3))) for c in cols})
-    return vars, order, ncols, rows
-
-
-T1 = TruncSeries.var(("t",), 1, "t")
-ONE1 = TruncSeries.one(("t",), 1)
-T2, U2 = (TruncSeries.var(("t", "u"), 2, v) for v in ("t", "u"))
-ONE2 = TruncSeries.one(("t", "u"), 2)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(series_rows())
-# back-substitution cancels column 0 of the first row
-@example((("t",), 1, 4, [{0: ONE1, 1: ONE1, 3: ONE1}, {1: ONE1, 0: ONE1}]))
-# f * x vanishes by truncation: t * t at order 1, t*u * t at order 2
-@example((("t",), 1, 3, [{2: ONE1, 1: T1}, {1: ONE1, 0: T1}]))
-@example((("t", "u"), 2, 4, [{3: ONE2, 1: T2 * U2}, {1: ONE2, 0: T2},
-                             {0: U2, 2: T2}]))
-# deferred rows: one becomes redundant, one does not
-@example((("t",), 1, 2, [{0: T1, 1: T1}, {0: ONE1}, {1: ONE1}]))
-@example((("t",), 1, 2, [{0: T1}, {1: ONE1}]))
-def test_series_echelon_matches_row_scan(case):
-    vars, order, ncols, rows = case
-    ech, ref = (Echelon(pivot="max", ring=TRUNC_SERIES),
-                ReferenceSeriesEchelon())
-    for r in rows:
-        assert ech.insert(r) == ref.insert(r)
-    assert _rows_json(ech.rows) == _rows_json(ref.rows)
-    assert ([_vec_json(v) for v in ech.deferred]
-            == [_vec_json(v) for v in ref.deferred])
-    # the occurrence index names exactly the rows holding each column
-    for c in range(ncols):
-        assert ech._occ.get(c, set()) == {
-            p for p, r in ech.rows.items() if c in r and c != p}
-    one = TruncSeries.one(vars, order)
-    for vec in [{c: one} for c in range(ncols)] + rows:
-        assert _vec_json(ech.reduce(vec)) == _vec_json(ref.reduce(vec))
-    raised = []
-    for e in (ech, ref):
-        try:
-            e.close()
-            raised.append(False)
-        except AssertionError:
-            raised.append(True)
-    assert raised[0] == raised[1]
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ def test_echelon_matches_frozen_fraction_engine(a):
         assert ([(p, _items(r)) for p, r in new.rows.items()]
                 == [(p, _items(r)) for p, r in old.rows.items()])
         assert new.pivots == old.pivots and new.rank == old.rank
-        assert not new.deferred
         for vec in units + [dict(enumerate(row)) for row in a]:
             assert _items(new.reduce(vec)) == _items(old.reduce(vec))
     assert linalg.mat_rank(a) == frozen.mat_rank(a)

@@ -238,20 +238,46 @@ def test_solve_series_rejects_singular_constant_term():
     t = TruncSeries.var(vars, 3, "t")
     one = TruncSeries.one(vars, 3)
     zero = TruncSeries.zero(vars, 3)
-    # det = t: invertible over the fraction field, not over the series
+    # det = t: invertible over the fraction field, but A(0) = [[1, 1],
+    # [1, 1]] is singular, so not over the series
     M = SeriesMatrix([[one + t, one], [one, one]])
     cases = [M.inverse_series,
              lambda: M.solve_series(SeriesMatrix([[one], [zero]])),
-             # the second row of [A | B] reduces to t * (e1 + e2)
+             # A(0) = diag(1, 0) is singular, though A @ X = B has the
+             # series solution X = (1, 1)
              lambda: SeriesMatrix([[one, zero], [zero, t]]).solve_series(
                  SeriesMatrix([[one], [t]])),
-             # the second row of [A | B] reduces to zero
+             # A = A(0) has rank 1; B lies in its column space, so
+             # A @ X = B has solutions, none of them unique
              lambda: SeriesMatrix([[one, one], [one, one]]).solve_series(
                  SeriesMatrix([[one], [one]]))]
     for solve in cases:
         with pytest.raises(SeriesError,
                            match="^matrix constant term is singular$"):
             solve()
+
+
+def test_inverse_series_doubles_the_exact_degree(monkeypatch):
+    """Each Newton step is one residual and one update: ceil(log2(order +
+    1)) steps while the residual is nonzero, and one residual for a
+    constant matrix, whose first residual is zero."""
+    calls = []
+    kernel = SeriesMatrix.sum_of_products
+    monkeypatch.setattr(SeriesMatrix, "sum_of_products", staticmethod(
+        lambda terms: calls.append(1) or kernel(terms)))
+    for order, steps in [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (7, 3),
+                         (8, 4)]:
+        one = TruncSeries.one(("t",), order)
+        t = TruncSeries.var(("t",), order, "t")
+        geometric = sum((t ** k for k in range(1, order + 1)), one)
+        calls.clear()
+        assert SeriesMatrix([[one - t]]).inverse_series() == SeriesMatrix(
+            [[geometric]])
+        assert len(calls) == 2 * steps
+        calls.clear()
+        assert SeriesMatrix([[one * 2]]).inverse_series() == SeriesMatrix(
+            [[one * F(1, 2)]])
+        assert len(calls) == (1 if order else 0)
 
 
 # -- sparse SeriesMatrix against an entrywise dense reference ---------------
@@ -331,20 +357,22 @@ def assert_same(M, D):
 
 def positive_terms(order):
     """Terms of degree 1..order in V2."""
+    if order == 0:
+        return st.just({})
     exps = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
         lambda e: 1 <= sum(e) <= order)
     return st.dictionaries(exps, coeffs, max_size=3)
 
 
 @st.composite
-def dense_entries(draw, rows=None, cols=None, order=2, unit_at=None):
+def dense_entries(draw, rows=None, cols=None, order=2, at_origin=None):
     """Zero-heavy rows x cols entries: all-zero matrices, blank rows and
-    entries of order `order` or `order + 1`.  With unit_at (a permutation)
-    entry (i, unit_at[i]) gets a nonzero constant term and every other
-    entry none, so the constant-term matrix is invertible."""
+    entries of order `order` or `order + 1`.  With at_origin (a constant
+    matrix) entry (i, j) gets the constant term at_origin[i][j], and with
+    none no entry gets a constant term."""
     rows = rows or draw(st.integers(1, 3))
     cols = cols or draw(st.integers(1, 3))
-    all_zero = unit_at is None and draw(st.integers(0, 4)) == 0
+    all_zero = at_origin is None and draw(st.integers(0, 4)) == 0
     blank = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1))
     out = []
     for i in range(rows):
@@ -354,11 +382,33 @@ def dense_entries(draw, rows=None, cols=None, order=2, unit_at=None):
             terms = {}
             if not all_zero and i not in blank and draw(st.integers(0, 2)) == 0:
                 terms = draw(positive_terms(o))
-            if unit_at is not None and unit_at[i] == j:
-                terms[(0, 0)] = draw(coeffs.filter(bool))
+            if at_origin is not None and at_origin[i][j]:
+                terms[(0, 0)] = at_origin[i][j]
             row.append(TruncSeries(V2, o, terms))
         out.append(row)
     return out
+
+
+def _const_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def invertible_constants(draw, perm):
+    """An invertible constant matrix: either D with nonzero entries at
+    (i, perm[i]) only, or L @ D @ U with L unit lower and U unit upper
+    triangular, which is every invertible matrix (the LPU decomposition)."""
+    n = len(perm)
+    d = [[draw(coeffs.filter(bool)) if perm[i] == j else F(0)
+          for j in range(n)] for i in range(n)]
+    if not draw(st.booleans()):
+        return d
+    low = [[draw(coeffs) if j < i else F(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    up = [[draw(coeffs) if j > i else F(int(i == j)) for j in range(n)]
+          for i in range(n)]
+    return _const_product(_const_product(low, d), up)
 
 
 matrix_settings = settings(max_examples=50, deadline=None)
@@ -443,10 +493,13 @@ def test_sparse_matrix_binary_ops_match_dense(data):
 @matrix_settings
 @given(st.data())
 def test_sparse_matrix_solve_matches_dense(data):
+    # orders 0..5: order 0 takes no Newton step, order 4 takes three
     n = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 4))
     perm = data.draw(st.permutations(range(n)))
-    a = data.draw(dense_entries(n, n, unit_at=perm))
-    rhs = data.draw(dense_entries(n, data.draw(st.integers(1, 3))))
+    a0 = data.draw(invertible_constants(perm))
+    a = data.draw(dense_entries(n, n, order, at_origin=a0))
+    rhs = data.draw(dense_entries(n, data.draw(st.integers(1, 3)), order))
     A, B = SeriesMatrix(a), SeriesMatrix(rhs)
     X = A.solve_series(B)
     assert_same(X, Dense(a).solve(Dense(rhs)))
