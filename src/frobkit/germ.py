@@ -306,6 +306,11 @@ def wdvv_check(G: FrobeniusGermData) -> list:
     A = G.mult
     violation(out, "unit-multiplication", (0,),
               A[0] - SeriesMatrix.identity(n, G.coords, G.order))
+    # rows[i][j]: the rows k where column j of A_i holds an entry
+    rows: list = [{} for _ in range(n)]
+    for i in range(n):
+        for k, j in A[i].nonzero():
+            rows[i].setdefault(j, set()).add(k)
     for i in range(n):
         col = A[i].column(0)
         for k in range(n):
@@ -319,7 +324,7 @@ def wdvv_check(G: FrobeniusGermData) -> list:
                           A[i].partial(G.coords[j])
                           - A[j].partial(G.coords[i]))
         for j in range(n):
-            for k in range(n):
+            for k in sorted(rows[i].get(j, set()) | rows[j].get(i, set())):
                 if violation(out, "commutativity", (i, j, k),
                              A[i][k, j] - A[j][k, i]):
                     break
@@ -364,20 +369,15 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
                                   {"expected": str(dsum), "got": str(s)})
         st = exponent_strides(len(G.coords))
         for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    e = G.mult[i][k, j]
-                    if e.is_zero():
-                        continue
-                    want = dg[k] - dg[i] - dg[j] - 1
-                    for key in e.packed_terms:
-                        exps = unpack_key(key, st)[:-1]
-                        got = sum(ex * d for ex, d in zip(exps, dg) if ex)
-                        if got != want:
-                            violation(out, "multiplication-grading",
-                                      (i, j, k), {"expected": str(want),
-                                                  "got": str(got)})
-                            break
+            for (k, j), e in G.mult[i].nonzero().items():
+                want = dg[k] - dg[i] - dg[j] - 1
+                for key in e.packed_terms:
+                    exps = unpack_key(key, st)[:-1]
+                    got = sum(ex * d for ex, d in zip(exps, dg) if ex)
+                    if got != want:
+                        violation(out, "multiplication-grading", (i, j, k),
+                                  {"expected": str(want), "got": str(got)})
+                        break
         return out
     # general Euler field: Lie derivative identities on the coordinates
     if G.order < 1:
@@ -391,18 +391,16 @@ def euler_check(G: FrobeniusGermData, dconst=None) -> list:
             + [(1, A[l], dE[l, i]) for l in range(n)]
             + [(1, A[i], dE), (-1, dE, A[i]),
                (-1, A[i], TruncSeries.one(coords, A[i].order))])
-        for j in range(n):
-            for k in range(n):
-                violation(out, "euler-multiplication", (i, j, k), R[k, j])
+        for (j, k), r in R.transpose().nonzero().items():
+            violation(out, "euler-multiplication", (i, j, k), r)
     if dconst is not None:
         g = SeriesMatrix.from_consts(G.metric, coords, G.order - 1)
         shift = TruncSeries.const(coords, G.order - 1, 2 - Fraction(dconst))
         R = SeriesMatrix.sum_of_products([
             (1, dE.transpose(), g), (1, g, dE),
             (-1, g, shift)])
-        for i in range(n):
-            for j in range(n):
-                violation(out, "euler-metric", (i, j), R[i, j])
+        for (i, j), r in R.nonzero().items():
+            violation(out, "euler-metric", (i, j), r)
     return out
 
 
@@ -420,10 +418,8 @@ def potential_integrate(mult, metric, coords, order) -> TruncSeries:
     T = _c_matrices(mult, metric, coords, order)
     viol: list = []
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                violation(viol, "third-derivative-symmetric", (i, j, k),
-                          T[i][j, k] - T[i][k, j])
+        for (j, k), r in (T[i] - T[i].transpose()).nonzero().items():
+            violation(viol, "third-derivative-symmetric", (i, j, k), r)
     if viol:
         raise RejectionError("third-derivative tensor is not symmetric",
                              {"violations": viol})
@@ -627,7 +623,7 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
             _solve_generated(A, gamma, pairs, selected, unknown, stage,
                              degrees, n, D)
         # (ii) slice stage+1 of the degree-zero matrices
-        if stage == W_cap or N < 1:
+        if stage == W_cap:
             break
         # by potentiality d/ds_j of A_i is d/ds_i of A_j
         Wn = stage + 1

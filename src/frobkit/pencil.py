@@ -329,7 +329,7 @@ def ic_check(P: ConnectionPencil) -> dict:
     m = len(P.t_vars)
     if m == 0:
         return {"ok": True, "rank": 0, "kernel": []}
-    rows = [[row[0] for row in C.at_origin()] for C in P.C]
+    rows = [[x.constant_term for x in C.column(0)] for C in P.C]
     rank = linalg.mat_rank(rows)
     # kernel: combinations of base directions killed by the map
     kernel = (linalg.nullspace([list(col) for col in zip(*rows)])

@@ -496,14 +496,15 @@ class TruncSeries:
     def compose(self, mapping: Mapping[str, "TruncSeries"]) -> "TruncSeries":
         """Substitute a series (with zero constant term) for every variable.
 
-        All images must share one variable context and order; the result
-        lives in that context.
+        All images must share one variable context; the result lives in
+        that context, at the least order of self and the images (an image
+        has no constant term, so a term of degree d lands in degree >= d).
         """
         images = [mapping[v] for v in self.vars]
         if not images:
             raise SeriesError("composition needs at least one variable")
         ctx = images[0].vars
-        order = min(im.order for im in images)
+        order = min([self.order] + [im.order for im in images])
         for im in images:
             if im.vars != ctx:
                 raise SeriesError("composition images disagree on context")
@@ -764,8 +765,15 @@ class SeriesMatrix:
     @classmethod
     def from_consts(cls, mat, vars, order):
         """Lift a rectangular array of ints/Fractions to constant series."""
-        return cls([[TruncSeries.const(vars, order, c) for c in row]
-                    for row in mat])
+        mat = [[_as_frac(c) for c in row] for row in mat]
+        if not mat or not mat[0]:
+            raise SeriesError("matrix must be nonempty")
+        if any(len(row) != len(mat[0]) for row in mat):
+            raise SeriesError("ragged matrix")
+        vars = TruncSeries.const(vars, order, 0).vars
+        return cls._make(len(mat), len(mat[0]), vars, order, [
+            {j: TruncSeries._make(vars, order, {0: c})
+             for j, c in enumerate(row) if c} for row in mat])
 
     @classmethod
     def from_sparse(cls, rows, cols, vars, order,

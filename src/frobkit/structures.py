@@ -249,13 +249,10 @@ def check_filtration(D: FiltrationData) -> list:
     lv = D.levels
     n = D.n
     for a, G in enumerate(D.Gamma):
-        for k in range(n):
-            for l in range(n):
-                if G[k, l].is_zero():
-                    continue
-                if lv[k] not in (lv[l], lv[l] - 1):
-                    violation(out, "griffiths-transversality", (a, k, l),
-                              {"from_level": lv[l], "to_level": lv[k]})
+        for k, l in G.nonzero():
+            if lv[k] not in (lv[l], lv[l] - 1):
+                violation(out, "griffiths-transversality", (a, k, l),
+                          {"from_level": lv[l], "to_level": lv[k]})
     m = len(D.vars)
     for i in range(m):
         for j in range(i + 1, m):
@@ -396,11 +393,9 @@ def filtration_to_ftype(D: FiltrationData):
         for a, G in enumerate(D.Gamma):
             full = ginv @ (G @ gauge + gauge.partial(D.vars[a]))
             # the residual (level-preserving) part must be gone now
-            for k in range(n):
-                for l in range(n):
-                    if lv[k] == lv[l] and not full[k, l].is_zero():
-                        raise AssertionError("gauge did not remove the "
-                                             "level-preserving part")
+            if any(lv[k] == lv[l] for k, l in full.nonzero()):
+                raise AssertionError("gauge did not remove the "
+                                     "level-preserving part")
             C.append(full)
     V = [[Fraction(lv[k] * 2 - D.weight, 2) if k == l else Fraction(0)
           for l in range(n)] for k in range(n)]
@@ -484,66 +479,42 @@ def _solve_pairing(levels, w, Gammas, n):
     flatness against the given connection matrices; deterministic
     normalization of the scalar freedom."""
     sign = (-1) ** (w % 2)
-    pairs = []
-    pos = {}
-    for k in range(n):
-        for l in range(n):
-            if levels[k] + levels[l] != w:
-                continue
-            if (l, k) in pos:
-                continue
-            if k == l and sign == -1:
-                continue
-            pos[(k, l)] = len(pairs)
-            pairs.append((k, l))
+    # the unknown u_j is S[k, l] for the j-th admissible k <= l, and
+    # S[l, k] = sign * S[k, l], so a diagonal unknown needs an even weight
+    pairs = [(k, l) for k in range(n) for l in range(k, n)
+             if levels[k] + levels[l] == w and (k != l or sign == 1)]
     if not pairs:
         raise RejectionError("no admissible pairing support for weight %d"
                              % w)
-
-    def entry_unknown(k, l):
-        if (k, l) in pos:
-            return pos[(k, l)], Fraction(1)
-        if (l, k) in pos:
-            return pos[(l, k)], Fraction(sign)
-        return None
-
-    rows = []
-    for G in Gammas:
-        for k in range(n):
-            for l in range(n):
-                # (G^T S + S G)_{kl} = sum_m G_{mk} S_{ml} + S_{km} G_{ml}
-                acc: dict[int, dict] = {}
-                for m in range(n):
-                    for coeff_entry, uk in ((G[m, k], entry_unknown(m, l)),
-                                            (G[m, l], entry_unknown(k, m))):
-                        if uk is None or coeff_entry.is_zero():
-                            continue
-                        j, sgn = uk
-                        for key, c in coeff_entry.packed_terms.items():
-                            d = acc.setdefault(key, {})
-                            d[j] = d.get(j, Fraction(0)) + sgn * c
-                for e, d in acc.items():
-                    row = [Fraction(0)] * len(pairs)
-                    nz = False
-                    for j, c in d.items():
-                        if c:
-                            row[j] = c
-                            nz = True
-                    if nz:
-                        rows.append(row)
-    sols = linalg.nullspace(rows) if rows else [
-        [Fraction(int(i == j)) for i in range(len(pairs))]
-        for j in range(len(pairs))]
+    # partners[a] lists (b, j, s) with S[a, b] = s * u_j
+    partners: dict = {}
+    for j, (k, l) in enumerate(pairs):
+        partners.setdefault(k, []).append((l, j, 1))
+        if k != l:
+            partners.setdefault(l, []).append((k, j, sign))
+    # (G^T S + S G)_{kl} = sum_m G_{mk} S_{ml} + S_{km} G_{ml}: the nonzero
+    # G[m, c] enters equation (c, b) as G_{mc} S_{mb} and equation (b, c)
+    # as S_{bm} G_{mc} = sign S_{mb} G_{mc}, one equation per term degree
+    eqs: dict = {}
+    for a, G in enumerate(Gammas):
+        for (m, c), e in G.nonzero().items():
+            for b, j, s in partners.get(m, ()):
+                for kl, f in (((c, b), s), ((b, c), sign * s)):
+                    for key, x in e.packed_terms.items():
+                        d = eqs.setdefault((a, kl, key), {})
+                        d[j] = d.get(j, 0) + f * x
+    rows = [[d.get(j, 0) for j in range(len(pairs))] for d in eqs.values()]
+    sols = linalg.nullspace(rows) if rows else linalg.identity(len(pairs))
 
     def build(vec):
         S = [[Fraction(0)] * n for _ in range(n)]
-        for (k, l), j in pos.items():
+        for j, (k, l) in enumerate(pairs):
             S[k][l] = vec[j]
             S[l][k] = sign * vec[j]
         return S
 
-    candidates = sols + ([[sum(v[j] for v in sols) for j in range(len(pairs))]]
-                         if len(sols) > 1 else [])
+    candidates = sols + ([list(map(sum, zip(*sols)))] if len(sols) > 1
+                         else [])
     chosen = next((S for S in map(build, candidates)
                    if linalg.mat_rank(S) == n), None)
     if chosen is None:
@@ -554,17 +525,9 @@ def _solve_pairing(levels, w, Gammas, n):
             % order, {"solution_space_dim": len(sols), "order": order})
     # scalar normalization: first nonzero entry in row-major order becomes
     # (-1)^(level of its row)
-    for k in range(n):
-        done = False
-        for l in range(n):
-            if chosen[k][l] != 0:
-                scale = Fraction((-1) ** levels[k]) / chosen[k][l]
-                chosen = [[c * scale for c in row] for row in chosen]
-                done = True
-                break
-        if done:
-            break
-    return chosen, len(sols)
+    k, l = next((k, l) for k in range(n) for l in range(n) if chosen[k][l])
+    scale = Fraction((-1) ** levels[k]) / chosen[k][l]
+    return [[c * scale for c in row] for row in chosen], len(sols)
 
 
 def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,

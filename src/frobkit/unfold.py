@@ -293,7 +293,7 @@ def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
         raise RejectionError("generation condition fails",
                              {"certificate": gc.to_json()})
     m = len(P.t_vars)
-    image = [[row[0] for row in C.at_origin()] for C in rot.C]
+    image = [[x.constant_term for x in C.column(0)] for C in rot.C]
     comp = _complete_basis(image, n)
     l = n - m
     if len(comp) != l:
@@ -314,6 +314,5 @@ def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
         out = rot
     else:
         out = solve(UnfoldProblem(rot, y_vars, f, P.order))
-    jac = [[rot.C[i].at_origin()[k][0] for i in range(m)]
-           + [comp[a][k] for a in range(l)] for k in range(n)]
+    jac = linalg.transpose(image + comp)
     return UnfoldResult(out, B, f, gc, ic, jac, y_vars)

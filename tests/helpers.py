@@ -2,26 +2,30 @@
 and the whole-series construction), frozen elimination engines, the
 stage-by-stage germ recursion oracle, the frozen matrix product, the
 frozen general Euler check, the frozen isolatedness certificate and h2
-generation check, and the frozen tuple-keyed series arithmetic."""
+generation check, the frozen tuple-keyed series arithmetic, and the frozen
+dense flat-pairing solver and record loops."""
 
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import add, itemgetter
 
+from frobkit import linalg
 from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
-                          _coords, _raise_order, initial_from_filtration,
-                          invert_map, potential_integrate)
+                          _c_matrices, _coords, _raise_order,
+                          initial_from_filtration, invert_map,
+                          potential_integrate)
 from frobkit.jacobi import (GradedPiece, WeightSystem, XPoly, _ideal_rows,
                             _packed_partials, build_jacobi)
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, potential_matrix,
                             residual_report, structure_connection)
-from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
+from frobkit.series import (SeriesError, SeriesMatrix, TruncSeries,
+                            exponent_strides, frac_to_str, unpack_key)
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
-                                RejectionError, shift_example,
-                                filtration_to_ftype, jacobi_to_filtration,
-                                violation)
+                                RejectionError, _const_to_json,
+                                shift_example, filtration_to_ftype,
+                                jacobi_to_filtration, violation)
 from frobkit.unfold import gc_check
 
 
@@ -1494,7 +1498,7 @@ class ReferenceSeries:
     def compose(self, mapping):
         images = [mapping[v] for v in self.vars]
         ctx = images[0].vars
-        order = min(im.order for im in images)
+        order = min([self.order] + [im.order for im in images])
         out = ReferenceSeries(ctx, order)
         pow_cache = [dict() for _ in images]
 
@@ -1595,3 +1599,264 @@ def reference_sum_of_products(terms):
             if x:
                 out[i, j] = x
     return out
+
+
+# ---------------------------------------------------------------------------
+# frozen dense index walks: the flat-pairing solver, which visited every
+# (Gamma, k, l, m), and the record loops of ``wdvv_check``, ``euler_check``,
+# the symmetry check of ``potential_integrate`` and ``check_filtration``,
+# which read every entry (i, j, k) of their matrices, exactly as they were
+# before they walked the stored nonzeros.  They are the oracles for those
+# functions: the same pairing, the same rejections, and the same records in
+# the same order.
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_pairing(levels, w, Gammas, n):
+    """Constant pairing with level orthogonality, (-1)^w symmetry and
+    flatness against the given connection matrices; deterministic
+    normalization of the scalar freedom."""
+    sign = (-1) ** (w % 2)
+    pairs = []
+    pos = {}
+    for k in range(n):
+        for l in range(n):
+            if levels[k] + levels[l] != w:
+                continue
+            if (l, k) in pos:
+                continue
+            if k == l and sign == -1:
+                continue
+            pos[(k, l)] = len(pairs)
+            pairs.append((k, l))
+    if not pairs:
+        raise RejectionError("no admissible pairing support for weight %d"
+                             % w)
+
+    def entry_unknown(k, l):
+        if (k, l) in pos:
+            return pos[(k, l)], Fraction(1)
+        if (l, k) in pos:
+            return pos[(l, k)], Fraction(sign)
+        return None
+
+    rows = []
+    for G in Gammas:
+        for k in range(n):
+            for l in range(n):
+                # (G^T S + S G)_{kl} = sum_m G_{mk} S_{ml} + S_{km} G_{ml}
+                acc: dict[int, dict] = {}
+                for m in range(n):
+                    for coeff_entry, uk in ((G[m, k], entry_unknown(m, l)),
+                                            (G[m, l], entry_unknown(k, m))):
+                        if uk is None or coeff_entry.is_zero():
+                            continue
+                        j, sgn = uk
+                        for key, c in coeff_entry.packed_terms.items():
+                            d = acc.setdefault(key, {})
+                            d[j] = d.get(j, Fraction(0)) + sgn * c
+                for e, d in acc.items():
+                    row = [Fraction(0)] * len(pairs)
+                    nz = False
+                    for j, c in d.items():
+                        if c:
+                            row[j] = c
+                            nz = True
+                    if nz:
+                        rows.append(row)
+    sols = linalg.nullspace(rows) if rows else [
+        [Fraction(int(i == j)) for i in range(len(pairs))]
+        for j in range(len(pairs))]
+
+    def build(vec):
+        S = [[Fraction(0)] * n for _ in range(n)]
+        for (k, l), j in pos.items():
+            S[k][l] = vec[j]
+            S[l][k] = sign * vec[j]
+        return S
+
+    candidates = sols + ([[sum(v[j] for v in sols) for j in range(len(pairs))]]
+                         if len(sols) > 1 else [])
+    chosen = next((S for S in map(build, candidates)
+                   if linalg.mat_rank(S) == n), None)
+    if chosen is None:
+        order = Gammas[0].order if Gammas else 0
+        raise RejectionError(
+            "no nondegenerate flat pairing exists: no constant pairing is "
+            "flat against the family's multiplication matrices at order %d"
+            % order, {"solution_space_dim": len(sols), "order": order})
+    # scalar normalization: first nonzero entry in row-major order becomes
+    # (-1)^(level of its row)
+    for k in range(n):
+        done = False
+        for l in range(n):
+            if chosen[k][l] != 0:
+                scale = Fraction((-1) ** levels[k]) / chosen[k][l]
+                chosen = [[c * scale for c in row] for row in chosen]
+                done = True
+                break
+        if done:
+            break
+    return chosen, len(sols)
+
+
+def reference_check_filtration(D: FiltrationData) -> list:
+    """Level structure, flatness and pairing conditions, exactly."""
+    out = []
+    lv = D.levels
+    n = D.n
+    for a, G in enumerate(D.Gamma):
+        for k in range(n):
+            for l in range(n):
+                if G[k, l].is_zero():
+                    continue
+                if lv[k] not in (lv[l], lv[l] - 1):
+                    violation(out, "griffiths-transversality", (a, k, l),
+                              {"from_level": lv[l], "to_level": lv[k]})
+    m = len(D.vars)
+    for i in range(m):
+        for j in range(i + 1, m):
+            r = D.Gamma[i].commutator(D.Gamma[j])
+            if D.order >= 1:
+                r = (D.Gamma[i].partial(D.vars[j])
+                     - D.Gamma[j].partial(D.vars[i]) + r)
+            violation(out, "connection-flat", (i, j), r)
+    if D.S is not None:
+        S = D.S
+        sign = 1 if D.weight % 2 == 0 else -1
+        St = linalg.transpose(S)
+        if St != [[sign * c for c in row] for row in S]:
+            violation(out, "pairing-weight-symmetric", (), _const_to_json(S))
+        if linalg.mat_rank(S) != n:
+            violation(out, "pairing-invertible", (), "singular")
+        for k in range(n):
+            for l in range(n):
+                if S[k][l] != 0 and lv[k] + lv[l] != D.weight:
+                    violation(out, "pairing-level-orthogonal", (k, l),
+                              frac_to_str(S[k][l]))
+        SS = SeriesMatrix.from_consts(S, D.vars, D.order)
+        for a, G in enumerate(D.Gamma):
+            violation(out, "pairing-flat", (a,), SeriesMatrix.sum_of_products(
+                [(1, G.transpose(), SS), (1, SS, G)]))
+    return out
+
+
+def reference_wdvv_check(G: FrobeniusGermData) -> list:
+    """Associativity, unit, symmetry, potentiality, metric invariance."""
+    out = []
+    n = G.n
+    A = G.mult
+    violation(out, "unit-multiplication", (0,),
+              A[0] - SeriesMatrix.identity(n, G.coords, G.order))
+    for i in range(n):
+        col = A[i].column(0)
+        for k in range(n):
+            violation(out, "unit-column", (i, k),
+                      col[k] - Fraction(int(k == i)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            violation(out, "associativity", (i, j), A[i].commutator(A[j]))
+            if G.order >= 1:
+                violation(out, "potentiality", (i, j),
+                          A[i].partial(G.coords[j])
+                          - A[j].partial(G.coords[i]))
+        for j in range(n):
+            for k in range(n):
+                if violation(out, "commutativity", (i, j, k),
+                             A[i][k, j] - A[j][k, i]):
+                    break
+    gS = SeriesMatrix.from_consts(G.metric, G.coords, G.order)
+    for i in range(n):
+        violation(out, "metric-invariance", (i,),
+                  SeriesMatrix.sum_of_products(
+                      [(1, A[i].transpose(), gS), (-1, gS, A[i])]))
+    # third derivatives of the potential against the structure tensor
+    if G.potential is not None and G.order >= 3:
+        T = _c_matrices(A, G.metric, G.coords, G.order)
+        for i in range(n):
+            for j in range(i, n):
+                dij = G.potential.partial(G.coords[i]).partial(G.coords[j])
+                for k in range(j, n):
+                    violation(out, "potential-third-derivatives", (i, j, k),
+                              dij.partial(G.coords[k]) - T[i][j, k])
+    return out
+
+
+def reference_euler_check(G: FrobeniusGermData, dconst=None) -> list:
+    """Scaling behaviour of multiplication and metric along the Euler field.
+
+    For graded germs the degree bookkeeping per term is equivalent and is
+    checked exactly; otherwise the two Lie-derivative identities are
+    evaluated on the stored Euler coordinates.
+    """
+    out = []
+    n = G.n
+    if G.degrees is not None:
+        dg = [Fraction(d) for d in G.degrees]
+        # metric grading: the metric pairs degrees summing to d - 2
+        dsum = Fraction(dconst) - 2 if dconst is not None else None
+        for i in range(n):
+            for j in range(n):
+                if G.metric[i][j] != 0:
+                    s = dg[i] + dg[j]
+                    if dsum is None:
+                        dsum = s
+                    elif dsum != s:
+                        violation(out, "metric-grading", (i, j),
+                                  {"expected": str(dsum), "got": str(s)})
+        st = exponent_strides(len(G.coords))
+        for i in range(n):
+            for k in range(n):
+                for j in range(n):
+                    e = G.mult[i][k, j]
+                    if e.is_zero():
+                        continue
+                    want = dg[k] - dg[i] - dg[j] - 1
+                    for key in e.packed_terms:
+                        exps = unpack_key(key, st)[:-1]
+                        got = sum(ex * d for ex, d in zip(exps, dg) if ex)
+                        if got != want:
+                            violation(out, "multiplication-grading",
+                                      (i, j, k), {"expected": str(want),
+                                                  "got": str(got)})
+                            break
+        return out
+    # general Euler field: Lie derivative identities on the coordinates
+    if G.order < 1:
+        return out
+    A, E, coords = G.mult, G.euler, G.coords
+    dE = SeriesMatrix([[E[k].partial(v) for v in coords] for k in range(n)])
+    for i in range(n):
+        # Lie_E(A_i) - A_i, with dE[k, l] = d E_k / d s_l
+        R = SeriesMatrix.sum_of_products(
+            [(1, A[i].partial(coords[l]), E[l]) for l in range(n)]
+            + [(1, A[l], dE[l, i]) for l in range(n)]
+            + [(1, A[i], dE), (-1, dE, A[i]),
+               (-1, A[i], TruncSeries.one(coords, A[i].order))])
+        for j in range(n):
+            for k in range(n):
+                violation(out, "euler-multiplication", (i, j, k), R[k, j])
+    if dconst is not None:
+        g = SeriesMatrix.from_consts(G.metric, coords, G.order - 1)
+        shift = TruncSeries.const(coords, G.order - 1, 2 - Fraction(dconst))
+        R = SeriesMatrix.sum_of_products([
+            (1, dE.transpose(), g), (1, g, dE),
+            (-1, g, shift)])
+        for i in range(n):
+            for j in range(n):
+                violation(out, "euler-metric", (i, j), R[i, j])
+    return out
+
+
+def reference_symmetry_records(mult, metric, coords, order) -> list:
+    """The records of the symmetry check of ``potential_integrate``,
+    one entry (i, j, k) at a time."""
+    n = len(mult)
+    T = _c_matrices(mult, metric, coords, order)
+    viol: list = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                violation(viol, "third-derivative-symmetric", (i, j, k),
+                          T[i][j, k] - T[i][k, j])
+    return viol

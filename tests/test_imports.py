@@ -8,9 +8,11 @@ read somewhere in the module or listed in its ``__all__``; every name in
 module-level private function or class, or of a private method, must be
 read somewhere in the package; a dict with a ``"residual"`` key may
 appear only in ``structures.violation``; no float enters the package
-through a literal or the name ``float`` (exact rationals only); and the
-modules meet only at their top-level imports of public names (no private
-name is imported and no frobkit module is imported inside a function).
+through a literal or the name ``float`` (exact rationals only); no
+``at_origin()`` call is subscripted or iterated in a comprehension on the
+spot (it builds the whole constant matrix); and the modules meet only at
+their top-level imports of public names (no private name is imported and
+no frobkit module is imported inside a function).
 """
 
 import ast
@@ -262,3 +264,32 @@ def test_detects_a_nested_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert nested_imports(path.read_text()) == []
+
+
+def _origin_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "at_origin")
+
+
+def dense_origin_reads(source: str) -> list:
+    """Lines that subscript an ``at_origin()`` call or iterate one in a
+    comprehension: each builds the whole constant matrix to read a part of
+    it, which ``column`` and ``nonzero`` read off the stored entries."""
+    reads = [n.value if isinstance(n, ast.Subscript) else n.iter
+             for n in ast.walk(ast.parse(source))
+             if isinstance(n, (ast.Subscript, ast.comprehension))]
+    return sorted({r.lineno for r in reads if _origin_call(r)})
+
+
+def test_detects_a_dense_origin_read():
+    src = ("def f(C, k):\n    x = C.at_origin()[k][0]\n"
+           "    rows = [row[0] for row in C.at_origin()]\n"
+           "    a = C.at_origin()\n    return a[k], rank(C.at_origin())\n")
+    # a whole matrix passed on, or read through a name, is not flagged
+    assert dense_origin_reads(src) == [2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dense_origin_reads(path):
+    assert dense_origin_reads(path.read_text()) == []

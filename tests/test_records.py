@@ -8,6 +8,7 @@ survive ``json.dumps``.
 """
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,10 @@ from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 check_ftype_axioms, filtration_to_ftype,
                                 shift_example, violation)
 from frobkit.unfold import UnfoldProblem, solve, universal_unfold
-from helpers import point_base_pencil, rank2_higgs_ftype, shift_inits
+from helpers import (point_base_pencil, rank2_higgs_ftype,
+                     reference_check_filtration, reference_euler_check,
+                     reference_symmetry_records, reference_wdvv_check,
+                     shift_inits)
 
 N = 3
 KEYS = {"check", "indices", "residual"}
@@ -256,3 +260,90 @@ def test_violation_summarises_series_and_matrix_residuals():
     assert [(r["lowest_degree"], r["nterms"]) for r in out] == [(2, 2),
                                                                (1, 3)]
     _assert_records(out)
+
+
+# the record lists of the checks that walk the stored nonzeros against the
+# frozen loops that read every entry: the same records, in the same order
+
+def _seeded_series(rng, vars, order):
+    return TruncSeries(vars, order, {
+        tuple(rng.randint(0, 1) for _ in vars): rng.randint(-2, 2)
+        for _ in range(rng.randint(1, 2))})
+
+
+def _perturbed(rng, M, count, order=None):
+    """M with ``count`` random entries moved by a random series, at
+    ``order`` (M's own by default)."""
+    entries = dict(M.nonzero())
+    zero = TruncSeries.zero(M.vars, M.order)
+    for _ in range(count):
+        ij = rng.randrange(M.rows), rng.randrange(M.cols)
+        entries[ij] = (entries.get(ij, zero)
+                       + _seeded_series(rng, M.vars, M.order))
+    return SeriesMatrix.from_sparse(M.rows, M.cols, M.vars,
+                                    M.order if order is None else order,
+                                    entries)
+
+
+def _seeded_corrupt_germs(seed=24, count=12):
+    """Shift germs of ranks 3 and 4 with a few random entries moved; at
+    germ order 2 some mult matrices keep order 3, so the orders are mixed,
+    and every other germ trades its degrees for perturbed Euler
+    coordinates."""
+    rng = random.Random(seed)
+    inits = shift_inits(N)
+    bases = [frobenius_via_unfolding(inits[key])
+             for key in ((4, "1"), (5, "1+t"))]
+    out = []
+    for trial in range(count):
+        G = bases[trial % 2]
+        mixed = trial % 3 == 0
+        mult = [_perturbed(rng, M, rng.randint(0, 2),
+                           N - 1 if mixed and rng.randint(0, 1) else None)
+                for M in G.mult]
+        euler = None
+        if trial % 4 >= 2:
+            euler = [e + _seeded_series(rng, G.coords, N) if rng.randint(0, 1)
+                     else e for e in G.euler_coords()]
+        out.append(FrobeniusGermData(
+            G.coords, G.n, mult, G.metric, None if euler else G.degrees,
+            euler, G.potential, N - 1 if mixed else N))
+    return out
+
+
+def _json(records):
+    return json.dumps(records)
+
+
+def test_germ_records_match_the_dense_loops():
+    seen = set()
+    for G in _seeded_corrupt_germs():
+        for dconst in (None, F(1), F(2)):
+            got = euler_check(G, dconst)
+            assert _json(got) == _json(reference_euler_check(G, dconst))
+            seen |= {r["check"] for r in got}
+        got = wdvv_check(G)
+        assert _json(got) == _json(reference_wdvv_check(G))
+        seen |= {r["check"] for r in got}
+        try:
+            potential_integrate(G.mult, G.metric, G.coords, G.order)
+            got = []
+        except RejectionError as exc:
+            got = exc.report["violations"]
+        assert _json(got) == _json(reference_symmetry_records(
+            G.mult, G.metric, G.coords, G.order))
+        seen |= {r["check"] for r in got}
+    assert {"commutativity", "multiplication-grading", "euler-multiplication",
+            "euler-metric", "third-derivative-symmetric"} <= seen
+
+
+def test_filtration_records_match_the_dense_loop():
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(8):
+        D = _level_jump()
+        D.Gamma = [_perturbed(rng, D.Gamma[0], rng.randint(0, 3))]
+        got = check_filtration(D)
+        assert _json(got) == _json(reference_check_filtration(D))
+        seen |= {r["check"] for r in got}
+    assert {"griffiths-transversality", "pairing-flat"} <= seen

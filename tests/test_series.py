@@ -152,6 +152,11 @@ def test_compose_substitution():
     f = TruncSeries(("t",), 3, {(1,): 1, (2,): 1})
     sterm = TruncSeries(("s",), 3, {(2,): 1})
     assert f.compose({"t": sterm}).terms == {(2,): F(1)}
+    # the result is known only to the order of f: x at order 1 composed
+    # with t + t^2 at order 5 is t at order 1, not t + t^2 at order 5
+    x = TruncSeries(("x",), 1, {(1,): 1})
+    got = x.compose({"x": TruncSeries(("t",), 5, {(1,): 1, (2,): 1})})
+    assert got == TruncSeries(("t",), 1, {(1,): 1}) and got.order == 1
 
 
 def test_euler_integrate_linear_and_quadratic():
@@ -793,6 +798,22 @@ def test_sum_of_products_errors():
     for op in (lambda: A + 2, lambda: A - 2, lambda: 2 + A):
         with pytest.raises(TypeError):
             op()
+
+
+def test_from_consts_is_the_dense_constructor_on_constants():
+    mat = [[1, 0, F(2, 3)], [0, 0, 0]]
+    M = SeriesMatrix.from_consts(mat, V2, 3)
+    assert M == SeriesMatrix([[TruncSeries.const(V2, 3, c) for c in row]
+                              for row in mat])
+    assert list(M.nonzero()) == [(0, 0), (0, 2)]
+    for bad, message in (([], "matrix must be nonempty"),
+                         ([[]], "matrix must be nonempty"),
+                         ([[1, 2], [3]], "ragged matrix"),
+                         ([[1, 0], [0, "1/2"]], "coefficient must be")):
+        with pytest.raises(SeriesError, match=message):
+            SeriesMatrix.from_consts(bad, V2, 3)
+    with pytest.raises(SeriesError, match="duplicate variable"):
+        SeriesMatrix.from_consts([[1]], ("t", "t"), 3)
 
 
 def test_scaled_term_is_scale_series():

@@ -1,19 +1,23 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from frobkit import linalg
 from frobkit.jacobi import JacobiFamily, WeightSystem, XPoly, build_jacobi
 from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 RejectionError, _gauge_flat_frame,
+                                _solve_pairing,
                                 check_ftype_axioms,
                                 check_filtration, shift_example,
                                 filtration_to_ftype, ftype_to_filtration,
                                 jacobi_to_filtration)
 from helpers import (HESSE, consts, fermat, fermat_cubic_algebra,
+                     reference_solve_pairing,
                      rank2_higgs_ftype)
 
 F = Fraction
@@ -334,3 +338,90 @@ def test_constructors_refuse_series_below_their_order():
         FiltrationData(D.vars, D.n, D.weight, D.levels, D.Gamma, D.S, 3)
     # more than the order is fine: it is truncated on use
     FiltrationData(D.vars, D.n, D.weight, D.levels, D.Gamma, D.S, 1)
+
+
+# the flat-pairing solver against its frozen dense body: the same pairing
+# and solution dimension, or the same rejection
+
+def _pairing_outcome(solver, args):
+    try:
+        return solver(*args)
+    except RejectionError as exc:
+        return str(exc), exc.report
+
+
+@pytest.mark.parametrize("name, order", [("cubic", 0), ("cubic", 1),
+                                         ("k3", 0), ("k3", 1)],
+                         ids=["cubic-0", "cubic-1", "k3-0", "k3-1"])
+def test_solve_pairing_matches_dense_reference_on_jacobi_families(name,
+                                                                  order):
+    # the Fermat cubic has odd weight; the K3 quartic at order 1 is the
+    # "no nondegenerate flat pairing" rejection
+    algebra = (fermat_cubic_algebra() if name == "cubic"
+               else build_jacobi(*fermat(4, 4)))
+    D, _ = jacobi_to_filtration(algebra, order=order, with_pairing=False)
+    args = (D.levels, D.weight, D.Gamma, D.n)
+    got = _pairing_outcome(_solve_pairing, args)
+    assert got == _pairing_outcome(reference_solve_pairing, args)
+    assert isinstance(got[0], str) == ((name, order) == ("k3", 1))
+
+
+def _seeded_pairing_inputs(seed=24, count=40):
+    """(levels, w, Gammas, n) with levels in pairs p, w - p; each Gamma is
+    either a few random entries or S0^-1 K f, which is flat against the
+    matching pairing S0 for a (-1)^(w+1)-symmetric K and a series f."""
+    rng = random.Random(seed)
+    out = []
+    for trial in range(count):
+        n, w = 2 * rng.randint(1, 3), rng.randint(1, 4)
+        sign = (-1) ** (w % 2)
+        levels = [0] * n
+        S0 = [[0] * n for _ in range(n)]
+        perm = rng.sample(range(n), n)
+        for k, l in zip(perm[::2], perm[1::2]):
+            p = rng.randint(0, w)
+            levels[k], levels[l] = p, w - p
+            S0[k][l], S0[l][k] = 1, sign
+        vars = ("t1", "t2")[:rng.randint(1, 2)]
+        order = rng.randint(0, 2)
+
+        def series():
+            return TruncSeries(vars, order, {
+                tuple(rng.randint(0, 1) for _ in vars): rng.randint(-2, 2)
+                for _ in range(2)})
+
+        Gammas = []
+        for _ in range(rng.randint(0, 2)):
+            if trial % 2:
+                entries = {(rng.randrange(n), rng.randrange(n)): series()
+                           for _ in range(rng.randint(0, 3))}
+            else:
+                K = [[0] * n for _ in range(n)]
+                for _ in range(rng.randint(1, 2)):
+                    a, b = rng.randrange(n), rng.randrange(n)
+                    c = rng.randint(1, 2)
+                    if a != b or sign == -1:
+                        K[a][b], K[b][a] = c, -sign * c
+                f = series()
+                entries = {(i, j): f * c for i, row in enumerate(
+                    linalg.mat_mul(linalg.mat_inverse(S0), K))
+                    for j, c in enumerate(row) if c}
+            Gammas.append(SeriesMatrix.from_sparse(n, n, vars, order,
+                                                   entries))
+        out.append((levels, w, Gammas, n))
+    return out
+
+
+def test_solve_pairing_matches_dense_reference_on_seeded_inputs():
+    reached = set()
+    for args in _seeded_pairing_inputs():
+        got = _pairing_outcome(_solve_pairing, args)
+        assert got == _pairing_outcome(reference_solve_pairing, args), args
+        if all(G.is_zero() for G in args[2]):
+            reached.add("no equations")
+        elif isinstance(got[0], str):
+            reached.add("no invertible candidate")
+        elif got[1] > 1:
+            reached.add("solution space of dimension > 1")
+    assert reached == {"no equations", "no invertible candidate",
+                       "solution space of dimension > 1"}
