@@ -262,36 +262,28 @@ def invert_map(images: Sequence[TruncSeries], new_vars) -> list:
     """Inverse of u -> tau(u) with tau(0)=0 and invertible linear part.
 
     images[k] is tau_k as a series in the old variables; the result lists
-    the old variables as series in new_vars, to the same order.
+    the old variables as series in new_vars, to the same order.  Each
+    chord step u <- u - J^-1 (tau(u) - s), J the linear part, gains one
+    correct degree, so the error vanishes within ``order`` steps.
     """
-    n = len(images)
     old_vars = images[0].vars
     order = min(im.order for im in images)
     if order == 0:
         # tau(0) = 0 leaves nothing to invert below degree 1
-        return [TruncSeries.zero(new_vars, 0) for _ in range(n)]
+        return [TruncSeries.zero(new_vars, 0) for _ in images]
     jac = [[im.partial(v).constant_term for v in old_vars] for im in images]
-    jac_inv = linalg.mat_inverse(jac)
-    taus = [TruncSeries.var(new_vars, order, v) for v in new_vars]
-
-    def linear_solve(vals):
-        return [sum((jac_inv[i][k] * vals[k] for k in range(n)),
-                    TruncSeries.zero(new_vars, order)) for i in range(n)]
-
-    u = linear_solve(taus)
+    jac_inv = SeriesMatrix.from_consts(linalg.mat_inverse(jac), new_vars,
+                                       order)
+    tau = SeriesMatrix([[im] for im in images])
+    s = SeriesMatrix([[TruncSeries.var(new_vars, order, v)] for v in new_vars])
+    one = TruncSeries.one(new_vars, order)
+    u = jac_inv @ s
     for _ in range(order):
-        # u <- u - J^{-1} (tau(u) - tau); gains one correct degree per pass
-        mapped = [im.compose(dict(zip(old_vars, u))) for im in images]
-        err = [mapped[k] - taus[k] for k in range(n)]
-        if all(e.is_zero() for e in err):
-            break
-        corr = linear_solve(err)
-        u = [u[i] - corr[i] for i in range(n)]
-    mapped = [im.compose(dict(zip(old_vars, u))) for im in images]
-    for k in range(n):
-        if not (mapped[k] - taus[k]).is_zero():
-            raise AssertionError("series inversion failed to converge")
-    return u
+        err = tau.compose(dict(zip(old_vars, u.column(0)))) - s
+        if err.is_zero():
+            return u.column(0)
+        u = SeriesMatrix.sum_of_products([(1, u, one), (-1, jac_inv, err)])
+    raise AssertionError("series inversion failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +326,7 @@ def wdvv_check(G: FrobeniusGermData) -> list:
                   SeriesMatrix.sum_of_products(
                       [(1, A[i].transpose(), gS), (-1, gS, A[i])]))
     # third derivatives of the potential against the structure tensor
-    if G.potential is not None and G.order >= 3:
+    if G.order >= 3:
         T = _c_matrices(A, G.metric, G.coords, G.order)
         for i in range(n):
             for j in range(i, n):
@@ -425,9 +417,7 @@ def potential_integrate(mult, metric, coords, order) -> TruncSeries:
                              {"violations": viol})
     # one matrix integration per index: of T_i[j, k], second[j, k], first[0, k]
     second = euler_integrate(dict(zip(coords, T)))
-    first = euler_integrate({
-        v: SeriesMatrix([[second[j, k] for k in range(n)]])
-        for j, v in enumerate(coords)})
+    first = euler_integrate({v: second.row(j) for j, v in enumerate(coords)})
     return euler_integrate({v: first[0, k] for k, v in enumerate(coords)})
 
 
@@ -453,7 +443,8 @@ def frobenius_via_unfolding(init: InitialData,
     mult, subst = _flat_chart(big.vars, list(big.C) + list(big.F), range(n),
                               coords, N)
     metric = [[Fraction(c) for c in row] for row in F.g]
-    ucol = [big.U[k, 0].compose(subst) for k in range(n)]
+    ucol = SeriesMatrix([[x] for x in big.U.column(0)]).compose(
+        subst).column(0)
     # transport of the Euler field: its covariant derivative in the flat
     # frame must equal the flat endomorphism shifted by (2-d)/2
     if N >= 1:
@@ -490,18 +481,19 @@ def _flat_chart(vars, blocks, rows, names, N):
 
     A is the potential of the one-form sum_u blocks[u] d vars[u], which the
     caller has certified closed, and names[a] = -A[rows[a], 0] are flat
-    coordinates on the base.  Returns the matrices of multiplication by
-    d/d names[a], each minus the combination of the blocks whose first
-    column restricted to ``rows`` is the a-th unit vector, written in the
-    flat coordinates; and the substitution that writes ``vars`` in them.
+    coordinates on the base; psi[u, a] = -blocks[u][rows[a], 0] is their
+    one-form.  Returns the matrices of multiplication by d/d names[a],
+    each minus the combination of the blocks whose first column restricted
+    to ``rows`` is the a-th unit vector, written in the flat coordinates;
+    and the substitution that writes ``vars`` in them.
     """
-    A = euler_integrate(dict(zip(vars, blocks)))
+    psi = SeriesMatrix([[-B[k, 0] for k in rows] for B in blocks])
+    flat = euler_integrate({v: psi.row(u) for u, v in enumerate(vars)})
     subst = dict(zip(vars, invert_map(
-        [(-A[k, 0]).truncate(N) for k in rows], names)))
-    psi_inv = SeriesMatrix([[-B[k, 0] for B in blocks]
-                            for k in rows]).inverse_series()
+        [flat[0, a].truncate(N) for a in range(len(rows))], names)))
+    psi_inv = psi.inverse_series()
     mult = [SeriesMatrix.sum_of_products(
-        [(-1, B, psi_inv[u, a]) for u, B in enumerate(blocks)]).compose(subst)
+        [(-1, B, psi_inv[a, u]) for u, B in enumerate(blocks)]).compose(subst)
         for a in range(len(rows))]
     return mult, subst
 

@@ -125,6 +125,21 @@ def _check_order(order):
                           "(at most %d)" % (order, FIELD_BITS, MAX_ORDER))
 
 
+def _add_into(terms: dict, items) -> None:
+    """Add the (key, value) pairs of ``items`` to ``terms`` in turn: a new
+    key goes last, and a key whose sum is zero is deleted."""
+    for k, c in items:
+        s = terms.get(k)
+        if s is None:
+            terms[k] = c
+        else:
+            s += c
+            if s:
+                terms[k] = s
+            else:
+                del terms[k]
+
+
 def _as_frac(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -297,18 +312,7 @@ class TruncSeries:
         right = other._t.items()
         if other.order != order:
             right = [(k, c) for k, c in right if k < limit]
-        for k, c in right:
-            if negate:
-                c = -c
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            else:
-                s += c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
+        _add_into(terms, ((k, -c) for k, c in right) if negate else right)
         return TruncSeries._make(self.vars, order, terms)
 
     __radd__ = __add__
@@ -338,21 +342,9 @@ class TruncSeries:
         right = list(other._t.items())
         terms: dict = {}
         for k1, c1 in self._t.items():
-            if k1 >= limit:
-                continue
-            for k2, c2 in right:
-                k = k1 + k2
-                if k >= limit:
-                    continue
-                s = terms.get(k)
-                if s is None:
-                    terms[k] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        terms[k] = s
-                    else:
-                        del terms[k]
+            if k1 < limit:
+                _add_into(terms, ((k1 + k2, c1 * c2) for k2, c2 in right
+                                  if k1 + k2 < limit))
         return TruncSeries._make(self.vars, order, terms)
 
     __rmul__ = __mul__
@@ -494,43 +486,9 @@ class TruncSeries:
         return TruncSeries._make(self.vars, self.order, terms)
 
     def compose(self, mapping: Mapping[str, "TruncSeries"]) -> "TruncSeries":
-        """Substitute a series (with zero constant term) for every variable.
-
-        All images must share one variable context; the result lives in
-        that context, at the least order of self and the images (an image
-        has no constant term, so a term of degree d lands in degree >= d).
-        """
-        images = [mapping[v] for v in self.vars]
-        if not images:
-            raise SeriesError("composition needs at least one variable")
-        ctx = images[0].vars
-        order = min([self.order] + [im.order for im in images])
-        for im in images:
-            if im.vars != ctx:
-                raise SeriesError("composition images disagree on context")
-            if im.constant_term != 0:
-                raise SeriesError("composition image has nonzero constant term")
-        out = TruncSeries(ctx, order)
-        pow_cache: list[dict[int, TruncSeries]] = [dict() for _ in images]
-
-        def power(i, k):
-            cache = pow_cache[i]
-            if k not in cache:
-                if k == 0:
-                    cache[k] = TruncSeries.one(ctx, order)
-                else:
-                    cache[k] = power(i, k - 1) * images[i]
-            return cache[k]
-
-        shifts = [FIELD_BITS * i for i in range(len(images))]
-        for key, c in self._t.items():
-            term = TruncSeries.const(ctx, order, c)
-            for i, b in enumerate(shifts):
-                k = (key >> b) & MAX_ORDER
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+        """The one-entry case of ``SeriesMatrix.compose``."""
+        return SeriesMatrix._make(1, 1, self.vars, self.order, [
+            {0: self} if self._t else {}]).compose(mapping)[0, 0]
 
     # -- serialization -----------------------------------------------------
 
@@ -847,6 +805,11 @@ class SeriesMatrix:
     def column(self, j) -> list:
         return [self[i, j] for i in range(self.rows)]
 
+    def row(self, i) -> "SeriesMatrix":
+        """Row i as a 1 x cols matrix that shares the stored row."""
+        return SeriesMatrix._make(1, self.cols, self.vars, self.order,
+                                  [self._data[i]])
+
     # -- arithmetic --------------------------------------------------------
 
     def _shape_like(self, other):
@@ -1027,7 +990,48 @@ class SeriesMatrix:
         return self._map(lambda a: a.graded_part(degree, names, weights))
 
     def compose(self, mapping):
-        return self._map(lambda a: a.compose(mapping))
+        """Substitute a series (with zero constant term) for every variable
+        of every entry.
+
+        All images must share one variable context; the result lives in
+        that context, at the least order of self and the images (an image
+        has no constant term, so a term of degree d lands in degree >= d).
+        Each image's powers are formed once per call and each monomial once,
+        as the product of its variables' powers in variable order.
+        """
+        images = [mapping[v] for v in self.vars]
+        if not images:
+            raise SeriesError("composition needs at least one variable")
+        ctx = images[0].vars
+        order = min([self.order] + [im.order for im in images])
+        for im in images:
+            if im.vars != ctx:
+                raise SeriesError("composition images disagree on context")
+            if im.constant_term != 0:
+                raise SeriesError("composition image has nonzero constant term")
+        one = TruncSeries.one(ctx, order)
+        powers = [[one, im.truncate(order)] for im in images]
+        limit = _limit(len(images), order)
+        monomials: dict = {0: one}
+
+        def substitute(x):
+            terms: dict = {}
+            for key, c in x._t.items():
+                if key >= limit:
+                    continue  # its image lies above the order
+                got = monomials.get(key)
+                if got is None:
+                    for i, table in enumerate(powers):
+                        k = (key >> (FIELD_BITS * i)) & MAX_ORDER
+                        while len(table) <= k:
+                            table.append(table[-1] * table[1])
+                        if k:
+                            got = table[k] if got is None else got * table[k]
+                    monomials[key] = got
+                _add_into(terms, ((k, c * v) for k, v in got._t.items()))
+            return TruncSeries._make(ctx, order, terms)
+
+        return self._map(substitute)
 
     def conjugate_const(self, basis, basis_inv):
         """basis_inv @ self @ basis with constant Fraction matrices."""

@@ -545,8 +545,6 @@ def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,
         raise RejectionError("only straight weight systems give projective "
                              "hypersurfaces")
     d = ws.weights[0].denominator
-    if ws.weights[0].numerator != 1:
-        raise RejectionError("weights must be 1/d")
     nvars = ws.nvars          # = n + 1 ambient homogeneous coordinates
     if nvars % d != 0:
         raise RejectionError(

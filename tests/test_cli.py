@@ -663,3 +663,25 @@ def test_pairing_coefficients_are_read_to_the_pencil_order(tmp_path):
             assert report is None and not out.exists()
         else:
             assert report == base
+
+
+def test_wdvv_checks_the_euler_field_of_an_ungraded_germ(tmp_path):
+    # an ungraded germ keeps its Euler field as coordinates; adding s_1 to
+    # its second one breaks the Euler identity of the multiplication
+    from frobkit.germ import FrobeniusGermData
+    from test_germ import point_rank2_init
+    G = frobenius_via_unfolding(point_rank2_init(2))
+    assert G.degrees is None
+    code, _, out = _run(tmp_path, "wdvv", G.to_json())
+    assert code == 0
+    assert (out / "report.json").read_text() == json.dumps({
+        "command": "wdvv", "euler_violations": [], "ok": True, "order": 4,
+        "wdvv_violations": [], "z_order": 4}, indent=2) + "\n"
+    euler = list(G.euler)
+    euler[1] = euler[1] + TruncSeries.var(G.coords, G.order, G.coords[0])
+    bad = FrobeniusGermData(G.coords, G.n, G.mult, G.metric, None, euler,
+                            G.potential, G.order)
+    code, report, _ = _run(tmp_path, "wdvv", bad.to_json())
+    assert code == 1 and report["wdvv_violations"] == []
+    assert {v["check"] for v in report["euler_violations"]} == {
+        "euler-multiplication"}

@@ -1,0 +1,214 @@
+"""Every structured rejection of the CLI that no other test reaches.
+
+Each case runs one command on a payload that parses but fails one named
+condition, and checks the exit status and the message under ``error`` (or,
+for ``pairing-extend``, the failed report key).  Inputs above the order
+they need are truncated, so they must give the report of the payload
+truncated beforehand.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from frobkit.germ import (frobenius_via_unfolding, initial_from_filtration,
+                          normalize_germ)
+from frobkit.pencil import ConnectionPencil, PairingMatrix, structure_connection
+from frobkit.series import SeriesMatrix, TruncSeries
+from frobkit.structures import (FrobeniusTypeStructure, filtration_to_ftype,
+                                shift_example)
+from frobkit.unfold import UnfoldProblem, solve
+from helpers import consts, point_base_pencil, rank2_higgs_ftype
+from test_cli import _run
+
+F = Fraction
+
+
+def _series(vars, order, terms):
+    return TruncSeries(vars, order, terms).to_json()
+
+
+def _unfold(pencil, y_vars, f, order=2):
+    return {"pencil": pencil.to_json(), "y_vars": list(y_vars), "f": f,
+            "order": order}
+
+
+POINT, GRAM = point_base_pencil(2)
+# f_1 = y1, f_2 = 0: the one-direction unfolding of the point pencil
+LINEAR = [_series(("y1",), 3, {(1,): 1}), _series(("y1",), 3, {})]
+UNFOLDED = solve(UnfoldProblem(POINT, ("y1",),
+                               [TruncSeries.from_json(s) for s in LINEAR], 2))
+
+
+def _zero_pencil(y_vars=()):
+    # rank 2 over a point with every block zero: flat, but U = 0 reaches
+    # nothing from the unit, so generation fails
+    zero = SeriesMatrix.zeros(2, 2, y_vars, 2)
+    return ConnectionPencil((), y_vars, 2, [], [zero] * len(y_vars), zero,
+                            zero, zero, 2)
+
+
+def _deformed_shift_pencil():
+    # the structure connection of the weight-5 shift example with
+    # b_2 = 1 + t, whose Higgs block depends on t
+    t = TruncSeries.var(("t",), 2, "t")
+    ft, _ = filtration_to_ftype(shift_example(5, [t + 1], order=2))
+    return structure_connection(ft, 5)[0]
+
+
+def _ic_failing_ftype():
+    # the rank-2 point structure with an idle t-direction: U generates the
+    # fiber, and C_t = 0 sends t into the kernel of the injectivity map
+    P, g = point_base_pencil(2)
+    return FrobeniusTypeStructure(
+        ("t",), 2, [SeriesMatrix.zeros(2, 2, ("t",), 2)],
+        consts(P.U.at_origin(), ("t",), 2), [[F(0)] * 2] * 2, g, 2)
+
+
+def _gc_failing_pencil():
+    # rank 3 over one t-direction: C(0) sends e0 to e1 and kills e1 and
+    # e2, so C e0 spans the base (ic) but e2 is never reached (gc)
+    zero = SeriesMatrix.zeros(3, 3, ("t",), 2)
+    C = consts([[0, 0, 0], [1, 0, 0], [0, 0, 0]], ("t",), 2)
+    return ConnectionPencil(("t",), (), 3, [C], [], zero, zero, zero, 2)
+
+
+FILTRATION = shift_example(4, [], order=2).to_json()
+ASYMMETRIC = [row[:] for row in FILTRATION["pairing"]]
+ASYMMETRIC[2][0] = "1/1"
+RANK2 = rank2_higgs_ftype(2).to_json()
+
+
+def _filtration(**change):
+    return {"initial": {"kind": "filtration",
+                        "filtration": dict(FILTRATION, **change)}}
+
+
+def _shift(order, terms):
+    return {"initial": {"kind": "shift-example", "weight": 5,
+                        "b": [{"vars": ["t"], "order": order,
+                               "terms": terms}]}}
+
+
+REJECTIONS = [
+    ("unfold-base-has-y", "unfold", lambda: _unfold(
+        UNFOLDED, ["y2"], [_series(("y2",), 3, {(1,): 1}),
+                           _series(("y2",), 3, {})]), (),
+     "base pencil must not already carry unfolding directions"),
+    ("unfold-f-below-order", "unfold", lambda: _unfold(
+        POINT, ["y1"], [dict(s, order=2) for s in LINEAR]), (),
+     "f_1 carries too little precision (order 2 < 3)"),
+    ("unfold-base-fails-gc", "unfold", lambda: _unfold(
+        _zero_pencil(), ["y1"], LINEAR), (),
+     "generation condition fails at the origin"),
+    ("unfold-base-below-order", "unfold", lambda: _unfold(
+        _deformed_shift_pencil(), ["y1"],
+        [_series(("t", "y1"), 4, {(0, 1): 1} if k == 1 else {})
+         for k in range(4)], order=3), (),
+     "base pencil carries too little t-precision (order 2 < 3)"),
+    ("universal-unfold-base-has-y", "universal-unfold",
+     lambda: {"pencil": UNFOLDED.to_json()}, (),
+     "pencil already carries unfolding directions"),
+    ("universal-unfold-zero-zeta", "universal-unfold", lambda: {
+        "pencil": structure_connection(rank2_higgs_ftype(2), 1)[0].to_json(),
+        "zeta": ["0/1", "0/1"]}, (), "distinguished vector is zero"),
+    ("universal-unfold-fails-gc", "universal-unfold",
+     lambda: {"pencil": _gc_failing_pencil().to_json()}, (),
+     "generation condition fails"),
+    ("reconstruct-half-integer-eigenvalue", "reconstruct", lambda: {
+        "initial": {"kind": "ftype", "ftype": dict(
+            RANK2, v_endo=[["1/4", "0/1"], ["0/1", "-1/4"]])}},
+     ("--order", "2"),
+     "eigenvalue 2*1/2 is not an integer; pass a weight explicitly"),
+    ("reconstruct-fails-ic", "reconstruct", lambda: {
+        "initial": {"kind": "ftype", "ftype": _ic_failing_ftype().to_json(),
+                    "weight": 0}}, ("--order", "2"),
+     "injectivity condition fails"),
+    ("reconstruct-two-top-vectors", "reconstruct",
+     lambda: _filtration(levels=[3, 3, 1]), ("--order", "2"),
+     "top level is not one-dimensional"),
+    ("reconstruct-top-vector-not-first", "reconstruct",
+     lambda: _filtration(levels=[2, 3, 1]), ("--order", "2"),
+     "top-level vector must come first in the frame; reorder the "
+     "filtration data"),
+    ("reconstruct-no-pairing", "reconstruct",
+     lambda: _filtration(pairing=None), ("--order", "2"),
+     "filtration data has no pairing"),
+    ("reconstruct-asymmetric-pairing", "reconstruct",
+     lambda: _filtration(pairing=ASYMMETRIC), ("--order", "2"),
+     "derived metric is not symmetric"),
+    ("reconstruct-shift-b-below-order", "reconstruct",
+     lambda: _shift(2, [[[0], "1/1"], [[1], "1/1"]]), ("--order", "3"),
+     "coefficient function b_2 carries too little precision (order 2 < 3)"),
+    ("reconstruct-jacobi-not-straight", "reconstruct", lambda: {
+        "initial": {"kind": "jacobi", "polynomial": {
+            "num_vars": 2, "weights": ["1/2", "1/3"],
+            "terms": [[[2, 0], "1/1"], [[0, 3], "1/1"]]}}}, ("--order", "2"),
+     "only straight weight systems give projective hypersurfaces"),
+    ("pairing-extend-few-z-coefficients", "pairing-extend", lambda: {
+        "pencil": UNFOLDED.to_json(),
+        "pairing": PairingMatrix.constant(0, GRAM, (), 2, 5).to_json()}, (),
+     "base pairing carries 6 z-coefficients, need 7 for y-order 2"),
+]
+
+
+@pytest.mark.parametrize("command, payload, flags, error",
+                         [case[1:] for case in REJECTIONS],
+                         ids=[case[0] for case in REJECTIONS])
+def test_rejection_exits_one_with_its_message(tmp_path, command, payload,
+                                              flags, error):
+    code, report, _ = _run(tmp_path, command, payload(), *flags)
+    assert code == 1 and report["ok"] is False
+    assert report["error"] == error
+
+
+@pytest.mark.parametrize("pencil, gram, key", [
+    (lambda: _zero_pencil(("y1",)), GRAM, "generation-condition"),
+    (lambda: UNFOLDED, [[F(0), F(0)], [F(0), F(1)]], "base-gram-singular"),
+], ids=["base-fails-gc", "singular-gram"])
+def test_pairing_extend_reports_a_failed_base(tmp_path, pencil, gram, key):
+    code, report, _ = _run(tmp_path, "pairing-extend", {
+        "pencil": pencil().to_json(),
+        "pairing": PairingMatrix.constant(0, gram, (), 2, 6).to_json()})
+    assert code == 1 and report["passes"] is False and key in report
+
+
+def test_inputs_above_their_order_are_truncated(tmp_path):
+    # an f above order N + 1, or a b above --order, gives the report of
+    # the payload truncated beforehand
+    high = [_series(("y1",), 5, {(1,): 1, (4,): 1}),
+            _series(("y1",), 5, {(5,): 2})]
+    for command, payload, truncated, flags in (
+            ("unfold", _unfold(POINT, ["y1"], high),
+             _unfold(POINT, ["y1"], LINEAR), ()),
+            ("reconstruct", _shift(4, [[[0], "1/1"], [[1], "1/1"],
+                                       [[4], "3/1"]]),
+             _shift(2, [[[0], "1/1"], [[1], "1/1"]]), ("--order", "2"))):
+        (tmp_path / "high").mkdir(exist_ok=True)
+        code, report, _ = _run(tmp_path / "high", command, payload, *flags)
+        code2, want, _ = _run(tmp_path, command, truncated, *flags)
+        assert code == code2 == 0 and report == want
+
+
+def test_unfold_without_directions_exits_zero(tmp_path):
+    # no y-direction: the radial integral in y has nothing to integrate
+    code, report, _ = _run(tmp_path, "unfold", _unfold(
+        POINT, [], [_series((), 3, {})] * 2))
+    assert code == 0 and report["flat"] is True
+    assert report["pencil"]["y_vars"] == []
+
+
+def test_compare_reports_rank_and_refuses_an_unnormalisable_metric(tmp_path):
+    germs = [normalize_germ(frobenius_via_unfolding(initial_from_filtration(
+        shift_example(w, [], order=2)))).to_json() for w in (3, 4)]
+    code, report, _ = _run(tmp_path, "compare",
+                           {"left": germs[1], "right": germs[0]})
+    assert code == 1 and [d["check"] for d in report["diffs"]] == ["rank"]
+    # the identity metric pairs the unit with itself, not the top vector
+    eye = [["1/1" if i == j else "0/1" for j in range(3)] for i in range(3)]
+    code, report, _ = _run(tmp_path, "compare",
+                           {"left": dict(germs[1], metric=eye),
+                            "right": germs[1]})
+    assert code == 1 and report["error"] == (
+        "metric does not pair the unit with the top frame vector; cannot "
+        "normalize")

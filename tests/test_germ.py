@@ -478,7 +478,8 @@ def test_shift_reconstruct_integrates_each_one_form_once(tmp_path,
     # both germ constructors read the flat chart off a one-form certified
     # closed upstream, and the potential takes one matrix integration per
     # index, so the seed-1 benchmark job checks closedness only inside the
-    # unfolding's two flatness certificates
+    # unfolding's two flatness certificates; every substitution is a
+    # matrix composition that forms each image's powers once
     import sys
 
     from click.testing import CliRunner
@@ -498,6 +499,13 @@ def test_shift_reconstruct_integrates_each_one_form_once(tmp_path,
             if (mod_name.split(".")[0] == "frobkit"
                     and getattr(mod, name, None) is orig):
                 monkeypatch.setattr(mod, name, spy)
+    for name in ("__mul__", "compose"):
+        calls[name] = 0
+
+        def method(*args, _orig=getattr(TruncSeries, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(TruncSeries, name, method)
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps(_load_workloads().shift_payload(1)))
     result = CliRunner().invoke(main, [
@@ -508,6 +516,8 @@ def test_shift_reconstruct_integrates_each_one_form_once(tmp_path,
     assert calls["closedness_residual"] <= 2
     assert calls["potential_matrix"] == 0
     assert calls["euler_integrate"] <= 35
+    assert calls["__mul__"] <= 1500
+    assert calls["compose"] == 0
 
 
 def test_ungraded_germ_round_trips_and_compares():

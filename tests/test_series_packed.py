@@ -100,6 +100,36 @@ def test_packed_series_match_the_tuple_oracle(data):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.data())
+def test_matrix_composition_matches_the_tuple_oracle_entrywise(data):
+    # one power table serves every entry of a matrix composition, and
+    # ``TruncSeries.compose`` is its one-entry case, so each entry is held
+    # to the oracle's own substitution, terms in the same order
+    n = data.draw(st.sampled_from(sorted(CONTEXTS)))
+    vars = CONTEXTS[n]
+    order, image_order = data.draw(st.integers(0, 6)), data.draw(
+        st.integers(0, 6))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    M = SeriesMatrix([[TruncSeries(vars, order,
+                                   data.draw(term_dicts(n, order)))
+                       for _ in range(cols)] for _ in range(rows)])
+    images = {v: TruncSeries.var(vars, image_order, v) for v in vars}
+    for v in data.draw(st.lists(st.sampled_from(vars), max_size=3,
+                                unique=True)):
+        b = TruncSeries(vars, image_order,
+                        data.draw(term_dicts(n, image_order)))
+        images[v] = b - b.constant_term
+    rimages = {v: ReferenceSeries(vars, x.order, x.terms)
+               for v, x in images.items()}
+    got = M.compose(images)
+    assert (got.rows, got.cols) == (rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            same(got[i, j], ReferenceSeries(vars, M.order, M[i, j].terms)
+                 .compose(rimages))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
 def test_sum_of_products_matches_the_tuple_kernel(data):
     n = data.draw(st.sampled_from(sorted(CONTEXTS)))
     vars = CONTEXTS[n]
