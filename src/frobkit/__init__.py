@@ -9,7 +9,7 @@ from .germ import (FrobeniusGermData, InitialData, compare_germs,
                    potential_integrate, wdvv_check)
 from .jacobi import (JacobiAlgebra, NotIsolatedError, RfClass, WeightSystem,
                      XPoly, build_jacobi, h2_generation_check,
-                     jacobian_piece, multiply_rf, normal_form)
+                     jacobian_piece, multiply_rf)
 from .pencil import (ConnectionPencil, GCCertificate, PairingMatrix,
                      flatness_residual, gc_check, ic_check, is_flat,
                      pairing_extension_check, pencil_to_ftype,
@@ -28,7 +28,6 @@ __all__ = [
     "normalize_germ", "potential_integrate", "wdvv_check",
     "JacobiAlgebra", "NotIsolatedError", "RfClass", "WeightSystem", "XPoly",
     "build_jacobi", "h2_generation_check", "jacobian_piece", "multiply_rf",
-    "normal_form",
     "ConnectionPencil", "PairingMatrix", "flatness_residual", "is_flat",
     "pairing_extension_check", "pencil_to_ftype", "potential_matrix",
     "reduced_flatness_check", "structure_connection",

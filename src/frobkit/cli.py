@@ -227,7 +227,7 @@ def _initial_data(initial, order):
         if "pairing" in initial:
             S = _parse(lambda: [[frac_from_str(c) for c in row] for row in
                                 require_square("pairing", initial["pairing"],
-                                               algebra.milnor)])
+                                               algebra.integer_rank())])
         D, _ = jacobi_to_filtration(algebra, S=S, order=order)
         return initial_from_filtration(D)
     raise RejectionError("unknown initial data kind %r" % kind)
@@ -470,6 +470,3 @@ def main():
 for _name in sorted(RUNNERS):
     main.add_command(_command(_name))
 
-
-if __name__ == "__main__":
-    main()

@@ -681,14 +681,15 @@ def germ_to_ftype(G: FrobeniusGermData) -> FrobeniusTypeStructure:
     """
     n = G.n
     E = G.euler_coords()
-    dE = [[E[k].partial(v).constant_term if G.order >= 1 else Fraction(0)
-           for v in G.coords] for k in range(n)]
-    for k in range(n):
-        for i in range(n):
-            e = E[k].partial(G.coords[i]) if G.order >= 1 else None
-            if e is not None and not e.is_constant():
-                raise RejectionError("Euler field is not affine-linear in "
-                                     "the flat coordinates")
+    dE = [[Fraction(0)] * n for _ in range(n)]
+    if G.order >= 1:
+        for k in range(n):
+            for i, v in enumerate(G.coords):
+                e = E[k].partial(v)
+                if not e.is_constant():
+                    raise RejectionError("Euler field is not affine-linear "
+                                         "in the flat coordinates")
+                dE[k][i] = e.constant_term
     # the metric scales as Lie_E(g) = (2-d) g, so the shift (2-d)/2 can be
     # read off its first nonzero entry
     i, j = next((i, j) for i in range(n) for j in range(n) if G.metric[i][j])

@@ -56,7 +56,7 @@ from .series import (TruncSeries, exponent_strides, frac_from_str,
 
 __all__ = [
     "WeightSystem", "XPoly", "JacobiAlgebra", "RfClass", "build_jacobi",
-    "check_polynomial", "jacobian_piece", "normal_form", "multiply_rf",
+    "check_polynomial", "jacobian_piece", "multiply_rf",
     "h2_generation_check", "NotIsolatedError", "JacobiFamily",
 ]
 
@@ -215,9 +215,6 @@ class XPoly:
                 raise ValueError("repeated exponent %r" % (list(e),))
             terms[e] = frac_from_str(c)
         return cls(nvars, terms)
-
-    def to_json(self):
-        return [[list(e), frac_to_str(self.terms[e])] for e in sorted(self.terms)]
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=Fraction(1)):
@@ -608,7 +605,7 @@ class JacobiAlgebra:
             num = new
         for d in self.ws.scaled:
             # synthetic division by (1 - u^d)
-            width = max(len(num) - d, 0)
+            width = len(num) - d
             out = [0] * width
             rem = list(num)
             for i in range(width):
@@ -616,9 +613,7 @@ class JacobiAlgebra:
                 rem[i + d] += rem[i]
             if any(rem[width:]):
                 raise AssertionError("Hilbert series division not exact")
-            num = out if out else [0]
-        while num and num[-1] == 0:
-            num.pop()
+            num = out
         if any(c < 0 for c in num):
             raise AssertionError("negative Hilbert coefficient")
         return num
@@ -655,6 +650,10 @@ class JacobiAlgebra:
         """Integer points q with L*q inside the graded range."""
         L = self.ws.scale
         return [q for q in range(0, self.top_scaled() // L + 1)]
+
+    def integer_rank(self) -> int:
+        """Total dimension of the integer-degree pieces."""
+        return sum(map(self.dim_at, self.integer_degrees()))
 
     # -- quotient operations -------------------------------------------------
 
@@ -730,10 +729,6 @@ def jacobian_piece(f: XPoly, ws: WeightSystem, q) -> dict:
         "quotient_dim": piece.dim,
         "basis_monomials": piece.basis_monomials,
     }
-
-
-def normal_form(algebra: JacobiAlgebra, p: XPoly) -> RfClass:
-    return algebra.normal_form(p)
 
 
 def multiply_rf(algebra: JacobiAlgebra, a: RfClass, b: RfClass) -> RfClass:

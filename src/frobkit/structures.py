@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .jacobi import JacobiAlgebra, JacobiFamily, h2_generation_check
+from .jacobi import JacobiAlgebra, JacobiFamily
 from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      euler_integrate, frac_from_str, frac_to_str, key_degree,
                      require_int, require_order, require_square)
@@ -351,8 +351,6 @@ def ftype_to_filtration(F: FrobeniusTypeStructure, w: int) -> FiltrationData:
 def _gauge_flat_frame(Bs, vars, order, n):
     """Solve dG = -(sum B_i dt_i) G with G(0) = id, degree by degree."""
     G = SeriesMatrix.identity(n, vars, order)
-    if not vars:
-        return G
     for s in range(1, order + 1):
         G = G + euler_integrate({v: (-(B @ G)).graded_part(s - 1)
                                  for v, B in zip(vars, Bs)}).truncate(order)
@@ -444,8 +442,6 @@ def shift_example(w: int, b_free: Sequence[TruncSeries] = (),
             raise RejectionError("coefficient function b_%d carries too "
                                  "little precision (order %d < %d)"
                                  % (k, s.order, order))
-        if s.order > order:
-            s = s.truncate(order)
         if s.constant_term == 0:
             raise RejectionError("coefficient function b_%d is not a unit" % k)
         b[k] = s
@@ -480,12 +476,10 @@ def _solve_pairing(levels, w, Gammas, n):
     normalization of the scalar freedom."""
     sign = (-1) ** (w % 2)
     # the unknown u_j is S[k, l] for the j-th admissible k <= l, and
-    # S[l, k] = sign * S[k, l], so a diagonal unknown needs an even weight
+    # S[l, k] = sign * S[k, l], so a diagonal unknown needs an even weight;
+    # the caller's unit (level w-1) and socle (level 1) always pair
     pairs = [(k, l) for k in range(n) for l in range(k, n)
              if levels[k] + levels[l] == w and (k != l or sign == 1)]
-    if not pairs:
-        raise RejectionError("no admissible pairing support for weight %d"
-                             % w)
     # partners[a] lists (b, j, s) with S[a, b] = s * u_j
     partners: dict = {}
     for j, (k, l) in enumerate(pairs):
@@ -538,7 +532,11 @@ def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,
     degree-1 family directions is minus the multiplication by the moving
     degree-1 classes, recomputed against the deformed polynomial to the
     requested order.  Requires the straight weight system with d dividing
-    the variable count and the generation condition.
+    the variable count.  The generation condition then holds by
+    construction and is not checked: every monomial of degree q*d is a
+    product of q monomials of degree d, so the degree-1 classes generate
+    every integer-degree piece (when there are none, every degree-d
+    monomial lies in the ideal, and so does every degree-q*d one).
     """
     ws = algebra.ws
     if len(set(ws.weights)) != 1:
@@ -550,17 +548,11 @@ def jacobi_to_filtration(algebra: JacobiAlgebra, S=None, order: int = 3,
         raise RejectionError(
             "degree %d does not divide the variable count %d" % (d, nvars),
             {"degree": d, "variables": nvars})
-    gen = h2_generation_check(algebra)
-    if not gen["passes"]:
-        failing = sorted(q for q, c in gen["codimensions"].items() if c)
-        raise RejectionError(
-            "generation condition fails at integer degree %d" % failing[0],
-            gen)
     w = nvars + 2 - 2 * nvars // d
     L = ws.scale
     Q = algebra.top_scaled() // L
     blocks = [algebra.piece(q * L).dim for q in range(Q + 1)]
-    n = sum(blocks)
+    n = algebra.integer_rank()
     offs = [0]
     for bdim in blocks:
         offs.append(offs[-1] + bdim)

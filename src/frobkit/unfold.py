@@ -121,18 +121,16 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
     t_vars = base.t_vars
     y_vars = problem.y_vars
     vars = t_vars + y_vars
-    fs = []
     for i, fi in enumerate(problem.f):
         # only the y-derivatives of the first-column functions enter, so
         # they must carry one more order than the target
         if fi.order < N + 1:
             raise RejectionError("f_%d carries too little precision "
                                  "(order %d < %d)" % (i + 1, fi.order, N + 1))
-        if fi.order > N + 1:
-            fi = fi.truncate(N + 1)
-        if not fi.restrict_zero(y_vars).is_zero():
+        # f counts up to order N + 1 only: a pure-t term above it is
+        # dropped, not refused
+        if not fi.restrict_zero(y_vars).truncate(N + 1).is_zero():
             raise RejectionError("f_%d does not vanish at y=0" % (i + 1))
-        fs.append(fi)
     gc = gc_check(base)
     if not gc.ok:
         raise RejectionError("generation condition fails at the origin",
@@ -161,7 +159,8 @@ def solve(problem: UnfoldProblem, trace: list | None = None) -> ConnectionPencil
     wmats: list = [[] for _ in words]
     # (df_i/dy_a)^(d) for every d <= N
     dfs = [[[d_ia.graded_part(d, names=y_vars) for d in range(N + 1)]
-            for d_ia in (fi.partial(yv) for yv in y_vars)] for fi in fs]
+            for d_ia in (fi.partial(yv) for yv in y_vars)]
+           for fi in problem.f]
 
     def bump(parts):
         """Radial integral in y of the slices parts[a] = d/dy_a."""

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 from frobkit import cli, pencil, unfold
 from frobkit.cli import main
-from frobkit.germ import (frobenius_via_unfolding, initial_from_filtration,
-                          normalize_germ)
+from frobkit.germ import (frobenius_via_unfolding, germ_to_ftype,
+                          initial_from_filtration, normalize_germ)
 from frobkit.jacobi import XPoly
 from frobkit.pencil import (PairingMatrix, flatness_residual,
                             structure_connection)
 from frobkit.series import (MAX_INPUT_ORDER, SeriesError, SeriesMatrix,
                             TruncSeries)
-from frobkit.structures import shift_example
+from frobkit.structures import filtration_to_ftype, shift_example
 from frobkit.unfold import UnfoldProblem, solve
 from helpers import point_base_pencil, rank1_log_pencil, rank2_higgs_ftype
 
@@ -256,6 +256,39 @@ def test_python_m_frobkit_matches_cli_main(tmp_path):
             == (out / "report.json").read_bytes())
 
 
+def _rename_vars(obj, names):
+    """The payload with every "vars" list renamed through names."""
+    if isinstance(obj, dict):
+        return {k: [names[v] for v in x] if k == "vars"
+                else _rename_vars(x, names) for k, x in obj.items()}
+    if isinstance(obj, list):
+        return [_rename_vars(x, names) for x in obj]
+    return obj
+
+
+def test_renaming_base_variables_keeps_the_germ_bytes(tmp_path):
+    # germ coordinates are always s1..sn, so base names that sort the other
+    # way round change nothing in the report
+    t = TruncSeries.var(("t",), 2, "t")
+    shift, _ = filtration_to_ftype(shift_example(5, [t + 1], order=2))
+    graded = frobenius_via_unfolding(initial_from_filtration(
+        shift_example(4, [], order=2)))
+    cases = [(shift.to_json(), {"t": "a"}, 5, ["--both-paths"]),
+             (germ_to_ftype(graded).to_json(),
+              {"s1": "c", "s2": "b", "s3": "a"}, 0, [])]
+    for k, (ft, names, weight, flags) in enumerate(cases):
+        payload = {"initial": {"kind": "ftype", "ftype": ft,
+                               "weight": weight}}
+        blobs = []
+        for side, p in enumerate((payload, _rename_vars(payload, names))):
+            d = tmp_path / ("%d-%d" % (k, side))
+            d.mkdir()
+            code, _, out = _run(d, "reconstruct", p, "--order", "2", *flags)
+            assert code == 0
+            blobs.append((out / "report.json").read_bytes())
+        assert blobs[0] == blobs[1] and b'"s1"' in blobs[0]
+
+
 def test_outputs_byte_identical_across_runs(tmp_path):
     code1, _, out1 = _run(tmp_path, "jacobi", QUINTIC)
     blob1 = (out1 / "report.json").read_bytes()
@@ -345,6 +378,11 @@ def test_repeated_exponent_in_a_polynomial_payload_exits_two(tmp_path):
 def _wrong_shapes():
     cubic = _fermat_payload(3, 3)
     cubic["initial"]["pairing"] = [["1/1"]]
+    # the frame of the cubic is its integer-degree part (rank 2), not the
+    # whole algebra (Milnor number 8)
+    milnor = _fermat_payload(3, 3)
+    milnor["initial"]["pairing"] = [["1/1" if i + j == 7 else "0/1"
+                                     for j in range(8)] for i in range(8)]
     ft = rank2_higgs_ftype(4).to_json()
     ragged = dict(ft, pairing=[["1/1", "0/1"], ["0/1"]])
     P, _ = structure_connection(rank2_higgs_ftype(4), 1)
@@ -388,6 +426,7 @@ def _wrong_shapes():
                                      {(3,): Fraction(1, 6)}).to_json()}
     return [
         ("reconstruct", cubic),
+        ("reconstruct", milnor),
         ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
                                      "zeta": ["1/1"]}}),
         ("reconstruct", {"initial": {"kind": "ftype", "ftype": ft,
@@ -442,8 +481,9 @@ def _wrong_shapes():
 
 
 @pytest.mark.parametrize("command, payload", _wrong_shapes(),
-                         ids=["jacobi-pairing-1x1", "zeta-short",
-                              "zeta-long", "ftype-pairing-ragged",
+                         ids=["jacobi-pairing-1x1", "jacobi-pairing-milnor",
+                              "zeta-short", "zeta-long",
+                              "ftype-pairing-ragged",
                               "unfold-zeta-short", "unfold-zeta-long",
                               "filtration-pairing-1x1", "ftype-extra-higgs",
                               "filtration-levels-short",

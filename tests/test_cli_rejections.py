@@ -4,22 +4,28 @@ Each case runs one command on a payload that parses but fails one named
 condition, and checks the exit status and the message under ``error`` (or,
 for ``pairing-extend``, the failed report key).  Inputs above the order
 they need are truncated, so they must give the report of the payload
-truncated beforehand.
+truncated beforehand.  The last tests call the CLI's helpers directly,
+for paths that no payload reaches: a kind the schema already refuses, a
+report write that fails, and a Fraction left in a report.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
 
+from frobkit.cli import _atomic_write, _initial_data, _plain
 from frobkit.germ import (frobenius_via_unfolding, initial_from_filtration,
                           normalize_germ)
+from frobkit.jacobi import build_jacobi
 from frobkit.pencil import ConnectionPencil, PairingMatrix, structure_connection
-from frobkit.series import SeriesMatrix, TruncSeries
-from frobkit.structures import (FrobeniusTypeStructure, filtration_to_ftype,
+from frobkit.series import SeriesMatrix, TruncSeries, frac_to_str
+from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
+                                filtration_to_ftype, jacobi_to_filtration,
                                 shift_example)
 from frobkit.unfold import UnfoldProblem, solve
-from helpers import consts, point_base_pencil, rank2_higgs_ftype
-from test_cli import _run
+from helpers import consts, fermat, point_base_pencil, rank2_higgs_ftype
+from test_cli import _fermat_payload, _run
 
 F = Fraction
 
@@ -84,6 +90,15 @@ def _filtration(**change):
                         "filtration": dict(FILTRATION, **change)}}
 
 
+def _k3_with_order_zero_pairing():
+    # the flat pairing of the K3 family at order 0 is not flat at order 1
+    D, _ = jacobi_to_filtration(build_jacobi(*fermat(4, 4)), order=0)
+    payload = _fermat_payload(4, 4)
+    payload["initial"]["pairing"] = [list(map(frac_to_str, row))
+                                     for row in D.S]
+    return payload
+
+
 def _shift(order, terms):
     return {"initial": {"kind": "shift-example", "weight": 5,
                         "b": [{"vars": ["t"], "order": order,
@@ -145,6 +160,9 @@ REJECTIONS = [
             "num_vars": 2, "weights": ["1/2", "1/3"],
             "terms": [[[2, 0], "1/1"], [[0, 3], "1/1"]]}}}, ("--order", "2"),
      "only straight weight systems give projective hypersurfaces"),
+    ("reconstruct-jacobi-pairing-not-flat", "reconstruct",
+     _k3_with_order_zero_pairing, ("--order", "1"),
+     "jacobi filtration data fails its invariants"),
     ("pairing-extend-few-z-coefficients", "pairing-extend", lambda: {
         "pencil": UNFOLDED.to_json(),
         "pairing": PairingMatrix.constant(0, GRAM, (), 2, 5).to_json()}, (),
@@ -175,12 +193,19 @@ def test_pairing_extend_reports_a_failed_base(tmp_path, pencil, gram, key):
 
 def test_inputs_above_their_order_are_truncated(tmp_path):
     # an f above order N + 1, or a b above --order, gives the report of
-    # the payload truncated beforehand
+    # the payload truncated beforehand; over a t-direction, a pure-t term
+    # of f above order N + 1 does not count against f vanishing at y = 0
     high = [_series(("y1",), 5, {(1,): 1, (4,): 1}),
             _series(("y1",), 5, {(5,): 2})]
+    high_t, low_t = ([_series(("t", "y1"), order, terms if k == 1 else {})
+                      for k in range(4)]
+                     for order, terms in ((5, {(0, 1): 1, (4, 0): 1}),
+                                          (3, {(0, 1): 1})))
     for command, payload, truncated, flags in (
             ("unfold", _unfold(POINT, ["y1"], high),
              _unfold(POINT, ["y1"], LINEAR), ()),
+            ("unfold", _unfold(_deformed_shift_pencil(), ["y1"], high_t),
+             _unfold(_deformed_shift_pencil(), ["y1"], low_t), ()),
             ("reconstruct", _shift(4, [[[0], "1/1"], [[1], "1/1"],
                                        [[4], "3/1"]]),
              _shift(2, [[[0], "1/1"], [[1], "1/1"]]), ("--order", "2"))):
@@ -212,3 +237,25 @@ def test_compare_reports_rank_and_refuses_an_unnormalisable_metric(tmp_path):
     assert code == 1 and report["error"] == (
         "metric does not pair the unit with the top frame vector; cannot "
         "normalize")
+
+
+def test_unknown_initial_data_kind_is_a_rejection():
+    # the reconstruct schema's enum stops this kind before the runner
+    with pytest.raises(RejectionError,
+                       match="unknown initial data kind 'torus'"):
+        _initial_data({"kind": "torus"}, 2)
+
+
+def test_failed_report_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(str(tmp_path / "report.json"), "{}")
+    assert os.listdir(tmp_path) == []
+
+
+def test_plain_turns_fractions_into_strings():
+    assert _plain({1: [Fraction(-1, 2), (Fraction(3), "x")]}) == {
+        "1": ["-1/2", ["3/1", "x"]]}

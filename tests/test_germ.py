@@ -549,3 +549,33 @@ def test_germ_refuses_a_potential_below_its_order():
     with pytest.raises(SeriesError, match="potential carries order 1"):
         FrobeniusGermData(G.coords, G.n, G.mult, G.metric, G.degrees, None,
                           G.potential.truncate(1), G.order)
+
+
+def test_ungraded_euler_checks_need_order_one():
+    # at order 0 an ungraded germ has no derivatives to check
+    G = frobenius_via_unfolding(point_rank2_init(0))
+    assert G.degrees is None and G.order == 0
+    assert euler_check(G) == []
+    assert germ_to_ftype(G).V == [[F(0)] * 2] * 2
+    # a quadratic Euler coordinate has a non-constant derivative
+    G = frobenius_via_unfolding(point_rank2_init(2))
+    s1 = TruncSeries.var(G.coords, G.order, "s1")
+    bent = FrobeniusGermData(G.coords, G.n, G.mult, G.metric, None,
+                             [G.euler[0], G.euler[1] + s1 * s1],
+                             G.potential, G.order)
+    with pytest.raises(RejectionError, match="Euler field is not "
+                       "affine-linear in the flat coordinates"):
+        germ_to_ftype(bent)
+
+
+def test_off_diagonal_flat_endomorphism_is_not_graded():
+    FT = rank2_higgs_ftype(N)
+    P = [[F(1), F(1)], [F(0), F(1)]]
+    Pinv = [[F(1), F(-1)], [F(0), F(1)]]
+    # rank2_higgs_ftype in the frame P: V has an off-diagonal entry, and
+    # its diagonal alone would pass the eigenvalue test
+    rot = FrobeniusTypeStructure(
+        FT.vars, 2, [C.conjugate_const(P, Pinv) for C in FT.C], FT.U,
+        [[F(1, 2), F(1)], [F(0), F(-1, 2)]], [[F(0), F(1)], [F(1), F(2)]], N)
+    assert not InitialData.create(rot, weight=1).is_graded()
+    assert InitialData.create(FT).is_graded()

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -9,7 +10,7 @@ from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
                             RfClass, WeightSystem, XPoly, _ideal_rows,
                             _packed_partials, build_jacobi,
                             h2_generation_check, jacobian_piece, multiply_rf,
-                            normal_form, pack_key, unpack_key)
+                            pack_key, unpack_key)
 from frobkit.linalg import Echelon
 from helpers import (HESSE, codim_one_polynomial, fermat,
                      fermat_cubic_algebra, reference_family_entries,
@@ -781,3 +782,68 @@ def test_scaling_f_keeps_the_jacobi_algebra(case):
         assert b.basis_keys == a.basis_keys
         assert [b.nf_key(k) for k in b.keys] == [a.nf_key(k) for k in a.keys]
     assert h2_generation_check(B) == h2_generation_check(A)
+
+
+def _straight_draws(seed, count):
+    """Seeded straight-weight polynomials in 3-5 variables of degree 3 or
+    4: a Fermat polynomial with random coefficients plus one or two random
+    monomials of its degree."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, d = rng.choice([3, 4, 5]), rng.choice([3, 4])
+        ws = WeightSystem.straight(n, d)
+        terms = {tuple(d * (i == j) for i in range(n)):
+                 F(rng.choice([1, -1, 2])) for j in range(n)}
+        for m in rng.sample(ws.monomials(ws.scale), rng.randint(1, 2)):
+            terms[m] = F(rng.choice([1, -1, 2, -3]))
+        yield XPoly(n, terms), ws
+
+
+def test_generation_holds_for_straight_weights():
+    """Every monomial of degree q*d is a product of q monomials of degree
+    d, so the degree-1 classes generate every integer-degree piece; this
+    is why ``jacobi_to_filtration`` does not run the check."""
+    isolated, echelon_spans = 0, set()
+    for f, ws in _straight_draws(26, 30):
+        try:
+            A = build_jacobi(f, ws)
+        except NotIsolatedError:
+            continue
+        isolated += 1
+        gen = h2_generation_check(A)
+        assert gen["passes"], f.terms
+        if 2 in gen["codimensions"]:
+            echelon_spans.add(A.piece(2 * ws.scale)._uf is None)
+    # the draws reach degree 2 with both kinds of span
+    assert isolated >= 25 and echelon_spans == {False, True}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WeightSystem([]), "need at least one weight"),
+    (lambda: W3.to_scaled(F(1, 2)), "degree 1/2 is not on the weight grid"),
+    (lambda: JacobiFamily(fermat_cubic_algebra(), ("t1", "t2"), 1),
+     "need one parameter per degree-1 basis class"),
+], ids=["no-weights", "off-grid", "family-parameters"])
+def test_jacobi_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_queries_off_the_grid_or_above_the_top_are_zero():
+    A = fermat_cubic_algebra()
+    assert A.dim_at(F(1, 2)) == 0 and A.dim_at(F(1, 3)) == 3
+    built = set(A._pieces)
+    # x^4 has scaled degree 4, above the socle degree 3: zero, and no
+    # piece is built for it
+    assert A.normal_form(XPoly(3, {(4, 0, 0): F(1)})) == RfClass(4, {})
+    assert A.class_of_monomial((2, 2, 0)) == RfClass(4, {})
+    assert set(A._pieces) == built
+
+
+def test_sums_drop_cancelled_terms():
+    x = XPoly(2, {(1, 0): F(1), (0, 1): F(2)})
+    assert (x + XPoly(2, {(1, 0): F(-1)})).terms == {(0, 1): F(2)}
+    piece = fermat_cubic_algebra().piece(3)
+    k = piece.basis_keys[0]
+    assert piece.nf_sum([(k, F(2)), (k, F(-2))]) == {}
+    assert piece.nf_sum([(k, F(2)), (k, F(-1))]) == {0: F(1)}

@@ -80,3 +80,17 @@ def test_mat_inverse_rejects_singular_and_misshapen(a):
     with pytest.raises(ValueError):
         linalg.mat_inverse(a)
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linalg.mat_rank([[1, 2], [3]]), "ragged matrix"),
+    (lambda: linalg.Echelon(pivot="first"), "pivot must be 'min' or 'max'"),
+], ids=["ragged", "pivot"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_empty_matrix_has_rank_zero_and_no_kernel():
+    assert linalg.mat_rank([]) == 0
+    assert linalg.nullspace([]) == []

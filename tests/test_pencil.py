@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
-                            flatness_residual, is_flat,
+                            flatness_residual, gc_check, is_flat,
                             pairing_extension_check, pencil_to_ftype,
                             potential_matrix, reduced_flatness_check,
                             residual_report, structure_connection)
@@ -345,3 +345,35 @@ def test_pencil_refuses_a_block_below_its_order():
     Z = SeriesMatrix.zeros(2, 2, (), 3)
     with pytest.raises(SeriesError, match="U carries order 2"):
         ConnectionPencil((), (), 2, [], [], P.U, Z, Z, 3)
+
+
+def test_pencil_to_ftype_rejects_a_moving_residue_or_gram_matrix():
+    P, R = structure_connection(rank2_higgs_ftype(N), 1)
+    tI = SeriesMatrix.identity(2, P.vars, N).scale_series(
+        TruncSeries.var(P.vars, N, "t"))
+    moving_v = ConnectionPencil(P.t_vars, P.y_vars, 2, P.C, P.F, P.U,
+                                P.V + tI, P.W, N)
+    with pytest.raises(RejectionError, match="V block is not constant; "
+                       "residue at infinity is not flat"):
+        pencil_to_ftype(moving_v, R)
+    moving_g = PairingMatrix(R.weight, [R.coeffs[0] + tI] + R.coeffs[1:])
+    with pytest.raises(RejectionError, match="Gram matrix of the pairing is "
+                       "not constant in the flat frame"):
+        pencil_to_ftype(P, moving_g)
+
+
+def test_pairing_extension_at_order_zero_has_no_base_derivatives():
+    # a t-direction at order 0 carries nothing to differentiate
+    P, R = structure_connection(rank2_higgs_ftype(0), 1, z_order=2)
+    rep = pairing_extension_check(P, R, z_order=2)
+    assert rep["passes"] and rep["pairing"].coeffs == R.coeffs
+
+
+def test_gc_check_drops_cancelled_entries():
+    # U e0 = e1 + e2, U e1 = e3 and U e2 = -e3, so U^2 e0 = 0: the word
+    # U U adds nothing, and e3 is never reached
+    Z = SeriesMatrix.zeros(4, 4, (), N)
+    U = consts([[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 1, -1, 0]],
+               (), N)
+    gc = gc_check(ConnectionPencil((), (), 4, [], [], U, Z, Z, N))
+    assert (gc.ok, gc.rank, gc.words) == (False, 2, [(), ("U",)])

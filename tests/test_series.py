@@ -881,3 +881,35 @@ def test_slice_terms_give_the_graded_part_of_a_product(data):
             SeriesMatrix.sum_of_products(slice_terms(Ss, Ts, s)
                                          + slice_terms(Ts, Ss, s, -1)),
             S.commutator(T).graded_part(s, names, weights))
+
+
+T2 = TruncSeries.var(("t",), 2, "t")
+M2 = SeriesMatrix.identity(2, ("t",), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TruncSeries(("t", "t"), 2),
+     r"duplicate variable names: \('t', 't'\)"),
+    (lambda: TruncSeries.var(("t",), 2, "s"), "unknown variable 's'"),
+    (lambda: T2 ** -1, "exponent must be a non-negative int"),
+    (lambda: T2.extend(("y", "y")), r"duplicate variable names: \('y', 'y'\)"),
+    (lambda: euler_integrate({}), "nothing to integrate"),
+    (lambda: euler_integrate({"t": T2, "y": T2.extend(V2)}),
+     "partials disagree on variable context"),
+    (lambda: euler_integrate({"s": T2}), "unknown variable 's'"),
+    (lambda: SeriesMatrix([[T2, T2.extend(V2)]]),
+     "matrix entries disagree on variables"),
+    (lambda: euler_integrate({"t": SeriesMatrix.identity(2, V2, 2),
+                              "y": SeriesMatrix.identity(3, V2, 2)}),
+     "shape mismatch 2x2 vs 3x3"),
+    (lambda: M2.conjugate_const([[F(1)]], [[F(1)]]), "basis size mismatch"),
+    (lambda: M2.solve_series(SeriesMatrix.zeros(3, 1, ("t",), 2)),
+     "right-hand side needs 2 rows"),
+    (lambda: SeriesMatrix.zeros(2, 3, ("t",), 2).inverse_series(),
+     "solve needs a square matrix"),
+], ids=["duplicate-vars", "var", "power", "extend", "integrate-nothing",
+        "integrate-contexts", "integrate-unknown", "matrix-contexts",
+        "integrate-shapes", "basis", "rhs-rows", "square"])
+def test_series_input_checks(call, message):
+    with pytest.raises(SeriesError, match=message):
+        call()

@@ -425,3 +425,22 @@ def test_solve_pairing_matches_dense_reference_on_seeded_inputs():
             reached.add("solution space of dimension > 1")
     assert reached == {"no equations", "no invertible candidate",
                        "solution space of dimension > 1"}
+
+
+def test_dictionary_refuses_nonzero_u_and_a_non_flat_result():
+    FT = rank2_higgs_ftype(N)
+    moved = FrobeniusTypeStructure(FT.vars, 2, FT.C, FT.C[0], FT.V, FT.g, N)
+    with pytest.raises(RejectionError, match="first endomorphism must "
+                       "vanish for the filtration dictionary"):
+        ftype_to_filtration(moved, 1)
+    # a second Higgs field that does not commute with the first makes the
+    # converted connection non-flat
+    vars = ("t1", "t2")
+    C = [consts([[0, 0], [1, 0]], vars, N), consts([[0, 0], [0, 1]], vars, N)]
+    two = FrobeniusTypeStructure(vars, 2, C, SeriesMatrix.zeros(
+        2, 2, vars, N), FT.V, FT.g, N)
+    with pytest.raises(RejectionError, match="converted data violates the "
+                       "filtration conditions") as err:
+        ftype_to_filtration(two, 1)
+    assert "connection-flat" in {
+        v["check"] for v in err.value.report["violations"]}

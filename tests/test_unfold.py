@@ -7,7 +7,7 @@ from frobkit.pencil import ConnectionPencil, flatness_residual, is_flat
 from frobkit.series import SeriesMatrix, TruncSeries
 from frobkit.structures import RejectionError
 from frobkit.unfold import (UnfoldProblem, gc_check, ic_check, solve,
-                            universal_unfold)
+                            universal_unfold, zeta_frame)
 from helpers import (brute_force_unfold, consts, corpus, point_base_pencil,
                      rank2_higgs_ftype, rank3_point_ftype)
 from frobkit.pencil import structure_connection
@@ -383,3 +383,10 @@ def test_solve_lifts_a_constant_base_to_the_target_order():
     out = solve(UnfoldProblem(low, ("y1",), f, 2))
     assert out.order == 2
     assert out == solve(UnfoldProblem(high, ("y1",), f, 2))
+
+
+def test_zeta_frame_completes_a_nonzero_vector_only():
+    B, Binv = zeta_frame([F(0), F(2)], 2)
+    assert B == [[0, 1], [2, 0]] and Binv == [[0, F(1, 2)], [1, 0]]
+    with pytest.raises(ValueError, match="columns are dependent"):
+        zeta_frame([F(0)] * 2, 2)

@@ -1,5 +1,5 @@
 """Print every executable line of ``src/frobkit`` that the test suite never
-runs.
+runs, and check the lines against ``tools/untested_allow.txt``.
 
 Standard library only: the suite runs in this process under ``sys.settrace``,
 with a local tracer only in frames whose code lives under ``src/frobkit``,
@@ -8,10 +8,22 @@ from those files.  Usage, from the repository root:
 
     python tools/untested_lines.py [pytest arguments]
 
-The arguments default to the tier-1 suite (``-q tests``).  Each unexecuted
-line prints as ``path:line: source``, followed by a count per file.  Tracing
-slows the suite down about fourfold.  Lines that only run in a child
-process (``python -m frobkit`` in a subprocess) count as unexecuted.
+The arguments default to the tier-1 suite (``-q tests``).  Tracing slows
+the suite down about fourfold.  Lines that only run in a child process
+count as unexecuted.
+
+Each line of the allowlist reads ``path<TAB>stripped source<TAB>reason``
+(blank lines and lines starting with ``#`` are skipped), with the path
+relative to the repository root.  An entry is keyed by its text, not by
+its line number, and covers one unexecuted line with that text in that
+file; a text that occurs twice untested needs two entries.  Every
+unexecuted line that no entry covers prints as ``path:line: source``, and
+every entry left over prints as ``stale: path: source``.  The exit status
+is 1 when either kind is printed, else pytest's own.  An entry that names
+no file under ``src/frobkit``, gives no reason, or lists a line that its
+file does not hold (as often as it is listed) is refused before the suite
+runs, with exit status 1; ``tests/test_untested_allow.py`` runs the same
+check in the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -20,9 +32,11 @@ import dis
 import os
 import sys
 import types
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "frobkit")
+ALLOW = os.path.join(ROOT, "tools", "untested_allow.txt")
 
 
 def executable_lines(path):
@@ -37,10 +51,58 @@ def executable_lines(path):
     return lines
 
 
+def read_allowlist(path=ALLOW):
+    """The entries of the allowlist as (path, source, reason) triples; a
+    line without exactly two tabs raises ValueError."""
+    entries = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError("%s:%d: need path, source and reason "
+                                 "separated by tabs" % (path, number))
+            entries.append(tuple(fields))
+    return entries
+
+
+def allowlist_errors(entries, root=ROOT):
+    """One message per entry that names no file under src/frobkit, lists
+    no source or gives no reason, and per (path, source) listed more often
+    than the file holds it as a stripped line."""
+    errors = []
+    listed: Counter = Counter()
+    for path, text, reason in entries:
+        full = os.path.join(root, path)
+        if not (path.startswith("src/frobkit/") and os.path.isfile(full)):
+            errors.append("%s: not a file under src/frobkit" % path)
+        elif not text or not reason.strip():
+            errors.append("%s: %r: needs a source line and a reason"
+                          % (path, text))
+        else:
+            listed[path, text] += 1
+    for (path, text), count in sorted(listed.items()):
+        with open(os.path.join(root, path)) as fh:
+            held = [line.strip() for line in fh].count(text)
+        if held < count:
+            errors.append("%s: %r listed %d times, found %d"
+                          % (path, text, count, held))
+    return errors
+
+
 def main(args):
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     import pytest
 
+    entries = read_allowlist()
+    errors = allowlist_errors(entries)
+    for error in errors:
+        print("bad allowlist entry: %s" % error)
+    if errors:
+        return 1
+    allowed = Counter((p, s) for p, s, _ in entries)
     prefix = SRC + os.sep
     seen: dict = {}
 
@@ -64,22 +126,31 @@ def main(args):
         status = pytest.main(args or ["-q", os.path.join(ROOT, "tests")])
     finally:
         sys.settrace(None)
-    total = 0
+    total = unlisted = 0
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(SRC, name)
+        rel = os.path.relpath(path, ROOT)
         with open(path) as fh:
             source = fh.read().splitlines()
         missed = sorted(executable_lines(path) - seen.get(path, set()))
         for line in missed:
-            print("%s:%d: %s" % (os.path.relpath(path, ROOT), line,
-                                 source[line - 1].strip()))
+            text = source[line - 1].strip()
+            if allowed[rel, text]:
+                allowed[rel, text] -= 1
+            else:
+                print("%s:%d: %s" % (rel, line, text))
+                unlisted += 1
         total += len(missed)
-        print("# %s: %d unexecuted lines" % (name, len(missed)))
-    print("# total: %d unexecuted lines (pytest exit status %d)"
-          % (total, status))
-    return int(status)
+    stale = sum(allowed.values())
+    for (rel, text), count in sorted(allowed.items()):
+        for _ in range(count):
+            print("stale: %s: %s" % (rel, text))
+    print("# %d unexecuted lines: %d allowed, %d unlisted; %d stale "
+          "allowlist entries (pytest exit status %d)"
+          % (total, total - unlisted, unlisted, stale, status))
+    return 1 if unlisted or stale else int(status)
 
 
 if __name__ == "__main__":
