@@ -404,7 +404,7 @@ def _command(name):
                   type=click.IntRange(min=0, max=MAX_INPUT_ORDER),
                   help="total truncation order")
     @click.option("--z-order", default=4, show_default=True,
-                  type=click.IntRange(min=0),
+                  type=click.IntRange(min=0, max=MAX_INPUT_ORDER),
                   help="certified z-order for pairings")
     def cmd(input_path, output_dir, order, z_order, **flag):
         with open(input_path) as fh:

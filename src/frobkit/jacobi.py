@@ -894,7 +894,7 @@ class JacobiFamily:
             for k in range(self.order + 1):
                 for p, terms in self._slice(target, k, m).items():
                     entries.setdefault((p, j), {}).update(terms)
-        return {pj: TruncSeries._make(self.t_vars, self.order, terms)
+        return {pj: TruncSeries._from_fractions(self.t_vars, self.order, terms)
                 for pj, terms in entries.items()}
 
     def mult_matrix(self, a: int, from_sdeg: int):

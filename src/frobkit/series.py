@@ -1,8 +1,8 @@
 """Exact truncated multivariate power series and matrices of them.
 
-A TruncSeries is a polynomial with Fraction coefficients, known to be
-correct up to a stated total-degree bound ``order``; everything of higher
-degree has been discarded.  All arithmetic is exact on the retained part.
+A TruncSeries is a polynomial, with integer numerators over one denominator,
+known exactly up to a total-degree bound ``order``; everything of higher
+degree has been discarded, and all arithmetic is exact on the rest.
 Matrices of series share one variable context and one order bound and are
 the carriers for connection and Higgs data everywhere else in the package.
 
@@ -18,7 +18,7 @@ dynamic arrays, heaps, and packed exponent vectors*, CASC 2007).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -50,9 +50,9 @@ _set = object.__setattr__
 
 def frac_from_str(s) -> Fraction:
     """Parse "num/den" (or a bare integer string / int) into a Fraction."""
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise ValueError("rational must be an int or a string, got %r" % (s,))
+    return Fraction(s)
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -151,13 +151,13 @@ def _as_frac(c) -> Fraction:
 class TruncSeries:
     """Formal power series in ``vars``, truncated at total degree ``order``.
 
-    The terms are nonzero Fractions under packed keys (see the module
-    docstring), every one of total degree <= order; ``terms`` decodes them
-    to exponent tuples.  Instances are immutable; all operations return new
-    objects.
+    Stored as (den, {packed key: nonzero int}), every key of degree <=
+    order, in lowest terms (den > 0, gcd 1, den 1 for zero) as FLINT's
+    ``fmpq_poly`` (Hart, ICMS 2010); ``terms`` decodes it to exponent tuples
+    and Fractions.  Instances are immutable; operations return new objects.
     """
 
-    __slots__ = ("vars", "order", "_t")
+    __slots__ = ("vars", "order", "_den", "_t")
 
     def __init__(self, vars: Sequence[str], order: int,
                  terms: Mapping[tuple, Fraction] | None = None):
@@ -179,28 +179,41 @@ class TruncSeries:
                 c = _as_frac(c)
                 if c != 0:
                     clean[pack_key(e, st) + d * st[-1]] = c
-        _set(self, "vars", vars)
-        _set(self, "order", order)
-        _set(self, "_t", clean)
+        x = TruncSeries._from_fractions(vars, order, clean)
+        for a in TruncSeries.__slots__:
+            _set(self, a, getattr(x, a))
 
     @staticmethod
-    def _make(vars: tuple, order: int, terms: dict) -> "TruncSeries":
-        """Trusted constructor: wrap ``terms`` as is, with no checks or copy.
+    def _make(vars: tuple, order: int, terms: dict, den=1) -> "TruncSeries":
+        """Trusted constructor: the numerators ``terms`` over ``den``, put
+        in lowest terms by one gcd pass, and no other check or copy.
 
         The caller guarantees everything ``__init__`` would otherwise
         enforce: ``vars`` is a tuple of distinct names, 0 <= order <=
-        MAX_ORDER, and ``terms`` is a dict of packed keys in ``len(vars)``
-        variables, of total degree <= order, to nonzero Fractions.  The dict
-        becomes the new series' own, so the caller must not touch it
-        afterwards.  Use it only for output that is clean by construction,
-        such as the result of an operation on series that already hold the
-        invariant.
+        MAX_ORDER, den > 0, and ``terms`` is a dict of packed keys in
+        ``len(vars)`` variables, of total degree <= order, to nonzero ints.
+        The dict may become the new series' own, so the caller must not
+        touch it afterwards.  Use it only for output that is clean by
+        construction, such as the result of an operation on series that
+        already hold the invariant.
         """
+        g = gcd(den, *terms.values()) if den != 1 else 1
+        if g != 1:
+            terms, den = {k: n // g for k, n in terms.items()}, den // g
         out = _new(TruncSeries)
         _set(out, "vars", vars)
         _set(out, "order", order)
+        _set(out, "_den", den)
         _set(out, "_t", terms)
         return out
+
+    @staticmethod
+    def _from_fractions(vars: tuple, order: int, terms: dict):
+        """_make over the lcm of the denominators of {key: Fraction != 0}."""
+        den = lcm(*[c.denominator for c in terms.values()])
+        return TruncSeries._make(vars, order, {
+            k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
@@ -210,12 +223,13 @@ class TruncSeries:
         """The terms as a fresh dict {exponent tuple: Fraction}, in the
         insertion order of the stored keys."""
         st = exponent_strides(len(self.vars))
-        return {unpack_key(k, st)[:-1]: c for k, c in self._t.items()}
+        return {unpack_key(k, st)[:-1]: Fraction(n, self._den)
+                for k, n in self._t.items()}
 
     @property
     def packed_terms(self) -> dict:
-        """The stored dict {packed key: Fraction} itself; read it only."""
-        return self._t
+        """A fresh dict {packed key: Fraction} of the terms in stored order."""
+        return {k: Fraction(n, self._den) for k, n in self._t.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -231,7 +245,7 @@ class TruncSeries:
         _check_order(order)
         if len(set(vars)) != len(vars):
             raise SeriesError("duplicate variable names: %r" % (vars,))
-        return cls._make(vars, order, {0: c} if c else {})
+        return cls._from_fractions(vars, order, {0: c} if c else {})
 
     @classmethod
     def one(cls, vars, order):
@@ -254,7 +268,7 @@ class TruncSeries:
     @property
     def constant_term(self) -> Fraction:
         # the constant monomial has key 0 in any number of variables
-        return self._t.get(0, _ZERO)
+        return Fraction(self._t.get(0, 0), self._den)
 
     def is_constant(self) -> bool:
         return not any(self._t)
@@ -263,10 +277,10 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return (self.vars == other.vars and self.order == other.order
-                and self._t == other._t)
+                and self._den == other._den and self._t == other._t)
 
     def __hash__(self):
-        return hash((self.vars, self.order, frozenset(self._t.items())))
+        return hash((self.order, self._den, frozenset(self._t.items())))
 
     def __repr__(self):
         if not self._t:
@@ -305,21 +319,18 @@ class TruncSeries:
         self._like(other)
         order = min(self.order, other.order)
         limit = _limit(len(self.vars), order)
-        if self.order == order:
-            terms = dict(self._t)
-        else:
-            terms = {k: c for k, c in self._t.items() if k < limit}
-        right = other._t.items()
-        if other.order != order:
-            right = [(k, c) for k, c in right if k < limit]
-        _add_into(terms, ((k, -c) for k, c in right) if negate else right)
-        return TruncSeries._make(self.vars, order, terms)
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den * (-1 if negate else 1)
+        terms = {k: c * f for k, c in self._t.items() if k < limit}
+        _add_into(terms, ((k, c * g) for k, c in other._t.items()
+                          if k < limit))
+        return TruncSeries._make(self.vars, order, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries._make(self.vars, self.order,
-                                 {k: -c for k, c in self._t.items()})
+        return TruncSeries._make(self.vars, self.order, {
+            k: -c for k, c in self._t.items()}, self._den)
 
     def __sub__(self, other):
         return self.__add__(other, True)
@@ -332,8 +343,9 @@ class TruncSeries:
             c = _as_frac(other)
             if c == 0:
                 return TruncSeries._make(self.vars, self.order, {})
-            return TruncSeries._make(self.vars, self.order,
-                                     {k: c * v for k, v in self._t.items()})
+            return TruncSeries._make(self.vars, self.order, {
+                k: c.numerator * v for k, v in self._t.items()},
+                self._den * c.denominator)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._like(other)
@@ -345,7 +357,8 @@ class TruncSeries:
             if k1 < limit:
                 _add_into(terms, ((k1 + k2, c1 * c2) for k2, c2 in right
                                   if k1 + k2 < limit))
-        return TruncSeries._make(self.vars, order, terms)
+        return TruncSeries._make(self.vars, order, terms,
+                                 self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -369,7 +382,7 @@ class TruncSeries:
         inv_c0 = 1 / c0
         if len(self._t) == 1:
             # a constant unit
-            return TruncSeries._make(self.vars, self.order, {0: inv_c0})
+            return TruncSeries.const(self.vars, self.order, inv_c0)
         # Newton-free iteration: u_{k+1} picks up one degree per step.
         rest = self - c0
         out = TruncSeries.const(self.vars, self.order, inv_c0)
@@ -399,7 +412,7 @@ class TruncSeries:
             e = (k >> b) & MAX_ORDER
             if e:
                 terms[k - down] = c * e
-        return TruncSeries._make(self.vars, self.order - 1, terms)
+        return TruncSeries._make(self.vars, self.order - 1, terms, self._den)
 
     def mul_var(self, name: str) -> "TruncSeries":
         """Multiply by a variable, raising the order bound by 1.
@@ -410,8 +423,8 @@ class TruncSeries:
         b = self._field_shift(name)
         _check_order(self.order + 1)
         up = (1 << b) + (1 << (FIELD_BITS * len(self.vars)))
-        return TruncSeries._make(self.vars, self.order + 1,
-                                 {k + up: c for k, c in self._t.items()})
+        return TruncSeries._make(self.vars, self.order + 1, {
+            k + up: c for k, c in self._t.items()}, self._den)
 
     def _move_fields(self, moves, new_vars, skip=0) -> "TruncSeries":
         """The series in ``new_vars`` whose term keys carry field i of each
@@ -428,7 +441,7 @@ class TruncSeries:
             for b, nb in moves:
                 key += ((k >> b) & MAX_ORDER) << nb
             terms[key] = c
-        return TruncSeries._make(new_vars, self.order, terms)
+        return TruncSeries._make(new_vars, self.order, terms, self._den)
 
     def restrict_zero(self, names: Iterable[str]) -> "TruncSeries":
         """Set the listed variables to 0 and remove them from the context."""
@@ -464,7 +477,7 @@ class TruncSeries:
         limit = _limit(len(self.vars), order)
         return TruncSeries._make(self.vars, order,
                                  {k: c for k, c in self._t.items()
-                                  if k < limit})
+                                  if k < limit}, self._den)
 
     def graded_part(self, degree: int, names: Iterable[str] | None = None,
                     weights: Mapping[str, int] | None = None) -> "TruncSeries":
@@ -483,7 +496,7 @@ class TruncSeries:
         wt = [(FIELD_BITS * i, w) for i, w in wt.items()]
         terms = {k: c for k, c in self._t.items()
                  if sum(((k >> b) & MAX_ORDER) * w for b, w in wt) == degree}
-        return TruncSeries._make(self.vars, self.order, terms)
+        return TruncSeries._make(self.vars, self.order, terms, self._den)
 
     def compose(self, mapping: Mapping[str, "TruncSeries"]) -> "TruncSeries":
         """The one-entry case of ``SeriesMatrix.compose``."""
@@ -556,14 +569,14 @@ def euler_integrate(partials, weights: Mapping[str, int] | None = None):
     def integrate(entries) -> TruncSeries:
         terms: dict = {}
         for up, w, p in entries:
-            for k, c in p._t.items():
+            for k, n in p._t.items():
                 if k >= limit:
                     continue
                 k += up
                 d = sum(((k >> b) & MAX_ORDER) * wk for b, wk in wt)
-                terms[k] = terms.get(k, _ZERO) + c * w / d
-        return TruncSeries._make(ctx, order + 1,
-                                 {k: c for k, c in terms.items() if c})
+                terms[k] = terms.get(k, _ZERO) + Fraction(n * w, d * p._den)
+        return TruncSeries._from_fractions(
+            ctx, order + 1, {k: c for k, c in terms.items() if c})
 
     if not isinstance(forms[0], SeriesMatrix):
         return integrate(slots)
@@ -595,21 +608,6 @@ def slice_sum(slices):
     """The matrix whose list of slices is ``slices``."""
     one = TruncSeries.one(slices[0].vars, slices[0].order)
     return SeriesMatrix.sum_of_products([(1, M, one) for M in slices])
-
-
-def _normalise(groups) -> dict:
-    """{key: Fraction} from {denominator: {key: numerator}}, over
-    the lcm of the denominators; terms that sum to zero are dropped."""
-    if len(groups) == 1:
-        ((den, nums),) = groups.items()
-    else:
-        den = lcm(*groups)
-        nums = {}
-        for d, t in groups.items():
-            f = den // d
-            for e, n in t.items():
-                nums[e] = nums.get(e, 0) + n * f
-    return {e: Fraction(n, den) for e, n in nums.items() if n}
 
 
 def _check_shape(rows, cols):
@@ -653,9 +651,9 @@ class SeriesMatrix:
     of matrices with series coefficients run through one kernel,
     ``sum_of_products``, whose terms are products sign * A @ B and scaled
     terms sign * A * x (x a series; a zero x is dropped unread).  It walks
-    each output row once over all the terms, keeps integer numerators
-    grouped by denominator, and forms one Fraction per output term at the
-    end.
+    each output row once over all the terms, reads each entry's integer
+    numerators as stored, groups their products by denominator, and forms
+    no Fraction.
     """
 
     __slots__ = ("rows", "cols", "vars", "order", "_data", "_zero")
@@ -730,7 +728,7 @@ class SeriesMatrix:
             raise SeriesError("ragged matrix")
         vars = TruncSeries.const(vars, order, 0).vars
         return cls._make(len(mat), len(mat[0]), vars, order, [
-            {j: TruncSeries._make(vars, order, {0: c})
+            {j: TruncSeries._from_fractions(vars, order, {0: c})
              for j, c in enumerate(row) if c} for row in mat])
 
     @classmethod
@@ -881,11 +879,11 @@ class SeriesMatrix:
         nonzero a of row i of A, in column k, to column k of the output as
         a * x, through the same inner loop as a product's a * B[k, j]; a
         term whose x is zero is dropped before any row is walked.  An entry
-        enters as integer numerators over the lcm of its denominators, and
-        the product of two entries adds the products of their numerators
-        to a dict kept for the product of their denominators.  So no
-        Fraction and no series is formed until the end, when each output
-        term is normalised once over the lcm of its entry's denominators.
+        is read as stored, integer numerators over one denominator, sorted
+        by degree once per call; the product of two entries adds the
+        products of their numerators to a dict kept for the product of
+        their denominators.  No Fraction is formed, and no series until the
+        end, when each output entry is summed over the lcm of its groups.
         """
         terms = list(terms)
         if not terms:
@@ -917,15 +915,12 @@ class SeriesMatrix:
         top = FIELD_BITS * len(vars)
 
         def numerators(x):
-            # (lcm of x's denominators, [(key, deg, numerator)] by degree);
-            # keyed by id, which is stable while the operands are alive
+            # (den, [(key, deg, numerator)] by degree); keyed by id, which
+            # is stable while the operands are alive
             got = split.get(id(x))
             if got is None:
-                ratios = [(k, k >> top) + c.as_integer_ratio()
-                          for k, c in x._t.items()]
-                den = lcm(*[r[3] for r in ratios])
-                got = split[id(x)] = (den, sorted(
-                    [(e, d, n * (den // q)) for e, d, n, q in ratios],
+                got = split[id(x)] = (x._den, sorted(
+                    [(k, k >> top, n) for k, n in x._t.items()],
                     key=itemgetter(1)))
             return got
 
@@ -953,9 +948,14 @@ class SeriesMatrix:
                                 t[e] = t.get(e, 0) + n1 * n2
             out = {}
             for j in sorted(acc):
-                norm = _normalise(acc[j])
-                if norm:
-                    out[j] = TruncSeries._make(vars, order, norm)
+                den = lcm(*acc[j])
+                nums: dict = {}
+                for d, t in acc[j].items():
+                    for e, n in t.items():
+                        nums[e] = nums.get(e, 0) + n * (den // d)
+                nums = {e: n for e, n in nums.items() if n}
+                if nums:
+                    out[j] = TruncSeries._make(vars, order, nums, den)
             data.append(out)
         return SeriesMatrix._make(rows, cols, vars, order, data)
 
@@ -1015,7 +1015,7 @@ class SeriesMatrix:
         monomials: dict = {0: one}
 
         def substitute(x):
-            terms: dict = {}
+            images = []
             for key, c in x._t.items():
                 if key >= limit:
                     continue  # its image lies above the order
@@ -1028,8 +1028,13 @@ class SeriesMatrix:
                         if k:
                             got = table[k] if got is None else got * table[k]
                     monomials[key] = got
+                images.append((c, got))
+            den = lcm(*[got._den for _, got in images])
+            terms: dict = {}
+            for c, got in images:
+                c *= den // got._den
                 _add_into(terms, ((k, c * v) for k, v in got._t.items()))
-            return TruncSeries._make(ctx, order, terms)
+            return TruncSeries._make(ctx, order, terms, den * x._den)
 
         return self._map(substitute)
 

@@ -19,7 +19,7 @@ from frobkit.jacobi import XPoly
 from frobkit.pencil import (PairingMatrix, flatness_residual,
                             structure_connection)
 from frobkit.series import (MAX_INPUT_ORDER, SeriesError, SeriesMatrix,
-                            TruncSeries)
+                            TruncSeries, frac_from_str)
 from frobkit.structures import filtration_to_ftype, shift_example
 from frobkit.unfold import UnfoldProblem, solve
 from helpers import point_base_pencil, rank1_log_pencil, rank2_higgs_ftype
@@ -633,6 +633,39 @@ def test_order_beyond_the_exponent_field_exits_two(tmp_path):
     code, report, out = _run(tmp_path, "universal-unfold",
                              {"pencil": P.to_json()})
     assert code == 2 and report is None and not out.exists()
+
+
+def test_z_order_stops_at_the_top_input_order(tmp_path):
+    # --z-order shares --order's range: a larger one would only write a
+    # zero matrix per z-power
+    payload = dict(FUZZ_BASES)["structure-connection"]
+    code, report, _ = _run(tmp_path, "structure-connection", payload,
+                           "--z-order", str(MAX_INPUT_ORDER))
+    assert code == 0 and report["z_order"] == MAX_INPUT_ORDER
+    (tmp_path / "over").mkdir()
+    code, report, out = _run(tmp_path / "over", "structure-connection",
+                             payload, "--z-order", str(MAX_INPUT_ORDER + 1))
+    assert code == 2 and report is None and not out.exists()
+
+
+@pytest.mark.parametrize("coefficient", [1.5, True])
+def test_non_string_rational_in_a_polynomial_exits_two(tmp_path,
+                                                       coefficient):
+    # a rational is an int or a "num/den" string; JSON floats and booleans
+    # are not exact rationals
+    terms = [[[3, 0], coefficient], [[0, 3], "1/1"]]
+    code, report, out = _run(tmp_path, "jacobi", {
+        "num_vars": 2, "weights": ["1/3", "1/3"], "terms": terms})
+    assert code == 2 and report is None and not out.exists()
+
+
+def test_float_coefficient_in_a_series_payload_exits_two(tmp_path):
+    b = {"vars": ["t"], "order": 4, "terms": [[[0], "1/1"], [[1], 0.1]]}
+    code, report, out = _run(tmp_path, "reconstruct", {"initial": {
+        "kind": "shift-example", "weight": 5, "b": [b]}})
+    assert code == 2 and report is None and not out.exists()
+    with pytest.raises(ValueError, match="must be an int or a string"):
+        frac_from_str(0.1)
 
 
 def test_universal_unfold_at_the_top_input_order_exits_zero(tmp_path):

@@ -121,6 +121,9 @@ REJECTIONS = [
         [_series(("t", "y1"), 4, {(0, 1): 1} if k == 1 else {})
          for k in range(4)], order=3), (),
      "base pencil carries too little t-precision (order 2 < 3)"),
+    ("structure-connection-axioms-fail", "structure-connection", lambda: {
+        "ftype": dict(RANK2, v_endo=[["1/1", "0/1"], ["0/1", "0/1"]]),
+        "weight": 1}, (), "structure axioms fail"),
     ("universal-unfold-base-has-y", "universal-unfold",
      lambda: {"pencil": UNFOLDED.to_json()}, (),
      "pencil already carries unfolding directions"),

@@ -1,5 +1,7 @@
+import gc
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -913,3 +915,48 @@ M2 = SeriesMatrix.identity(2, ("t",), 2)
 def test_series_input_checks(call, message):
     with pytest.raises(SeriesError, match=message):
         call()
+
+
+# -- the stored form: integer numerators over one denominator ---------------
+
+def assert_stored_form(x):
+    """x holds (den, {key: int}) in lowest terms: den > 0, no zero
+    numerator, gcd(den, numerators) = 1 and den = 1 for zero; a dict of
+    ints leaves the garbage collector nothing to track."""
+    den, nums = x._den, x._t
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert nums or den == 1
+    assert not gc.is_tracked(nums)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_series(order=2), small_series(order=3), coeffs,
+       st.integers(0, 3), product_sums())
+def test_every_result_holds_the_stored_form(a, b, c, d, terms):
+    u = TruncSeries(("u",), 3, {(1,): F(1, 2), (2,): F(-2, 3)})
+    got = [a + b, b + a, a - b, a - a, -b, a * b, a * c, c * b, a * 0, a + c,
+           b.mul_var("y"), b.truncate(1), b.restrict_zero(["y"]),
+           a.extend(("u",) + V2),
+           b.graded_part(d), b.graded_part(d, ["t"], {"t": 2}),
+           a.compose({"t": u, "y": u * F(3, 5)}),
+           euler_integrate({"t": a, "y": b}),
+           euler_integrate({"t": b}, {"t": 2, "y": 3})]
+    got += [x.partial(v) for x in (a, b) for v in V2]
+    M = SeriesMatrix.sum_of_products(terms)
+    for x in got + list(M.nonzero().values()) + [M[0, 0] * 0]:
+        assert_stored_form(x)
+
+
+def test_equal_series_from_different_paths_hash_equal():
+    x = TruncSeries.var(V2, 3, "t")
+    a = TruncSeries(V2, 3, {(1, 0): F(1, 2), (0, 2): F(-2, 3)})
+    b = TruncSeries(V2, 3, {(0, 1): F(5, 6), (0, 2): F(1, 12)})
+    zero = TruncSeries.zero(V2, 3)
+    for got, want in [((x * F(1, 2)) * 2, x), ((a + b) - b, a),
+                      (a * F(3, 7) * F(7, 3), a), (b - b, zero),
+                      ((a * 6).partial("y") * F(1, 6), a.partial("y"))]:
+        assert got == want and hash(got) == hash(want)
+        assert_stored_form(got)
+    assert len({a, (a + b) - b, x, (x * F(1, 2)) * 2, zero, b - b}) == 3

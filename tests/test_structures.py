@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -243,6 +244,16 @@ FAMILY_FIXTURES = [
     (fermat(5, 5), 0,
      "3d9576097c8da108439f507614e4f448312b1dbd9efff26c591b4b2fbd604ce0"),
 ]
+
+
+def test_gamma_entries_hold_integer_terms():
+    # a series stores int numerators, so a Gamma entry's term dict holds no
+    # object the garbage collector tracks
+    D, _ = jacobi_to_filtration(build_jacobi(*fermat(5, 5)), order=0,
+                                with_pairing=False)
+    entries = [x for G in D.Gamma for x in G.nonzero().values()]
+    assert len(entries) == 3593
+    assert not any(gc.is_tracked(x._t) for x in entries)
 
 
 @pytest.mark.parametrize("poly, order, digest", FAMILY_FIXTURES,
