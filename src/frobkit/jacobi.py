@@ -25,11 +25,14 @@ normal-form table with one entry per monomial.
 
 Milnor number and graded dimensions come from the Koszul Hilbert series
 once the singularity has been certified isolated; materialized pieces are
-checked against it.  The certificate walks the degrees above the socle
-upwards, and at each one it drops the variables x_i whose cofactor degree
-already lies above the socle: those pieces are certified zero, so x_i times
-any monomial of that degree is in the ideal, and only the piece in the
-remaining variables, with every partial restricted to them, is built.
+checked against it.  Over binomial partials the certificate searches the
+union-find component of a pure power of each variable above the socle, and
+all of them in the ideal prove the quotient finite.  Otherwise it walks the
+degrees above the socle upwards, and at each one drops the variables x_i
+whose cofactor degree already lies above the socle: those pieces are
+certified zero, so x_i times any monomial of that degree is in the ideal,
+and only the piece in the remaining variables, with every partial
+restricted to them, is built.
 
 The family F_t = f + sum_a t_a m_a over the degree-1 basis monomials is
 not eliminated again.  Its normal forms are lifted in t from the
@@ -287,6 +290,36 @@ def _ideal_rows(packed, index):
     for i, shifts, terms in packed:
         for g in shifts:
             yield (g, i), {index[g + k]: c for k, c in terms}
+
+
+def _binomial_component(rows, start):
+    """The component of the monomial ``start`` in the quotient by partials
+    of at most two terms (``rows``, each a list of (exponent tuple,
+    coefficient)), by the rules of ``GradedPiece._build_uf``: a one-term
+    partial that divides a monomial kills it, and a row c*x^(g+e) +
+    c'*x^(g+e') gives e_(g+e') = -c/c' * e_(g+e).  None when a dead monomial
+    or an inconsistent cycle puts it in the ideal, else {m: c} with
+    e_m = c * e_start."""
+    coef = {start: Fraction(1)}
+    stack = [start]
+    while stack:
+        m = stack.pop()
+        for terms in rows:
+            for (e, c), (e2, c2) in zip(terms, reversed(terms)):
+                g = [a - b for a, b in zip(m, e)]
+                if min(g) < 0:
+                    continue
+                if len(terms) == 1:
+                    return None
+                v = tuple(a + b for a, b in zip(g, e2))
+                cv = coef[m] * -c / c2
+                known = coef.get(v)
+                if known is None:
+                    coef[v] = cv
+                    stack.append(v)
+                elif known != cv:
+                    return None
+    return coef
 
 
 class GradedPiece:
@@ -559,11 +592,19 @@ class JacobiAlgebra:
     # -- construction helpers ----------------------------------------------
 
     def _certify_isolated(self):
-        """Certify that the quotient vanishes in the scaled degrees
-        B+1..B+max D_i (B the socle degree), lowest first; the first
-        nonzero piece raises NotIsolatedError with its degree.
+        """Certify that f is isolated, or raise NotIsolatedError with the
+        lowest scaled degree in B+1..B+max D_i (B the socle degree) where
+        the quotient is nonzero.
 
-        At degree s, x_i is covered when s - D_i > B.  The piece at
+        C[x]/J is finite-dimensional exactly when a power of each variable
+        lies in J (the Finiteness Theorem, Cox-Little-O'Shea ch. 5 section
+        3), and then, f being weighted homogeneous, it vanishes above B.  So
+        when every x_i^N_i with N_i = B // D_i + 1 lies in J, f is isolated
+        and no piece is built.  Over partials of at most two terms each
+        membership is one search (``_binomial_component``).
+
+        Otherwise the pieces above B are certified zero, lowest first.  At
+        degree s, x_i is covered when s - D_i > B.  The piece at
         s - D_i was certified zero earlier in this loop, so x_i times any
         monomial of that degree lies in J (x_i J_{s-D_i} is in J), and the
         degree-s piece of C[x]/J is that of C[x]/(J + (covered x_i)): the
@@ -573,6 +614,12 @@ class JacobiAlgebra:
         """
         ws = self.ws
         B = ws.socle_scaled()
+        rows = [list(p.terms.items()) for p in self.partials if p.terms]
+        if all(len(terms) <= 2 for terms in rows) and not any(
+                _binomial_component(rows, tuple(
+                    B // d + 1 if k == i else 0 for k in range(ws.nvars)))
+                for i, d in enumerate(ws.scaled)):
+            return
         for s in range(B + 1, B + max(ws.scaled) + 1):
             # no name keeps a piece alive while the next one is built
             if self._uncovered_dim(s, [s - d <= B for d in ws.scaled]):

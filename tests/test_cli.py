@@ -81,6 +81,18 @@ def test_h2check_rejects_witness_at_covered_degree(tmp_path):
                                "nonzero above the socle bound")
 
 
+def test_jacobi_rejects_witness_at_covered_degree(tmp_path):
+    # the payload above: x^11 and y^11 lie in the ideal and z^6 does not, so
+    # the degree-by-degree certificate names the first nonzero piece
+    payload = {"num_vars": 3, "weights": ["1/6", "1/6", "1/3"],
+               "terms": [[[6, 0, 0], "1/1"], [[0, 6, 0], "1/1"],
+                         [[1, 1, 2], "1/1"]]}
+    code, report, _ = _run(tmp_path, "jacobi", payload)
+    assert code == 1 and report["ok"] is False
+    assert report["error"] == ("graded piece at weighted degree 2 is "
+                               "nonzero above the socle bound")
+
+
 def test_schema_violation_exits_two(tmp_path):
     code, report, _ = _run(tmp_path, "jacobi", {"nope": 1})
     assert code == 2

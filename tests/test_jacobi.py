@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
                             RfClass, WeightSystem, XPoly, _ideal_rows,
-                            _packed_partials, build_jacobi,
-                            h2_generation_check, jacobian_piece, multiply_rf,
-                            pack_key, unpack_key)
+                            _binomial_component, _packed_partials,
+                            build_jacobi, h2_generation_check,
+                            jacobian_piece, multiply_rf, pack_key,
+                            unpack_key)
 from frobkit.linalg import Echelon
 from helpers import (HESSE, codim_one_polynomial, fermat,
                      fermat_cubic_algebra, reference_family_entries,
@@ -233,6 +234,118 @@ def test_isolatedness_certificate_matches_full_pieces(case):
     partials = [f.partial(i) for i in range(ws.nvars)]
     assert _isolated_witness(f, ws) == reference_isolated_witness(ws,
                                                                   partials)
+
+
+BINOMIAL_WEIGHTS = [
+    (F(1, 3), F(1, 3)), (F(1, 4), F(1, 4)), (F(1, 5), F(2, 5)),
+    (F(1, 3),) * 3, (F(1, 6), F(1, 6), F(1, 3)), (F(1, 8), F(1, 4), F(1, 2)),
+    (F(1, 9), F(2, 9), F(1, 3)), (F(1, 6), F(1, 3), F(1, 2))]
+
+
+@st.composite
+def binomial_polynomials(draw):
+    """f with every partial of at most two terms: the drawn pure powers,
+    then drawn monomials, each kept while no variable lies in more than two
+    kept terms (x_i in a term is one term of dF/dx_i).  Dropping a pure
+    power is the common way to a non-isolated draw."""
+    ws = WeightSystem(draw(st.sampled_from(BINOMIAL_WEIGHTS)))
+    L, n = ws.scale, ws.nvars
+    pure = [tuple(L // d if k == i else 0 for k in range(n))
+            for i, d in enumerate(ws.scaled) if L % d == 0]
+    kept = [m for m in pure if draw(st.integers(0, 3))]
+    kept += draw(st.lists(st.sampled_from(ws.monomials(L)), min_size=1,
+                          max_size=4))
+    terms: dict = {}
+    for m in kept:
+        if m not in terms and all(
+                sum(e[k] > 0 for e in terms) < 2 for k in range(n) if m[k]):
+            terms[m] = F(draw(st.sampled_from([1, -1, 2, -3])))
+    return XPoly(n, terms), ws
+
+
+# (x + z)(x^2 - xz + z^2 + y^2): singular along the curve where both
+# factors vanish, and x^4 survives in a nine-monomial component whose
+# multipliers are not all +-1
+TWO_COMPONENTS = (XPoly(3, {(3, 0, 0): F(1), (0, 0, 3): F(1),
+                            (1, 2, 0): F(1), (0, 2, 1): F(1)}),
+                  WeightSystem([F(1, 3)] * 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(binomial_polynomials())
+@example(COVERED_WITNESS)
+@example(TWO_COMPONENTS)
+def test_pure_power_certificate_matches_full_pieces(case):
+    """Over binomial partials the certificate first searches the component
+    of each pure power x_i^N_i.  The verdict and witness degree are those of
+    the full pieces, and each component is the one the union-find engine
+    builds at degree N_i D_i: absent when the piece kills x_i^N_i, else the
+    same monomials with the same multipliers."""
+    f, ws = case
+    partials = [f.partial(i) for i in range(ws.nvars)]
+    assert _isolated_witness(f, ws) == reference_isolated_witness(ws,
+                                                                  partials)
+    B = ws.socle_scaled()
+    rows = [list(p.terms.items()) for p in partials if p.terms]
+    for i, d in enumerate(ws.scaled):
+        start = tuple(B // d + 1 if k == i else 0 for k in range(ws.nvars))
+        comp = _binomial_component(rows, start)
+        piece = GradedPiece(ws, partials, (B // d + 1) * d)
+        table = piece._uf
+        entry = table[piece.index[pack_key(start, piece.strides)]]
+        if comp is None:
+            assert entry is None
+            continue
+        assert entry is not None
+        pos, c0 = entry
+        assert comp == {unpack_key(piece.keys[j], piece.strides): e[1] / c0
+                        for j, e in enumerate(table)
+                        if e is not None and e[0] == pos}
+
+
+def _count_pieces(monkeypatch):
+    built = []
+    init = GradedPiece.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedPiece, "__init__", counting)
+    return built
+
+
+# the D_4 singularity x^2 y + y^3: x^2 = -3 y^2 spans the socle, so only the
+# power x^3 above it lies in J
+D4 = (XPoly(2, {(2, 1): F(1), (0, 3): F(1)}), WeightSystem.straight(2, 3))
+
+
+@pytest.mark.parametrize("case", [codim_one_polynomial(), fermat(5, 5), D4],
+                         ids=["codim-one", "fermat-quintic", "D4"])
+def test_isolated_binomial_input_builds_no_piece(case, monkeypatch):
+    built = _count_pieces(monkeypatch)
+    build_jacobi(*case)
+    assert built == []
+
+
+def test_covered_witness_falls_back_to_pieces(monkeypatch):
+    # x^11 and y^11 lie in J and z^6 does not, so the degree-by-degree
+    # certificate runs and finds the witness at scaled degree 12
+    built = _count_pieces(monkeypatch)
+    with pytest.raises(NotIsolatedError) as err:
+        build_jacobi(*COVERED_WITNESS)
+    assert err.value.degree == 2 and built == [11, 6]
+
+
+def test_three_term_partial_takes_the_piece_certificate(monkeypatch):
+    # x^8 + y^4 + z^2 + x^4 y^2 + x^2 y^3: dF/dx has three terms, so the
+    # pieces above the socle B = 10 are certified; at 12 only y and z are
+    # free, and at 13 and 14 only z, which has neither degree
+    ws = WeightSystem([F(1, 8), F(1, 4), F(1, 2)])
+    f = XPoly(3, dict.fromkeys([(8, 0, 0), (0, 4, 0), (0, 0, 2), (4, 2, 0),
+                                (2, 3, 0)], F(1)))
+    built = _count_pieces(monkeypatch)
+    assert build_jacobi(f, ws).milnor == 21 and built == [11, 6]
 
 
 def test_inhomogeneous_f_rejected():
