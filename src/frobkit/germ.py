@@ -203,27 +203,17 @@ class InitialData:
         """True when the first endomorphism vanishes and the flat one is
         diagonal with the eigenvalue ladder of an integer-graded germ."""
         F = self.ftype
-        if not F.umat_is_zero():
-            return False
-        n = F.n
-        for i in range(n):
-            for j in range(n):
-                if i != j and F.V[i][j] != 0:
-                    return False
-        for i in range(n):
-            p = Fraction(F.V[i][i]) + Fraction(self.weight, 2)
-            if p.denominator != 1:
-                return False
-        return True
+        return (F.umat_is_zero()
+                and not any(F.V[i][j] for i in range(F.n)
+                            for j in range(F.n) if i != j)
+                and all(d.denominator == 1 for d in self.frame_degrees()))
 
     def frame_degrees(self):
-        """Euler degrees d_k = weight - 2 - level_k of the frame vectors."""
-        F = self.ftype
-        out = []
-        for k in range(F.n):
-            p = Fraction(F.V[k][k]) + Fraction(self.weight, 2)
-            out.append(Fraction(self.weight - 2) - p)
-        return out
+        """Euler degrees d_k = weight - 2 - level_k of the frame vectors,
+        level_k = V_kk + weight/2."""
+        half = Fraction(self.weight, 2)
+        return [self.weight - 2 - (Fraction(row[k]) + half)
+                for k, row in enumerate(self.ftype.V)]
 
 
 def rotate_zeta_first(F: FrobeniusTypeStructure, zeta) -> FrobeniusTypeStructure:

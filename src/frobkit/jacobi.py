@@ -48,6 +48,7 @@ criterion), and the lifted normal form is the only one.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product
@@ -55,7 +56,7 @@ from typing import Sequence
 
 from .linalg import Echelon
 from .series import (TruncSeries, exponent_strides, frac_from_str,
-                     frac_to_str, pack_key, unpack_key)
+                     frac_to_str, pack_key, require_context, unpack_key)
 
 __all__ = [
     "WeightSystem", "XPoly", "JacobiAlgebra", "RfClass", "build_jacobi",
@@ -292,18 +293,37 @@ def _ideal_rows(packed, index):
             yield (g, i), {index[g + k]: c for k, c in terms}
 
 
-def _binomial_component(rows, start):
-    """The component of the monomial ``start`` in the quotient by partials
-    of at most two terms (``rows``, each a list of (exponent tuple,
-    coefficient)), by the rules of ``GradedPiece._build_uf``: a one-term
-    partial that divides a monomial kills it, and a row c*x^(g+e) +
-    c'*x^(g+e') gives e_(g+e') = -c/c' * e_(g+e).  None when a dead monomial
-    or an inconsistent cycle puts it in the ideal, else {m: c} with
-    e_m = c * e_start."""
+def _multipliers(start, edges):
+    """{m: c} with e_m = c * e_start over the component of ``start``, found
+    by a search along ``edges(u)``: the pairs (v, r) with e_v = r * e_u, or
+    None when u is dead.  None when the search meets a dead monomial or an
+    inconsistent cycle, either of which puts e_start in the ideal."""
     coef = {start: Fraction(1)}
     stack = [start]
     while stack:
-        m = stack.pop()
+        u = stack.pop()
+        out = edges(u)
+        if out is None:
+            return None
+        cu = coef[u]
+        for v, ratio in out:
+            cv = cu * ratio
+            known = coef.get(v)
+            if known is None:
+                coef[v] = cv
+                stack.append(v)
+            elif known != cv:
+                return None
+    return coef
+
+
+def _binomial_component(rows, start):
+    """``_multipliers`` of the monomial ``start`` in the quotient by partials
+    of at most two terms (``rows``, each a list of (exponent tuple,
+    coefficient)): a one-term partial that divides a monomial kills it, and
+    a row c*x^(g+e) + c'*x^(g+e') gives e_(g+e') = -c/c' * e_(g+e)."""
+    def edges(m):
+        out = []
         for terms in rows:
             for (e, c), (e2, c2) in zip(terms, reversed(terms)):
                 g = [a - b for a, b in zip(m, e)]
@@ -311,15 +331,10 @@ def _binomial_component(rows, start):
                     continue
                 if len(terms) == 1:
                     return None
-                v = tuple(a + b for a, b in zip(g, e2))
-                cv = coef[m] * -c / c2
-                known = coef.get(v)
-                if known is None:
-                    coef[v] = cv
-                    stack.append(v)
-                elif known != cv:
-                    return None
-    return coef
+                out.append((tuple(a + b for a, b in zip(g, e2)), -c / c2))
+        return out
+
+    return _multipliers(start, edges)
 
 
 class GradedPiece:
@@ -399,41 +414,26 @@ class GradedPiece:
             killed[root[i]] = 1
         # phase 2: rational multipliers on kill-free components only; a
         # binomial product imposes e_i = ratio * e_j modulo the ideal
-        adj: dict[int, list] = {}
+        adj: dict[int, list] = defaultdict(list)
         for left, right, ratio in binomials:
             inv = 1 / ratio
             for i, j in zip(left, right):
                 if killed[root[i]]:
                     continue
-                adj.setdefault(i, []).append((j, inv))
-                adj.setdefault(j, []).append((i, ratio))
+                adj[i].append((j, inv))
+                adj[j].append((i, ratio))
         # each surviving component is spanned by its lex-first monomial b;
         # a search from b gives e_m = c_m * e_b, and an inconsistent cycle
         # puts e_b (so the whole component) in the span
         table: list = [None] * n
         basis = []
-        one = Fraction(1)
         for b in range(n):
             r = root[b]
             if killed[r]:
                 continue
             killed[r] = 1       # component visited
-            coef = {b: one}
-            stack = [b]
-            consistent = True
-            while stack and consistent:
-                u = stack.pop()
-                cu = coef[u]
-                for v, ratio in adj.get(u, ()):
-                    cv = cu * ratio
-                    known = coef.get(v)
-                    if known is None:
-                        coef[v] = cv
-                        stack.append(v)
-                    elif known != cv:
-                        consistent = False
-                        break
-            if consistent:
+            coef = _multipliers(b, adj.__getitem__)
+            if coef is not None:
                 pos = len(basis)
                 basis.append(b)
                 for m, c in coef.items():
@@ -885,7 +885,7 @@ class JacobiFamily:
         deg1 = algebra.piece(ws.scale)
         if len(t_vars) != deg1.dim:
             raise ValueError("need one parameter per degree-1 basis class")
-        self.t_vars = TruncSeries.zero(t_vars, order).vars
+        self.t_vars = require_context(t_vars, order)
         self.order = order
         self.deg1_monomials = deg1.basis_monomials
         self.deg1_keys = deg1.basis_keys

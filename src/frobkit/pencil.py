@@ -469,7 +469,8 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
 
     R0 must carry z-coefficients up to z_order + order (the transport in
     the unfolding directions consumes one z-order per y-degree).  Returns
-    a report with the extended PairingMatrix on success; any nonzero
+    a report with the extended PairingMatrix on success; a failed base
+    check, a non-flat pencil (``pencil-flatness``) or any nonzero
     z^(weight-1) obstruction is reported as a certification failure.
     """
     require_int("z_order", z_order, 0)
@@ -490,6 +491,9 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
         _fail(report, "base-gram-singular", "singular")
     _fail(report, "base-z-transport", _z_direction_residuals(base, R0))
     _fail(report, "base-t-transport", _base_direction_residuals(base, R0))
+    if not report["passes"]:
+        return report
+    _fail(report, "pencil-flatness", residual_report(flatness_residual(P)))
     if not report["passes"]:
         return report
 

@@ -30,6 +30,7 @@ __all__ = [
     "frac_from_str",
     "frac_to_str",
     "require_int",
+    "require_context",
     "require_square",
     "require_order",
     "slice_terms",
@@ -72,6 +73,17 @@ def require_int(what, value, minimum=None):
         raise SeriesError("%s must be an int >= %s, got %r"
                           % (what, minimum, value))
     return value
+
+
+def require_context(vars, order) -> tuple:
+    """Return ``vars`` as a tuple after checking that they are distinct
+    names and that ``order`` is a valid order bound; raise SeriesError
+    otherwise."""
+    _check_order(order)
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        raise SeriesError("duplicate variable names: %r" % (vars,))
+    return vars
 
 
 def pack_key(exps, strides) -> int:
@@ -161,10 +173,7 @@ class TruncSeries:
 
     def __init__(self, vars: Sequence[str], order: int,
                  terms: Mapping[tuple, Fraction] | None = None):
-        _check_order(order)
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise SeriesError("duplicate variable names: %r" % (vars,))
+        vars = require_context(vars, order)
         clean = {}
         if terms:
             nv = len(vars)
@@ -239,13 +248,9 @@ class TruncSeries:
 
     @classmethod
     def const(cls, vars, order, c):
-        # the checks of __init__, without its walk over the exponent tuple
-        vars = tuple(vars)
         c = _as_frac(c)
-        _check_order(order)
-        if len(set(vars)) != len(vars):
-            raise SeriesError("duplicate variable names: %r" % (vars,))
-        return cls._from_fractions(vars, order, {0: c} if c else {})
+        return cls._from_fractions(require_context(vars, order), order,
+                                   {0: c} if c else {})
 
     @classmethod
     def one(cls, vars, order):
@@ -709,8 +714,8 @@ class SeriesMatrix:
     @classmethod
     def zeros(cls, n, m, vars, order):
         _check_shape(n, m)
-        z = TruncSeries.zero(vars, order)
-        return cls._make(n, m, z.vars, order, [{} for _ in range(n)])
+        return cls._make(n, m, require_context(vars, order), order,
+                         [{} for _ in range(n)])
 
     @classmethod
     def identity(cls, n, vars, order):
@@ -726,7 +731,7 @@ class SeriesMatrix:
             raise SeriesError("matrix must be nonempty")
         if any(len(row) != len(mat[0]) for row in mat):
             raise SeriesError("ragged matrix")
-        vars = TruncSeries.const(vars, order, 0).vars
+        vars = require_context(vars, order)
         return cls._make(len(mat), len(mat[0]), vars, order, [
             {j: TruncSeries._from_fractions(vars, order, {0: c})
              for j, c in enumerate(row) if c} for row in mat])
@@ -741,7 +746,7 @@ class SeriesMatrix:
         of ``order`` and the entries' orders.
         """
         _check_shape(rows, cols)
-        vars = TruncSeries.zero(vars, order).vars
+        vars = require_context(vars, order)
         for (i, j), x in entries.items():
             if not (isinstance(i, int) and isinstance(j, int)
                     and 0 <= i < rows and 0 <= j < cols):

@@ -309,9 +309,7 @@ def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
                 terms[tuple(e)] = u[i]
         # linear, hence exact at any order; one above the target is enough
         f.append(TruncSeries(vars, P.order + 1, terms))
-    if l == 0:
-        out = rot
-    else:
-        out = solve(UnfoldProblem(rot, y_vars, f, P.order))
+    # with l == 0 too: solve certifies the base and truncates it to its order
+    out = solve(UnfoldProblem(rot, y_vars, f, P.order))
     jac = linalg.transpose(image + comp)
     return UnfoldResult(out, B, f, gc, ic, jac, y_vars)

@@ -74,6 +74,33 @@ def point_base_pencil(order=4):
     return P, g
 
 
+def spanning_pencil(order=2, blocks=None):
+    """Rank one over t with C = 1, U = -t and V = W = 0, held to ``order``
+    with blocks at ``blocks`` (default ``order``): flat, and its t-direction
+    spans the fiber, so its universal unfolding adds no direction."""
+    blocks = order if blocks is None else blocks
+    t = ("t",)
+    Z = SeriesMatrix.zeros(1, 1, t, blocks)
+    return ConnectionPencil(t, (), 1, [consts([[1]], t, blocks)], [],
+                            SeriesMatrix([[-TruncSeries.var(t, blocks, "t")]]),
+                            Z, Z, order)
+
+
+def ladder_pencil(order=2):
+    """Rank three over t with C = E_10 + E_21, V = diag(0, 1, 2) and
+    U = W = 0, flat and generated from e_0, with the weight-2 pairing
+    g = [[0, 0, 1], [0, 2, 0], [1, 0, 0]].  The pairing passes every base
+    check of the extension, but C^T g != g C: it has a z^1 term along t."""
+    t = ("t",)
+    Z = SeriesMatrix.zeros(3, 3, t, order)
+    P = ConnectionPencil(t, (), 3, [consts([[0, 0, 0], [1, 0, 0],
+                                            [0, 1, 0]], t, order)], [],
+                         Z, consts([[0, 0, 0], [0, 1, 0], [0, 0, 2]], t,
+                                   order), Z, order)
+    g = [[F(0), F(0), F(1)], [F(0), F(2), F(0)], [F(1), F(0), F(0)]]
+    return P, PairingMatrix.constant(2, g, t, order, 4 + order)
+
+
 def rank1_log_pencil(order=4, z_extra=4):
     """Rank one with all three poles active; pairing z^2 (1 - z^2)."""
     U = consts([[F(1)]], (), order)

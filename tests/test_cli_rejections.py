@@ -4,27 +4,36 @@ Each case runs one command on a payload that parses but fails one named
 condition, and checks the exit status and the message under ``error`` (or,
 for ``pairing-extend``, the failed report key).  Inputs above the order
 they need are truncated, so they must give the report of the payload
-truncated beforehand.  The last tests call the CLI's helpers directly,
+truncated beforehand.  The helper tests call the CLI's helpers directly,
 for paths that no payload reaches: a kind the schema already refuses, a
-report write that fails, and a Fraction left in a report.
+report write that fails, and a Fraction left in a report.  The last test
+perturbs flat pencils until the flatness system flags them: no command
+certifies a non-flat pencil.
 """
 
+import json
 import os
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frobkit.cli import _atomic_write, _initial_data, _plain
 from frobkit.germ import (frobenius_via_unfolding, initial_from_filtration,
                           normalize_germ)
 from frobkit.jacobi import build_jacobi
-from frobkit.pencil import ConnectionPencil, PairingMatrix, structure_connection
+from frobkit.pencil import (ConnectionPencil, PairingMatrix, flatness_residual,
+                            structure_connection)
 from frobkit.series import SeriesMatrix, TruncSeries, frac_to_str
 from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
                                 filtration_to_ftype, jacobi_to_filtration,
                                 shift_example)
-from frobkit.unfold import UnfoldProblem, solve
-from helpers import consts, fermat, point_base_pencil, rank2_higgs_ftype
+from frobkit.unfold import UnfoldProblem, solve, universal_unfold
+from helpers import (consts, fermat, point_base_pencil, rank2_higgs_ftype,
+                     spanning_pencil)
 from test_cli import _fermat_payload, _run
 
 F = Fraction
@@ -69,6 +78,18 @@ def _ic_failing_ftype():
     return FrobeniusTypeStructure(
         ("t",), 2, [SeriesMatrix.zeros(2, 2, ("t",), 2)],
         consts(P.U.at_origin(), ("t",), 2), [[F(0)] * 2] * 2, g, 2)
+
+
+def _two_t_pencil():
+    # rank 2 over (t1, t2) with C1 = I, C2 = [[0, t1], [1, 0]] and U = V =
+    # W = 0: the t-directions span the fiber, and C2 moves with t1 where
+    # C1 and U do not follow, so the pencil is not flat
+    ts = ("t1", "t2")
+    zero = SeriesMatrix.zeros(2, 2, ts, 2)
+    C2 = SeriesMatrix.from_sparse(2, 2, ts, 2, {
+        (0, 1): TruncSeries.var(ts, 2, "t1"), (1, 0): TruncSeries.one(ts, 2)})
+    return ConnectionPencil(ts, (), 2, [SeriesMatrix.identity(2, ts, 2), C2],
+                            [], zero, zero, zero, 2)
 
 
 def _gc_failing_pencil():
@@ -133,6 +154,9 @@ REJECTIONS = [
     ("universal-unfold-fails-gc", "universal-unfold",
      lambda: {"pencil": _gc_failing_pencil().to_json()}, (),
      "generation condition fails"),
+    ("universal-unfold-spanning-base-not-flat", "universal-unfold",
+     lambda: {"pencil": _two_t_pencil().to_json()}, (),
+     "base pencil is not flat"),
     ("reconstruct-half-integer-eigenvalue", "reconstruct", lambda: {
         "initial": {"kind": "ftype", "ftype": dict(
             RANK2, v_endo=[["1/4", "0/1"], ["0/1", "-1/4"]])}},
@@ -211,11 +235,42 @@ def test_inputs_above_their_order_are_truncated(tmp_path):
              _unfold(_deformed_shift_pencil(), ["y1"], low_t), ()),
             ("reconstruct", _shift(4, [[[0], "1/1"], [[1], "1/1"],
                                        [[4], "3/1"]]),
-             _shift(2, [[[0], "1/1"], [[1], "1/1"]]), ("--order", "2"))):
+             _shift(2, [[[0], "1/1"], [[1], "1/1"]]), ("--order", "2")),
+            # a base that spans adds no direction, and is still truncated
+            ("universal-unfold", {"pencil": spanning_pencil(2, 4).to_json()},
+             {"pencil": spanning_pencil(2).to_json()}, ())):
         (tmp_path / "high").mkdir(exist_ok=True)
         code, report, _ = _run(tmp_path / "high", command, payload, *flags)
         code2, want, _ = _run(tmp_path, command, truncated, *flags)
         assert code == code2 == 0 and report == want
+
+
+def test_spanning_pencil_unfolds_to_itself(tmp_path):
+    P = spanning_pencil(2)
+    code, report, _ = _run(tmp_path, "universal-unfold",
+                           {"pencil": P.to_json()})
+    assert code == 0 and report["pencil"] == json.loads(json.dumps(
+        P.to_json()))
+
+
+def test_pairing_extend_refuses_a_non_flat_pencil(tmp_path):
+    # the unfolding of the point pencil along f = (y1, y2), with y1*y2
+    # added to entry (0, 1) of F[0]: the base checks pass, and the
+    # y-transport of the pairing alone found no obstruction
+    P, g = point_base_pencil(4)
+    ys = ("y1", "y2")
+    big = solve(UnfoldProblem(P, ys, [TruncSeries(ys, 5, {(1, 0): 1}),
+                                      TruncSeries(ys, 5, {(0, 1): 1})], 4))
+    bump = SeriesMatrix.from_sparse(2, 2, ys, 4, {
+        (0, 1): TruncSeries(ys, 4, {(1, 1): 1})})
+    bad = ConnectionPencil((), ys, 2, [], [big.F[0] + bump, big.F[1]],
+                           big.U, big.V, big.W, 4)
+    code, report, _ = _run(tmp_path, "pairing-extend", {
+        "pencil": bad.to_json(),
+        "pairing": PairingMatrix.constant(0, g, (), 4, 8).to_json()})
+    assert code == 1 and report["passes"] is False
+    assert sorted({r["check"] for r in report["pencil-flatness"]}) == [
+        "higgs-commute-yy", "potential-yy", "u-commute-y", "u-transport-y"]
 
 
 def test_unfold_without_directions_exits_zero(tmp_path):
@@ -262,3 +317,54 @@ def test_failed_report_write_leaves_no_temporary_file(tmp_path, monkeypatch):
 def test_plain_turns_fractions_into_strings():
     assert _plain({1: [Fraction(-1, 2), (Fraction(3), "x")]}) == {
         "1": ["-1/2", ["3/1", "x"]]}
+
+
+HIGGS, _ = structure_connection(rank2_higgs_ftype(2), 1)
+
+
+def _pairing(P, weight, gram):
+    return {"pencil": P.to_json(), "pairing": PairingMatrix.constant(
+        weight, gram, P.t_vars, 2, 6).to_json()}
+
+
+# flat pencils, each with the command it goes to and the payload around it:
+# two bases to unfold (one whose t-direction spans the fiber) and two
+# unfoldings with a pairing at y = 0 that extends
+FLAT = [
+    ("unfold", HIGGS, lambda P: _unfold(P, ["y1"], [
+        _series(("t", "y1"), 3, {(0, 1): 1}), _series(("t", "y1"), 3, {})])),
+    ("universal-unfold", HIGGS, lambda P: {"pencil": P.to_json()}),
+    ("universal-unfold", spanning_pencil(2), lambda P: {"pencil": P.to_json()}),
+    ("pairing-extend", UNFOLDED, lambda P: _pairing(P, 0, GRAM)),
+    ("pairing-extend", universal_unfold(HIGGS).pencil,
+     lambda P: _pairing(P, 1, rank2_higgs_ftype(2).g)),
+]
+
+
+@pytest.mark.parametrize("command, P, payload", FLAT,
+                         ids=["unfold", "universal-unfold",
+                              "universal-unfold-spanning", "pairing-extend",
+                              "pairing-extend-over-t"])
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_non_flat_pencils_never_certify(command, P, payload, data):
+    # c*m added to one entry of one C or F block, m of degree >= 1 in the
+    # base variables, leaves the data at the origin (so ic and gc) as it
+    # was; a draw the flatness system flags is a rejection or a failed
+    # report (exit 1), never a certificate and never a broken invariant
+    blocks = list(P.C) + list(P.F)
+    k = data.draw(st.integers(0, len(blocks) - 1))
+    i, j = (data.draw(st.integers(0, P.n - 1)) for _ in range(2))
+    m = [0] * len(P.vars)
+    for _ in range(data.draw(st.integers(1, P.order))):
+        m[data.draw(st.integers(0, len(m) - 1))] += 1
+    c = data.draw(st.sampled_from([F(1), F(-1), F(2), F(1, 2)]))
+    blocks[k] = blocks[k] + SeriesMatrix.from_sparse(
+        P.n, P.n, P.vars, P.order, {(i, j): TruncSeries(P.vars, P.order,
+                                                         {tuple(m): c})})
+    bad = ConnectionPencil(P.t_vars, P.y_vars, P.n, blocks[:len(P.C)],
+                           blocks[len(P.C):], P.U, P.V, P.W, P.order)
+    assume(flatness_residual(bad))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, _ = _run(Path(tmp), command, payload(bad))
+    assert code == 1, (command, k, i, j, m, c)

@@ -10,8 +10,9 @@ from frobkit.pencil import (ConnectionPencil, PairingMatrix,
 from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import RejectionError, check_ftype_axioms
 from frobkit.unfold import UnfoldProblem, solve, universal_unfold
-from helpers import (consts, corpus, point_base_pencil, rank1_log_pencil,
-                     rank2_higgs_ftype, rank3_point_ftype, shift_inits)
+from helpers import (consts, corpus, ladder_pencil, point_base_pencil,
+                     rank1_log_pencil, rank2_higgs_ftype, rank3_point_ftype,
+                     shift_inits)
 
 F = Fraction
 N = 4
@@ -155,7 +156,8 @@ def test_pairing_extension_y_independent_when_f_vanishes():
 
 def test_pairing_extension_negative_control():
     # dropping the correction part of the F-blocks (keeping only the
-    # prescribed first columns) breaks holomorphy of the pairing
+    # prescribed first columns) breaks flatness of the pencil, so the
+    # pairing is refused before its y-transport
     P, g = point_base_pencil(N)
     res = universal_unfold(P)
     big = res.pencil
@@ -171,7 +173,8 @@ def test_pairing_extension_negative_control():
     R0 = PairingMatrix.constant(0, g, (), N, 4 + N)
     rep = pairing_extension_check(bad, R0, z_order=4)
     assert not rep["passes"]
-    assert "holomorphy-obstruction" in rep
+    assert rep["pencil-flatness"] == residual_report(flatness_residual(bad))
+    assert "holomorphy-obstruction" not in rep
 
 
 def test_pairing_base_consistency_rejects_wrong_gram():
@@ -377,3 +380,20 @@ def test_gc_check_drops_cancelled_entries():
                (), N)
     gc = gc_check(ConnectionPencil((), (), 4, [], [], U, Z, Z, N))
     assert (gc.ok, gc.rank, gc.words) == (False, 2, [(), ("U",)])
+
+
+def test_pairing_extension_obstruction_over_a_flat_pencil():
+    # the ladder's pairing is flat in z and t, but C^T g - g C != 0 is a
+    # z^(w-1) term along t; unfolding along f = (0, y1, 0) gives F(0) = C,
+    # so the y-transport meets the same obstruction at its first degree
+    P, R0 = ladder_pencil(2)
+    rep = pairing_extension_check(P, R0, z_order=4)
+    assert [r["indices"] for r in rep["holomorphy-obstruction"]] == [["t"]]
+    f = [TruncSeries(("t", "y1"), 3, {(0, 1): 1} if i == 1 else {})
+         for i in range(3)]
+    big = solve(UnfoldProblem(P, ("y1",), f, 2))
+    assert not flatness_residual(big)
+    rep = pairing_extension_check(big, R0, z_order=4)
+    assert not rep["passes"]
+    assert [r["indices"] for r in rep["holomorphy-obstruction"]] == [
+        [1, "y1"]]

@@ -25,7 +25,7 @@ from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 check_ftype_axioms, filtration_to_ftype,
                                 shift_example, violation)
 from frobkit.unfold import UnfoldProblem, solve, universal_unfold
-from helpers import (point_base_pencil, rank2_higgs_ftype,
+from helpers import (ladder_pencil, point_base_pencil, rank2_higgs_ftype,
                      reference_check_filtration, reference_euler_check,
                      reference_symmetry_records, reference_wdvv_check,
                      shift_inits)
@@ -173,6 +173,7 @@ def test_pairing_extension_records():
     rep = pairing_extension_check(P, R0, z_order=4)
     _assert_records(rep["base-z-transport"])
     # the universal unfolding without the correction part of its F-blocks
+    # is not flat
     big = universal_unfold(P).pencil
     badF = [SeriesMatrix([[Fa[i, 0], TruncSeries.zero(big.vars, N)]
                           for i in range(2)]) for Fa in big.F]
@@ -181,6 +182,10 @@ def test_pairing_extension_records():
     _, g = point_base_pencil(N)
     rep = pairing_extension_check(
         bad, PairingMatrix.constant(0, g, (), N, 4 + N), z_order=4)
+    _assert_records(rep["pencil-flatness"])
+    # a flat pencil whose pairing has a z^(w-1) term along t
+    P, R0 = ladder_pencil(N)
+    rep = pairing_extension_check(P, R0, z_order=4)
     _assert_records(rep["holomorphy-obstruction"])
 
 
