@@ -792,6 +792,15 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
     Over an echelon piece the span is an ``Echelon``; over a union-find
     piece it is a set of coordinate lines, each row multiplied out a whole
     row at a time straight through the normal-form table.
+
+    The socle piece is never built.  R is the Milnor algebra of an isolated
+    singularity, a zero-dimensional complete intersection, hence Gorenstein
+    (Eisenbud, Commutative Algebra, ch. 21): R_top is one-dimensional and
+    the product pairing R_(top-L) x R_L -> R_top is perfect.  So when the
+    socle is at an integer degree and the span below it is nonzero, some
+    product of a spanning element with a degree-1 class is nonzero, and
+    the codimension there is 0.  An empty span below still reports the
+    socle's dimension.
     """
     L = algebra.ws.scale
     top_int = algebra.top_scaled() // L
@@ -809,6 +818,11 @@ def h2_generation_check(algebra: JacobiAlgebra) -> dict:
             # degree-1 classes, or a zero piece below)
             report[q] = dim
             prev_rows = []
+            continue
+        if s == algebra.top_scaled():
+            # the socle: R is Gorenstein, so the nonzero span below pairs
+            # onto the one-dimensional R_top
+            report[q] = 0
             continue
         target = algebra.piece(s)
         table = target._uf

@@ -5,6 +5,7 @@ frozen general Euler check, the frozen isolatedness certificate and h2
 generation check, the frozen tuple-keyed series arithmetic, and the frozen
 dense flat-pairing solver and record loops."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -15,8 +16,9 @@ from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
                           _c_matrices, _coords, _raise_order,
                           initial_from_filtration, invert_map,
                           potential_integrate)
-from frobkit.jacobi import (GradedPiece, WeightSystem, XPoly, _ideal_rows,
-                            _packed_partials, build_jacobi)
+from frobkit.jacobi import (GradedPiece, NotIsolatedError, WeightSystem,
+                            XPoly, _ideal_rows, _packed_partials,
+                            build_jacobi)
 from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, potential_matrix,
                             residual_report, structure_connection)
@@ -62,6 +64,44 @@ def codim_one_polynomial():
         (0, 0, 9, 0, 0, 0): F(1), (1, 0, 0, 4, 0, 0): F(1),
         (0, 1, 0, 0, 4, 0): F(1), (0, 0, 1, 0, 0, 4): F(1)})
     return f, ws
+
+
+# isolated polynomials with Milnor numbers 100-189: the first four have
+# their socle at integer degree 2 (the chain x^6 y + y^5 z + z^5 has a
+# single degree-1 class), the last two off the integer grid
+SOCLE_BASES = [
+    ([F("1/6")] * 3, [(6, 0, 0), (0, 6, 0), (0, 0, 6)]),
+    ([F("1/3"), F("1/3"), F("1/6"), F("1/6")],
+     [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6)]),
+    ([F("7/50"), F("4/25"), F("1/5")], [(6, 1, 0), (0, 5, 1), (0, 0, 5)]),
+    ([F("1/9"), F("2/9"), F("1/3"), F("1/3")],
+     [(9, 0, 0, 0), (1, 4, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]),
+    ([F("1/6"), F("1/4"), F("1/3"), F("1/3"), F("1/3")],
+     [tuple(d * (i == j) for i in range(5)) for j, d in
+      enumerate((6, 4, 3, 3, 3))]),
+    ([F("1/4")] * 3 + [F("1/8")],
+     [(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 8)]),
+]
+
+
+def socle_draws(seed, count):
+    """Seeded isolated algebras: a SOCLE_BASES polynomial with random
+    coefficients plus up to two random monomials of its degree (a partial
+    of three terms takes the echelon engine); draws that are not isolated
+    are skipped."""
+    rng = random.Random(seed)
+    while count:
+        weights, base = rng.choice(SOCLE_BASES)
+        ws = WeightSystem(weights)
+        terms = {e: F(rng.choice([1, -1, 2])) for e in base}
+        for m in rng.sample(ws.monomials(ws.scale), rng.randint(0, 2)):
+            terms[m] = F(rng.choice([1, -1, 2, -3]))
+        try:
+            algebra = build_jacobi(XPoly(ws.nvars, terms), ws)
+        except NotIsolatedError:
+            continue
+        count -= 1
+        yield algebra
 
 
 def point_base_pencil(order=4):

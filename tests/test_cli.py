@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -15,14 +17,15 @@ from frobkit import cli, pencil, unfold
 from frobkit.cli import main
 from frobkit.germ import (frobenius_via_unfolding, germ_to_ftype,
                           initial_from_filtration, normalize_germ)
-from frobkit.jacobi import XPoly
+from frobkit.jacobi import XPoly, build_jacobi
 from frobkit.pencil import (PairingMatrix, flatness_residual,
                             structure_connection)
 from frobkit.series import (MAX_INPUT_ORDER, SeriesError, SeriesMatrix,
                             TruncSeries, frac_from_str)
 from frobkit.structures import filtration_to_ftype, shift_example
 from frobkit.unfold import UnfoldProblem, solve
-from helpers import point_base_pencil, rank1_log_pencil, rank2_higgs_ftype
+from helpers import (codim_one_polynomial, point_base_pencil,
+                     rank1_log_pencil, rank2_higgs_ftype, socle_draws)
 
 QUINTIC = {
     "num_vars": 5,
@@ -299,6 +302,45 @@ def test_renaming_base_variables_keeps_the_germ_bytes(tmp_path):
             assert code == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1] and b'"s1"' in blobs[0]
+
+
+def _h2check_payload(f, ws, perm):
+    """The h2check payload of f with variable i moved to place perm[i]."""
+    def move(seq):
+        out = [0] * ws.nvars
+        for i, v in zip(perm, seq):
+            out[i] = v
+        return out
+
+    def text(c):
+        return "%d/%d" % (c.numerator, c.denominator)
+
+    return {"num_vars": ws.nvars, "weights": list(map(text, move(ws.weights))),
+            "terms": [[move(e), text(c)] for e, c in sorted(f.terms.items())]}
+
+
+def test_permuting_variables_keeps_the_h2check_bytes(tmp_path):
+    """Permuting the variables, with exponents and weights permuted
+    together, leaves report.json byte-identical: seeded algebras over both
+    engines, and the codim-one polynomial."""
+    rng = random.Random(7)
+    engines = set()
+    for k, A in enumerate(chain([build_jacobi(*codim_one_polynomial())],
+                                socle_draws(32, 8))):
+        n = A.ws.nvars
+        perm = rng.sample(range(n), n)
+        if perm == sorted(perm):
+            perm.reverse()
+        blobs = []
+        for side, p in enumerate((range(n), perm)):
+            d = tmp_path / ("%d-%d" % (k, side))
+            d.mkdir()
+            code, _, out = _run(d, "h2check", _h2check_payload(A.f, A.ws, p))
+            assert code in (0, 1)
+            blobs.append((out / "report.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        engines.add(A.piece(A.ws.scale)._uf is None)
+    assert engines == {False, True}
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,11 +12,11 @@ from frobkit.jacobi import (GradedPiece, JacobiFamily, NotIsolatedError,
                             build_jacobi, h2_generation_check,
                             jacobian_piece, multiply_rf, pack_key,
                             unpack_key)
-from frobkit.linalg import Echelon
-from helpers import (HESSE, codim_one_polynomial, fermat,
+from frobkit.linalg import Echelon, mat_rank
+from helpers import (HESSE, SOCLE_BASES, codim_one_polynomial, fermat,
                      fermat_cubic_algebra, reference_family_entries,
                      reference_h2_generation_check,
-                     reference_isolated_witness)
+                     reference_isolated_witness, socle_draws)
 
 F = Fraction
 
@@ -525,6 +525,59 @@ def test_h2_generation_matches_frozen_per_product_loop():
     assert A.piece(2 * A.ws.scale)._uf is not None
     A = build_jacobi(*THREE_TERM_QUARTIC)
     assert A.piece(2 * A.ws.scale)._uf is None
+
+
+def test_h2_generation_matches_frozen_check_on_socle_draws():
+    """The socle rule against the frozen check, which builds the socle
+    piece: seeded algebras with their socle at integer degree 2 or off the
+    grid, over both engines, and the codim-one polynomial, whose socle at
+    degree 4 lies above a nonzero codimension."""
+    seen, nonzero = set(), False
+    for A in chain([build_jacobi(*codim_one_polynomial())],
+                   socle_draws(30, 16)):
+        rep = h2_generation_check(A)
+        assert rep == reference_h2_generation_check(A)
+        nonzero |= any(rep["codimensions"].values())
+        L = A.ws.scale
+        seen.add((A.top_scaled() % L == 0, A.piece(L)._uf is None))
+    assert nonzero and seen == set(product((False, True), repeat=2))
+
+
+# x^6 + y^4 + z^3 + u^3 + v^3: the socle at 13/6, and the one-dimensional
+# piece at the top integer degree 2 is built
+OFF_GRID_SOCLE = (XPoly(5, dict.fromkeys(SOCLE_BASES[4][1], F(1))),
+                  WeightSystem(SOCLE_BASES[4][0]))
+
+
+@pytest.mark.parametrize("case, built", [
+    (codim_one_polynomial(), {9, 18, 27}), (fermat(5, 5), {5, 10}),
+    (OFF_GRID_SOCLE, {12, 24})], ids=["codim-one", "fermat-quintic",
+                                      "off-grid"])
+def test_h2_generation_builds_no_socle_piece(case, built):
+    """The check builds the integer pieces from degree 1 up to the top
+    integer degree, except the socle."""
+    A = build_jacobi(*case)
+    h2_generation_check(A)
+    assert set(A._pieces) == built and A.top_scaled() not in built
+
+
+def test_socle_pairing_is_perfect():
+    """The fact the socle rule reads, on every piece: the Hilbert series is
+    palindromic with top coefficient 1, and the products of the basis
+    monomials of R_s and R_(top-s) into the socle have full rank."""
+    engines = set()
+    for A in socle_draws(31, 12):
+        top = A.top_scaled()
+        hilbert = [A.dim_scaled(s) for s in range(top + 1)]
+        assert hilbert == hilbert[::-1] and hilbert[-1] == 1
+        socle = A.piece(top)
+        for s in range(top + 1):
+            low, high = A.piece(s).basis_keys, A.piece(top - s).basis_keys
+            products = [[socle.nf_key(a + b).get(0, F(0)) for b in high]
+                        for a in low]
+            assert mat_rank(products) == len(low)
+        engines.add(socle._uf is None)
+    assert engines == {False, True}
 
 
 # ---------------------------------------------------------------------------
