@@ -30,7 +30,7 @@ from typing import Sequence
 
 from . import linalg
 from .linalg import Echelon
-from .pencil import (ConnectionPencil, GCCertificate, gc_check, ic_check,
+from .pencil import (ConnectionPencil, GCCertificate, origin_certificates,
                      structure_connection)
 from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      euler_integrate, exponent_strides, frac_from_str,
@@ -38,7 +38,7 @@ from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      slice_sum, slice_terms, unpack_key)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
                          RejectionError, filtration_to_ftype, violation)
-from .unfold import universal_unfold, zeta_frame
+from .unfold import universal_unfold, zeta_rotation
 
 __all__ = [
     "FrobeniusGermData", "InitialData", "initial_from_filtration",
@@ -166,12 +166,9 @@ class InitialData:
     def create(cls, ftype: FrobeniusTypeStructure, zeta=None,
                weight: int | None = None):
         n = ftype.n
-        if zeta is not None:
-            zeta = [Fraction(c) for c in zeta]
-            if not any(zeta):
-                raise RejectionError("distinguished vector is zero")
-            if zeta != [Fraction(int(k == 0)) for k in range(n)]:
-                ftype = rotate_zeta_first(ftype, zeta)
+        frame = zeta_rotation(zeta, n)
+        if frame is not None:
+            ftype = rotate_zeta_first(ftype, *frame)
         # eigenvector condition
         col = [Fraction(ftype.V[k][0]) for k in range(n)]
         if any(col[k] != 0 for k in range(1, n)):
@@ -186,14 +183,7 @@ class InitialData:
             weight = int(d) + 2
         # the structure connection checks the axioms
         P, _ = structure_connection(ftype, weight)
-        gc = gc_check(P)
-        if not gc.ok:
-            raise RejectionError("generation condition fails",
-                                 {"certificate": gc.to_json()})
-        ic = ic_check(P)
-        if not ic["ok"]:
-            raise RejectionError("injectivity condition fails", {"ic": ic})
-        init = cls(ftype, weight, d, gc, ic, P)
+        init = cls(ftype, weight, d, *origin_certificates(P), P)
         if init.is_graded() and weight != d + 2:
             raise RejectionError("this graded structure needs weight %s, "
                                  "not %s" % (d + 2, weight))
@@ -216,9 +206,9 @@ class InitialData:
                 for k, row in enumerate(self.ftype.V)]
 
 
-def rotate_zeta_first(F: FrobeniusTypeStructure, zeta) -> FrobeniusTypeStructure:
-    """Constant frame change making the given vector the first frame vector."""
-    B, Binv = zeta_frame(zeta, F.n)
+def rotate_zeta_first(F: FrobeniusTypeStructure, B, Binv) -> FrobeniusTypeStructure:
+    """The constant frame change B of ``zeta_rotation``, which makes the
+    distinguished vector the first frame vector."""
     Bt = linalg.transpose(B)
     return FrobeniusTypeStructure(
         F.vars, F.n,
@@ -420,11 +410,10 @@ def frobenius_via_unfolding(init: InitialData,
                             order: int | None = None) -> FrobeniusGermData:
     """Build the germ by unfolding the structure connection universally and
     shifting everything through the period-map chart."""
-    F, P = init.ftype, init.pencil
-    N = order if order is not None else F.order
-    if N != F.order:
+    F, P = _at_order(init.ftype, order), init.pencil
+    N = F.order
+    if N != init.ftype.order:
         # raising the order adds identities the certified order never saw
-        F = F.restrict_order(N) if N < F.order else _raise_order(F, N)
         P, _ = structure_connection(F, init.weight)
     big = universal_unfold(P).pencil
     n = big.n
@@ -488,7 +477,14 @@ def _flat_chart(vars, blocks, rows, names, N):
     return mult, subst
 
 
-def _raise_order(F: FrobeniusTypeStructure, N: int) -> FrobeniusTypeStructure:
+def _at_order(F: FrobeniusTypeStructure, order) -> FrobeniusTypeStructure:
+    """F at ``order`` (its own when None): truncated below its order, and
+    raised above it only when its blocks are constant."""
+    N = F.order if order is None else order
+    if N == F.order:
+        return F
+    if N < F.order:
+        return F.restrict_order(N)
     if all(c.is_constant() for c in F.C) and F.U.is_constant():
         return FrobeniusTypeStructure(
             F.vars, F.n,
@@ -540,9 +536,8 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     if not init.is_graded():
         raise RejectionError("recursion requires a diagonal flat "
                              "endomorphism with integer levels")
-    N = order if order is not None else F.order
-    if N != F.order:
-        F = F.restrict_order(N) if N < F.order else _raise_order(F, N)
+    F = _at_order(F, order)
+    N = F.order
     n = F.n
     w = init.weight
     # certified graded data has w = d + 2, so the unit has Euler degree -1,

@@ -31,7 +31,7 @@ from .structures import (FrobeniusTypeStructure, RejectionError,
 
 __all__ = [
     "ConnectionPencil", "PairingMatrix", "GCCertificate", "gc_check",
-    "ic_check", "flatness_residual", "is_flat",
+    "ic_check", "origin_certificates", "flatness_residual", "is_flat",
     "potential_matrix", "reduced_flatness_check", "pairing_extension_check",
     "structure_connection", "pencil_to_ftype",
 ]
@@ -80,32 +80,6 @@ class ConnectionPencil:
             [c.restrict_zero(ys) for c in self.C], [],
             self.U.restrict_zero(ys), self.V.restrict_zero(ys),
             self.W.restrict_zero(ys), self.order)
-
-    def residues(self) -> dict:
-        """Residue data at the two logarithmic points.
-
-        At infinity the residual connection is trivial in this frame and
-        the residue endomorphism is -(V+W); at z=1 the residual connection
-        has the C/F blocks themselves and the residue endomorphism is W.
-        Each endomorphism must be flat for its residual connection; the
-        residuals of those flatness conditions are returned alongside.
-        """
-        VW = self.V + self.W
-        flat_inf, flat_one = [], []
-        blocks = list(self.C) + list(self.F)
-        if self.order >= 1:
-            for v, B in zip(self.vars, blocks):
-                violation(flat_inf, "residue-flat-at-infinity", (v,),
-                          VW.partial(v))
-                violation(flat_one, "residue-flat-at-one", (v,),
-                          self.W.partial(v) - self.W.commutator(B))
-        return {
-            "at_infinity": {"endomorphism": (-VW), "flat": not flat_inf,
-                            "violations": flat_inf},
-            "at_one": {"endomorphism": self.W,
-                       "connection_blocks": blocks,
-                       "flat": not flat_one, "violations": flat_one},
-        }
 
     def to_json(self):
         return {
@@ -338,6 +312,19 @@ def ic_check(P: ConnectionPencil) -> dict:
             "kernel": [[str(c) for c in v] for v in kernel]}
 
 
+def origin_certificates(P: ConnectionPencil):
+    """The gc and ic certificates of P, generation first; a failing one is
+    refused, as the construction requires both of its base."""
+    gc = gc_check(P)
+    if not gc.ok:
+        raise RejectionError("generation condition fails",
+                             {"certificate": gc.to_json()})
+    ic = ic_check(P)
+    if not ic["ok"]:
+        raise RejectionError("injectivity condition fails", {"ic": ic})
+    return gc, ic
+
+
 # ---------------------------------------------------------------------------
 # potential matrix and the reduced equation set
 # ---------------------------------------------------------------------------
@@ -403,6 +390,12 @@ def reduced_flatness_check(P: ConnectionPencil) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _transport(B: SeriesMatrix, R: SeriesMatrix) -> SeriesMatrix:
+    """B^T R - R B, the transport of a pairing coefficient R along the
+    block B of one direction."""
+    return SeriesMatrix.sum_of_products([(1, B.transpose(), R), (-1, R, B)])
+
+
 def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     """Coefficients of the z-direction transport of the pairing.
 
@@ -415,35 +408,35 @@ def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     w = R.weight
     Rs = R.coeffs
     U, V, W = P.U, P.V, P.W
-    Ut, Vt, Wt = U.transpose(), V.transpose(), W.transpose()
+    Vt, Wt = V.transpose(), W.transpose()
     # the z^(w-1) coefficient: nothing on the left, so the commutator with
     # the irregular part must vanish outright
-    violation(out, "z-transport", (-1,),
-              SeriesMatrix.sum_of_products([(1, Ut, Rs[0]), (-1, Rs[0], U)]))
+    violation(out, "z-transport", (-1,), _transport(U, Rs[0]))
     for k in range(R.z_order):
-        # the left side less the right side, term by term
+        # the left side less the right side: the U part is the transport
+        # of R_(k+1) along U
         terms = [(1, Rs[k], TruncSeries.const(Rs[k].vars, Rs[k].order, w + k)),
-                 (-1, Ut, Rs[k + 1]), (1, Rs[k + 1], U),
                  (-1, Vt, Rs[k]), (-1, Rs[k], V)]
         for j in range(1, k + 1):
             terms += [(1, Wt, Rs[k - j]), (-1 if j % 2 else 1, Rs[k - j], W)]
         violation(out, "z-transport", (k,),
-                  SeriesMatrix.sum_of_products(terms))
+                  SeriesMatrix.sum_of_products(terms)
+                  - _transport(U, Rs[k + 1]))
     return out
 
 
 def _base_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
-    """d/du R_k = B^T R_{k+1} - R_{k+1} B for every base coordinate u."""
+    """d/du R_k = B^T R_{k+1} - R_{k+1} B for every base coordinate u with
+    block B and k = -1..K-1, where R_{-1} = 0: at k = -1 the transport
+    must not create a z^(w-1) term.  At order 0 no derivative is left, so
+    only k = -1 is checked."""
     out = []
-    if P.order < 1:
-        return out
     blocks = list(zip(P.vars, list(P.C) + list(P.F)))
-    for k in range(R.z_order):
+    for k in range(-1, R.z_order if P.order >= 1 else 0):
         for v, B in blocks:
-            violation(out, "base-transport", (k, v), R.coeffs[k].partial(v)
-                      - SeriesMatrix.sum_of_products(
-                          [(1, B.transpose(), R.coeffs[k + 1]),
-                           (-1, R.coeffs[k + 1], B)]))
+            rhs = _transport(B, R.coeffs[k + 1])
+            violation(out, "base-transport", (k, v),
+                      R.coeffs[k].partial(v) - rhs if k >= 0 else -rhs)
     return out
 
 
@@ -470,8 +463,9 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     R0 must carry z-coefficients up to z_order + order (the transport in
     the unfolding directions consumes one z-order per y-degree).  Returns
     a report with the extended PairingMatrix on success; a failed base
-    check, a non-flat pencil (``pencil-flatness``) or any nonzero
-    z^(weight-1) obstruction is reported as a certification failure.
+    check or a non-flat pencil (``pencil-flatness``) stops the check, and
+    the extended pairing is certified by the same transport checks as the
+    base, among them the z^(weight-1) coefficient along every direction.
     """
     require_int("z_order", z_order, 0)
     report: dict = {"passes": True, "weight": R0.weight, "z_order": z_order}
@@ -497,33 +491,18 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     if not report["passes"]:
         return report
 
-    vars = P.vars
     ys = P.y_vars
-    coeffs = [R.extend(vars) for R in R0.coeffs]
+    coeffs = [R.extend(P.vars) for R in R0.coeffs]
     if ys:
         for s in range(1, N + 1):
+            # slice s of R_k integrates slice s - 1 of its y-transport
             top = need - s
             new = []
             for k in range(top + 1):
-                grad = {}
-                for a, v in enumerate(ys):
-                    rhs = SeriesMatrix.sum_of_products(
-                        [(1, P.F[a].transpose(), coeffs[k + 1]),
-                         (-1, coeffs[k + 1], P.F[a])])
-                    grad[v] = rhs.graded_part(s - 1, names=ys)
-                upd = euler_integrate(grad)
+                upd = euler_integrate({v: _transport(Fa, coeffs[k + 1])
+                                       .graded_part(s - 1, names=ys)
+                                       for v, Fa in zip(ys, P.F)})
                 new.append(coeffs[k] + upd.truncate(coeffs[k].order))
-            # obstruction: the transport must not create a z^(w-1) term
-            obs: list = []
-            for a, v in enumerate(ys):
-                violation(obs, "holomorphy-obstruction", (s, v),
-                          SeriesMatrix.sum_of_products(
-                              [(1, P.F[a].transpose(), new[0]),
-                               (-1, new[0], P.F[a])])
-                          .graded_part(s - 1, names=ys))
-            _fail(report, "holomorphy-obstruction", obs)
-            if not report["passes"]:
-                return report
             coeffs = new + coeffs[top + 1:]
     # only the first z_order+1 coefficients are fully extended in y; the
     # deeper ones were consumed by the transport, so certification stops
@@ -532,13 +511,6 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
     _fail(report, "extended-symmetry", R.symmetry_violations())
     _fail(report, "extended-z-transport", _z_direction_residuals(P, R))
     _fail(report, "extended-base-transport", _base_direction_residuals(P, R))
-    # the lowest-z obstruction B^T R_0 - R_0 B per base direction
-    obs = []
-    for v, B in zip(vars, list(P.C) + list(P.F)):
-        violation(obs, "holomorphy-obstruction", (v,),
-                  SeriesMatrix.sum_of_products(
-                      [(1, B.transpose(), coeffs[0]), (-1, coeffs[0], B)]))
-    _fail(report, "holomorphy-obstruction", obs)
     if report["passes"]:
         report["pairing"] = R
     return report
@@ -547,6 +519,14 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
 # ---------------------------------------------------------------------------
 # structure connections (the pencil of a Frobenius type structure)
 # ---------------------------------------------------------------------------
+
+
+def _flip_v(V, w):
+    """-V + (w/2) id: the V block of the structure connection of weight w
+    from the flat endomorphism, and back (the map is an involution)."""
+    half = Fraction(w, 2)
+    return [[-Fraction(x) + (half if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(V)]
 
 
 def structure_connection(F: FrobeniusTypeStructure, w: int, z_order: int = 0):
@@ -568,13 +548,10 @@ def structure_connection(F: FrobeniusTypeStructure, w: int, z_order: int = 0):
     n = F.n
     vars = F.vars
     order = F.order
-    half = Fraction(w, 2)
-    V = [[-Fraction(F.V[i][j]) + (half if i == j else 0) for j in range(n)]
-         for i in range(n)]
     P = ConnectionPencil(
         vars, (), n, list(F.C), [],
         F.U,
-        SeriesMatrix.from_consts(V, vars, order),
+        SeriesMatrix.from_consts(_flip_v(F.V, w), vars, order),
         SeriesMatrix.zeros(n, n, vars, order),
         order)
     R = PairingMatrix.constant(w, F.g, vars, order, z_order=z_order)
@@ -594,16 +571,12 @@ def pencil_to_ftype(P: ConnectionPencil, R: PairingMatrix) -> FrobeniusTypeStruc
     if not P.V.is_constant():
         raise RejectionError("V block is not constant; residue at infinity "
                              "is not flat")
-    w = R.weight
-    half = Fraction(w, 2)
-    Vc = P.V.at_origin()
-    Vend = [[-Vc[i][j] + (half if i == j else 0) for j in range(P.n)]
-            for i in range(P.n)]
     g = R.coeffs[0]
     if not g.is_constant():
         raise RejectionError("Gram matrix of the pairing is not constant "
                              "in the flat frame")
     F = FrobeniusTypeStructure(
-        P.vars, P.n, list(P.C) + list(P.F), P.U, Vend, g.at_origin(),
+        P.vars, P.n, list(P.C) + list(P.F), P.U,
+        _flip_v(P.V.at_origin(), R.weight), g.at_origin(),
         P.order)
     return F

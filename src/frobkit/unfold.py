@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .linalg import Echelon
 from .pencil import (ConnectionPencil, GCCertificate, flatness_residual,
-                     gc_check, ic_check, residual_report)
+                     gc_check, ic_check, origin_certificates, residual_report)
 from .series import (SeriesError, SeriesMatrix, TruncSeries, euler_integrate,
                      require_int, slice_sum, slice_terms)
 from .structures import RejectionError
@@ -33,7 +33,7 @@ from .structures import RejectionError
 # they certify the base of an unfolding
 __all__ = [
     "GCCertificate", "gc_check", "ic_check", "UnfoldProblem", "solve",
-    "universal_unfold", "UnfoldResult", "zeta_frame",
+    "universal_unfold", "UnfoldResult", "zeta_frame", "zeta_rotation",
 ]
 
 
@@ -260,6 +260,18 @@ def zeta_frame(zeta, n):
     return B, linalg.mat_inverse(B)
 
 
+def zeta_rotation(zeta, n):
+    """The frame (B, B^-1) of ``zeta_frame`` for a distinguished vector, or
+    None when zeta is None or already the first frame vector, which needs
+    no rotation; a zero vector is refused."""
+    if zeta is None:
+        return None
+    zeta = [Fraction(c) for c in zeta]
+    if not any(zeta):
+        raise RejectionError("distinguished vector is zero")
+    return None if zeta == _unit_vector(n) else zeta_frame(zeta, n)
+
+
 def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
     """Unfold to a full-dimensional base with the period map as chart.
 
@@ -271,26 +283,19 @@ def universal_unfold(P: ConnectionPencil, zeta=None) -> UnfoldResult:
     if P.y_vars:
         raise RejectionError("pencil already carries unfolding directions")
     n = P.n
-    if zeta is None:
-        zeta = _unit_vector(n)
-    zeta = [Fraction(c) for c in zeta]
-    if all(c == 0 for c in zeta):
-        raise RejectionError("distinguished vector is zero")
-    B, Binv = zeta_frame(zeta, n)
-    rot = ConnectionPencil(
-        P.t_vars, (), n,
-        [C.conjugate_const(B, Binv) for C in P.C], [],
-        P.U.conjugate_const(B, Binv),
-        P.V.conjugate_const(B, Binv),
-        P.W.conjugate_const(B, Binv),
-        P.order)
-    ic = ic_check(rot)
-    if not ic["ok"]:
-        raise RejectionError("injectivity condition fails", {"ic": ic})
-    gc = gc_check(rot)
-    if not gc.ok:
-        raise RejectionError("generation condition fails",
-                             {"certificate": gc.to_json()})
+    frame = zeta_rotation(zeta, n)
+    if frame is None:
+        rot, B = P, linalg.identity(n)
+    else:
+        B, Binv = frame
+        rot = ConnectionPencil(
+            P.t_vars, (), n,
+            [C.conjugate_const(B, Binv) for C in P.C], [],
+            P.U.conjugate_const(B, Binv),
+            P.V.conjugate_const(B, Binv),
+            P.W.conjugate_const(B, Binv),
+            P.order)
+    gc, ic = origin_certificates(rot)
     m = len(P.t_vars)
     image = [[x.constant_term for x in C.column(0)] for C in rot.C]
     comp = _complete_basis(image, n)

@@ -2,8 +2,9 @@
 and the whole-series construction), frozen elimination engines, the
 stage-by-stage germ recursion oracle, the frozen matrix product, the
 frozen general Euler check, the frozen isolatedness certificate and h2
-generation check, the frozen tuple-keyed series arithmetic, and the frozen
-dense flat-pairing solver and record loops."""
+generation check, the frozen tuple-keyed series arithmetic, the frozen
+dense flat-pairing solver and record loops, and the frozen pairing
+extension check."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from operator import add, itemgetter
 
 from frobkit import linalg
 from frobkit.germ import (FrobeniusGermData, InitialData, _assert_clean,
-                          _c_matrices, _coords, _raise_order,
+                          _at_order, _c_matrices, _coords,
                           initial_from_filtration, invert_map,
                           potential_integrate)
 from frobkit.jacobi import (GradedPiece, NotIsolatedError, WeightSystem,
@@ -23,7 +24,8 @@ from frobkit.pencil import (ConnectionPencil, PairingMatrix,
                             flatness_residual, potential_matrix,
                             residual_report, structure_connection)
 from frobkit.series import (SeriesError, SeriesMatrix, TruncSeries,
-                            exponent_strides, frac_to_str, unpack_key)
+                            euler_integrate, exponent_strides, frac_to_str,
+                            require_int, unpack_key)
 from frobkit.structures import (FiltrationData, FrobeniusTypeStructure,
                                 RejectionError, _const_to_json,
                                 shift_example, filtration_to_ftype,
@@ -139,6 +141,23 @@ def ladder_pencil(order=2):
                                    order), Z, order)
     g = [[F(0), F(0), F(1)], [F(0), F(2), F(0)], [F(1), F(0), F(0)]]
     return P, PairingMatrix.constant(2, g, t, order, 4 + order)
+
+
+def y_transport_pencil(order=2):
+    """Rank two over one unfolding direction y, with a pole at z = 1
+    (W = I): F = Nil, U = (1 + y) Nil and V = diag(-1, 1), where
+    Nil e_0 = e_1, and the weight-0 pairing R_0 + R_1 z + ... + R_4 z^4,
+    over the point, that solves the z-transport identities at y = 0.  W
+    makes R_1 nonzero, so the y-transport moves R_0."""
+    y = ("y",)
+    nil = consts([[0, 0], [1, 0]], y, order)
+    one_plus_y = TruncSeries(y, order, {(0,): 1, (1,): 1})
+    P = ConnectionPencil((), y, 2, [], [nil], nil.scale_series(one_plus_y),
+                         consts([[-1, 0], [0, 1]], y, order),
+                         SeriesMatrix.identity(2, y, order), order)
+    base = [[[1, -1], [-1, 0]], [[0, -1], [1, 0]], [[-1, 1], [1, -1]],
+            [[0, 1], [-1, 0]], [[0, 0], [0, 1]]]
+    return P, PairingMatrix(0, [consts(R, (), order) for R in base])
 
 
 def rank1_log_pencil(order=4, z_extra=4):
@@ -950,9 +969,8 @@ def reference_h2_reconstruct(init: InitialData, order: int | None = None,
     if not init.is_graded():
         raise RejectionError("recursion requires a diagonal flat "
                              "endomorphism with integer levels")
-    N = order if order is not None else F.order
-    if N != F.order:
-        F = F.restrict_order(N) if N < F.order else _raise_order(F, N)
+    F = _at_order(F, order)
+    N = F.order
     n = F.n
     w = init.weight
     degrees = init.frame_degrees()
@@ -1927,3 +1945,122 @@ def reference_symmetry_records(mult, metric, coords, order) -> list:
                 violation(viol, "third-derivative-symmetric", (i, j, k),
                           T[i][j, k] - T[i][k, j])
     return viol
+
+
+# ---------------------------------------------------------------------------
+# frozen pairing extension check: ``pencil.pairing_extension_check`` and its
+# residual loops exactly as they were when the base check left out the
+# z^(w-1) transport along t and two ``holomorphy-obstruction`` loops, one
+# per y-degree and one per direction at the end, checked it instead.  It is
+# the oracle for the verdict of the one transport rule.
+# ---------------------------------------------------------------------------
+
+
+def _reference_z_residuals(P, R):
+    out = []
+    w = R.weight
+    Rs = R.coeffs
+    U, V, W = P.U, P.V, P.W
+    Ut, Vt, Wt = U.transpose(), V.transpose(), W.transpose()
+    violation(out, "z-transport", (-1,),
+              SeriesMatrix.sum_of_products([(1, Ut, Rs[0]), (-1, Rs[0], U)]))
+    for k in range(R.z_order):
+        terms = [(1, Rs[k], TruncSeries.const(Rs[k].vars, Rs[k].order, w + k)),
+                 (-1, Ut, Rs[k + 1]), (1, Rs[k + 1], U),
+                 (-1, Vt, Rs[k]), (-1, Rs[k], V)]
+        for j in range(1, k + 1):
+            terms += [(1, Wt, Rs[k - j]), (-1 if j % 2 else 1, Rs[k - j], W)]
+        violation(out, "z-transport", (k,),
+                  SeriesMatrix.sum_of_products(terms))
+    return out
+
+
+def _reference_base_residuals(P, R):
+    out = []
+    if P.order < 1:
+        return out
+    blocks = list(zip(P.vars, list(P.C) + list(P.F)))
+    for k in range(R.z_order):
+        for v, B in blocks:
+            violation(out, "base-transport", (k, v), R.coeffs[k].partial(v)
+                      - SeriesMatrix.sum_of_products(
+                          [(1, B.transpose(), R.coeffs[k + 1]),
+                           (-1, R.coeffs[k + 1], B)]))
+    return out
+
+
+def _fail(report, key, found):
+    if not isinstance(found, list):
+        records: list = []
+        violation(records, key, (), found)
+        found = records
+    if found:
+        report["passes"] = False
+        report[key] = found
+
+
+def reference_pairing_extension_check(P, R0, z_order):
+    require_int("z_order", z_order, 0)
+    report: dict = {"passes": True, "weight": R0.weight, "z_order": z_order}
+    N = P.order
+    need = z_order + N
+    if R0.z_order < need:
+        raise RejectionError(
+            "base pairing carries %d z-coefficients, need %d for y-order %d"
+            % (R0.z_order + 1, need + 1, N))
+    base = P.restrict_y0()
+    gc = gc_check(base)
+    if not gc.ok:
+        _fail(report, "generation-condition", gc.to_json())
+        return report
+    _fail(report, "base-symmetry", R0.symmetry_violations())
+    if not R0.gram_invertible():
+        _fail(report, "base-gram-singular", "singular")
+    _fail(report, "base-z-transport", _reference_z_residuals(base, R0))
+    _fail(report, "base-t-transport", _reference_base_residuals(base, R0))
+    if not report["passes"]:
+        return report
+    _fail(report, "pencil-flatness", residual_report(flatness_residual(P)))
+    if not report["passes"]:
+        return report
+
+    vars = P.vars
+    ys = P.y_vars
+    coeffs = [R.extend(vars) for R in R0.coeffs]
+    if ys:
+        for s in range(1, N + 1):
+            top = need - s
+            new = []
+            for k in range(top + 1):
+                grad = {}
+                for a, v in enumerate(ys):
+                    rhs = SeriesMatrix.sum_of_products(
+                        [(1, P.F[a].transpose(), coeffs[k + 1]),
+                         (-1, coeffs[k + 1], P.F[a])])
+                    grad[v] = rhs.graded_part(s - 1, names=ys)
+                upd = euler_integrate(grad)
+                new.append(coeffs[k] + upd.truncate(coeffs[k].order))
+            obs: list = []
+            for a, v in enumerate(ys):
+                violation(obs, "holomorphy-obstruction", (s, v),
+                          SeriesMatrix.sum_of_products(
+                              [(1, P.F[a].transpose(), new[0]),
+                               (-1, new[0], P.F[a])])
+                          .graded_part(s - 1, names=ys))
+            _fail(report, "holomorphy-obstruction", obs)
+            if not report["passes"]:
+                return report
+            coeffs = new + coeffs[top + 1:]
+    R = PairingMatrix(R0.weight, coeffs[:z_order + 1])
+    _fail(report, "extended-symmetry", R.symmetry_violations())
+    _fail(report, "extended-z-transport", _reference_z_residuals(P, R))
+    _fail(report, "extended-base-transport", _reference_base_residuals(P, R))
+    obs = []
+    for v, B in zip(vars, list(P.C) + list(P.F)):
+        violation(obs, "holomorphy-obstruction", (v,),
+                  SeriesMatrix.sum_of_products(
+                      [(1, B.transpose(), coeffs[0]), (-1, coeffs[0], B)]))
+    _fail(report, "holomorphy-obstruction", obs)
+    if report["passes"]:
+        report["pairing"] = R
+    return report

@@ -18,11 +18,12 @@ from frobkit.cli import main
 from frobkit.germ import (frobenius_via_unfolding, germ_to_ftype,
                           initial_from_filtration, normalize_germ)
 from frobkit.jacobi import XPoly, build_jacobi
-from frobkit.pencil import (PairingMatrix, flatness_residual,
-                            structure_connection)
+from frobkit.pencil import (PairingMatrix, flatness_residual, gc_check,
+                            ic_check, structure_connection)
 from frobkit.series import (MAX_INPUT_ORDER, SeriesError, SeriesMatrix,
                             TruncSeries, frac_from_str)
-from frobkit.structures import filtration_to_ftype, shift_example
+from frobkit.structures import (FrobeniusTypeStructure, filtration_to_ftype,
+                                shift_example)
 from frobkit.unfold import UnfoldProblem, solve
 from helpers import (codim_one_polynomial, point_base_pencil,
                      rank1_log_pencil, rank2_higgs_ftype, socle_draws)
@@ -665,6 +666,24 @@ def test_zero_zeta_and_germs_in_other_coordinates_exit_one(tmp_path):
                            {"left": germ, "right": renamed})
     assert code == 1 and not report["equal"]
     assert [d["check"] for d in report["diffs"]] == ["coords"]
+
+
+def test_reconstruct_and_universal_unfold_refuse_alike(tmp_path):
+    # the rank-2 structure over t with C = U = V = 0 fails gc and ic at
+    # the origin; both commands name generation, which is checked first,
+    # with the same certificate
+    Z = SeriesMatrix.zeros(2, 2, ("t",), 2)
+    ident = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
+    FT = FrobeniusTypeStructure(("t",), 2, [Z], Z, [[0, 0], [0, 0]], ident, 2)
+    P, _ = structure_connection(FT, 2)
+    assert not gc_check(P).ok and not ic_check(P)["ok"]
+    code, rec, _ = _run(tmp_path, "reconstruct", {"initial": {
+        "kind": "ftype", "ftype": FT.to_json()}}, "--order", "2")
+    assert code == 1
+    code, uni, _ = _run(tmp_path, "universal-unfold", {"pencil": P.to_json()})
+    assert code == 1
+    assert rec["error"] == uni["error"] == "generation condition fails"
+    assert rec["detail"] == uni["detail"]
 
 
 @pytest.mark.parametrize("command, flag", [("pairing-extend", "--z-order"),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from frobkit.structures import RejectionError, check_ftype_axioms
 from frobkit.unfold import UnfoldProblem, solve, universal_unfold
 from helpers import (consts, corpus, ladder_pencil, point_base_pencil,
                      rank1_log_pencil, rank2_higgs_ftype, rank3_point_ftype,
-                     shift_inits)
+                     reference_pairing_extension_check, shift_inits,
+                     y_transport_pencil)
 
 F = Fraction
 N = 4
@@ -174,7 +176,7 @@ def test_pairing_extension_negative_control():
     rep = pairing_extension_check(bad, R0, z_order=4)
     assert not rep["passes"]
     assert rep["pencil-flatness"] == residual_report(flatness_residual(bad))
-    assert "holomorphy-obstruction" not in rep
+    assert set(rep) == {"passes", "weight", "z_order", "pencil-flatness"}
 
 
 def test_pairing_base_consistency_rejects_wrong_gram():
@@ -194,22 +196,12 @@ def test_rank1_three_pole_pairing_certifies():
 
 
 def test_pairing_y_transport_moves_the_pairing():
-    # rank 2 over one unfolding direction y, with a pole at z = 1 (W = I):
-    # F = Nil, U = (1 + y) Nil and V = diag(-1, 1), where Nil e_0 = e_1.
-    # At y = 0 the weight-0 pairing R_0 + R_1 z + ... + R_4 z^4 below solves
-    # the z-transport identities; W makes R_1 nonzero, so the y-transport
-    # dR_k/dy = F^T R_(k+1) - R_(k+1) F moves R_0 to [[(1 + y)^2, -1],
-    # [-1, 0]] (d/dy of R_0 is [[2, 0], [0, 0]] + y [[2, 0], [0, 0]]).
+    # the y-transport dR_k/dy = F^T R_(k+1) - R_(k+1) F moves R_0 to
+    # [[(1 + y)^2, -1], [-1, 0]] (d/dy of R_0 is [[2, 0], [0, 0]] +
+    # y [[2, 0], [0, 0]])
     order, y = 2, ("y",)
-    nil = consts([[0, 0], [1, 0]], y, order)
-    one_plus_y = TruncSeries(y, order, {(0,): 1, (1,): 1})
-    P = ConnectionPencil((), y, 2, [], [nil], nil.scale_series(one_plus_y),
-                         consts([[-1, 0], [0, 1]], y, order),
-                         SeriesMatrix.identity(2, y, order), order)
+    P, R0 = y_transport_pencil(order)
     assert not flatness_residual(P)
-    base = [[[1, -1], [-1, 0]], [[0, -1], [1, 0]], [[-1, 1], [1, -1]],
-            [[0, 1], [-1, 0]], [[0, 0], [0, 1]]]
-    R0 = PairingMatrix(0, [consts(R, (), order) for R in base])
     rep = pairing_extension_check(P, R0, z_order=2)
     assert rep["passes"], rep
     moved = TruncSeries(y, order, {(0,): 1, (1,): 2, (2,): 1})
@@ -255,14 +247,15 @@ def test_pencil_to_ftype_rejects_z1_pole():
 
 
 def test_residue_data_on_unfolded_pencils():
-    P, R0 = rank1_log_pencil(order=3, z_extra=7)
-    res = universal_unfold(P)
-    rd = res.pencil.residues()
-    assert rd["at_infinity"]["flat"] and rd["at_one"]["flat"]
-    # residue at infinity is the constant -(V+W); here V+W = 2
-    endo = rd["at_infinity"]["endomorphism"]
-    assert endo.is_constant() and endo.at_origin() == [[F(-2)]]
-    assert rd["at_one"]["endomorphism"].at_origin() == [[F(1)]]
+    # flatness holds the residues' flatness: w-transport is that of W at
+    # z = 1, and v-transport plus w-transport that of V + W at infinity;
+    # the residue at infinity is the constant -(V+W), here V+W = 2
+    P, _ = rank1_log_pencil(order=3, z_extra=7)
+    big = universal_unfold(P).pencil
+    assert not flatness_residual(big)
+    rep = reduced_flatness_check(big)
+    assert rep["passes"] and rep["residue_at_infinity"] == [["2/1"]]
+    assert big.W.at_origin() == [[F(1)]]
 
 
 def test_pencil_serialization_roundtrip():
@@ -383,17 +376,77 @@ def test_gc_check_drops_cancelled_entries():
 
 
 def test_pairing_extension_obstruction_over_a_flat_pencil():
-    # the ladder's pairing is flat in z and t, but C^T g - g C != 0 is a
-    # z^(w-1) term along t; unfolding along f = (0, y1, 0) gives F(0) = C,
-    # so the y-transport meets the same obstruction at its first degree
+    # the ladder's pairing is flat in z, but C^T g - g C != 0 is a z^(w-1)
+    # term along t: the base transport fails at k = -1, where R_(-1) = 0
+    # leaves the residual g C - C^T g.  Its unfolding along f = (0, y1, 0)
+    # has the ladder as its base and fails there too
     P, R0 = ladder_pencil(2)
     rep = pairing_extension_check(P, R0, z_order=4)
-    assert [r["indices"] for r in rep["holomorphy-obstruction"]] == [["t"]]
+    recs = rep["base-t-transport"]
+    assert [r["indices"] for r in recs] == [[-1, "t"]]
+    assert recs[0]["residual"] == consts(
+        [[0, -1, 0], [1, 0, 0], [0, 0, 0]], ("t",), 2).to_json()
     f = [TruncSeries(("t", "y1"), 3, {(0, 1): 1} if i == 1 else {})
          for i in range(3)]
     big = solve(UnfoldProblem(P, ("y1",), f, 2))
     assert not flatness_residual(big)
     rep = pairing_extension_check(big, R0, z_order=4)
     assert not rep["passes"]
-    assert [r["indices"] for r in rep["holomorphy-obstruction"]] == [
-        [1, "y1"]]
+    assert [r["indices"] for r in rep["base-t-transport"]] == [[-1, "t"]]
+
+
+def _perturbed(R0, rng):
+    """R0 as it is, or with one constant or t-linear entry added to a
+    random coefficient, mostly with its mirror entry."""
+    if rng.random() < 0.3:
+        return R0
+    coeffs = list(R0.coeffs)
+    k = rng.randrange(len(coeffs))
+    R = coeffs[k]
+    n, vars = R.rows, R.vars
+    i, j = rng.randrange(n), rng.randrange(n)
+    mono = [0] * len(vars)
+    if vars and rng.random() < 0.5:
+        mono[0] = 1
+    c = TruncSeries(vars, R.order, {tuple(mono): rng.choice([-2, -1, 1, 2])})
+    E = SeriesMatrix.from_sparse(n, n, vars, R.order, {(i, j): c})
+    if rng.random() < 0.8:
+        # E + (-1)^k E^T keeps R_k^T = (-1)^k R_k, so later checks run
+        E = E + (E.transpose() if k % 2 == 0 else -E.transpose())
+    coeffs[k] = R + E
+    return PairingMatrix(R0.weight, coeffs)
+
+
+def test_pairing_verdicts_match_the_frozen_extension_check():
+    # seeded perturbations of valid and invalid pairings of the point,
+    # ladder, rank-1 log and y-transport pencils, on each base and on its
+    # unfoldings: one transport rule gives the frozen check's verdict and,
+    # where it certifies, the same extended pairing
+    rng = random.Random(32)
+    order, K = 2, 2
+    antidiag = [[F(int(i + j == 2)) for j in range(3)] for i in range(3)]
+    point, g = point_base_pencil(order)
+    ladder, bad = ladder_pencil(order)
+    log, log_R = rank1_log_pencil(order)
+    ypen, y_R = y_transport_pencil(order)
+    f = [TruncSeries(("t", "y1"), order + 1, {(0, 1): 1} if i == 1 else {})
+         for i in range(3)]
+    good = PairingMatrix.constant(2, antidiag, ("t",), order, K + order)
+    bases = [(point, PairingMatrix.constant(0, g, (), order, K + order)),
+             (ladder, bad), (ladder, good), (log, log_R)]
+    cases = [(ypen, y_R),
+             (solve(UnfoldProblem(ladder, ("y1",), f, order)), good)]
+    for P, R0 in bases:
+        cases += [(P, R0), (universal_unfold(P).pencil, R0)]
+    seen = set()
+    for _ in range(6):
+        for P, R0 in cases:
+            R = _perturbed(R0, rng)
+            got = pairing_extension_check(P, R, z_order=K)
+            want = reference_pairing_extension_check(P, R, z_order=K)
+            assert got["passes"] == want["passes"]
+            if got["passes"]:
+                assert got["pairing"] == want["pairing"]
+            seen.add((bool(P.y_vars), got["passes"]))
+    assert seen == {(False, False), (False, True), (True, False),
+                    (True, True)}

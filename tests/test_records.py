@@ -145,20 +145,6 @@ def test_filtration_records():
             "pairing-flat"} <= {r["check"] for r in recs}
 
 
-def test_residue_records():
-    # V + W and W depend on t, so neither residue endomorphism is flat
-    FT = rank2_higgs_ftype(N)
-    t = TruncSeries.var(FT.vars, N, "t")
-    Z = SeriesMatrix.zeros(2, 2, FT.vars, N)
-    E11 = SeriesMatrix.from_consts([[1, 0], [0, 0]], FT.vars, N)
-    P = ConnectionPencil(FT.vars, (), 2, FT.C, [], Z, E11.scale_series(t),
-                         E11.scale_series(t), N)
-    res = P.residues()
-    _assert_records(res["at_infinity"]["violations"])
-    _assert_records(res["at_one"]["violations"])
-    assert res["at_one"]["violations"][0]["indices"] == ["t"]
-
-
 def test_pairing_symmetry_records():
     R = SeriesMatrix.from_consts([[0, 1], [0, 0]], (), N)
     recs = PairingMatrix(0, [R, R]).symmetry_violations()
@@ -186,7 +172,7 @@ def test_pairing_extension_records():
     # a flat pencil whose pairing has a z^(w-1) term along t
     P, R0 = ladder_pencil(N)
     rep = pairing_extension_check(P, R0, z_order=4)
-    _assert_records(rep["holomorphy-obstruction"])
+    _assert_records(rep["base-t-transport"])
 
 
 def test_reduced_check_records():

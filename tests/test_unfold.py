@@ -385,6 +385,29 @@ def test_solve_lifts_a_constant_base_to_the_target_order():
     assert out == solve(UnfoldProblem(high, ("y1",), f, 2))
 
 
+def test_universal_unfold_puts_the_distinguished_vector_first():
+    # zeta = e0 + e1 on the point pencil: the frame is [zeta | e0], and at
+    # y = 0 the unfolding is the pencil in that frame
+    P, _ = point_base_pencil(N)
+    zeta = [F(1), F(1)]
+    res = universal_unfold(P, zeta=zeta)
+    B, Binv = zeta_frame(zeta, 2)
+    assert res.frame == B == [[1, 1], [1, 0]]
+    back = res.pencil.restrict_y0()
+    assert back.U == P.U.conjugate_const(B, Binv) != P.U
+
+
+def test_first_frame_vector_needs_no_rotation(monkeypatch):
+    # zeta = e0 and no zeta are one case: neither conjugates the pencil
+    def refuse(*args):
+        raise AssertionError("conjugate_const called")
+
+    monkeypatch.setattr(SeriesMatrix, "conjugate_const", refuse)
+    for name, P, _ in corpus(order=2):
+        e0 = [F(int(k == 0)) for k in range(P.n)]
+        assert universal_unfold(P) == universal_unfold(P, zeta=e0), name
+
+
 def test_zeta_frame_completes_a_nonzero_vector_only():
     B, Binv = zeta_frame([F(0), F(2)], 2)
     assert B == [[0, 1], [2, 0]] and Binv == [[0, F(1, 2)], [1, 0]]
