@@ -233,7 +233,7 @@ def _initial_data(initial, order):
     raise RejectionError("unknown initial data kind %r" % kind)
 
 
-def _run_jacobi(payload, order, z_order, trace, both):
+def _run_jacobi(payload, order, z_order):
     algebra = build_jacobi(*_parse(_polynomial, payload))
     report = algebra.report()
     gen = h2_generation_check(algebra)
@@ -244,7 +244,7 @@ def _run_jacobi(payload, order, z_order, trace, both):
     return report, lines, True
 
 
-def _run_h2check(payload, order, z_order, trace, both):
+def _run_h2check(payload, order, z_order):
     algebra = build_jacobi(*_parse(_polynomial, payload))
     gen = h2_generation_check(algebra)
     report = {"milnor": algebra.milnor, "generation": gen}
@@ -254,7 +254,7 @@ def _run_h2check(payload, order, z_order, trace, both):
     return report, lines, gen["passes"]
 
 
-def _run_ftype_check(payload, order, z_order, trace, both):
+def _run_ftype_check(payload, order, z_order):
     F = _parse(FrobeniusTypeStructure.from_json, payload)
     viol = check_ftype_axioms(F)
     report = {"violations": viol}
@@ -263,7 +263,7 @@ def _run_ftype_check(payload, order, z_order, trace, both):
     return report, lines, not viol
 
 
-def _run_structure_connection(payload, order, z_order, trace, both):
+def _run_structure_connection(payload, order, z_order):
     F = _parse(FrobeniusTypeStructure.from_json, payload["ftype"])
     w = _parse(require_int, "weight", payload["weight"])
     P, R = structure_connection(F, w, z_order=z_order)
@@ -273,7 +273,7 @@ def _run_structure_connection(payload, order, z_order, trace, both):
     return report, lines, True
 
 
-def _run_unfold(payload, order, z_order, trace, both):
+def _run_unfold(payload, order, z_order, trace):
     problem = _parse(lambda: UnfoldProblem(
         ConnectionPencil.from_json(payload["pencil"]), payload["y_vars"],
         [TruncSeries.from_json(s) for s in payload["f"]],
@@ -295,7 +295,7 @@ def _run_unfold(payload, order, z_order, trace, both):
     return report, lines, sab["passes"]
 
 
-def _run_universal_unfold(payload, order, z_order, trace, both):
+def _run_universal_unfold(payload, order, z_order):
     base = _parse(ConnectionPencil.from_json, payload["pencil"])
     zeta = _parse(_vector, payload.get("zeta"), base.n)
     res = universal_unfold(base, zeta=zeta)
@@ -312,7 +312,7 @@ def _run_universal_unfold(payload, order, z_order, trace, both):
     return report, lines, ok
 
 
-def _run_pairing_extend(payload, order, z_order, trace, both):
+def _run_pairing_extend(payload, order, z_order):
     P = _parse(ConnectionPencil.from_json, payload["pencil"])
     R0 = _parse(PairingMatrix.from_json, payload["pairing"])
     # the pairing is given at y = 0, on the pencil's frame, and is read to
@@ -329,17 +329,16 @@ def _run_pairing_extend(payload, order, z_order, trace, both):
     return report, lines, rep["passes"]
 
 
-def _run_reconstruct(payload, order, z_order, trace, both):
+def _run_reconstruct(payload, order, z_order, both):
     init = _initial_data(payload["initial"], order)
-    germ = frobenius_via_unfolding(init, order=order)
-    report = {"germ": normalize_germ(germ).to_json(),
-              "weight": init.weight}
+    germ = normalize_germ(frobenius_via_unfolding(init, order=order))
+    report = {"germ": germ.to_json(), "weight": init.weight}
     lines = ["germ of dimension %d synthesized" % germ.n]
     ok = True
     if both:
-        other = h2_reconstruct(init, order=order)
-        cmp = compare_germs(germ, other)
-        report["germ_recursion"] = normalize_germ(other).to_json()
+        other = normalize_germ(h2_reconstruct(init, order=order))
+        cmp = compare_germs(germ, other, normalize=False)
+        report["germ_recursion"] = other.to_json()
         report["two_path_comparison"] = {
             "equal": cmp["equal"],
             "diffs": [d["check"] for d in cmp["diffs"]],
@@ -354,7 +353,7 @@ def _run_reconstruct(payload, order, z_order, trace, both):
     return report, lines, ok
 
 
-def _run_wdvv(payload, order, z_order, trace, both):
+def _run_wdvv(payload, order, z_order):
     germ = _parse(FrobeniusGermData.from_json, payload)
     viol = wdvv_check(germ)
     eviol = euler_check(germ)
@@ -366,7 +365,7 @@ def _run_wdvv(payload, order, z_order, trace, both):
     return report, lines, ok
 
 
-def _run_compare(payload, order, z_order, trace, both):
+def _run_compare(payload, order, z_order):
     left = _parse(FrobeniusGermData.from_json, payload["left"])
     right = _parse(FrobeniusGermData.from_json, payload["right"])
     cmp = compare_germs(left, right)
@@ -387,7 +386,7 @@ RUNNERS = {
     "compare": _run_compare,
 }
 
-# the one command each flag acts on; the other runners get False
+# the one command each flag acts on, whose runner alone takes it
 FLAGS = {"unfold": click.option("--trace", is_flag=True,
                                 help="emit the intermediates per y-degree"),
          "reconstruct": click.option("--both-paths", "both", is_flag=True,
@@ -422,9 +421,8 @@ def _command(name):
             sys.exit(2)
         meta = {"command": name, "order": order, "z_order": z_order}
         try:
-            report, lines, ok = RUNNERS[name](
-                payload, order, z_order, flag.get("trace", False),
-                flag.get("both", False))
+            report, lines, ok = RUNNERS[name](payload, order, z_order,
+                                              **flag)
         except PayloadError as exc:
             click.echo("payload is malformed: %s" % exc, err=True)
             sys.exit(2)

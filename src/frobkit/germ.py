@@ -37,7 +37,8 @@ from .series import (SeriesError, SeriesMatrix, TruncSeries,
                      frac_to_str, require_int, require_order, require_square,
                      slice_sum, slice_terms, unpack_key)
 from .structures import (FiltrationData, FrobeniusTypeStructure,
-                         RejectionError, filtration_to_ftype, violation)
+                         RejectionError, filtration_to_ftype,
+                         pairing_transport, violation)
 from .unfold import universal_unfold, zeta_rotation
 
 __all__ = [
@@ -302,9 +303,7 @@ def wdvv_check(G: FrobeniusGermData) -> list:
                     break
     gS = SeriesMatrix.from_consts(G.metric, G.coords, G.order)
     for i in range(n):
-        violation(out, "metric-invariance", (i,),
-                  SeriesMatrix.sum_of_products(
-                      [(1, A[i].transpose(), gS), (-1, gS, A[i])]))
+        violation(out, "metric-invariance", (i,), pairing_transport(A[i], gS))
     # third derivatives of the potential against the structure tensor
     if G.order >= 3:
         T = _c_matrices(A, G.metric, G.coords, G.order)
@@ -511,8 +510,8 @@ def _assert_clean(germ: FrobeniusGermData, init: InitialData):
 # ---------------------------------------------------------------------------
 
 
-def h2_reconstruct(init: InitialData, order: int | None = None,
-                   reverse_generation: bool = False) -> FrobeniusGermData:
+def h2_reconstruct(init: InitialData,
+                   order: int | None = None) -> FrobeniusGermData:
     """Determine the structure constants directly from the restricted data.
 
     Stage by stage in the Euler weight: matrices of positive-degree fields
@@ -524,10 +523,6 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     holds its blocks by y-degree: slice 0 of a degree-zero matrix is the
     flattened base, and stage W appends slice W to each positive-degree
     matrix and slice W+1 to each degree-zero one.
-
-    reverse_generation reverses the order in which the generation
-    relations are scanned; the output must not depend on it (the solver
-    verifies every relation it did not use for pivoting).
     """
     F = init.ftype
     if not F.umat_is_zero():
@@ -570,35 +565,37 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     for k in pos_idx:
         pos_by_D.setdefault(int(degrees[k]), []).append(k)
 
+    # the coefficients gamma of the unknowns have weight 0, so slice 0 of
+    # the degree-zero matrices fixes them, and each degree selects and
+    # inverts its relations once, before the first stage
+    plans = {}
+    for D in sorted(pos_by_D):
+        unknown = pos_by_D[D]
+        pairs = [(i, k) for i in d0_idx
+                 for k in (d0_idx if D == 1 else pos_by_D.get(D - 1, []))]
+        gamma = {(i, k): [A[i][0][r, k] for r in unknown] for (i, k) in pairs}
+        sel_ech = Echelon(pivot="min")
+        selected = []
+        for pr in pairs:
+            consts = {a: c.constant_term for a, c in
+                      enumerate(gamma[pr]) if c.constant_term}
+            if consts and sel_ech.insert(consts):
+                selected.append(pr)
+            if len(selected) == len(unknown):
+                break
+        # gc spans the fiber from the unit under the C(0), each raising
+        # the Euler degree by one, so every degree is reached
+        if len(selected) < len(unknown):
+            raise AssertionError("generation spans only %d of %d directions "
+                                 "at degree %d"
+                                 % (len(selected), len(unknown), D))
+        G = SeriesMatrix([gamma[pr] for pr in selected])
+        plans[D] = (unknown, pairs, gamma, selected, G.inverse_series())
+
     for stage in range(W_cap + 1):
         # (i) slice `stage` of the positive-degree matrices
-        for D in sorted(pos_by_D):
-            unknown = pos_by_D[D]
-            pairs = [(i, k) for i in d0_idx
-                     for k in (d0_idx if D == 1 else pos_by_D.get(D - 1, []))]
-            if reverse_generation:
-                pairs = pairs[::-1]
-            # the coefficients of the unknowns have weight 0
-            gamma = {(i, k): [A[i][0][r, k] for r in unknown]
-                     for (i, k) in pairs}
-            sel_ech = Echelon(pivot="min")
-            selected = []
-            for pr in pairs:
-                consts = {a: c.constant_term for a, c in
-                          enumerate(gamma[pr]) if c.constant_term}
-                if consts and sel_ech.insert(consts):
-                    selected.append(pr)
-                if len(selected) == len(unknown):
-                    break
-            # gc spans the fiber from the unit under the C(0), each raising
-            # the Euler degree by one, so every degree is reached
-            if len(selected) < len(unknown):
-                raise AssertionError("generation spans only %d of %d "
-                                     "directions at weight %d, degree %d"
-                                     % (len(selected), len(unknown), stage,
-                                        D))
-            _solve_generated(A, gamma, pairs, selected, unknown, stage,
-                             degrees, n, D)
+        for D, plan in plans.items():
+            _solve_generated(A, plan, stage, degrees, n, D)
         # (ii) slice stage+1 of the degree-zero matrices
         if stage == W_cap:
             break
@@ -618,15 +615,16 @@ def h2_reconstruct(init: InitialData, order: int | None = None,
     return germ
 
 
-def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees, n,
-                     D):
+def _solve_generated(A, plan, stage, degrees, n, D):
     """Append slice `stage` of the degree-D matrices A[r], r in ``unknown``,
     solved from the generation relations A_i A_k = sum_r gamma_r A_r,
     gamma_r = A_i[r, k], of the ``selected`` pairs (i, k), whose weight-0
-    coefficients gamma[(i, k)] of the unknowns form an invertible matrix
-    G; then verify the unselected relations.  Slice `stage` of a relation
-    takes gamma_r from slice deg_r - D of A_i, which is the whole entry by
-    the Euler homogeneity that ``euler_check`` certifies."""
+    coefficients gamma[(i, k)] of the unknowns form the invertible matrix
+    G with inverse G_inv; then verify the unselected relations.  Slice
+    `stage` of a relation takes gamma_r from slice deg_r - D of A_i, which
+    is the whole entry by the Euler homogeneity that ``euler_check``
+    certifies."""
+    unknown, pairs, gamma, selected, G_inv = plan
     q = len(unknown)
 
     def relation(pr, solved=()):
@@ -640,8 +638,6 @@ def _solve_generated(A, gamma, pairs, selected, unknown, stage, degrees, n,
                 terms.append((-1, A[r][stage - wt], A[i][wt][r, k]))
         return SeriesMatrix.sum_of_products(terms)
 
-    G = SeriesMatrix([[gamma[pr][a] for a in range(q)] for pr in selected])
-    G_inv = G.inverse_series()
     rhs = [relation(pr) for pr in selected]
     # rhs[b] = sum_a G[b, a] X_a, so X_a = sum_b rhs[b] * G^-1[a, b]
     for a, r in enumerate(unknown):

@@ -27,7 +27,7 @@ from .linalg import Echelon
 from .series import (SeriesError, SeriesMatrix, TruncSeries, euler_integrate,
                      frac_to_str, require_int, require_order, require_square)
 from .structures import (FrobeniusTypeStructure, RejectionError,
-                         check_ftype_axioms, violation)
+                         check_ftype_axioms, pairing_transport, violation)
 
 __all__ = [
     "ConnectionPencil", "PairingMatrix", "GCCertificate", "gc_check",
@@ -390,12 +390,6 @@ def reduced_flatness_check(P: ConnectionPencil) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _transport(B: SeriesMatrix, R: SeriesMatrix) -> SeriesMatrix:
-    """B^T R - R B, the transport of a pairing coefficient R along the
-    block B of one direction."""
-    return SeriesMatrix.sum_of_products([(1, B.transpose(), R), (-1, R, B)])
-
-
 def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     """Coefficients of the z-direction transport of the pairing.
 
@@ -409,9 +403,9 @@ def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     Rs = R.coeffs
     U, V, W = P.U, P.V, P.W
     Vt, Wt = V.transpose(), W.transpose()
-    # the z^(w-1) coefficient: nothing on the left, so the commutator with
+    # the z^(w-1) coefficient: nothing on the left, so the transport along
     # the irregular part must vanish outright
-    violation(out, "z-transport", (-1,), _transport(U, Rs[0]))
+    violation(out, "z-transport", (-1,), -pairing_transport(U, Rs[0]))
     for k in range(R.z_order):
         # the left side less the right side: the U part is the transport
         # of R_(k+1) along U
@@ -421,7 +415,7 @@ def _z_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
             terms += [(1, Wt, Rs[k - j]), (-1 if j % 2 else 1, Rs[k - j], W)]
         violation(out, "z-transport", (k,),
                   SeriesMatrix.sum_of_products(terms)
-                  - _transport(U, Rs[k + 1]))
+                  - pairing_transport(U, Rs[k + 1]))
     return out
 
 
@@ -434,7 +428,7 @@ def _base_direction_residuals(P: ConnectionPencil, R: PairingMatrix) -> list:
     blocks = list(zip(P.vars, list(P.C) + list(P.F)))
     for k in range(-1, R.z_order if P.order >= 1 else 0):
         for v, B in blocks:
-            rhs = _transport(B, R.coeffs[k + 1])
+            rhs = pairing_transport(B, R.coeffs[k + 1])
             violation(out, "base-transport", (k, v),
                       R.coeffs[k].partial(v) - rhs if k >= 0 else -rhs)
     return out
@@ -499,7 +493,7 @@ def pairing_extension_check(P: ConnectionPencil, R0: PairingMatrix,
             top = need - s
             new = []
             for k in range(top + 1):
-                upd = euler_integrate({v: _transport(Fa, coeffs[k + 1])
+                upd = euler_integrate({v: pairing_transport(Fa, coeffs[k + 1])
                                        .graded_part(s - 1, names=ys)
                                        for v, Fa in zip(ys, P.F)})
                 new.append(coeffs[k] + upd.truncate(coeffs[k].order))

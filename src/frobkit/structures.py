@@ -29,8 +29,9 @@ from .series import (SeriesError, SeriesMatrix, TruncSeries,
 
 __all__ = [
     "FrobeniusTypeStructure", "FiltrationData", "RejectionError",
-    "violation", "check_ftype_axioms", "ftype_to_filtration",
-    "filtration_to_ftype", "shift_example", "jacobi_to_filtration",
+    "violation", "pairing_transport", "check_ftype_axioms",
+    "ftype_to_filtration", "filtration_to_ftype", "shift_example",
+    "jacobi_to_filtration",
 ]
 
 
@@ -66,6 +67,12 @@ def violation(out: list, check: str, indices=(), residual=None) -> bool:
     out.append({"check": check, "indices": list(indices),
                 "residual": residual, **summary})
     return True
+
+
+def pairing_transport(B: SeriesMatrix, R: SeriesMatrix) -> SeriesMatrix:
+    """B^T R - R B, the transport of a pairing R along the endomorphism B;
+    it vanishes exactly when B is self-adjoint for R."""
+    return SeriesMatrix.sum_of_products([(1, B.transpose(), R), (-1, R, B)])
 
 
 def _const_to_json(mat):
@@ -231,10 +238,8 @@ def check_ftype_axioms(F: FrobeniusTypeStructure) -> list:
         if can_diff:
             violation(out, "u-transport", (i,), F.U.partial(F.vars[i])
                       - F.C[i].commutator(VS) + F.C[i])
-        violation(out, "pairing-higgs", (i,), SeriesMatrix.sum_of_products(
-            [(1, F.C[i].transpose(), gS), (-1, gS, F.C[i])]))
-    violation(out, "pairing-u", (), SeriesMatrix.sum_of_products(
-        [(1, F.U.transpose(), gS), (-1, gS, F.U)]))
+        violation(out, "pairing-higgs", (i,), pairing_transport(F.C[i], gS))
+    violation(out, "pairing-u", (), pairing_transport(F.U, gS))
     rv = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
           zip(linalg.mat_mul(linalg.transpose(F.V), g),
               linalg.mat_mul(g, F.V))]

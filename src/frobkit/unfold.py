@@ -12,8 +12,9 @@ certified once, on all fourteen flatness equations, and a nonzero
 residual is a hard failure.
 
 The universal unfolding that picks coordinates making the period map the
-identity chart lives here too; it and ``solve`` require the generation
-and injectivity certificates of ``pencil`` on their base.
+identity chart lives here too.  ``solve`` requires a flat base with the
+generation certificate of ``pencil``, and ``universal_unfold`` requires
+the generation and injectivity certificates on its base.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from frobkit import pencil, structures
+from frobkit import cli, germ, pencil, structures
 from frobkit.cli import main
+from frobkit.series import SeriesMatrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -97,3 +98,44 @@ def test_shift_reconstruct_checks_each_structure_once(tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert calls["check_ftype_axioms"] <= 2
     assert calls["structure_connection"] == 1
+
+
+def test_shift_reconstruct_inverts_one_relation_matrix_per_degree(
+        tmp_path, monkeypatch):
+    # the generation relations of each positive Euler degree have weight-0
+    # coefficients, so h2_reconstruct inverts their matrix G once, before
+    # the first stage; its one other inverse is its flat chart's.  The
+    # report normalizes each of its two germs once
+    inverses, during, degrees, normalized = [0], [], [], []
+    inverse, recon = SeriesMatrix.inverse_series, cli.h2_reconstruct
+    normalize = germ.normalize_germ
+
+    def counted_inverse(self):
+        inverses[0] += 1
+        return inverse(self)
+
+    def counted_recon(*args, **kwargs):
+        start = inverses[0]
+        G = recon(*args, **kwargs)
+        during.append(inverses[0] - start)
+        degrees.extend(G.degrees)
+        return G
+
+    def counted_normalize(G):
+        normalized.append(G.n)
+        return normalize(G)
+
+    monkeypatch.setattr(SeriesMatrix, "inverse_series", counted_inverse)
+    monkeypatch.setattr(cli, "h2_reconstruct", counted_recon)
+    for mod in (cli, germ):
+        monkeypatch.setattr(mod, "normalize_germ", counted_normalize)
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(_load_workloads().shift_payload(1)))
+    result = CliRunner().invoke(main, [
+        "reconstruct", "--input", str(payload), "--output",
+        str(tmp_path / "out"), "--both-paths", "--order", "6"],
+        catch_exceptions=False)
+    assert result.exit_code == 0
+    assert len({d for d in degrees if d > 0}) == 8
+    assert during == [8 + 1]
+    assert normalized == [10, 10]

@@ -374,7 +374,7 @@ def test_reconstruct_report_ignores_thread_variable(tmp_path, monkeypatch):
 @pytest.mark.parametrize("exc", [AssertionError("family is not flat"),
                                  SeriesError("variable lists differ")])
 def test_internal_invariant_failure_exits_three(tmp_path, monkeypatch, exc):
-    def broken(payload, order, z_order, trace, both):
+    def broken(*args):
         raise exc
 
     monkeypatch.setitem(cli.RUNNERS, "jacobi", broken)

@@ -7,7 +7,7 @@ from frobkit.germ import (FrobeniusGermData, InitialData, compare_germs,
                           euler_check, frobenius_via_unfolding, germ_to_ftype,
                           h2_reconstruct, initial_from_filtration,
                           invert_map, normalize_germ, potential_integrate,
-                          wdvv_check)
+                          rotate_zeta_first, wdvv_check)
 from frobkit.pencil import pencil_to_ftype, structure_connection
 from frobkit.series import SeriesError, SeriesMatrix, TruncSeries
 from frobkit.structures import (FrobeniusTypeStructure, RejectionError,
@@ -93,16 +93,32 @@ def test_w5_deformed_differs_from_undeformed():
         assert not r.is_zero()
 
 
-def test_h2_reconstruct_independent_of_generator_order():
-    # rebuilding from scratch and scanning the generation relations in the
-    # opposite order must give byte-identical serializations
-    init = shift_inits(N)[(5, "1+t")]
-    a = h2_reconstruct(init)
-    b = h2_reconstruct(init)
-    c = h2_reconstruct(init, reverse_generation=True)
-    blob = json.dumps(a.to_json(), sort_keys=True)
-    assert blob == json.dumps(b.to_json(), sort_keys=True)
-    assert blob == json.dumps(c.to_json(), sort_keys=True)
+def test_h2_reconstruct_independent_of_generator_order(monkeypatch):
+    # two base directions give more relations than unknowns, so the frozen
+    # reference, scanning them in the opposite order, selects other ones;
+    # the germ must be the same bytes
+    import helpers
+    from frobkit import germ as germ_module
+    got, want = {}, {}
+    solve, ref_solve = germ_module._solve_generated, helpers._solve_generated
+
+    def spy(A, plan, stage, degrees, n, D):
+        got[D] = set(plan[3])
+        return solve(A, plan, stage, degrees, n, D)
+
+    def ref_spy(*args):
+        want[args[-1]] = set(args[3])
+        return ref_solve(*args)
+
+    monkeypatch.setattr(germ_module, "_solve_generated", spy)
+    monkeypatch.setattr(helpers, "_solve_generated", ref_spy)
+    for w1, w2, deformed in ((3, 3, False), (4, 3, True), (5, 4, True)):
+        init = helpers.shift_product_init(w1, w2, deformed=deformed, order=3)
+        a = h2_reconstruct(init)
+        b = helpers.reference_h2_reconstruct(init, reverse_generation=True)
+        assert any(got[D] != want[D] for D in got), (w1, w2)
+        assert (json.dumps(a.to_json(), sort_keys=True)
+                == json.dumps(b.to_json(), sort_keys=True)), (w1, w2)
 
 
 def _shift_init(w, deformed, order=N):
@@ -122,7 +138,7 @@ def test_h2_reconstruct_matches_stage_by_stage_reference(case, reverse):
         init = cubic_init(N)
     else:
         init = _shift_init(int(case[1]), case.endswith("-b"))
-    got = h2_reconstruct(init, reverse_generation=reverse)
+    got = h2_reconstruct(init)
     want = reference_h2_reconstruct(init, reverse_generation=reverse)
     assert (json.dumps(normalize_germ(got).to_json(), sort_keys=True)
             == json.dumps(normalize_germ(want).to_json(), sort_keys=True))
@@ -139,37 +155,44 @@ def test_h2_reconstruct_with_several_unknowns_matches_reference(reverse):
     from helpers import reference_h2_reconstruct, shift_product_init
     init = shift_product_init(5, 3, order=3)
     assert init.frame_degrees() == [F(d) for d in (-1, 0, 0, 1, 1, 2, 2, 3)]
-    got = h2_reconstruct(init, reverse_generation=reverse)
+    got = h2_reconstruct(init)
     want = reference_h2_reconstruct(init, reverse_generation=reverse)
     assert _blob(got) == _blob(want)
     deformed = shift_product_init(5, 3, deformed=True, order=3)
-    assert _blob(h2_reconstruct(deformed, reverse_generation=reverse)) == (
+    assert _blob(h2_reconstruct(deformed)) == (
         _blob(reference_h2_reconstruct(deformed, reverse_generation=reverse)))
 
 
 @pytest.mark.parametrize("w1, w2, order", [(5, 3, 3), (3, 5, 3), (7, 3, 2)])
 def test_h2_reconstruct_generation_solve_inverts_the_relations(
         monkeypatch, w1, w2, order):
-    # scanned in reverse, the deformed products select relations whose
-    # coefficient matrix is not symmetric, so the solve must apply G^-1 and
-    # not its transpose
+    # with the two degree-zero frame vectors swapped, the deformed products
+    # select relations whose coefficient matrix is not symmetric, so the
+    # solve must apply G^-1 and not its transpose
     from frobkit import germ as germ_module
-    from helpers import shift_product_init
+    from helpers import reference_h2_reconstruct, shift_product_init
     solve = germ_module._solve_generated
     asymmetric = []
 
-    def spy(A, gamma, pairs, selected, unknown, *rest):
-        G = SeriesMatrix([[gamma[pr][a] for a in range(len(unknown))]
-                          for pr in selected])
+    def spy(A, plan, *rest):
+        _, _, gamma, selected, _ = plan
+        G = SeriesMatrix([gamma[pr] for pr in selected])
         asymmetric.append(G != G.transpose())
-        return solve(A, gamma, pairs, selected, unknown, *rest)
+        return solve(A, plan, *rest)
 
     monkeypatch.setattr(germ_module, "_solve_generated", spy)
     init = shift_product_init(w1, w2, deformed=True, order=order)
-    rev = h2_reconstruct(init, reverse_generation=True)
+    n = init.ftype.n
+    a, b = [k for k, d in enumerate(init.frame_degrees()) if d == 0]
+    perm = list(range(n))
+    perm[a], perm[b] = b, a
+    B = [[F(int(perm[j] == i)) for j in range(n)] for i in range(n)]
+    swapped = InitialData.create(rotate_zeta_first(init.ftype, B, B),
+                                 weight=init.weight)
+    got = h2_reconstruct(swapped)
     assert any(asymmetric)
-    assert _blob(rev) == _blob(h2_reconstruct(init))
-    assert compare_germs(frobenius_via_unfolding(init), rev)["equal"]
+    assert _blob(got) == _blob(reference_h2_reconstruct(swapped))
+    assert compare_germs(frobenius_via_unfolding(swapped), got)["equal"]
 
 
 def test_wdvv_passes_on_constructed_germs():

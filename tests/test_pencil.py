@@ -395,6 +395,18 @@ def test_pairing_extension_obstruction_over_a_flat_pencil():
     assert [r["indices"] for r in rep["base-t-transport"]] == [[-1, "t"]]
 
 
+def test_z_transport_at_the_top_power_is_the_left_side_less_the_right():
+    # nothing stands on the left at z^(w-1), so the record is
+    # 0 - (U^T R_0 - R_0 U), with the sign of every z-transport record and
+    # of base-transport at k = -1; here U^T - U = [[0, 1], [-1, 0]]
+    P, _ = point_base_pencil(2)
+    R0 = PairingMatrix.constant(0, [[F(1), F(0)], [F(0), F(1)]], (), 2, 6)
+    rep = pairing_extension_check(P, R0, z_order=4)
+    recs = rep["base-z-transport"]
+    assert [r["indices"] for r in recs] == [[-1]]
+    assert recs[0]["residual"] == consts([[0, -1], [1, 0]], (), 2).to_json()
+
+
 def _perturbed(R0, rng):
     """R0 as it is, or with one constant or t-linear entry added to a
     random coefficient, mostly with its mirror entry."""
